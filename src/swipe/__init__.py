@@ -22,8 +22,6 @@ from swipe.encoder import (
     HashEncoderParams,
     InteractionParams,
     SegmentMatrix,
-    encode_segments,
-    interact,
     load_precomputed,
 )
 from swipe.head import (
@@ -31,12 +29,8 @@ from swipe.head import (
     Pooling,
     Prediction,
     SwipeParams,
-    classify,
     explain,
-    pool,
     rank_segments,
-    segment_gates,
-    segment_scores,
 )
 from swipe.model import ModelConfig, SwipeModel
 from swipe.train import TrainConfig, grad_check, loss_multiclass, loss_multilabel, train
@@ -59,20 +53,14 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "TruncationConfig",
-    "classify",
-    "encode_segments",
     "explain",
     "generate_synthetic",
     "grad_check",
-    "interact",
     "load_jsonl",
     "load_precomputed",
     "loss_multiclass",
     "loss_multilabel",
-    "pool",
     "rank_segments",
-    "segment_gates",
-    "segment_scores",
     "split_corpus",
     "tokenize",
     "train",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from swipe import corpus as corpus_mod
 from swipe import evaluate as eval_mod
-from swipe.encoder import load_precomputed
+from swipe.encoder import featurize_segments, load_precomputed
 from swipe.errors import ConfigError, SwipeError
 from swipe.head import Pooling
 from swipe.model import ENCODER_HASH, ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
@@ -58,6 +58,19 @@ def load_config_file(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         entries[key.strip().replace("-", "_")] = value.strip()
     return entries
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """Parse and check a config-file value as argparse would the flag's."""
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError as exc:
+        raise ConfigError(f"config value {action.dest}={raw!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(
+            f"config value {action.dest}={raw!r}: expected one of {list(action.choices)}"
+        )
+    return value
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -181,13 +194,15 @@ def cmd_explain(args) -> int:
     documents = corpus_mod.load_documents(args.corpus)
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in documents:
-            pred = model.predict(doc)
-            record = pred.to_record(model.vocab.names)
             if model.config.encoder_mode == ENCODER_HASH:
                 segments = truncate(doc, model.config.truncation)
+                pred = model.predict_features(featurize_segments(segments, model.encoder))
+                record = pred.to_record(model.vocab.names)
                 for entry in record["per_label"]:
                     key = entry["key_segment"]
                     entry["key_segment_text"] = " ".join(segments[key].tokens)
+            else:
+                record = model.predict(doc).to_record(model.vocab.names)
             fh.write(json.dumps(record) + "\n")
     print(f"wrote explanations for {len(documents)} documents to {args.out}")
     return 0
@@ -196,11 +211,10 @@ def cmd_explain(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_model_inputs(args)
     loaded = corpus_mod.load_jsonl(args.corpus, model.config.task_kind)
-    report = eval_mod.classification_eval(model, loaded, split=args.split)
+    predictions = {doc.id: model.predict(doc) for doc in loaded.split_docs(args.split)}
+    report = eval_mod.classification_eval(predictions, loaded, model, split=args.split)
     if args.keymap:
         key_map = corpus_mod.load_key_map(args.keymap)
-        docs = loaded.split_docs(args.split)
-        predictions = {doc.id: model.predict(doc) for doc in docs}
         seg_report = eval_mod.segment_labeling_eval(predictions, key_map, model.vocab.names)
         report["segment_micro_f1"] = seg_report.micro_f1
         report["segment_macro_f1"] = seg_report.macro_f1
@@ -341,12 +355,14 @@ def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
         if "--config" in argv:
-            config = load_config_file(argv[argv.index("--config") + 1])
+            at = argv.index("--config") + 1
+            if at == len(argv):
+                raise ConfigError("--config needs a file path")
+            config = load_config_file(argv[at])
             for sub in subparsers.values():
                 for action in sub._actions:
                     if action.dest in config:
-                        raw = config[action.dest]
-                        action.default = action.type(raw) if action.type else raw
+                        action.default = _config_value(action, config[action.dest])
         args = parser.parse_args(argv)
         return args.func(args)
     except SwipeError as exc:

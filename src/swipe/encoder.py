@@ -115,12 +115,6 @@ def encode_features(feats: SegmentFeatures, params: HashEncoderParams) -> ad.Ten
     return ad.embedding_bag_mean(params.table, feats.ids, feats.offsets)
 
 
-def encode_segments(segments: list[Segment], params: HashEncoderParams) -> SegmentMatrix:
-    """Hash-and-average each segment into an h-vector (inference wrapper)."""
-    feats = featurize_segments(segments, params)
-    return SegmentMatrix(doc_id=feats.doc_id, rows=encode_features(feats, params).data)
-
-
 def load_precomputed(path) -> dict[str, SegmentMatrix]:
     """Read the precomputed-vector sidecar.
 
@@ -149,13 +143,15 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
             vectors = raw.get("vectors")
             if not vectors:
                 raise FormatError(f"{path}:{lineno}: record without vectors")
-            rows = []
-            for row in vectors:
+            try:
+                rows = [[float(v) for v in row] for row in vectors]
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
+            for row in rows:
                 if len(row) != declared_h:
                     raise FormatError(
                         f"{path}:{lineno}: row of dimension {len(row)}, declared h={declared_h}"
                     )
-                rows.append([float(v) for v in row])
             if doc_id in matrices:
                 raise FormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             matrices[doc_id] = SegmentMatrix(doc_id=doc_id, rows=np.asarray(rows))
@@ -295,9 +291,3 @@ def interact_tensor(x: ad.Tensor, params: InteractionParams) -> ad.Tensor:
     if params.layers:
         x = ad.layer_norm(x, params.final_gain, params.final_bias)
     return x
-
-
-def interact(matrix: SegmentMatrix, params: InteractionParams) -> SegmentMatrix:
-    """Inference wrapper around `interact_tensor`."""
-    out = interact_tensor(ad.Tensor(matrix.rows), params)
-    return SegmentMatrix(doc_id=matrix.doc_id, rows=out.data)

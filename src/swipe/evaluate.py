@@ -22,7 +22,7 @@ from swipe.encoder import featurize_segments
 from swipe.errors import ValidationError
 from swipe.hashing import derive_seed
 from swipe.head import Pooling, Prediction
-from swipe.model import DocFeatures, ENCODER_HASH, ModelConfig, SwipeModel
+from swipe.model import ENCODER_HASH, ModelConfig, SwipeModel
 from swipe.train import TrainConfig, backward_batch, exact_match, train
 from swipe.truncate import Segment, TruncationConfig, truncate
 
@@ -139,12 +139,16 @@ def key_segment_recovery(
     return hits / total if total else 0.0
 
 
-def classification_eval(model: SwipeModel, corpus: Corpus, split: str = "test") -> dict:
-    """Accuracy plus micro/macro F1 of the document bits on one split."""
+def classification_eval(
+    preds: dict[str, Prediction], corpus: Corpus, model: SwipeModel, split: str = "test"
+) -> dict:
+    """Accuracy plus micro/macro F1 of the document bits on one split.
+
+    `preds` holds the model's prediction for every document of the split.
+    """
     docs = corpus.split_docs(split)
     if not docs:
         raise ValidationError(f"split {split!r} is empty")
-    preds = {doc.id: model.predict(doc) for doc in docs}
     acc = float(np.mean([exact_match(preds[d.id], model, d) for d in docs]))
     pred_bits = np.stack([preds[d.id].bits for d in docs])
     gold_bits = np.stack([model.vocab.bits(d.labels) for d in docs])
@@ -274,13 +278,7 @@ def sufficiency_test(
         for split in ("train", "test"):
             for doc in corpus.split_docs(split):
                 segments = truncate(doc, trunc)
-                feats = DocFeatures(
-                    doc_id=doc.id,
-                    segments=segments,
-                    hashed=featurize_segments(segments, model.encoder),
-                    matrix=None,
-                )
-                pred = model.predict_features(feats)
+                pred = model.predict_features(featurize_segments(segments, model.encoder))
                 explained = explanation_segment_indices(pred, model.config.task_kind)
                 random_k = int(rng.integers(0, len(segments)))
                 samples["swipe"][split].append(

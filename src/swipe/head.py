@@ -18,7 +18,6 @@ import numpy as np
 
 from swipe import autodiff as ad
 from swipe.corpus import TASK_MULTICLASS
-from swipe.encoder import SegmentMatrix
 from swipe.errors import ConfigError
 
 
@@ -119,28 +118,6 @@ def pool_tensor(
     return ad.sum_along(effective, axis=0), None
 
 
-def segment_scores(matrix: SegmentMatrix, params: SwipeParams) -> np.ndarray:
-    """Scores of every segment on every label, shape (L, m)."""
-    return scores_tensor(ad.Tensor(matrix.rows), params).data.T
-
-
-def segment_gates(matrix: SegmentMatrix, params: SwipeParams) -> np.ndarray:
-    """Gates of every segment on every label, shape (L, m), strictly in (0, 1)."""
-    return gates_tensor(ad.Tensor(matrix.rows), params).data.T
-
-
-def pool(
-    scores: np.ndarray, gates: np.ndarray | None, strategy: Pooling
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pool (L, m) scores into (L,) document scores; see `pool_tensor`."""
-    scores_t = ad.Tensor(np.asarray(scores, dtype=np.float64).T)
-    gates_t = None
-    if gates is not None:
-        gates_t = ad.Tensor(np.asarray(gates, dtype=np.float64).T)
-    pooled, argmax = pool_tensor(scores_t, gates_t, strategy)
-    return pooled.data, argmax
-
-
 @dataclass
 class Prediction:
     """Everything the head knows about one document."""
@@ -190,27 +167,6 @@ class Prediction:
             else [label_names[i] for i in np.flatnonzero(self.bits)]
         )
         return {"doc_id": self.doc_id, "labels": predicted, "per_label": per_label}
-
-
-def classify(
-    matrix: SegmentMatrix,
-    params: SwipeParams,
-    strategy: Pooling,
-    task_kind: str = TASK_MULTICLASS,
-) -> Prediction:
-    """Full head forward for one encoded document."""
-    x = ad.Tensor(matrix.rows)
-    scores_ml = scores_tensor(x, params)
-    gates_ml = gates_tensor(x, params) if strategy.gated else None
-    pooled, _ = pool_tensor(scores_ml, gates_ml, strategy)
-    return build_prediction(
-        doc_id=matrix.doc_id,
-        strategy=strategy,
-        doc_scores=pooled.data,
-        seg_scores=scores_ml.data.T,
-        gates=gates_ml.data.T if gates_ml is not None else None,
-        task_kind=task_kind,
-    )
 
 
 def build_prediction(

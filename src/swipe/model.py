@@ -6,7 +6,7 @@ Also owns the checkpoint container. Format (version 1, stable):
   ``{"format": "swipe-checkpoint", "version": 1, "config": {...},
   "train_config": {... or null}, "tensors": [{"name": str, "shape": [int]}]}``
 * followed by each tensor's raw bytes in manifest order, little-endian
-  float64, C order, no padding.
+  float64, C order, no padding, and nothing after the last tensor.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from swipe.head import (
     pool_tensor,
     scores_tensor,
 )
-from swipe.truncate import Segment, TruncationConfig, truncate
+from swipe.truncate import TruncationConfig, truncate
 
 ENCODER_HASH = "hash"
 ENCODER_PRECOMPUTED = "precomputed"
@@ -117,20 +117,9 @@ class ModelConfig:
         )
 
 
-@dataclass
-class DocFeatures:
-    """Per-document cacheable forward inputs (hashing happens once)."""
-
-    doc_id: str
-    segments: list[Segment] | None
-    hashed: SegmentFeatures | None
-    matrix: SegmentMatrix | None
-
-    @property
-    def m(self) -> int:
-        if self.hashed is not None:
-            return self.hashed.m
-        return self.matrix.m
+#: Cacheable forward input of one document: hashed n-gram ids (hash encoder)
+#: or its frozen segment vectors (precomputed encoder).
+Features = SegmentFeatures | SegmentMatrix
 
 
 @dataclass
@@ -230,25 +219,18 @@ class SwipeModel:
         for tensor in self.parameters().values():
             tensor.zero_grad()
 
-    def featurize(self, doc: Document) -> DocFeatures:
+    def featurize(self, doc: Document) -> Features:
         if self.config.encoder_mode == ENCODER_PRECOMPUTED:
             if self.precomputed is None or doc.id not in self.precomputed:
                 raise KeyError(f"no precomputed vectors for document {doc.id!r}")
-            return DocFeatures(doc_id=doc.id, segments=None, hashed=None,
-                               matrix=self.precomputed[doc.id])
-        segments = truncate(doc, self.config.truncation)
-        return DocFeatures(
-            doc_id=doc.id,
-            segments=segments,
-            hashed=featurize_segments(segments, self.encoder),
-            matrix=None,
-        )
+            return self.precomputed[doc.id]
+        return featurize_segments(truncate(doc, self.config.truncation), self.encoder)
 
-    def forward(self, feats: DocFeatures) -> ForwardOut:
-        if feats.hashed is not None:
-            x = encode_features(feats.hashed, self.encoder)
+    def forward(self, feats: Features) -> ForwardOut:
+        if isinstance(feats, SegmentFeatures):
+            x = encode_features(feats, self.encoder)
         else:
-            x = ad.Tensor(feats.matrix.rows)  # frozen: no gradient
+            x = ad.Tensor(feats.rows)  # frozen: no gradient
         if self.interaction is not None:
             x = interact_tensor(x, self.interaction)
         seg_scores = scores_tensor(x, self.head)
@@ -257,7 +239,7 @@ class SwipeModel:
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores,
                           gates=gates, pool_argmax=argmax)
 
-    def predict_features(self, feats: DocFeatures) -> Prediction:
+    def predict_features(self, feats: Features) -> Prediction:
         out = self.forward(feats)
         return build_prediction(
             doc_id=feats.doc_id,
@@ -321,4 +303,6 @@ class SwipeModel:
                 tensor.data = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(
                     np.float64, copy=True
                 )
+            if fh.read(1):
+                raise FormatError(f"{path}: trailing bytes after the last tensor")
         return model

@@ -8,7 +8,6 @@ Adam with bias correction, and a learning rate that decays linearly from
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from swipe import autodiff as ad
 from swipe.corpus import Corpus, Document, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
-from swipe.model import DocFeatures, SwipeModel
+from swipe.model import Features, SwipeModel
 from swipe.head import Prediction
 
 
@@ -76,7 +75,7 @@ def loss_multilabel(doc_scores, gold_bits) -> ad.Tensor:
     return ad.bce_with_logits_mean(logits, gold_bits)
 
 
-def doc_loss(model: SwipeModel, feats: DocFeatures, target) -> tuple[ad.Tensor, tuple | None]:
+def doc_loss(model: SwipeModel, feats: Features, target) -> tuple[ad.Tensor, tuple | None]:
     """Per-document loss plus the pooling signature (for kink detection)."""
     out = model.forward(feats)
     if model.config.task_kind == TASK_MULTICLASS:
@@ -85,7 +84,7 @@ def doc_loss(model: SwipeModel, feats: DocFeatures, target) -> tuple[ad.Tensor, 
 
 
 def backward_batch(
-    model: SwipeModel, batch: list[tuple[DocFeatures, object]]
+    model: SwipeModel, batch: list[tuple[Features, object]]
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean batch loss and its gradients for every trainable parameter.
 
@@ -261,7 +260,7 @@ def exact_match(pred: Prediction, model: SwipeModel, doc: Document) -> bool:
 
 
 def evaluate_split(model: SwipeModel, docs: list[Document],
-                   features: dict[str, DocFeatures]) -> float:
+                   features: dict[str, Features]) -> float:
     if not docs:
         return float("nan")
     hits = sum(
@@ -344,8 +343,3 @@ def aggregate_runs(values: list[float]) -> dict[str, float]:
         "min": float(arr.min()),
         "max": float(arr.max()),
     }
-
-
-def clone_model(model: SwipeModel) -> SwipeModel:
-    """Deep copy used by convergence comparisons; shares nothing."""
-    return copy.deepcopy(model)

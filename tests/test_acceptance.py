@@ -29,7 +29,7 @@ from swipe.evaluate import (
     segment_labeling_eval,
     sufficiency_test,
 )
-from swipe.head import Pooling, SwipeParams, classify
+from swipe.head import Pooling, SwipeParams, pool_tensor
 from swipe.model import ModelConfig, SwipeModel
 from swipe.train import TrainConfig, doc_loss, grad_check, train
 from swipe.truncate import TruncationConfig
@@ -99,7 +99,7 @@ def _test_predictions(model, corpus):
 
 # -- criteria ------------------------------------------------------------------
 
-def test_criterion_1_perceptron_equivalence():
+def test_criterion_1_perceptron_equivalence(head_model):
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     failures = 0
@@ -113,7 +113,7 @@ def test_criterion_1_perceptron_equivalence():
         ).astype(np.int8)
         mat = SegmentMatrix(doc_id="d", rows=vector)
         for strategy in (Pooling.MAX, Pooling.SUM):
-            pred = classify(mat, params, strategy, TASK_MULTILABEL)
+            pred = head_model(params, strategy).predict_features(mat)
             if pred.bits.tolist() != perceptron_bits.tolist():
                 failures += 1
     elapsed = time.perf_counter() - start
@@ -124,7 +124,7 @@ def test_criterion_1_perceptron_equivalence():
     )
 
 
-def test_criterion_2_explanation_soundness():
+def test_criterion_2_explanation_soundness(head_model):
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     failures = 0
@@ -135,7 +135,7 @@ def test_criterion_2_explanation_soundness():
         mat = SegmentMatrix(doc_id="d", rows=rng.normal(size=(m, dim)))
         params = SwipeParams.create(n_labels, dim, init_seed=int(rng.integers(2**31)))
         for strategy in (Pooling.MAX, Pooling.GATED_MAX):
-            pred = classify(mat, params, strategy, TASK_MULTILABEL)
+            pred = head_model(params, strategy).predict_features(mat)
             for i in range(n_labels):
                 has_positive = bool(np.any(pred.seg_scores[i] > 0))
                 if bool(pred.bits[i]) != has_positive:
@@ -152,15 +152,14 @@ def test_criterion_3_pooling_oracle():
     rng = np.random.default_rng(303)
     start = time.perf_counter()
     worst = 0.0
-    from swipe.head import pool
-
     for _ in range(1000):
         n_labels = int(rng.integers(1, 6))
         m = int(rng.integers(1, 7))
         scores = rng.normal(size=(n_labels, m)) * 3
         gates = 1 / (1 + np.exp(-rng.normal(size=(n_labels, m))))
         for strategy in Pooling:
-            y, _ = pool(scores, gates if strategy.gated else None, strategy)
+            g = ad.Tensor(gates.T) if strategy.gated else None
+            y = pool_tensor(ad.Tensor(scores.T), g, strategy)[0].data
             for i in range(n_labels):
                 acc = -np.inf if strategy.is_max else 0.0
                 for k in range(m):
@@ -219,8 +218,8 @@ def test_criterion_4_gradient_checks():
 
 def test_criterion_5_synthetic_recovery(synth_corpus, trained_max):
     corpus, key_map = synth_corpus
-    rep = classification_eval(trained_max, corpus, "test")
     preds = _test_predictions(trained_max, corpus)
+    rep = classification_eval(preds, corpus, trained_max, "test")
     recovery = key_segment_recovery(preds, key_map, corpus.vocab.names)
     report(
         "5 synthetic-recovery",

@@ -142,6 +142,15 @@ class TestPredictExplainEval:
                         "--corpus", synth_dir / "corpus.jsonl", "--out", out]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_checkpoint_with_trailing_bytes_rejected(self, synth_dir, tmp_path, capsys):
+        ckpt = _train(synth_dir, tmp_path)
+        with ckpt.open("ab") as fh:
+            fh.write(b"junk")
+        code = run(["predict", "--checkpoint", ckpt,
+                    "--corpus", synth_dir / "corpus.jsonl", "--out", tmp_path / "p.jsonl"])
+        assert code == 2
+        assert "trailing bytes" in capsys.readouterr().err
+
     def test_bad_checkpoint_path_exits_nonzero(self, synth_dir, tmp_path, capsys):
         code = run(["predict", "--checkpoint", tmp_path / "missing.ckpt",
                     "--corpus", synth_dir / "corpus.jsonl",
@@ -235,6 +244,15 @@ class TestPrecomputedVectors:
         assert code != 0
         assert "h=9" in capsys.readouterr().err
 
+    def test_non_numeric_vector_entry_exits_2(self, vectors_setup, tmp_path, capsys):
+        corpus_path, _ = vectors_setup
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"h": 2}\n{"doc_id": "a", "vectors": [["x", 1]]}\n')
+        code = run(["train", "--corpus", corpus_path, "--task", "multi-class",
+                    "--vectors", bad, "--out", tmp_path / "vec.ckpt"])
+        assert code == 2
+        assert "bad.jsonl:2: non-numeric" in capsys.readouterr().err
+
 
 def test_gated_sum_with_two_interaction_layers_trains(synth_dir, tmp_path):
     ckpt = tmp_path / "g2t.ckpt"
@@ -263,3 +281,19 @@ class TestParsing:
         code = run(["synth", "--config", cfg, "--out", tmp_path])
         assert code != 0
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text, expected", [
+        (None, "--config needs a file path"),
+        ("pooling = bogus\n", "pooling='bogus'"),
+        ("epochs = abc\n", "epochs='abc'"),
+    ])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, config_text, expected):
+        args = ["predict", "--checkpoint", "m.ckpt", "--corpus", "c.jsonl",
+                "--out", tmp_path / "p.jsonl", "--config"]
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            args.append(cfg)
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err

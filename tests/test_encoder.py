@@ -7,9 +7,8 @@ from swipe.encoder import (
     HashEncoderParams,
     InteractionParams,
     SegmentMatrix,
-    encode_segments,
+    encode_features,
     featurize_segments,
-    interact,
     interact_tensor,
     load_precomputed,
     write_precomputed,
@@ -39,22 +38,23 @@ class TestHashEncoder:
     def test_single_bucket_row_equals_that_embedding(self):
         # with one bucket, every n-gram hits bucket 0: mean of identical rows
         params = HashEncoderParams.create(n_buckets=1, dim=4, init_seed=0)
-        out = encode_segments(_segments([["a", "b", "c"], ["d"]]), params)
-        np.testing.assert_allclose(out.rows[0], params.table.data[0])
-        np.testing.assert_allclose(out.rows[1], params.table.data[0])
+        out = encode_features(featurize_segments(_segments([["a", "b", "c"], ["d"]]), params),
+                              params).data
+        np.testing.assert_allclose(out[0], params.table.data[0])
+        np.testing.assert_allclose(out[1], params.table.data[0])
 
     def test_zero_table_gives_zero_rows(self):
         params = HashEncoderParams.create(n_buckets=64, dim=4, init_seed=0)
         params.table.data = np.zeros_like(params.table.data)
-        out = encode_segments(_segments([["a", "b"], ["c", "d", "e"]]), params)
-        np.testing.assert_array_equal(out.rows, np.zeros((2, 4)))
+        feats = featurize_segments(_segments([["a", "b"], ["c", "d", "e"]]), params)
+        np.testing.assert_array_equal(encode_features(feats, params).data, np.zeros((2, 4)))
 
     def test_rows_match_standalone_hash_and_average_oracle(self):
         # oracle recomputes the same contract with its own loop
         params = HashEncoderParams.create(n_buckets=97, dim=4, ngram_orders=(1, 2),
                                           hash_seed=5, init_seed=1)
         token_lists = [["the", "cat", "sat"], ["on", "the", "mat", "."]]
-        out = encode_segments(_segments(token_lists), params)
+        out = encode_features(featurize_segments(_segments(token_lists), params), params).data
         for k, tokens in enumerate(token_lists):
             grams = [tuple(tokens[i:i + n]) for n in (1, 2)
                      for i in range(len(tokens) - n + 1)]
@@ -62,7 +62,7 @@ class TestHashEncoder:
             for gram in grams:
                 h = hashing.hash64(b"\x1f".join(t.encode() for t in gram), 5)
                 rows.append(params.table.data[h % 97])
-            np.testing.assert_allclose(out.rows[k], np.mean(rows, axis=0), atol=1e-12)
+            np.testing.assert_allclose(out[k], np.mean(rows, axis=0), atol=1e-12)
 
     def test_differentiable_wrt_table(self):
         params = HashEncoderParams.create(n_buckets=16, dim=3, init_seed=2)
@@ -108,46 +108,52 @@ class TestPrecomputed:
         with pytest.raises(FormatError, match="declare h"):
             load_precomputed(path)
 
+    def test_non_numeric_entry_names_line(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('{"h": 2}\n{"doc_id": "a", "vectors": [["x", 1]]}\n')
+        with pytest.raises(FormatError, match=r"vectors\.jsonl:2: non-numeric"):
+            load_precomputed(path)
+
 
 class TestInteraction:
     def test_zero_layers_is_identity(self):
         params = InteractionParams.create(num_layers=0, dim=8)
-        mat = SegmentMatrix(doc_id="d", rows=np.random.default_rng(0).normal(size=(3, 8)))
-        out = interact(mat, params)
-        np.testing.assert_array_equal(out.rows, mat.rows)
+        rows = np.random.default_rng(0).normal(size=(3, 8))
+        out = interact_tensor(ad.Tensor(rows), params).data
+        np.testing.assert_array_equal(out, rows)
 
     def test_single_row_shape_preserved_and_finite(self):
         params = InteractionParams.create(num_layers=2, dim=8, n_heads=2, init_seed=1)
-        mat = SegmentMatrix(doc_id="d", rows=np.random.default_rng(1).normal(size=(1, 8)))
-        out = interact(mat, params)
-        assert out.rows.shape == (1, 8)
-        assert np.all(np.isfinite(out.rows))
+        rows = np.random.default_rng(1).normal(size=(1, 8))
+        out = interact_tensor(ad.Tensor(rows), params).data
+        assert out.shape == (1, 8)
+        assert np.all(np.isfinite(out))
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(7)
         params = InteractionParams.create(num_layers=2, dim=8, n_heads=2, init_seed=3)
         rows = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = interact(SegmentMatrix(doc_id="d", rows=rows), params)
-        out_perm = interact(SegmentMatrix(doc_id="d", rows=rows[perm]), params)
-        np.testing.assert_allclose(out_perm.rows, out.rows[perm], atol=1e-6)
+        out = interact_tensor(ad.Tensor(rows), params).data
+        out_perm = interact_tensor(ad.Tensor(rows[perm]), params).data
+        np.testing.assert_allclose(out_perm, out[perm], atol=1e-6)
 
     def test_positions_break_equivariance_and_cap_length(self):
         rng = np.random.default_rng(7)
         params = InteractionParams.create(num_layers=1, dim=8, n_heads=2,
                                           max_positions=4, init_seed=3)
         rows = rng.normal(size=(3, 8))
-        out = interact(SegmentMatrix(doc_id="d", rows=rows), params)
+        out = interact_tensor(ad.Tensor(rows), params).data
         swapped = rows[[1, 0, 2]]
-        out_swapped = interact(SegmentMatrix(doc_id="d", rows=swapped), params)
-        assert not np.allclose(out_swapped.rows, out.rows[[1, 0, 2]], atol=1e-6)
+        out_swapped = interact_tensor(ad.Tensor(swapped), params).data
+        assert not np.allclose(out_swapped, out[[1, 0, 2]], atol=1e-6)
         with pytest.raises(ConfigError, match="positional"):
-            interact(SegmentMatrix(doc_id="d", rows=rng.normal(size=(5, 8))), params)
+            interact_tensor(ad.Tensor(rng.normal(size=(5, 8))), params)
 
     def test_dim_mismatch_rejected(self):
         params = InteractionParams.create(num_layers=1, dim=8, n_heads=2)
         with pytest.raises(ConfigError):
-            interact(SegmentMatrix(doc_id="d", rows=np.zeros((2, 4))), params)
+            interact_tensor(ad.Tensor(np.zeros((2, 4))), params)
 
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):

@@ -184,7 +184,8 @@ def _trained_synthetic(pooling=Pooling.MAX, epochs=6, lr=0.05, n_docs=160):
 class TestClassificationEval:
     def test_report_fields_and_range(self):
         corpus, _, model = _trained_synthetic()
-        report = classification_eval(model, corpus, "test")
+        preds = {doc.id: model.predict(doc) for doc in corpus.split_docs("test")}
+        report = classification_eval(preds, corpus, model, "test")
         assert 0.0 <= report["accuracy"] <= 1.0
         assert 0.0 <= report["micro_f1"] <= 1.0
         assert report["n_docs"] == len(corpus.split_docs("test"))
@@ -194,7 +195,7 @@ class TestClassificationEval:
         docs = [d for d in corpus.documents if d.effective_split() != "test"]
         smaller = Corpus(documents=docs, vocab=corpus.vocab)
         with pytest.raises(ValidationError):
-            classification_eval(model, smaller, "test")
+            classification_eval({}, smaller, model, "test")
 
 
 class TestSufficiency:

@@ -18,8 +18,11 @@ def test_hash64_deterministic():
 def test_hash64_known_value_is_stable():
     # frozen reference value; changing the hash silently would invalidate
     # every saved checkpoint
-    assert _hashkernel_py.hash64(b"abc", 0) == hashing.hash64(b"abc", 0)
-    assert hashing.hash64(b"", 0) == _hashkernel_py.hash64(b"", 0)
+    assert hashing.hash64(b"abc", 0) == 0xab20dcdb6214056b
+    assert hashing.hash64(b"", 0) == 0xa8c7f832281a39c5
+    assert hashing.hash64(b"abc", 1) == 0xb60b96e484addb6c
+    ids = hashing.ngram_bucket_ids(["the", "cat", "İstanbul"], 1000, (1, 2), 7)
+    assert list(ids) == [505, 918, 169, 918, 678]
 
 
 def test_bucket_ids_layout_orders_then_position():

@@ -3,24 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swipe.corpus import TASK_MULTICLASS, TASK_MULTILABEL
+from swipe import autodiff as ad
+from swipe.corpus import TASK_MULTICLASS
 from swipe.encoder import SegmentMatrix
 from swipe.errors import ConfigError
-from swipe.head import (
-    Pooling,
-    SwipeParams,
-    classify,
-    explain,
-    pool,
-    rank_segments,
-    segment_gates,
-    segment_scores,
-)
+from swipe.head import Pooling, SwipeParams, explain, pool_tensor, rank_segments
 
 
 def _params(weight, bias, gate_weight=None, gate_bias=None):
-    import swipe.autodiff as ad
-
     weight = np.asarray(weight, dtype=float)
     n_labels, dim = weight.shape
     return SwipeParams(
@@ -62,73 +52,80 @@ class TestInit:
 
 
 class TestScores:
-    def test_bias_only(self):
+    def test_bias_only(self, head_model):
         params = _params(np.zeros((2, 3)), [1.5, -2.0])
         mat = SegmentMatrix(doc_id="d", rows=np.ones((4, 3)))
-        scores = segment_scores(mat, params)
+        scores = head_model(params, Pooling.MAX).predict_features(mat).seg_scores
         np.testing.assert_allclose(scores[0], 1.5)
         np.testing.assert_allclose(scores[1], -2.0)
 
-    def test_dot_product(self):
+    def test_dot_product(self, head_model):
         params = _params([[1.0, -1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[3.0, 1.0]]))
-        np.testing.assert_allclose(segment_scores(mat, params), [[2.0]])
+        pred = head_model(params, Pooling.MAX).predict_features(mat)
+        np.testing.assert_allclose(pred.seg_scores, [[2.0]])
 
-    def test_matches_matrix_multiply_oracle(self):
+    def test_matches_matrix_multiply_oracle(self, head_model):
         rng = np.random.default_rng(0)
         mat, params = _random_instance(rng, n_labels=3, m=4, dim=5)
-        scores = segment_scores(mat, params)
+        scores = head_model(params, Pooling.MAX).predict_features(mat).seg_scores
         oracle = params.weight.data @ mat.rows.T + params.bias.data[:, None]
         np.testing.assert_allclose(scores, oracle, atol=1e-6)
         assert scores.shape == (3, 4)
 
-    def test_dim_mismatch(self):
+    def test_dim_mismatch(self, head_model):
         params = _params(np.zeros((2, 3)), np.zeros(2))
+        model = head_model(params, Pooling.MAX)
         with pytest.raises(ConfigError):
-            segment_scores(SegmentMatrix(doc_id="d", rows=np.zeros((2, 4))), params)
+            model.predict_features(SegmentMatrix(doc_id="d", rows=np.zeros((2, 4))))
 
 
 class TestGates:
-    def test_zero_params_give_half(self):
+    def test_zero_params_give_half(self, head_model):
         params = _params(np.zeros((2, 3)), np.zeros(2))
         mat = SegmentMatrix(doc_id="d", rows=np.ones((4, 3)))
-        np.testing.assert_allclose(segment_gates(mat, params), 0.5)
+        pred = head_model(params, Pooling.GATED_MAX).predict_features(mat)
+        np.testing.assert_allclose(pred.gates, 0.5)
 
-    def test_saturation(self):
+    def test_saturation(self, head_model):
         params = _params(np.zeros((1, 1)), [0.0], gate_weight=[[50.0]], gate_bias=[0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[1.0]]))
-        gates = segment_gates(mat, params)
+        gates = head_model(params, Pooling.GATED_MAX).predict_features(mat).gates
         assert abs(gates[0, 0] - 1.0) < 1e-15
 
-    def test_matches_sigmoid_affine_oracle(self):
+    def test_matches_sigmoid_affine_oracle(self, head_model):
         rng = np.random.default_rng(1)
         mat, params = _random_instance(rng, n_labels=2, m=5, dim=4)
-        gates = segment_gates(mat, params)
+        gates = head_model(params, Pooling.GATED_SUM).predict_features(mat).gates
         logits = params.gate_weight.data @ mat.rows.T + params.gate_bias.data[:, None]
         np.testing.assert_allclose(gates, 1 / (1 + np.exp(-logits)), atol=1e-6)
         assert np.all((gates > 0) & (gates < 1))
 
 
 class TestPool:
+    # pool_tensor takes (m, L) scores: one row per segment, one column per label
+
     def test_max(self):
-        y, argmax = pool(np.array([[-1.0, 2.0, 0.5]]), None, Pooling.MAX)
-        assert y[0] == 2.0 and argmax[0] == 1
+        y, argmax = pool_tensor(ad.Tensor(np.array([[-1.0], [2.0], [0.5]])), None, Pooling.MAX)
+        assert y.data[0] == 2.0 and argmax[0] == 1
 
     def test_sum(self):
-        y, argmax = pool(np.array([[1.0, -2.0, 0.5]]), None, Pooling.SUM)
-        np.testing.assert_allclose(y, [-0.5])
+        y, argmax = pool_tensor(ad.Tensor(np.array([[1.0], [-2.0], [0.5]])), None, Pooling.SUM)
+        np.testing.assert_allclose(y.data, [-0.5])
         assert argmax is None
 
     def test_gated_max(self):
-        y, argmax = pool(
-            np.array([[-1.0, 2.0, 0.5]]), np.array([[0.9, 0.1, 0.8]]), Pooling.GATED_MAX
+        y, argmax = pool_tensor(
+            ad.Tensor(np.array([[-1.0], [2.0], [0.5]])),
+            ad.Tensor(np.array([[0.9], [0.1], [0.8]])),
+            Pooling.GATED_MAX,
         )
-        np.testing.assert_allclose(y, [0.4])
+        np.testing.assert_allclose(y.data, [0.4])
         assert argmax[0] == 2
 
     def test_missing_gates_rejected(self):
         with pytest.raises(ConfigError):
-            pool(np.zeros((1, 3)), None, Pooling.GATED_SUM)
+            pool_tensor(ad.Tensor(np.zeros((3, 1))), None, Pooling.GATED_SUM)
 
     def test_brute_force_oracle_random_instances(self):
         rng = np.random.default_rng(42)
@@ -138,7 +135,8 @@ class TestPool:
             scores = rng.normal(size=(n_labels, m))
             gates = 1 / (1 + np.exp(-rng.normal(size=(n_labels, m))))
             for strategy in Pooling:
-                y, _ = pool(scores, gates if strategy.gated else None, strategy)
+                g = ad.Tensor(gates.T) if strategy.gated else None
+                y = pool_tensor(ad.Tensor(scores.T), g, strategy)[0].data
                 for i in range(n_labels):
                     if strategy is Pooling.MAX:
                         expected = max(scores[i])
@@ -156,22 +154,22 @@ class TestPool:
         gates = 1 / (1 + np.exp(-rng.normal(size=(3, 6))))
         perm = rng.permutation(6)
         for strategy in Pooling:
-            g = gates if strategy.gated else None
-            g_perm = gates[:, perm] if strategy.gated else None
-            y, _ = pool(scores, g, strategy)
-            y_perm, _ = pool(scores[:, perm], g_perm, strategy)
-            np.testing.assert_allclose(y, y_perm, atol=1e-9)
+            g = ad.Tensor(gates.T) if strategy.gated else None
+            g_perm = ad.Tensor(gates[:, perm].T) if strategy.gated else None
+            y, _ = pool_tensor(ad.Tensor(scores.T), g, strategy)
+            y_perm, _ = pool_tensor(ad.Tensor(scores[:, perm].T), g_perm, strategy)
+            np.testing.assert_allclose(y.data, y_perm.data, atol=1e-9)
 
 
 class TestClassify:
-    def test_all_zero_params_strict_threshold(self):
+    def test_all_zero_params_strict_threshold(self, head_model):
         params = _params(np.zeros((3, 2)), np.zeros(3))
         mat = SegmentMatrix(doc_id="d", rows=np.ones((4, 2)))
-        pred = classify(mat, params, Pooling.SUM, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.SUM).predict_features(mat)
         assert pred.bits.tolist() == [0, 0, 0]  # y == 0 counts as negative
         assert pred.seg_bits.tolist() == np.zeros((3, 4), dtype=int).tolist()
 
-    def test_single_segment_equals_standard_perceptron(self):
+    def test_single_segment_equals_standard_perceptron(self, head_model):
         rng = np.random.default_rng(5)
         for _ in range(50):
             mat, params = _random_instance(rng, n_labels=3, m=1, dim=4)
@@ -179,28 +177,28 @@ class TestClassify:
                 params.weight.data @ mat.rows[0] + params.bias.data > 0
             ).astype(int)
             for strategy in (Pooling.MAX, Pooling.SUM):
-                pred = classify(mat, params, strategy, TASK_MULTILABEL)
+                pred = head_model(params, strategy).predict_features(mat)
                 assert pred.bits.tolist() == perceptron_bits.tolist()
 
-    def test_planted_positive_segment_is_flagged(self):
+    def test_planted_positive_segment_is_flagged(self, head_model):
         # shared segments score negative, one planted segment scores +1
         params = _params([[1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[-1.0], [-0.5], [1.0], [-2.0]]))
-        pred = classify(mat, params, Pooling.MAX, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.MAX).predict_features(mat)
         assert pred.bits[0] == 1
         assert pred.seg_bits[0].tolist() == [0, 0, 1, 0]
         assert pred.key_segments[0] == 2
 
-    def test_multiclass_argmax_and_tie_break(self):
+    def test_multiclass_argmax_and_tie_break(self, head_model):
         params = _params(np.zeros((3, 2)), [0.5, 0.5, 0.2])
         mat = SegmentMatrix(doc_id="d", rows=np.zeros((2, 2)))
-        pred = classify(mat, params, Pooling.MAX, TASK_MULTICLASS)
+        pred = head_model(params, Pooling.MAX, TASK_MULTICLASS).predict_features(mat)
         assert pred.pred_class == 0  # tie between labels 0 and 1 -> lowest index
 
-    def test_record_serialization_layout(self):
+    def test_record_serialization_layout(self, head_model):
         rng = np.random.default_rng(0)
         mat, params = _random_instance(rng, n_labels=2, m=3, dim=4)
-        pred = classify(mat, params, Pooling.GATED_MAX, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.GATED_MAX).predict_features(mat)
         record = pred.to_record(["alpha", "beta"])
         assert record["doc_id"] == "d"
         assert {e["label"] for e in record["per_label"]} == {"alpha", "beta"}
@@ -211,22 +209,22 @@ class TestClassify:
 
 
 class TestRanking:
-    def test_descending_order(self):
+    def test_descending_order(self, head_model):
         params = _params([[1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[0.1], [5.0], [-3.0]]))
-        pred = classify(mat, params, Pooling.MAX, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.MAX).predict_features(mat)
         assert rank_segments(pred, 0) == [1, 0, 2]
 
-    def test_stable_ties_keep_index_order(self):
+    def test_stable_ties_keep_index_order(self, head_model):
         params = _params([[0.0]], [0.7])
         mat = SegmentMatrix(doc_id="d", rows=np.zeros((4, 1)))
-        pred = classify(mat, params, Pooling.SUM, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.SUM).predict_features(mat)
         assert rank_segments(pred, 0) == [0, 1, 2, 3]
 
-    def test_gated_ranking_uses_product(self):
+    def test_gated_ranking_uses_product(self, head_model):
         params = _params([[1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[5.0], [0.1], [0.2]]))
-        pred = classify(mat, params, Pooling.GATED_MAX, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.GATED_MAX).predict_features(mat)
         pred.gates = np.array([[0.01, 0.999, 0.5]])
         products = pred.gates[0] * pred.seg_scores[0]
         expected = list(np.argsort(-products, kind="stable"))
@@ -234,12 +232,12 @@ class TestRanking:
 
 
 class TestExplain:
-    def test_positive_document_has_key_in_positive_set(self):
+    def test_positive_document_has_key_in_positive_set(self, head_model):
         rng = np.random.default_rng(11)
         found = 0
         for _ in range(100):
             mat, params = _random_instance(rng, n_labels=2, m=5, dim=3)
-            pred = classify(mat, params, Pooling.MAX, TASK_MULTILABEL)
+            pred = head_model(params, Pooling.MAX).predict_features(mat)
             for label in range(2):
                 result = explain(pred, label)
                 if pred.bits[label] == 1:
@@ -250,18 +248,18 @@ class TestExplain:
                     assert result.positive_segments == ()
         assert found > 0
 
-    def test_sum_pooling_positive_set(self):
+    def test_sum_pooling_positive_set(self, head_model):
         params = _params([[1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[3.0], [-1.0], [-1.0]]))
-        pred = classify(mat, params, Pooling.SUM, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.SUM).predict_features(mat)
         assert pred.scores[0] == pytest.approx(1.0)
         result = explain(pred, 0)
         assert result.positive_segments == (0,)
 
-    def test_label_out_of_range(self):
+    def test_label_out_of_range(self, head_model):
         params = _params([[1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.ones((2, 1)))
-        pred = classify(mat, params, Pooling.MAX, TASK_MULTILABEL)
+        pred = head_model(params, Pooling.MAX).predict_features(mat)
         with pytest.raises(ConfigError):
             explain(pred, 5)
 
@@ -285,9 +283,9 @@ def test_gate_sign_preservation_implies_same_max_bit(scores, gate_logits):
     scores = np.asarray(scores)
     rng = np.random.default_rng(0)
     gates = 1 / (1 + np.exp(-rng.normal(gate_logits, 1, size=scores.shape)))
-    y_max, _ = pool(scores, None, Pooling.MAX)
-    y_gated, _ = pool(scores, gates, Pooling.GATED_MAX)
-    np.testing.assert_array_equal(y_max > 0, y_gated > 0)
+    y_max, _ = pool_tensor(ad.Tensor(scores.T), None, Pooling.MAX)
+    y_gated, _ = pool_tensor(ad.Tensor(scores.T), ad.Tensor(gates.T), Pooling.GATED_MAX)
+    np.testing.assert_array_equal(y_max.data > 0, y_gated.data > 0)
     assert np.array_equal(np.sign(gates * scores), np.sign(scores))
 
 
