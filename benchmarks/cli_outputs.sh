@@ -5,7 +5,8 @@
 # `diff -r`: an empty diff means a change left every CLI output byte-identical
 # (checkpoints, metrics CSVs, predictions, explanations, eval reports,
 # sufficiency rows), across max / gated_sum + 2 interaction layers /
-# gated_max + 1 layer and the precomputed --vectors path.
+# gated_max + 1 layer, the precomputed --vectors path, and plain text with
+# multi-byte tokens under auto and punct truncation with n-gram orders 1,2,3.
 #
 # Usage, from the root of a checkout:  sh benchmarks/cli_outputs.sh OUT_DIR
 set -eu
@@ -68,3 +69,41 @@ for cmd in predict explain; do
 done
 swipe eval --checkpoint "$vec.ckpt" --corpus "$vec.corpus.jsonl" \
     --vectors "$vec.vectors.jsonl" --split test --out "$vec.eval.json"
+
+# Plain text with multi-byte tokens (dotted capital I, accents, CJK, emoji),
+# cut by a sliding window and by sentences.
+python3 - "$out" <<'EOF'
+import json
+import sys
+
+import numpy as np
+
+out = sys.argv[1]
+rng = np.random.default_rng(0)
+filler = ["the", "a", "café", "İstanbul", "naïve", "東京", "日本語", "🙂", "straße",
+          "word", "text", "über", "ok", "δ", "x1"]
+keys = {"north": ["fjörd", "雪"], "south": ["señor", "🌴"]}
+with open(f"{out}/text.corpus.jsonl", "w", encoding="utf-8") as fh:
+    for i in range(48):
+        label = "north" if i % 2 else "south"
+        words = [str(w) for w in rng.choice(filler, size=int(rng.integers(20, 60)))]
+        for at in rng.integers(0, len(words), size=2):
+            words[at] = str(rng.choice(keys[label]))
+        sentences = [" ".join(words[j:j + 7]) + str(rng.choice([".", "!", "?"]))
+                     for j in range(0, len(words), 7)]
+        split = "train" if i < 32 else ("dev" if i < 40 else "test")
+        fh.write(json.dumps({"id": f"t{i}", "text": " ".join(sentences),
+                             "labels": [label], "split": split}, ensure_ascii=False) + "\n")
+EOF
+text=$out/text.corpus.jsonl
+for run in "auto:--truncate auto --window-len 16 --overlap 4" \
+           "punct:--truncate punct --max-seg-len 12"; do
+    name=$out/text-${run%%:*}
+    # ${run#*:} holds several flags and is split on purpose.
+    swipe train --corpus "$text" --task multi-class ${run#*:} --ngram-orders 1,2,3 \
+        --buckets 512 --dim 16 --epochs 3 --lr 0.05 --seed 2 --out "$name.ckpt"
+    for cmd in predict explain; do
+        swipe "$cmd" --checkpoint "$name.ckpt" --corpus "$text" --out "$name.$cmd.jsonl"
+    done
+    swipe eval --checkpoint "$name.ckpt" --corpus "$text" --split test --out "$name.eval.json"
+done

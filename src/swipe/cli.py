@@ -23,23 +23,31 @@ from swipe.train import TrainConfig, train, write_metrics_csv
 from swipe.truncate import TruncationConfig, truncate
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [int(p) for p in text.split(",")]
+def _numbers(text: str, kind, flag: str, skip_blank: bool = False) -> list:
+    parts = [p for p in text.split(",") if p.strip() or not skip_blank]
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+
+
+def _parse_pair(text: str, flag: str) -> tuple[int, int]:
+    parts = _numbers(text, int, flag)
     if len(parts) == 1:
         return parts[0], parts[0]
     if len(parts) == 2:
         return parts[0], parts[1]
-    raise ConfigError(f"expected 'n' or 'lo,hi', got {text!r}")
+    raise ConfigError(f"{flag}: expected 'n' or 'lo,hi', got {text!r}")
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_ints(text: str, flag: str) -> list[int]:
+    return _numbers(text, int, flag, skip_blank=True)
 
 
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+def _parse_fractions(text: str, flag: str) -> tuple[float, float, float]:
+    parts = _numbers(text, float, flag)
     if len(parts) != 3:
-        raise ConfigError(f"expected three fractions, got {text!r}")
+        raise ConfigError(f"{flag}: expected three fractions, got {text!r}")
     return parts[0], parts[1], parts[2]
 
 
@@ -107,7 +115,7 @@ def _model_config(args, labels, task_kind, dim_override=None) -> ModelConfig:
         encoder_mode=ENCODER_PRECOMPUTED if args.vectors else ENCODER_HASH,
         n_buckets=args.buckets,
         dim=dim_override if dim_override is not None else args.dim,
-        ngram_orders=tuple(_parse_ints(args.ngram_orders)),
+        ngram_orders=tuple(_parse_ints(args.ngram_orders, "--ngram-orders")),
         interaction_layers=args.interaction_layers,
         n_heads=args.heads,
         ff_dim=args.ff_dim,
@@ -120,16 +128,16 @@ def cmd_synth(args) -> int:
     spec = corpus_mod.SyntheticSpec(
         num_docs=args.docs,
         num_labels=args.labels,
-        segments_per_doc=_parse_pair(args.segments_per_doc),
+        segments_per_doc=_parse_pair(args.segments_per_doc, "--segments-per-doc"),
         key_vocab_per_label=args.key_vocab,
         filler_vocab=args.filler_vocab,
-        tokens_per_segment=_parse_pair(args.tokens_per_segment),
+        tokens_per_segment=_parse_pair(args.tokens_per_segment, "--tokens-per-segment"),
         task_kind=args.task,
         seed=args.seed,
     )
     generated, key_map = corpus_mod.generate_synthetic(spec)
     generated = corpus_mod.split_corpus(
-        generated, _parse_fractions(args.split), seed=args.seed
+        generated, _parse_fractions(args.split, "--split"), seed=args.seed
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,7 +159,9 @@ def _load_model_inputs(args, need_vectors: bool = True):
 def cmd_train(args) -> int:
     loaded = corpus_mod.load_jsonl(args.corpus, args.task)
     if args.split:
-        loaded = corpus_mod.split_corpus(loaded, _parse_fractions(args.split), seed=args.seed)
+        loaded = corpus_mod.split_corpus(
+            loaded, _parse_fractions(args.split, "--split"), seed=args.seed
+        )
     dim_override = None
     vectors = None
     if args.vectors:
@@ -234,9 +244,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sufficiency(args) -> int:
+    lengths = _parse_ints(args.lengths, "--lengths") if args.lengths else None
     model = _load_model_inputs(args)
     loaded = corpus_mod.load_jsonl(args.corpus, model.config.task_kind)
-    lengths = _parse_ints(args.lengths) if args.lengths else None
     report = eval_mod.sufficiency_test(
         loaded, model, segment_lens=lengths,
         probe=eval_mod.ProbeConfig(epochs=args.probe_epochs, lr=args.probe_lr),
@@ -254,7 +264,7 @@ def cmd_sufficiency(args) -> int:
 
 def cmd_scale(args) -> int:
     rows = eval_mod.scaling_probe(
-        segment_counts=_parse_ints(args.segments),
+        segment_counts=_parse_ints(args.segments, "--segments"),
         trials=args.trials,
         tokens_per_segment=args.tokens_per_segment,
         dim=args.dim,
@@ -359,6 +369,10 @@ def main(argv=None) -> int:
             if at == len(argv):
                 raise ConfigError("--config needs a file path")
             config = load_config_file(argv[at])
+            known = {action.dest for sub in subparsers.values() for action in sub._actions}
+            for key in config:
+                if key not in known:
+                    raise ConfigError(f"unknown config key {key!r}")
             for sub in subparsers.values():
                 for action in sub._actions:
                     if action.dest in config:

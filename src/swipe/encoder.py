@@ -92,21 +92,19 @@ class SegmentFeatures:
 
 
 def featurize_segments(segments: list[Segment], params: HashEncoderParams) -> SegmentFeatures:
-    """Hash every segment's n-grams; the only tokenizer-side hot loop."""
+    """Hash every segment's n-grams in one kernel call per document."""
     if not segments:
         raise ConfigError("featurize_segments: no segments")
-    all_ids = []
-    offsets = [0]
-    for seg in segments:
-        ids = hashing.ngram_bucket_ids(
-            list(seg.tokens), params.n_buckets, params.ngram_orders, params.hash_seed
-        )
-        all_ids.append(ids)
-        offsets.append(offsets[-1] + len(ids))
+    lengths = np.asarray([len(seg.tokens) for seg in segments], dtype=np.int64)
+    ids = hashing.ngram_bucket_ids(
+        [tok for seg in segments for tok in seg.tokens], params.n_buckets,
+        params.ngram_orders, params.hash_seed, lengths=lengths,
+    )
+    counts = hashing.ngram_counts(lengths, params.ngram_orders).sum(axis=1)
     return SegmentFeatures(
         doc_id=segments[0].doc_id,
-        ids=np.concatenate(all_ids) if all_ids else np.empty(0, dtype=np.int64),
-        offsets=np.asarray(offsets, dtype=np.int64),
+        ids=ids,
+        offsets=np.concatenate(([0], np.cumsum(counts))),
     )
 
 
@@ -134,10 +132,16 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(raw, dict):
+                raise FormatError(f"{path}:{lineno}: record must be a JSON object")
             if declared_h is None:
                 if "h" not in raw:
                     raise FormatError(f"{path}:{lineno}: first record must declare h")
-                declared_h = int(raw["h"])
+                declared_h = raw["h"]
+                if type(declared_h) is not int or declared_h < 1:
+                    raise FormatError(
+                        f"{path}:{lineno}: h must be an integer >= 1, got {declared_h!r}"
+                    )
                 continue
             doc_id = str(raw.get("doc_id"))
             vectors = raw.get("vectors")

@@ -27,16 +27,11 @@ STRATEGIES = ("auto", "punct", "structure")
 
 @dataclass(frozen=True)
 class Segment:
-    """One truncated piece of a document.
-
-    `char_span` holds character offsets into the source text; for
-    structure-based truncation it holds the unit index in both slots.
-    """
+    """One truncated piece of a document."""
 
     doc_id: str
     index: int
     tokens: tuple[str, ...]
-    char_span: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -68,15 +63,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_with_spans(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """Like `tokenize` but also returns (start, end) character offsets."""
-    tokens, spans = [], []
-    for m in _TOKEN_RE.finditer(text.lower()):
-        tokens.append(m.group(0))
-        spans.append((m.start(), m.end()))
-    return tokens, spans
-
-
 def truncate(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     """Dispatch to the configured strategy."""
     if cfg.strategy == "auto":
@@ -86,18 +72,11 @@ def truncate(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     return truncate_struct(doc, cfg)
 
 
-def _make_segments(doc_id, runs, tokens, spans) -> list[Segment]:
-    segments = []
-    for k, (start, end) in enumerate(runs):
-        segments.append(
-            Segment(
-                doc_id=doc_id,
-                index=k,
-                tokens=tuple(tokens[start:end]),
-                char_span=(spans[start][0], spans[end - 1][1]),
-            )
-        )
-    return segments
+def _make_segments(doc_id, runs, tokens) -> list[Segment]:
+    return [
+        Segment(doc_id=doc_id, index=k, tokens=tuple(tokens[start:end]))
+        for k, (start, end) in enumerate(runs)
+    ]
 
 
 def truncate_auto(doc: Document, cfg: TruncationConfig) -> list[Segment]:
@@ -106,7 +85,7 @@ def truncate_auto(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     One segment per stride position below the token count, so trailing
     windows shrink as they run out of tokens.
     """
-    tokens, spans = tokenize_with_spans(doc.full_text())
+    tokens = tokenize(doc.full_text())
     if not tokens:
         raise ValidationError(f"document {doc.id!r} produced no tokens")
     stride = cfg.window_len - cfg.overlap
@@ -114,7 +93,7 @@ def truncate_auto(doc: Document, cfg: TruncationConfig) -> list[Segment]:
         (start, min(start + cfg.window_len, len(tokens)))
         for start in range(0, len(tokens), stride)
     ]
-    return _make_segments(doc.id, runs, tokens, spans)
+    return _make_segments(doc.id, runs, tokens)
 
 
 def _sentence_runs(tokens: list[str], terminators: frozenset[str]) -> list[tuple[int, int]]:
@@ -136,7 +115,7 @@ def truncate_punct(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     A single sentence longer than the cap is hard-split at max_seg_len; its
     chunks are never merged with neighbouring sentences.
     """
-    tokens, spans = tokenize_with_spans(doc.full_text())
+    tokens = tokenize(doc.full_text())
     if not tokens:
         raise ValidationError(f"document {doc.id!r} produced no tokens")
     pieces: list[tuple[int, int]] = []
@@ -159,7 +138,7 @@ def truncate_punct(doc: Document, cfg: TruncationConfig) -> list[Segment]:
             buf = (start, end)
     if buf is not None:
         pieces.append(buf)
-    return _make_segments(doc.id, pieces, tokens, spans)
+    return _make_segments(doc.id, pieces, tokens)
 
 
 def truncate_struct(doc: Document, cfg: TruncationConfig) -> list[Segment]:
@@ -176,7 +155,5 @@ def truncate_struct(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     segments = []
     for k, unit in enumerate(doc.units):
         tokens = tokenize(unit) or [EMPTY_UNIT_TOKEN]
-        segments.append(
-            Segment(doc_id=doc.id, index=k, tokens=tuple(tokens), char_span=(k, k))
-        )
+        segments.append(Segment(doc_id=doc.id, index=k, tokens=tuple(tokens)))
     return segments

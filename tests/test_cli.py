@@ -253,6 +253,15 @@ class TestPrecomputedVectors:
         assert code == 2
         assert "bad.jsonl:2: non-numeric" in capsys.readouterr().err
 
+    def test_record_not_an_object_exits_2(self, vectors_setup, tmp_path, capsys):
+        corpus_path, _ = vectors_setup
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"h": 2}\n[1, 2]\n')
+        code = run(["train", "--corpus", corpus_path, "--task", "multi-class",
+                    "--vectors", bad, "--out", tmp_path / "vec.ckpt"])
+        assert code == 2
+        assert "bad.jsonl:2: record must be a JSON object" in capsys.readouterr().err
+
 
 def test_gated_sum_with_two_interaction_layers_trains(synth_dir, tmp_path):
     ckpt = tmp_path / "g2t.ckpt"
@@ -297,3 +306,24 @@ class TestParsing:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epoch = 3\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path]) == 2
+        assert "error: unknown config key 'epoch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["synth", "--segments-per-doc", "x"], "--segments-per-doc"),
+        (["synth", "--split", "a,b,c"], "--split"),
+        (["train", "--corpus", "CORPUS", "--task", "multi-label", "--ngram-orders", "1,x"],
+         "--ngram-orders"),
+        (["sufficiency", "--checkpoint", "m.ckpt", "--corpus", "CORPUS",
+          "--lengths", "4,x"], "--lengths"),
+    ])
+    def test_malformed_number_list_exit_2(self, synth_dir, tmp_path, capsys, args, flag):
+        corpus = synth_dir / "corpus.jsonl"
+        args = [corpus if a == "CORPUS" else a for a in args]
+        assert run([*args, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err

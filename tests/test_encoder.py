@@ -19,7 +19,7 @@ from swipe.truncate import Segment
 
 def _segments(token_lists, doc_id="d"):
     return [
-        Segment(doc_id=doc_id, index=k, tokens=tuple(toks), char_span=(k, k))
+        Segment(doc_id=doc_id, index=k, tokens=tuple(toks))
         for k, toks in enumerate(token_lists)
     ]
 
@@ -112,6 +112,18 @@ class TestPrecomputed:
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"h": 2}\n{"doc_id": "a", "vectors": [["x", 1]]}\n')
         with pytest.raises(FormatError, match=r"vectors\.jsonl:2: non-numeric"):
+            load_precomputed(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ('{"h": "x"}\n', 1),
+        ('{"h": 0}\n', 1),
+        ('[2]\n', 1),
+        ('{"h": 2}\n[1, 2]\n', 2),
+    ])
+    def test_malformed_header_or_record_names_line(self, tmp_path, text, line):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=rf"vectors\.jsonl:{line}: "):
             load_precomputed(path)
 
 

@@ -3,10 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swipe import _hashkernel_py
 from swipe import hashing
 
 TOKENS = st.lists(st.text(min_size=1, max_size=8), min_size=0, max_size=12)
+ORDERS = st.sampled_from([(1,), (2,), (1, 2), (1, 2, 3), (3, 1)])
+
+
+def _brute_force_ids(segments, n_buckets, orders, seed):
+    """One scalar hash64 per n-gram, segment by segment, orders ascending."""
+    return [
+        hashing.hash64(b"\x1f".join(tok.encode() for tok in tokens[i:i + k]), seed) % n_buckets
+        for tokens in segments
+        for k in sorted(orders)
+        for i in range(len(tokens) - k + 1)
+    ]
 
 
 def test_hash64_deterministic():
@@ -58,20 +68,27 @@ def test_ngram_separator_prevents_concat_collisions():
 
 
 @settings(max_examples=100, deadline=None)
-@given(tokens=TOKENS, seed=st.integers(0, 2**32 - 1), buckets=st.integers(1, 10**6))
-def test_pure_python_twin_matches_selected_kernel(tokens, seed, buckets):
-    fast = hashing.ngram_bucket_ids(tokens, buckets, orders=(1, 2), seed=seed)
-    pure = _hashkernel_py.ngram_bucket_ids(tokens, (1, 2), buckets, seed)
-    assert list(fast) == list(pure)
+@given(segments=st.lists(TOKENS, min_size=1, max_size=4), orders=ORDERS,
+       seed=st.integers(0, 2**64 - 1), buckets=st.integers(1, 10**6))
+def test_kernel_matches_brute_force_oracle(segments, orders, seed, buckets):
+    tokens = [tok for seg in segments for tok in seg]
+    fast = hashing.ngram_bucket_ids(tokens, buckets, orders=orders, seed=seed,
+                                    lengths=[len(seg) for seg in segments])
+    assert list(fast) == _brute_force_ids(segments, buckets, orders, seed)
 
 
-@pytest.mark.skipif(not hashing.HAVE_NATIVE_KERNEL, reason="compiled kernel not built")
-def test_native_kernel_active_matches_pure_hash64():
-    from swipe import _hashkernel
-
-    for seed in (0, 1, 2**63, 2**64 - 1):
-        for data in (b"", b"a", b"hello world", bytes(range(256))):
-            assert _hashkernel.hash64(data, seed) == _hashkernel_py.hash64(data, seed)
+def test_document_ids_equal_per_segment_concatenation():
+    segments = [["the", "cat"], [], ["sat"], ["on", "the", "mat", "."], ["café", "İstanbul"]]
+    per_segment = [
+        i for seg in segments
+        for i in hashing.ngram_bucket_ids(seg, 97, orders=(1, 2, 3), seed=11)
+    ]
+    whole = hashing.ngram_bucket_ids([tok for seg in segments for tok in seg], 97,
+                                     orders=(1, 2, 3), seed=11,
+                                     lengths=[len(seg) for seg in segments])
+    assert list(whole) == per_segment
+    # a boundary-crossing bigram such as ("cat", "sat") would add ids
+    assert len(whole) == 3 + 1 + 9 + 3
 
 
 def test_derive_seed_stable_and_distinct():

@@ -8,7 +8,6 @@ from swipe.truncate import (
     EMPTY_UNIT_TOKEN,
     TruncationConfig,
     tokenize,
-    tokenize_with_spans,
     truncate,
     truncate_auto,
     truncate_punct,
@@ -25,13 +24,6 @@ class TestTokenize:
 
     def test_whitespace_collapse(self):
         assert tokenize("A  b\tc") == ["a", "b", "c"]
-
-    def test_spans_point_back_into_text(self):
-        text = "Hi, there!"
-        tokens, spans = tokenize_with_spans(text)
-        assert tokens == ["hi", ",", "there", "!"]
-        for tok, (start, end) in zip(tokens, spans):
-            assert text[start:end].lower() == tok
 
 
 class TestConfig:
@@ -143,7 +135,6 @@ class TestStruct:
         segs = truncate_struct(doc, TruncationConfig(strategy="structure"))
         assert [s.index for s in segs] == [0, 1, 2, 3, 4]
         assert segs[0].tokens == ("hello", "there")
-        assert segs[0].char_span == (0, 0)
 
     def test_empty_unit_keeps_alignment(self):
         doc = Document(id="d", units=("hello", "  ", "bye"), labels=("x",))
