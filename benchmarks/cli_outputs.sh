@@ -5,8 +5,9 @@
 # `diff -r`: an empty diff means a change left every CLI output byte-identical
 # (checkpoints, metrics CSVs, predictions, explanations, eval reports,
 # sufficiency rows), across max / gated_sum + 2 interaction layers /
-# gated_max + 1 layer, the precomputed --vectors path, and plain text with
-# multi-byte tokens under auto and punct truncation with n-gram orders 1,2,3.
+# gated_max + 1 layer / sum + 1 layer with 4 heads, ff_dim and positional
+# embeddings, the precomputed --vectors path, and plain text with multi-byte
+# tokens under auto and punct truncation with n-gram orders 1,2,3.
 #
 # Usage, from the root of a checkout:  sh benchmarks/cli_outputs.sh OUT_DIR
 set -eu
@@ -34,6 +35,15 @@ for run in max:0 gated_sum:2 gated_max:1; do
     swipe eval --checkpoint "$name.ckpt" --corpus "$data/corpus.jsonl" \
         --keymap "$data/keymap.jsonl" --split test --out "$name.eval.json"
 done
+
+# Header fields no other run sets: sum pooling, 4 heads, ff_dim, positions.
+name=$out/sum-positions
+swipe train --corpus "$data/corpus.jsonl" --task multi-label --truncate structure \
+    --pooling sum --interaction-layers 1 --heads 4 --ff-dim 24 --positions on \
+    --max-positions 32 --buckets 256 --dim 16 --epochs 2 --lr 0.05 --seed 9 \
+    --out "$name.ckpt"
+swipe predict --checkpoint "$name.ckpt" --corpus "$data/corpus.jsonl" \
+    --out "$name.predict.jsonl"
 
 swipe sufficiency --checkpoint "$out/max-0.ckpt" --corpus "$data/corpus.jsonl" \
     --lengths 4,8 --probe-epochs 2 --seed 3 --out "$out/max-0.sufficiency.json"

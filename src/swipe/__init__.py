@@ -24,14 +24,7 @@ from swipe.encoder import (
     SegmentMatrix,
     load_precomputed,
 )
-from swipe.head import (
-    Explanation,
-    Pooling,
-    Prediction,
-    SwipeParams,
-    explain,
-    rank_segments,
-)
+from swipe.head import Pooling, Prediction, SwipeParams
 from swipe.model import ModelConfig, SwipeModel
 from swipe.train import TrainConfig, grad_check, loss_multiclass, loss_multilabel, train
 from swipe.truncate import Segment, TruncationConfig, tokenize, truncate
@@ -39,7 +32,6 @@ from swipe.truncate import Segment, TruncationConfig, tokenize, truncate
 __all__ = [
     "Corpus",
     "Document",
-    "Explanation",
     "HashEncoderParams",
     "InteractionParams",
     "LabelVocab",
@@ -53,14 +45,12 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "TruncationConfig",
-    "explain",
     "generate_synthetic",
     "grad_check",
     "load_jsonl",
     "load_precomputed",
     "loss_multiclass",
     "loss_multilabel",
-    "rank_segments",
     "split_corpus",
     "tokenize",
     "train",

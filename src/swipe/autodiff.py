@@ -9,8 +9,9 @@ Conventions:
 
 * everything is float64; integer index arrays ride along as plain numpy
 * gradients accumulate into `Tensor.grad` (None until first touched)
-* ops skip tape construction entirely when no input requires grad, so
-  inference pays no bookkeeping cost
+* ops skip tape construction when no input requires grad; the model's
+  parameters always require grad, so `SwipeModel.forward` builds a tape even
+  at prediction time
 """
 
 from __future__ import annotations
@@ -114,13 +115,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(-g, b.data.shape)))
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (
@@ -209,11 +203,6 @@ def sum_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return ((a, np.broadcast_to(g_exp, a.data.shape).copy()),)
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def mean_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return scale(sum_along(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def max_along(a: Tensor, axis: int) -> tuple[Tensor, np.ndarray]:

@@ -142,14 +142,19 @@ def load_documents(path) -> list[Document]:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(raw, dict) or "id" not in raw:
                 raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
-            units = raw.get("units")
+            text, units, labels = raw.get("text", ""), raw.get("units"), raw.get("labels", [])
+            if not (isinstance(text, str) and isinstance(labels, list)
+                    and (units is None or isinstance(units, list))):
+                raise ParseError(
+                    f"{path}:{lineno}: 'text' must be a string, 'units' and 'labels' arrays"
+                )
             try:
                 documents.append(
                     Document(
                         id=str(raw["id"]),
-                        text=str(raw.get("text", "")),
+                        text=text,
                         units=tuple(str(u) for u in units) if units is not None else None,
-                        labels=tuple(str(x) for x in raw.get("labels", [])),
+                        labels=tuple(str(x) for x in labels),
                         split=raw.get("split"),
                     )
                 )
@@ -318,9 +323,10 @@ def load_key_map(path) -> KeyMap:
                 continue
             try:
                 raw = json.loads(line)
-                key_map[(str(raw["doc_id"]), str(raw["label"]))] = tuple(
-                    int(k) for k in raw["key_segments"]
-                )
+                segments = raw["key_segments"]
+                if not isinstance(segments, list) or any(type(k) is not int for k in segments):
+                    raise TypeError(f"key_segments must be an array of integers, got {segments!r}")
+                key_map[(str(raw["doc_id"]), str(raw["label"]))] = tuple(segments)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad key map record: {exc}") from exc
     return key_map

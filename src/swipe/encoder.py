@@ -143,7 +143,9 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
                         f"{path}:{lineno}: h must be an integer >= 1, got {declared_h!r}"
                     )
                 continue
-            doc_id = str(raw.get("doc_id"))
+            if "doc_id" not in raw:
+                raise FormatError(f"{path}:{lineno}: record without doc_id")
+            doc_id = str(raw["doc_id"])
             vectors = raw.get("vectors")
             if not vectors:
                 raise FormatError(f"{path}:{lineno}: record without vectors")

@@ -27,15 +27,6 @@ from swipe.train import TrainConfig, backward_batch, exact_match, train
 from swipe.truncate import Segment, TruncationConfig, truncate
 
 
-def accuracy(preds: list, golds: list) -> float:
-    """Fraction of exact matches between aligned prediction/gold lists."""
-    if len(preds) != len(golds):
-        raise ValidationError(f"length mismatch: {len(preds)} preds, {len(golds)} golds")
-    if not preds:
-        return 0.0
-    return sum(p == g for p, g in zip(preds, golds)) / len(preds)
-
-
 def _f1(tp: int, fp: int, fn: int) -> float:
     if tp == fp == fn == 0:
         return 1.0
@@ -80,13 +71,6 @@ def confusion_report(pred_bits, gold_bits, label_names) -> MetricReport:
         macro_f1=float(np.mean(f1s)),
         per_label=per_label,
     )
-
-
-def f1_scores(pred_bits, gold_bits) -> tuple[float, float]:
-    """(micro, macro) F1 over aligned binary label matrices."""
-    n_labels = np.asarray(pred_bits).shape[1]
-    report = confusion_report(pred_bits, gold_bits, [str(i) for i in range(n_labels)])
-    return report.micro_f1, report.macro_f1
 
 
 def segment_labeling_eval(

@@ -133,19 +133,8 @@ class Prediction:
     pred_class: int | None = None   # argmax label, multi-class mode only
 
     @property
-    def n_labels(self) -> int:
-        return self.seg_scores.shape[0]
-
-    @property
     def m(self) -> int:
         return self.seg_scores.shape[1]
-
-    def ranking_scores(self, label: int, use_gate: bool) -> np.ndarray:
-        if use_gate:
-            if self.gates is None:
-                raise ConfigError("prediction has no gates to rank with")
-            return self.gates[label] * self.seg_scores[label]
-        return self.seg_scores[label]
 
     def to_record(self, label_names) -> dict:
         """JSONL-serializable record; key names are part of the file format."""
@@ -189,33 +178,4 @@ def build_prediction(
         seg_bits=(seg_scores > 0).astype(np.int8),
         key_segments=np.argmax(ranking, axis=1),
         pred_class=int(np.argmax(doc_scores)) if task_kind == TASK_MULTICLASS else None,
-    )
-
-
-def rank_segments(pred: Prediction, label: int, use_gate: bool = False) -> list[int]:
-    """Segment indices in descending relevance to `label`; ties keep index order."""
-    ranking = pred.ranking_scores(label, use_gate)
-    return list(np.argsort(-ranking, kind="stable"))
-
-
-@dataclass(frozen=True)
-class Explanation:
-    label: int
-    positive_segments: tuple[int, ...]  # segments whose bit is set for the label
-    key_segment: int                    # top-ranked segment
-
-
-def explain(pred: Prediction, label: int) -> Explanation:
-    """Extract the label's rationale: positive segments plus the top segment.
-
-    Under max pooling a positive document bit guarantees the positive set is
-    non-empty and contains the key segment.
-    """
-    if not 0 <= label < pred.n_labels:
-        raise ConfigError(f"label {label} out of range for L={pred.n_labels}")
-    positives = tuple(int(k) for k in np.flatnonzero(pred.seg_bits[label]))
-    return Explanation(
-        label=label,
-        positive_segments=positives,
-        key_segment=int(pred.key_segments[label]),
     )

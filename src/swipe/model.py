@@ -4,7 +4,9 @@ Also owns the checkpoint container. Format (version 1, stable):
 
 * line 1: UTF-8 JSON header ending in a newline:
   ``{"format": "swipe-checkpoint", "version": 1, "config": {...},
-  "train_config": {... or null}, "tensors": [{"name": str, "shape": [int]}]}``
+  "train_config": {... or null}, "tensors": [{"name": str, "shape": [int]}]}``,
+  where "config" holds exactly the fields of `ModelConfig` (its "truncation"
+  those of `TruncationConfig`) and "train_config" those of `TrainConfig`
 * followed by each tensor's raw bytes in manifest order, little-endian
   float64, C order, no padding, and nothing after the last tensor.
 """
@@ -12,7 +14,7 @@ Also owns the checkpoint container. Format (version 1, stable):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from swipe.encoder import (
     featurize_segments,
     interact_tensor,
 )
-from swipe.errors import ConfigError, FormatError
+from swipe.errors import ConfigError, FormatError, SwipeError
 from swipe.hashing import derive_seed
 from swipe.head import (
     Pooling,
@@ -63,58 +65,76 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        LabelVocab(names=self.labels, task_kind=self.task_kind)
+        if not all(isinstance(name, str) for name in self.labels):
+            raise ConfigError(f"labels must be strings, got {list(self.labels)!r}")
+        if not isinstance(self.pooling, Pooling):
+            raise ConfigError(f"pooling must be a Pooling, got {self.pooling!r}")
         if self.encoder_mode not in (ENCODER_HASH, ENCODER_PRECOMPUTED):
             raise ConfigError(f"unknown encoder mode {self.encoder_mode!r}")
+        _check_int("n_buckets", self.n_buckets, 1)
+        _check_int("dim", self.dim, 1)
+        if not self.ngram_orders:
+            raise ConfigError("ngram_orders must not be empty")
+        for order in self.ngram_orders:
+            _check_int("ngram order", order, 1)
+        _check_int("hash_seed", self.hash_seed)
+        _check_int("init_seed", self.init_seed)
+        _check_int("interaction_layers", self.interaction_layers, 0)
+        if self.interaction_layers > 0:
+            _check_int("n_heads", self.n_heads, 1)
+            if self.dim % self.n_heads:
+                raise ConfigError(f"dim {self.dim} must divide evenly over {self.n_heads} heads")
+        for name in ("ff_dim", "max_positions"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name), 1)
 
     def to_meta(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "task_kind": self.task_kind,
-            "pooling": self.pooling.value,
-            "truncation": {
-                "strategy": self.truncation.strategy,
-                "window_len": self.truncation.window_len,
-                "overlap": self.truncation.overlap,
-                "max_seg_len": self.truncation.max_seg_len,
-                "sentence_terminators": sorted(self.truncation.sentence_terminators),
-            },
-            "encoder_mode": self.encoder_mode,
-            "n_buckets": self.n_buckets,
-            "dim": self.dim,
-            "ngram_orders": list(self.ngram_orders),
-            "hash_seed": self.hash_seed,
-            "interaction_layers": self.interaction_layers,
-            "n_heads": self.n_heads,
-            "ff_dim": self.ff_dim,
-            "max_positions": self.max_positions,
-            "init_seed": self.init_seed,
-        }
+        """Checkpoint header form: exactly the fields, JSON-serializable."""
+        meta = asdict(self)
+        meta["truncation"]["sentence_terminators"] = sorted(self.truncation.sentence_terminators)
+        return meta
 
     @classmethod
     def from_meta(cls, meta: dict) -> "ModelConfig":
+        """Inverse of `to_meta`; a missing or unknown key is an error."""
+        _check_keys(cls, meta)
         trunc = meta["truncation"]
-        return cls(
-            labels=tuple(meta["labels"]),
-            task_kind=meta["task_kind"],
-            pooling=Pooling(meta["pooling"]),
-            truncation=TruncationConfig(
-                strategy=trunc["strategy"],
-                window_len=trunc["window_len"],
-                overlap=trunc["overlap"],
-                max_seg_len=trunc["max_seg_len"],
-                sentence_terminators=frozenset(trunc["sentence_terminators"]),
-            ),
-            encoder_mode=meta["encoder_mode"],
-            n_buckets=meta["n_buckets"],
-            dim=meta["dim"],
-            ngram_orders=tuple(meta["ngram_orders"]),
-            hash_seed=meta["hash_seed"],
-            interaction_layers=meta["interaction_layers"],
-            n_heads=meta["n_heads"],
-            ff_dim=meta["ff_dim"],
-            max_positions=meta["max_positions"],
-            init_seed=meta["init_seed"],
+        _check_keys(TruncationConfig, trunc)
+        return cls(**{
+            **meta,
+            "labels": _json_array(meta["labels"]),
+            "pooling": Pooling(meta["pooling"]),
+            "truncation": TruncationConfig(**{
+                **trunc,
+                "sentence_terminators": frozenset(_json_array(trunc["sentence_terminators"])),
+            }),
+            "ngram_orders": _json_array(meta["ngram_orders"]),
+        })
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_keys(schema, meta) -> None:
+    """`meta` must be a JSON object holding exactly `schema`'s field names."""
+    if not isinstance(meta, dict):
+        raise FormatError(f"{schema.__name__} must be a JSON object, got {meta!r}")
+    names = {f.name for f in fields(schema)}
+    if set(meta) != names:
+        raise FormatError(
+            f"{schema.__name__} keys: missing {sorted(names - set(meta))}, "
+            f"unknown {sorted(set(meta) - names)}"
         )
+
+
+def _json_array(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"expected a JSON array, got {value!r}")
+    return tuple(value)
 
 
 #: Cacheable forward input of one document: hashed n-gram ids (hash encoder)
@@ -280,9 +300,15 @@ class SwipeModel:
                 header = json.loads(header_line.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise FormatError(f"{path}: checkpoint header is not a JSON object")
             if header.get("format") != "swipe-checkpoint" or header.get("version") != 1:
                 raise FormatError(f"{path}: not a version-1 checkpoint")
-            model = cls.create(ModelConfig.from_meta(header["config"]))
+            try:
+                config = ModelConfig.from_meta(header["config"])
+            except (SwipeError, KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
+            model = cls.create(config)
             model.train_config_meta = header.get("train_config")
             params = model.parameters()
             manifest = header["tensors"]

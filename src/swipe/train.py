@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +42,7 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_meta(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "base_lr": self.base_lr,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 def loss_multiclass(doc_scores, gold: int) -> ad.Tensor:
@@ -332,14 +324,3 @@ def write_metrics_csv(rows: list[dict], path) -> None:
                 [row["epoch"], row["step"], repr(float(row["lr"])),
                  repr(float(row["train_loss"])), repr(float(row["dev_metric"]))]
             )
-
-
-def aggregate_runs(values: list[float]) -> dict[str, float]:
-    """Mean and spread across seeds (the multi-initialization protocol)."""
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-    }

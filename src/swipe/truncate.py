@@ -47,6 +47,9 @@ class TruncationConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown truncation strategy: {self.strategy!r}")
+        for name in ("window_len", "overlap", "max_seg_len"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.window_len < 1:
             raise ConfigError(f"window_len must be >= 1, got {self.window_len}")
         if self.max_seg_len < 1:

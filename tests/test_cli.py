@@ -3,6 +3,7 @@ import json
 import pytest
 
 from swipe.cli import main
+from swipe.model import ModelConfig, SwipeModel
 
 
 def run(args):
@@ -312,6 +313,49 @@ class TestParsing:
         cfg.write_text("epoch = 3\n")
         assert run(["synth", "--config", cfg, "--out", tmp_path]) == 2
         assert "error: unknown config key 'epoch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--ngram-orders", "0"], "ngram order must be an integer >= 1, got 0"),
+        (["--ngram-orders", ","], "ngram_orders must not be empty"),
+        (["--ff-dim", "-1", "--interaction-layers", "1"], "ff_dim must be an integer >= 1"),
+        (["--positions", "on", "--max-positions", "-1", "--interaction-layers", "1"],
+         "max_positions must be an integer >= 1"),
+    ])
+    def test_bad_model_flags_exit_2(self, synth_dir, tmp_path, capsys, flags, expected):
+        code = run(["train", "--corpus", synth_dir / "corpus.jsonl", "--task", "multi-label",
+                    *flags, "--out", tmp_path / "m.ckpt"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("pooling", "bogus", "'bogus' is not a valid Pooling"),
+        ("dim", "x", "dim must be an integer >= 1, got 'x'"),
+        ("ngram_orders", [0], "ngram order must be an integer >= 1, got 0"),
+        ("labels", [1, 2], "labels must be strings"),
+        ("truncation", {"strategy": "auto", "window_len": 3.5, "overlap": 0, "max_seg_len": 64,
+                        "sentence_terminators": ["."]}, "window_len must be an integer"),
+        ("extra", 1, "unknown ['extra']"),
+        ("hash_seed", None, "missing ['hash_seed']"),  # None deletes the key
+        (None, None, "checkpoint header is not a JSON object"),  # header becomes a list
+    ])
+    def test_malformed_checkpoint_config_exit_2(self, tmp_path, capsys, key, value, expected):
+        ckpt = tmp_path / "m.ckpt"
+        SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4)).save(ckpt)
+        line, tensors = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        if key is None:
+            header = [header]
+        elif value is None:
+            del header["config"][key]
+        else:
+            header["config"][key] = value
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", tmp_path / "c.jsonl",
+                    "--out", tmp_path / "p.jsonl"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and expected in err
 
     @pytest.mark.parametrize("args, flag", [
         (["synth", "--segments-per-doc", "x"], "--segments-per-doc"),

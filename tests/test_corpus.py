@@ -58,6 +58,22 @@ class TestLoad:
         with pytest.raises(ParseError, match=":2"):
             load_jsonl(path, TASK_MULTILABEL)
 
+    @pytest.mark.parametrize("name, record", [
+        ("corpus.jsonl", {"id": "1", "units": "hello world", "labels": ["a"]}),
+        ("corpus.jsonl", {"id": "1", "text": "x", "labels": "ab"}),
+        ("corpus.jsonl", {"id": "1", "text": ["alpha", "beta"], "labels": ["a"]}),
+        ("corpus.jsonl", {"id": "1", "text": None, "labels": ["a"]}),
+        ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": "12"}),
+        ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": [1.5]}),
+    ])
+    def test_wrongly_typed_field_names_line(self, tmp_path, name, record):
+        path = _write(tmp_path, ["", json.dumps(record)], name)
+        with pytest.raises(ParseError, match=rf"{name}:2: "):
+            if name == "keymap.jsonl":
+                load_key_map(path)
+            else:
+                load_jsonl(path, TASK_MULTILABEL)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = _write(tmp_path, [
             json.dumps({"id": "1", "text": "x", "labels": ["a"]}),

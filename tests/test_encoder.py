@@ -119,6 +119,7 @@ class TestPrecomputed:
         ('{"h": 0}\n', 1),
         ('[2]\n', 1),
         ('{"h": 2}\n[1, 2]\n', 2),
+        ('{"h": 2}\n{"vectors": [[1, 2]]}\n', 2),
     ])
     def test_malformed_header_or_record_names_line(self, tmp_path, text, line):
         path = tmp_path / "vectors.jsonl"

@@ -3,7 +3,9 @@ import pytest
 
 from swipe.corpus import (
     Corpus,
+    Document,
     SyntheticSpec,
+    TASK_MULTICLASS,
     TASK_MULTILABEL,
     generate_synthetic,
     split_corpus,
@@ -11,54 +13,65 @@ from swipe.corpus import (
 from swipe.errors import ValidationError
 from swipe.evaluate import (
     ProbeConfig,
-    accuracy,
     classification_eval,
-    f1_scores,
+    confusion_report,
     key_segment_recovery,
     scaling_probe,
     segment_labeling_eval,
     sufficiency_test,
     write_scaling_csv,
 )
-from swipe.head import Pooling, Prediction
+from swipe.head import Pooling, Prediction, build_prediction
 from swipe.model import ModelConfig, SwipeModel
 from swipe.train import TrainConfig, train
 from swipe.truncate import TruncationConfig
 
 
+def _accuracy(pred_classes, gold_classes) -> float:
+    """`classification_eval` accuracy of multi-class predictions, as label indices."""
+    names = ("l0", "l1", "l2", "l3", "l4")
+    model = SwipeModel.create(ModelConfig(labels=names, n_buckets=8, dim=2))
+    docs = [Document(id=f"d{i}", text="x", labels=(names[g],), split="test")
+            for i, g in enumerate(gold_classes)]
+    one_hot = np.eye(len(names))
+    preds = {
+        doc.id: build_prediction(doc.id, Pooling.MAX, one_hot[p], one_hot[p][:, None],
+                                 None, TASK_MULTICLASS)
+        for doc, p in zip(docs, pred_classes)
+    }
+    return classification_eval(preds, Corpus(docs, model.vocab), model, "test")["accuracy"]
+
+
 class TestAccuracy:
     def test_all_correct(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
+        assert _accuracy([1, 2, 3], [1, 2, 3]) == 1.0
 
     def test_none_correct(self):
-        assert accuracy([1, 2], [2, 1]) == 0.0
+        assert _accuracy([1, 2], [2, 1]) == 0.0
 
     def test_three_of_four(self):
-        assert accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 0.75
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            accuracy([1], [1, 2])
+        assert _accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 0.75
 
 
 class TestF1:
     def test_perfect(self):
         bits = np.array([[1, 0], [0, 1]])
-        assert f1_scores(bits, bits) == (1.0, 1.0)
+        report = confusion_report(bits, bits, ["a", "b"])
+        assert (report.micro_f1, report.macro_f1) == (1.0, 1.0)
 
     def test_hand_computed_confusion(self):
         # label 0: TP=1 FP=1 FN=0; label 1: TP=0 FP=0 FN=1
         # micro = 2*1/(2*1+1+1) = 0.5 ; macro = (2/3 + 0)/2 = 1/3
         preds = np.array([[1, 0], [1, 0]])
         golds = np.array([[1, 1], [0, 0]])
-        micro, macro = f1_scores(preds, golds)
-        assert micro == pytest.approx(0.5)
-        assert macro == pytest.approx(1 / 3)
+        report = confusion_report(preds, golds, ["a", "b"])
+        assert report.micro_f1 == pytest.approx(0.5)
+        assert report.macro_f1 == pytest.approx(1 / 3)
 
     def test_all_negative_empty_convention(self):
         preds = np.zeros((3, 2), dtype=int)
-        micro, macro = f1_scores(preds, preds)
-        assert (micro, macro) == (1.0, 1.0)
+        report = confusion_report(preds, preds, ["a", "b"])
+        assert (report.micro_f1, report.macro_f1) == (1.0, 1.0)
 
     def test_micro_equals_accuracy_for_complete_single_label_decisions(self):
         # one decision per document: encode the bit and its complement so
@@ -71,20 +84,21 @@ class TestF1:
         preds[flip] = 1 - preds[flip]
         preds2 = np.stack([preds, 1 - preds], axis=1)
         golds2 = np.stack([golds, 1 - golds], axis=1)
-        micro, _ = f1_scores(preds2, golds2)
-        acc = accuracy(list(preds), list(golds))
-        assert micro == pytest.approx(acc)
+        report = confusion_report(preds2, golds2, ["a", "b"])
+        assert report.micro_f1 == pytest.approx(np.mean(preds == golds))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            f1_scores(np.zeros((2, 2)), np.zeros((3, 2)))
+            confusion_report(np.zeros((2, 2)), np.zeros((3, 2)), ["a", "b"])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)
         preds = rng.integers(0, 2, size=(20, 3))
         golds = rng.integers(0, 2, size=(20, 3))
         perm = rng.permutation(20)
-        assert f1_scores(preds, golds) == f1_scores(preds[perm], golds[perm])
+        names = ["a", "b", "c"]
+        assert confusion_report(preds, golds, names) == confusion_report(
+            preds[perm], golds[perm], names)
 
 
 def _prediction(doc_id, seg_bits, key_segments=None, strategy=Pooling.MAX):

@@ -7,7 +7,7 @@ from swipe import autodiff as ad
 from swipe.corpus import TASK_MULTICLASS
 from swipe.encoder import SegmentMatrix
 from swipe.errors import ConfigError
-from swipe.head import Pooling, SwipeParams, explain, pool_tensor, rank_segments
+from swipe.head import Pooling, SwipeParams, build_prediction, pool_tensor
 
 
 def _params(weight, bias, gate_weight=None, gate_bias=None):
@@ -213,22 +213,22 @@ class TestRanking:
         params = _params([[1.0]], [0.0])
         mat = SegmentMatrix(doc_id="d", rows=np.array([[0.1], [5.0], [-3.0]]))
         pred = head_model(params, Pooling.MAX).predict_features(mat)
-        assert rank_segments(pred, 0) == [1, 0, 2]
+        assert list(pred.key_segments) == [1]
 
     def test_stable_ties_keep_index_order(self, head_model):
         params = _params([[0.0]], [0.7])
         mat = SegmentMatrix(doc_id="d", rows=np.zeros((4, 1)))
         pred = head_model(params, Pooling.SUM).predict_features(mat)
-        assert rank_segments(pred, 0) == [0, 1, 2, 3]
+        assert list(pred.key_segments) == [0]
 
-    def test_gated_ranking_uses_product(self, head_model):
-        params = _params([[1.0]], [0.0])
-        mat = SegmentMatrix(doc_id="d", rows=np.array([[5.0], [0.1], [0.2]]))
-        pred = head_model(params, Pooling.GATED_MAX).predict_features(mat)
-        pred.gates = np.array([[0.01, 0.999, 0.5]])
-        products = pred.gates[0] * pred.seg_scores[0]
-        expected = list(np.argsort(-products, kind="stable"))
-        assert rank_segments(pred, 0, use_gate=True) == expected
+    def test_gated_ranking_uses_product(self):
+        seg_scores = np.array([[5.0, 0.1, 0.2]])
+        gates = np.array([[0.01, 0.999, 0.5]])
+        # products 0.05, 0.0999, 0.1: the gate moves the key off segment 0
+        for strategy, key in ((Pooling.MAX, 0), (Pooling.GATED_MAX, 2)):
+            pred = build_prediction("d", strategy, np.ones(1), seg_scores, gates,
+                                    TASK_MULTICLASS)
+            assert list(pred.key_segments) == [key]
 
 
 class TestExplain:
@@ -239,13 +239,12 @@ class TestExplain:
             mat, params = _random_instance(rng, n_labels=2, m=5, dim=3)
             pred = head_model(params, Pooling.MAX).predict_features(mat)
             for label in range(2):
-                result = explain(pred, label)
+                positives = np.flatnonzero(pred.seg_bits[label])
                 if pred.bits[label] == 1:
                     found += 1
-                    assert result.key_segment in result.positive_segments
-                    assert len(result.positive_segments) >= 1
+                    assert pred.key_segments[label] in positives
                 else:
-                    assert result.positive_segments == ()
+                    assert positives.size == 0
         assert found > 0
 
     def test_sum_pooling_positive_set(self, head_model):
@@ -253,15 +252,7 @@ class TestExplain:
         mat = SegmentMatrix(doc_id="d", rows=np.array([[3.0], [-1.0], [-1.0]]))
         pred = head_model(params, Pooling.SUM).predict_features(mat)
         assert pred.scores[0] == pytest.approx(1.0)
-        result = explain(pred, 0)
-        assert result.positive_segments == (0,)
-
-    def test_label_out_of_range(self, head_model):
-        params = _params([[1.0]], [0.0])
-        mat = SegmentMatrix(doc_id="d", rows=np.ones((2, 1)))
-        pred = head_model(params, Pooling.MAX).predict_features(mat)
-        with pytest.raises(ConfigError):
-            explain(pred, 5)
+        assert list(np.flatnonzero(pred.seg_bits[0])) == [0]
 
 
 # -- hypothesis property tests ------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from swipe.train import (
     loss_multilabel,
     train,
     write_metrics_csv,
-    aggregate_runs,
 )
 from swipe.truncate import TruncationConfig
 
@@ -290,12 +290,6 @@ class TestTrainLoop:
         assert lines[0] == "epoch,step,lr,train_loss,dev_metric"
         assert lines[1] == "1,2,0.5,0.25,1.0"
 
-    def test_aggregate_runs(self):
-        stats = aggregate_runs([0.9, 1.0, 0.95])
-        assert stats["mean"] == pytest.approx(0.95)
-        assert stats["min"] == 0.9 and stats["max"] == 1.0
-        assert stats["std"] > 0
-
 
 class TestCheckpoint:
     def test_round_trip_bit_exact_predictions(self, tmp_path):
@@ -320,6 +314,30 @@ class TestCheckpoint:
         model.save(p1)
         model.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_header_config_bytes_are_pinned(self):
+        config = ModelConfig(
+            labels=("x", "y", "z"), task_kind=TASK_MULTILABEL, pooling=Pooling.GATED_SUM,
+            truncation=TruncationConfig(strategy="punct", window_len=20, overlap=3,
+                                        max_seg_len=9, sentence_terminators=frozenset(";.")),
+            n_buckets=128, dim=12, ngram_orders=(1, 3), hash_seed=7, interaction_layers=2,
+            n_heads=3, ff_dim=24, max_positions=16, init_seed=5,
+        )
+        header = json.dumps(config.to_meta(), sort_keys=True)
+        assert header == (
+            '{"dim": 12, "encoder_mode": "hash", "ff_dim": 24, "hash_seed": 7, '
+            '"init_seed": 5, "interaction_layers": 2, "labels": ["x", "y", "z"], '
+            '"max_positions": 16, "n_buckets": 128, "n_heads": 3, "ngram_orders": [1, 3], '
+            '"pooling": "gated_sum", "task_kind": "multi-label", "truncation": '
+            '{"max_seg_len": 9, "overlap": 3, "sentence_terminators": [".", ";"], '
+            '"strategy": "punct", "window_len": 20}}'
+        )
+        assert ModelConfig.from_meta(json.loads(header)) == config
+        train_meta = TrainConfig(epochs=3, base_lr=0.25, batch_size=4, seed=9).to_meta()
+        assert json.dumps(train_meta, sort_keys=True) == (
+            '{"base_lr": 0.25, "batch_size": 4, "beta1": 0.9, "beta2": 0.999, '
+            '"epochs": 3, "epsilon": 1e-08, "seed": 9}'
+        )
 
     def test_hash_mode_round_trip(self, tmp_path):
         config = ModelConfig(labels=("a", "b"), task_kind=TASK_MULTICLASS,
