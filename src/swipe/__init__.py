@@ -8,6 +8,7 @@ no segment-level supervision.
 
 __version__ = "0.1.0"
 
+from swipe.config import ModelConfig, TrainConfig, TruncationConfig
 from swipe.corpus import (
     Corpus,
     Document,
@@ -25,9 +26,9 @@ from swipe.encoder import (
     load_precomputed,
 )
 from swipe.head import Pooling, Prediction, SwipeParams
-from swipe.model import ModelConfig, SwipeModel
-from swipe.train import TrainConfig, grad_check, loss_multiclass, loss_multilabel, train
-from swipe.truncate import Segment, TruncationConfig, tokenize, truncate
+from swipe.model import SwipeModel
+from swipe.train import grad_check, loss_multiclass, loss_multilabel, train
+from swipe.truncate import Segment, tokenize, truncate
 
 __all__ = [
     "Corpus",

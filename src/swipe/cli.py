@@ -15,12 +15,20 @@ from pathlib import Path
 
 from swipe import corpus as corpus_mod
 from swipe import evaluate as eval_mod
+from swipe.config import (
+    ENCODER_HASH,
+    ENCODER_PRECOMPUTED,
+    STRATEGIES,
+    ModelConfig,
+    TrainConfig,
+    TruncationConfig,
+)
 from swipe.encoder import featurize_segments, load_precomputed
 from swipe.errors import ConfigError, SwipeError
 from swipe.head import Pooling
-from swipe.model import ENCODER_HASH, ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
-from swipe.train import TrainConfig, train, write_metrics_csv
-from swipe.truncate import TruncationConfig, truncate
+from swipe.model import SwipeModel
+from swipe.train import train, write_metrics_csv
+from swipe.truncate import truncate
 
 
 def _numbers(text: str, kind, flag: str, skip_blank: bool = False) -> list:
@@ -92,8 +100,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--buckets", type=int, default=4096)
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--ngram-orders", type=str, default="1,2")
-    parser.add_argument("--truncate", type=str, default="auto",
-                        choices=["auto", "punct", "structure"])
+    parser.add_argument("--truncate", type=str, default="auto", choices=STRATEGIES)
     parser.add_argument("--window-len", type=int, default=64)
     parser.add_argument("--overlap", type=int, default=0)
     parser.add_argument("--max-seg-len", type=int, default=64)
@@ -147,9 +154,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_model_inputs(args, need_vectors: bool = True):
+def _load_model_inputs(args):
     model = SwipeModel.load(args.checkpoint)
-    if model.config.encoder_mode == ENCODER_PRECOMPUTED and need_vectors:
+    if model.config.encoder_mode == ENCODER_PRECOMPUTED:
         if not args.vectors:
             raise ConfigError("checkpoint expects precomputed vectors; pass --vectors")
         model.attach_vectors(load_precomputed(args.vectors))
@@ -157,6 +164,8 @@ def _load_model_inputs(args, need_vectors: bool = True):
 
 
 def cmd_train(args) -> int:
+    train_config = TrainConfig(epochs=args.epochs, base_lr=args.lr,
+                               batch_size=args.batch_size, seed=args.seed)
     loaded = corpus_mod.load_jsonl(args.corpus, args.task)
     if args.split:
         loaded = corpus_mod.split_corpus(
@@ -173,11 +182,7 @@ def cmd_train(args) -> int:
     model = SwipeModel.create(config)
     if vectors is not None:
         model.attach_vectors(vectors)
-    result = train(
-        loaded, model,
-        TrainConfig(epochs=args.epochs, base_lr=args.lr,
-                    batch_size=args.batch_size, seed=args.seed),
-    )
+    result = train(loaded, model, train_config)
     metrics_path = args.metrics or (str(args.out) + ".metrics.csv")
     write_metrics_csv(result.metrics, metrics_path)
     result.restore_best()  # checkpoint holds the best-dev parameters
@@ -320,10 +325,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--metrics", type=str, default=None)
     p.add_argument("--out", type=str, required=True, help="checkpoint path")
 
-    for name, func, needs_keymap in (
-        ("predict", cmd_predict, False),
-        ("explain", cmd_explain, False),
-    ):
+    for name, func in (("predict", cmd_predict), ("explain", cmd_explain)):
         p = command(name, func, f"{name} documents with a trained checkpoint")
         p.add_argument("--checkpoint", type=str, required=True)
         p.add_argument("--corpus", type=str, required=True)

@@ -54,7 +54,6 @@ class HashEncoderParams:
 
     table: ad.Tensor
     n_buckets: int
-    dim: int
     ngram_orders: tuple[int, ...] = (1, 2)
     hash_seed: int = 0
 
@@ -74,8 +73,8 @@ class HashEncoderParams:
             rng.normal(0.0, 1.0 / np.sqrt(dim), size=(n_buckets, dim)),
             requires_grad=True,
         )
-        return cls(table=table, n_buckets=n_buckets, dim=dim,
-                   ngram_orders=tuple(ngram_orders), hash_seed=hash_seed)
+        return cls(table=table, n_buckets=n_buckets, ngram_orders=tuple(ngram_orders),
+                   hash_seed=hash_seed)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,6 @@ class InteractionParams:
     layers: list[InteractionLayer]
     n_heads: int
     dim: int
-    ff_dim: int
     positions: ad.Tensor | None = None  # max_m x dim table, optional
     final_gain: ad.Tensor | None = None  # present iff layers exist
     final_bias: ad.Tensor | None = None
@@ -251,12 +249,8 @@ class InteractionParams:
         if num_layers > 0:
             final_gain = ad.Tensor(np.ones(dim), requires_grad=True)
             final_bias = ad.Tensor(np.zeros(dim), requires_grad=True)
-        return cls(layers=layers, n_heads=n_heads, dim=dim, ff_dim=ff_dim,
-                   positions=positions, final_gain=final_gain, final_bias=final_bias)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
+        return cls(layers=layers, n_heads=n_heads, dim=dim, positions=positions,
+                   final_gain=final_gain, final_bias=final_bias)
 
 
 def _attention(x: ad.Tensor, layer: InteractionLayer, n_heads: int) -> ad.Tensor:

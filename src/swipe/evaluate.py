@@ -17,14 +17,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from swipe.config import ENCODER_HASH, ModelConfig, TrainConfig, TruncationConfig
 from swipe.corpus import Corpus, Document, KeyMap, LabelVocab, TASK_MULTICLASS
 from swipe.encoder import featurize_segments
 from swipe.errors import ValidationError
 from swipe.hashing import derive_seed
 from swipe.head import Pooling, Prediction
-from swipe.model import ENCODER_HASH, ModelConfig, SwipeModel
-from swipe.train import TrainConfig, backward_batch, exact_match, train
-from swipe.truncate import Segment, TruncationConfig, truncate
+from swipe.model import SwipeModel
+from swipe.train import backward_batch, exact_match, train
+from swipe.truncate import Segment, truncate
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -38,7 +39,6 @@ class MetricReport:
     micro_f1: float
     macro_f1: float
     per_label: list[dict]  # {label, precision, recall, f1, support}
-    accuracy: float | None = None
 
 
 def confusion_report(pred_bits, gold_bits, label_names) -> MetricReport:
@@ -238,7 +238,7 @@ def sufficiency_test(
     truncation. Requires the built-in encoder (explanations need tokens) and
     a trained model.
     """
-    if model.train_config_meta is None:
+    if model.train_config is None:
         raise ValidationError("sufficiency_test needs a trained model")
     if model.config.encoder_mode != ENCODER_HASH:
         raise ValidationError("sufficiency_test needs the built-in token encoder")

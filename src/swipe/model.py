@@ -2,11 +2,11 @@
 
 Also owns the checkpoint container. Format (version 1, stable):
 
-* line 1: UTF-8 JSON header ending in a newline:
+* line 1: UTF-8 JSON header ending in a newline, holding exactly
   ``{"format": "swipe-checkpoint", "version": 1, "config": {...},
   "train_config": {... or null}, "tensors": [{"name": str, "shape": [int]}]}``,
-  where "config" holds exactly the fields of `ModelConfig` (its "truncation"
-  those of `TruncationConfig`) and "train_config" those of `TrainConfig`
+  where "config" is `ModelConfig.to_meta()` and "train_config"
+  `TrainConfig.to_meta()`; the configs' JSON form lives in `swipe/config.py`
 * followed by each tensor's raw bytes in manifest order, little-endian
   float64, C order, no padding, and nothing after the last tensor.
 """
@@ -14,13 +14,15 @@ Also owns the checkpoint container. Format (version 1, stable):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from swipe import autodiff as ad
-from swipe.corpus import Document, LabelVocab, TASK_MULTICLASS
+from swipe.config import ENCODER_HASH, ENCODER_PRECOMPUTED, ModelConfig, TrainConfig
+from swipe.corpus import Document, LabelVocab
 from swipe.encoder import (
     HashEncoderParams,
     InteractionParams,
@@ -33,7 +35,6 @@ from swipe.encoder import (
 from swipe.errors import ConfigError, FormatError, SwipeError
 from swipe.hashing import derive_seed
 from swipe.head import (
-    Pooling,
     Prediction,
     SwipeParams,
     build_prediction,
@@ -41,101 +42,9 @@ from swipe.head import (
     pool_tensor,
     scores_tensor,
 )
-from swipe.truncate import TruncationConfig, truncate
+from swipe.truncate import truncate
 
-ENCODER_HASH = "hash"
-ENCODER_PRECOMPUTED = "precomputed"
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    labels: tuple[str, ...]
-    task_kind: str = TASK_MULTICLASS
-    pooling: Pooling = Pooling.MAX
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
-    encoder_mode: str = ENCODER_HASH
-    n_buckets: int = 4096
-    dim: int = 32
-    ngram_orders: tuple[int, ...] = (1, 2)
-    hash_seed: int = 0
-    interaction_layers: int = 0
-    n_heads: int = 2
-    ff_dim: int | None = None
-    max_positions: int | None = None  # None keeps positional embeddings off
-    init_seed: int = 0
-
-    def __post_init__(self):
-        LabelVocab(names=self.labels, task_kind=self.task_kind)
-        if not all(isinstance(name, str) for name in self.labels):
-            raise ConfigError(f"labels must be strings, got {list(self.labels)!r}")
-        if not isinstance(self.pooling, Pooling):
-            raise ConfigError(f"pooling must be a Pooling, got {self.pooling!r}")
-        if self.encoder_mode not in (ENCODER_HASH, ENCODER_PRECOMPUTED):
-            raise ConfigError(f"unknown encoder mode {self.encoder_mode!r}")
-        _check_int("n_buckets", self.n_buckets, 1)
-        _check_int("dim", self.dim, 1)
-        if not self.ngram_orders:
-            raise ConfigError("ngram_orders must not be empty")
-        for order in self.ngram_orders:
-            _check_int("ngram order", order, 1)
-        _check_int("hash_seed", self.hash_seed)
-        _check_int("init_seed", self.init_seed)
-        _check_int("interaction_layers", self.interaction_layers, 0)
-        if self.interaction_layers > 0:
-            _check_int("n_heads", self.n_heads, 1)
-            if self.dim % self.n_heads:
-                raise ConfigError(f"dim {self.dim} must divide evenly over {self.n_heads} heads")
-        for name in ("ff_dim", "max_positions"):
-            if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name), 1)
-
-    def to_meta(self) -> dict:
-        """Checkpoint header form: exactly the fields, JSON-serializable."""
-        meta = asdict(self)
-        meta["truncation"]["sentence_terminators"] = sorted(self.truncation.sentence_terminators)
-        return meta
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "ModelConfig":
-        """Inverse of `to_meta`; a missing or unknown key is an error."""
-        _check_keys(cls, meta)
-        trunc = meta["truncation"]
-        _check_keys(TruncationConfig, trunc)
-        return cls(**{
-            **meta,
-            "labels": _json_array(meta["labels"]),
-            "pooling": Pooling(meta["pooling"]),
-            "truncation": TruncationConfig(**{
-                **trunc,
-                "sentence_terminators": frozenset(_json_array(trunc["sentence_terminators"])),
-            }),
-            "ngram_orders": _json_array(meta["ngram_orders"]),
-        })
-
-
-def _check_int(name: str, value, minimum: int | None = None) -> None:
-    if type(value) is not int or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_keys(schema, meta) -> None:
-    """`meta` must be a JSON object holding exactly `schema`'s field names."""
-    if not isinstance(meta, dict):
-        raise FormatError(f"{schema.__name__} must be a JSON object, got {meta!r}")
-    names = {f.name for f in fields(schema)}
-    if set(meta) != names:
-        raise FormatError(
-            f"{schema.__name__} keys: missing {sorted(names - set(meta))}, "
-            f"unknown {sorted(set(meta) - names)}"
-        )
-
-
-def _json_array(value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise FormatError(f"expected a JSON array, got {value!r}")
-    return tuple(value)
-
+HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
 
 #: Cacheable forward input of one document: hashed n-gram ids (hash encoder)
 #: or its frozen segment vectors (precomputed encoder).
@@ -172,7 +81,7 @@ class SwipeModel:
         self.interaction = interaction
         self.head = head
         self.precomputed: dict[str, SegmentMatrix] | None = None
-        self.train_config_meta: dict | None = None
+        self.train_config: TrainConfig | None = None
 
     @classmethod
     def create(cls, config: ModelConfig, label_vectors: np.ndarray | None = None) -> "SwipeModel":
@@ -282,7 +191,7 @@ class SwipeModel:
             "format": "swipe-checkpoint",
             "version": 1,
             "config": self.config.to_meta(),
-            "train_config": self.train_config_meta,
+            "train_config": None if self.train_config is None else self.train_config.to_meta(),
             "tensors": manifest,
         }
         path = Path(path)
@@ -295,40 +204,64 @@ class SwipeModel:
     def load(cls, path) -> "SwipeModel":
         path = Path(path)
         with path.open("rb") as fh:
-            header_line = fh.readline()
             try:
-                header = json.loads(header_line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
-            if not isinstance(header, dict):
-                raise FormatError(f"{path}: checkpoint header is not a JSON object")
-            if header.get("format") != "swipe-checkpoint" or header.get("version") != 1:
-                raise FormatError(f"{path}: not a version-1 checkpoint")
-            try:
-                config = ModelConfig.from_meta(header["config"])
-            except (SwipeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: bad checkpoint config: {exc}") from exc
+                config, train_config, manifest = _read_header(fh.readline())
+            except FormatError as exc:
+                raise FormatError(f"{path}: {exc}") from exc
             model = cls.create(config)
-            model.train_config_meta = header.get("train_config")
+            model.train_config = train_config
             params = model.parameters()
-            manifest = header["tensors"]
-            if [m["name"] for m in manifest] != list(params.keys()):
+            if [name for name, _ in manifest] != list(params):
                 raise FormatError(f"{path}: tensor manifest does not match architecture")
-            for entry in manifest:
-                tensor = params[entry["name"]]
-                shape = tuple(entry["shape"])
+            for name, shape in manifest:
+                tensor = params[name]
                 if shape != tensor.data.shape:
                     raise FormatError(
-                        f"{path}: tensor {entry['name']} has shape {shape}, "
-                        f"expected {tensor.data.shape}"
+                        f"{path}: tensor {name} has shape {shape}, expected {tensor.data.shape}"
                     )
-                nbytes = int(np.prod(shape)) * 8 if shape else 8
+                nbytes = math.prod(shape) * 8
                 buf = fh.read(nbytes)
                 if len(buf) != nbytes:
-                    raise FormatError(f"{path}: truncated tensor {entry['name']}")
+                    raise FormatError(f"{path}: truncated tensor {name}")
                 tensor.data = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(
                     np.float64, copy=True
                 )
             if fh.read(1):
                 raise FormatError(f"{path}: trailing bytes after the last tensor")
         return model
+
+
+def _read_header(line: bytes) -> tuple[ModelConfig, TrainConfig | None,
+                                       list[tuple[str, tuple[int, ...]]]]:
+    """Check a checkpoint header line; returns its configs and tensor manifest."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise FormatError(f"bad checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object")
+    if set(header) != HEADER_KEYS:
+        raise FormatError(
+            f"checkpoint header must hold the keys {sorted(HEADER_KEYS)}, got {sorted(header)}"
+        )
+    version = header["version"]
+    if header["format"] != "swipe-checkpoint" or type(version) is not int or version != 1:
+        raise FormatError("not a version-1 checkpoint")
+    try:
+        config = ModelConfig.from_meta(header["config"])
+        train_meta = header["train_config"]
+        train_config = None if train_meta is None else TrainConfig.from_meta(train_meta)
+    except SwipeError as exc:
+        raise FormatError(f"bad checkpoint config: {exc}") from exc
+    manifest = header["tensors"]
+    if not isinstance(manifest, list):
+        raise FormatError(f"tensor manifest must be a JSON array, got {manifest!r}")
+    for entry in manifest:
+        if not (isinstance(entry, dict) and set(entry) == {"name", "shape"}
+                and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise FormatError(
+                'tensor manifest entries must be {"name": str, "shape": [int >= 0, ...]}, '
+                f"got {entry!r}"
+            )
+    return config, train_config, [(e["name"], tuple(e["shape"])) for e in manifest]

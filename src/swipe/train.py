@@ -10,39 +10,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from swipe import autodiff as ad
+from swipe.config import TrainConfig
 from swipe.corpus import Corpus, Document, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
 from swipe.model import Features, SwipeModel
 from swipe.head import Prediction
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 10
-    base_lr: float = 5e-5
-    batch_size: int = 16
-    seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.base_lr <= 0:
-            raise ValidationError(f"base_lr must be > 0, got {self.base_lr}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    def to_meta(self) -> dict:
-        return asdict(self)
 
 
 def loss_multiclass(doc_scores, gold: int) -> ad.Tensor:
@@ -92,7 +71,7 @@ def backward_batch(
         raise TrainingError(f"non-finite loss {value!r} on batch {ids}")
     total.backward()
     grads = {
-        name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+        name: (np.zeros_like(t.data) if t.grad is None else t.grad)
         for name, t in model.parameters().items()
     }
     return value, grads
@@ -277,7 +256,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     n_batches = math.ceil(len(train_docs) / config.batch_size)
     state = ModelState(model=model, config=config,
                        total_steps=config.epochs * n_batches)
-    model.train_config_meta = config.to_meta()
+    model.train_config = config
     rng = np.random.default_rng(derive_seed("train-shuffle", config.seed))
 
     snapshot = {name: t.data.copy() for name, t in model.parameters().items()}

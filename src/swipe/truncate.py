@@ -11,18 +11,17 @@ Three strategies:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from swipe.config import TruncationConfig
 from swipe.corpus import Document
-from swipe.errors import ConfigError, ValidationError
+from swipe.errors import ValidationError
 
 # Alphanumeric runs stay together; every other non-space character (and the
 # underscore) becomes a standalone token.
 _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 
 EMPTY_UNIT_TOKEN = "<empty>"
-
-STRATEGIES = ("auto", "punct", "structure")
 
 
 @dataclass(frozen=True)
@@ -32,33 +31,6 @@ class Segment:
     doc_id: str
     index: int
     tokens: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    strategy: str = "auto"
-    window_len: int = 64
-    overlap: int = 0
-    max_seg_len: int = 64
-    sentence_terminators: frozenset[str] = field(
-        default_factory=lambda: frozenset({".", "!", "?"})
-    )
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown truncation strategy: {self.strategy!r}")
-        for name in ("window_len", "overlap", "max_seg_len"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.window_len < 1:
-            raise ConfigError(f"window_len must be >= 1, got {self.window_len}")
-        if self.max_seg_len < 1:
-            raise ConfigError(f"max_seg_len must be >= 1, got {self.max_seg_len}")
-        if not 0 <= self.overlap < self.window_len:
-            raise ConfigError(
-                f"overlap must satisfy 0 <= overlap < window_len, "
-                f"got overlap={self.overlap} window_len={self.window_len}"
-            )
 
 
 def tokenize(text: str) -> list[str]:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from swipe.cli import main
+from swipe.config import TrainConfig
 from swipe.model import ModelConfig, SwipeModel
 
 
@@ -320,13 +321,20 @@ class TestParsing:
         (["--ff-dim", "-1", "--interaction-layers", "1"], "ff_dim must be an integer >= 1"),
         (["--positions", "on", "--max-positions", "-1", "--interaction-layers", "1"],
          "max_positions must be an integer >= 1"),
+        (["--lr", "nan"], "base_lr must be a finite number > 0, got nan"),
+        (["--lr", "0"], "base_lr must be a finite number > 0, got 0.0"),
+        (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
+        (["--batch-size", "0"], "batch_size must be an integer >= 1, got 0"),
     ])
     def test_bad_model_flags_exit_2(self, synth_dir, tmp_path, capsys, flags, expected):
+        out = tmp_path / "m.ckpt"
         code = run(["train", "--corpus", synth_dir / "corpus.jsonl", "--task", "multi-label",
-                    *flags, "--out", tmp_path / "m.ckpt"])
+                    *flags, "--out", out])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+        # rejected before training: no metrics log, no checkpoint
+        assert not out.exists() and not (tmp_path / "m.ckpt.metrics.csv").exists()
 
     @pytest.mark.parametrize("key, value, expected", [
         ("pooling", "bogus", "'bogus' is not a valid Pooling"),
@@ -338,18 +346,35 @@ class TestParsing:
         ("extra", 1, "unknown ['extra']"),
         ("hash_seed", None, "missing ['hash_seed']"),  # None deletes the key
         (None, None, "checkpoint header is not a JSON object"),  # header becomes a list
+        (("train_config",), "junk", "TrainConfig must be a JSON object, got 'junk'"),
+        (("train_config", "epochs"), None, "TrainConfig keys: missing ['epochs']"),
+        (("train_config", "extra"), 1, "TrainConfig keys: missing [], unknown ['extra']"),
+        (("train_config", "base_lr"), -1.0, "base_lr must be a finite number > 0, got -1.0"),
+        (("tensors",), None, "checkpoint header must hold the keys"),
+        (("tensors", 0), [1], "tensor manifest entries must be"),
+        (("tensors", 0, "shape"), [16.0, 4], "got {'name': 'encoder.table', 'shape': [16.0, 4]}"),
+        (("tensors", 0, "shape"), [-1], "tensor manifest entries must be"),
+        (("version",), True, "not a version-1 checkpoint"),
     ])
     def test_malformed_checkpoint_config_exit_2(self, tmp_path, capsys, key, value, expected):
+        """`key` is a path into the header, or a key of its "config" object."""
         ckpt = tmp_path / "m.ckpt"
-        SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4)).save(ckpt)
+        model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4))
+        model.train_config = TrainConfig()
+        model.save(ckpt)
         line, tensors = ckpt.read_bytes().split(b"\n", 1)
         header = json.loads(line)
         if key is None:
             header = [header]
-        elif value is None:
-            del header["config"][key]
         else:
-            header["config"][key] = value
+            *parents, last = ("config", key) if isinstance(key, str) else key
+            node = header
+            for part in parents:
+                node = node[part]
+            if value is None:
+                del node[last]
+            else:
+                node[last] = value
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
         code = run(["predict", "--checkpoint", ckpt, "--corpus", tmp_path / "c.jsonl",
                     "--out", tmp_path / "p.jsonl"])

@@ -305,7 +305,7 @@ class TestCheckpoint:
             b = loaded.predict(doc)
             np.testing.assert_array_equal(a.scores, b.scores)
             np.testing.assert_array_equal(a.seg_scores, b.seg_scores)
-        assert loaded.train_config_meta == model.train_config_meta
+        assert loaded.train_config == model.train_config
 
     def test_save_is_deterministic(self, tmp_path):
         corpus, vectors = _toy_corpus()
