@@ -79,7 +79,11 @@ def backward_batch(
 
 @dataclass
 class ModelState:
-    """Model plus optimizer accumulators; `step` counts completed Adam steps."""
+    """Model plus optimizer accumulators; `step` counts completed Adam steps.
+
+    `scratch` holds two work arrays per parameter, so an Adam step allocates
+    nothing.
+    """
 
     model: SwipeModel
     config: TrainConfig
@@ -87,11 +91,14 @@ class ModelState:
     step: int = 0
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, tensor in self.model.parameters().items():
             self.adam_m.setdefault(name, np.zeros_like(tensor.data))
             self.adam_v.setdefault(name, np.zeros_like(tensor.data))
+            self.scratch.setdefault(
+                name, (np.empty_like(tensor.data), np.empty_like(tensor.data)))
 
 
 def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
@@ -100,20 +107,34 @@ def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
 
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray], step: int) -> float:
-    """Standard bias-corrected Adam update; returns the learning rate used."""
+    """Standard bias-corrected Adam update, in place; returns the learning rate used.
+
+    Every parameter, moment and work array is updated through `out=`, in the
+    same operation order as the textbook expressions noted alongside, so the
+    result is bit-identical to them.
+    """
     cfg = state.config
     lr = learning_rate(cfg, step, state.total_steps)
-    params = state.model.parameters()
-    for name, tensor in params.items():
+    correction1 = 1 - cfg.beta1**step
+    correction2 = 1 - cfg.beta2**step
+    for name, tensor in state.model.parameters().items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(tensor.data)
-        m = state.adam_m[name] = cfg.beta1 * state.adam_m[name] + (1 - cfg.beta1) * g
-        v = state.adam_v[name] = cfg.beta2 * state.adam_v[name] + (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1**step)
-        v_hat = v / (1 - cfg.beta2**step)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if not np.all(np.isfinite(tensor.data)):
+        m, v = state.adam_m[name], state.adam_v[name]
+        num, den = state.scratch[name]
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, cfg.beta1, out=m)
+        np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
+        # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(v, cfg.beta2, out=v)
+        np.multiply(g, 1 - cfg.beta2, out=num)
+        np.add(v, np.multiply(num, g, out=num), out=v)
+        # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
+        np.multiply(np.divide(m, correction1, out=num), lr, out=num)
+        np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
+        np.subtract(tensor.data, np.divide(num, den, out=num), out=tensor.data)
+        if not np.isfinite(tensor.data).all():
             raise TrainingError(f"non-finite parameter {name!r} after step {step}")
     state.step = step
     return lr
