@@ -8,7 +8,16 @@ topological order. Ops are free functions; each returns a new `Tensor` whose
 Conventions:
 
 * everything is float64; integer index arrays ride along as plain numpy
-* gradients accumulate into `Tensor.grad` (None until first touched)
+* gradients accumulate into `Tensor.grad` (None until first touched), and
+  only into tensors that require grad; a gradient may share memory with
+  another tensor's, so no code updates one in place
+* the embedding bag's table gradient is row-sparse: a `RowSparse` holding
+  the summed gradient of each touched row, so a training step never builds
+  a dense table-sized gradient (`dense` expands one where a caller needs it)
+* ragged batches: documents' rows are stacked and `offsets` (B+1
+  boundaries) say which rows belong to which document; `ragged_max` and
+  `ragged_sum` pool per document, and both losses take one row of logits
+  per document and return the batch mean
 * ops skip tape construction when no input requires grad; the model's
   parameters always require grad, so `SwipeModel.forward` builds a tape even
   at prediction time
@@ -58,21 +67,46 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.array(grad, dtype=np.float64))
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
             for parent, parent_grad in node._backward(node.grad):
-                parent._accumulate(parent_grad)
+                if parent.requires_grad:
+                    parent._accumulate(parent_grad)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad) -> None:
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64)
+            self.grad = grad
         else:
-            self.grad = self.grad + grad
+            self.grad = dense(self.grad) + dense(grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class RowSparse:
+    """Gradient of a 2-D table that is zero outside `rows`.
+
+    `rows` is sorted and unique; `values[i]` is the gradient of row `rows[i]`.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+
+def dense(grad):
+    """`grad` as a plain array (a `RowSparse` expanded; anything else as is)."""
+    return grad.to_dense() if isinstance(grad, RowSparse) else grad
 
 
 def as_tensor(x) -> Tensor:
@@ -110,7 +144,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
+        return tuple((t, _unbroadcast(g, t.data.shape)) for t in (a, b) if t.requires_grad)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -205,21 +239,55 @@ def sum_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-def max_along(a: Tensor, axis: int) -> tuple[Tensor, np.ndarray]:
-    """Max over one axis; also returns the argmax indices.
+def _blocks(offsets: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, row count) of each block; every block must be non-empty."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = offsets[1:] - offsets[:-1]
+    if offsets[0] != 0 or offsets[-1] != n_rows or counts.min() <= 0:
+        raise ValueError(f"ragged offsets {offsets.tolist()} do not split {n_rows} rows "
+                         "into non-empty blocks")
+    return offsets[:-1], counts
 
-    Ties: numpy argmax picks the first (lowest-index) maximizer, which is
-    where the whole subgradient flows.
+
+def ragged_max(a: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Column-wise max over each block of rows of a 2-D tensor; block b spans
+    rows offsets[b]:offsets[b+1].
+
+    Returns the (B, columns) maxima and, per block and column, the row of the
+    first (lowest-index) maximizer, which is where the whole subgradient
+    flows. A block whose maximum is NaN reports a row of that block.
     """
-    indices = a.data.argmax(axis=axis)
-    values = np.take_along_axis(a.data, np.expand_dims(indices, axis), axis=axis).squeeze(axis)
+    n = a.data.shape[0]
+    starts, counts = _blocks(offsets, n)
+    if len(starts) == 1:  # one document, as in prediction: plain column reductions
+        values = a.data.max(axis=0, keepdims=True)
+        argmax = a.data.argmax(axis=0)[None]
+    else:
+        values = np.maximum.reduceat(a.data, starts, axis=0)
+        # rows below their block's maximum are pushed past every real row index
+        below = a.data < np.repeat(values, counts, axis=0)
+        argmax = np.minimum.reduceat(below * n + np.arange(n)[:, None], starts, axis=0)
 
     def backward(g):
         grad = np.zeros_like(a.data)
-        np.put_along_axis(grad, np.expand_dims(indices, axis), np.expand_dims(g, axis), axis=axis)
+        np.put_along_axis(grad, argmax, g, axis=0)
         return ((a, grad),)
 
-    return _make(values, (a,), backward), indices
+    return _make(values, (a,), backward), argmax
+
+
+def ragged_sum(a: Tensor, offsets: np.ndarray) -> Tensor:
+    """Sum over each block of rows; block b spans rows offsets[b]:offsets[b+1]."""
+    starts, counts = _blocks(offsets, a.data.shape[0])
+    if len(starts) == 1:  # one document, as in prediction: a plain column sum
+        values = a.data.sum(axis=0, keepdims=True)
+    else:
+        values = np.add.reduceat(a.data, starts, axis=0)
+
+    def backward(g):
+        return ((a, np.repeat(g, counts, axis=0)),)
+
+    return _make(values, (a,), backward)
 
 
 def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -233,11 +301,22 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _make(a.data[indices], (a,), backward)
 
 
+def concat_rows(tensors: list[Tensor]) -> Tensor:
+    """Stack tensors along the first axis, in order."""
+    bounds = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
+
+    def backward(g):
+        return tuple(zip(tensors, np.split(g, bounds)))
+
+    return _make(np.concatenate([t.data for t in tensors]), tuple(tensors), backward)
+
+
 def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:
     """Mean of table rows per bag; bag b spans ids[offsets[b]:offsets[b+1]].
 
     Every bag must be non-empty. This is the whole hashed-n-gram encoder
-    forward: one output row per segment.
+    forward: one output row per segment. The table's gradient is a
+    `RowSparse` over the ids it saw.
     """
     ids = np.asarray(ids, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -249,10 +328,12 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
     out = sums / counts[:, None]
 
     def backward(g):
-        per_row = np.repeat(g / counts[:, None], counts, axis=0)
-        grad = np.zeros_like(table.data)
-        np.add.at(grad, ids, per_row)
-        return ((table, grad),)
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        per_id = (g / counts[:, None])[np.repeat(np.arange(len(counts)), counts)[order]]
+        values = np.add.reduceat(per_id, first, axis=0)
+        return ((table, RowSparse(sorted_ids[first], values, table.data.shape)),)
 
     return _make(out, (table,), backward)
 
@@ -284,39 +365,40 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out, (x, gain, bias), backward)
 
 
-def softmax_cross_entropy(logits: Tensor, gold: int) -> Tensor:
-    """Stable softmax cross-entropy of a 1-D logit vector vs a gold index."""
-    x = logits.data
-    if not 0 <= gold < x.shape[0]:
-        raise ValueError(f"gold index {gold} out of range for {x.shape[0]} labels")
-    m = x.max()
-    lse = m + np.log(np.exp(x - m).sum())
-    loss = lse - x[gold]
+def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
+    """Mean over documents of the stable softmax cross-entropy vs the gold index.
+
+    `logits` holds one row per document, `gold` one index per document; a
+    1-D logit vector with one gold index is a batch of one.
+    """
+    x = logits.data.reshape(-1, logits.data.shape[-1])
+    gold = np.asarray(gold, dtype=np.int64).reshape(-1)
+    if gold.shape != (x.shape[0],):
+        raise ValueError(f"{gold.shape[0]} gold indices for {x.shape[0]} logit rows")
+    if np.any((gold < 0) | (gold >= x.shape[1])):
+        raise ValueError(f"gold index {gold.tolist()} out of range for {x.shape[1]} labels")
+    docs = np.arange(x.shape[0])
+    m = x.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    loss = (lse[:, 0] - x[docs, gold]).mean()
 
     def backward(g):
         p = np.exp(x - lse)
-        p[gold] -= 1.0
-        return ((logits, g * p),)
+        p[docs, gold] -= 1.0
+        return ((logits, (g / x.shape[0] * p).reshape(logits.data.shape)),)
 
     return _make(loss, (logits,), backward)
 
 
 def bce_with_logits_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean over labels of binary cross-entropy between sigmoid(logit) and target."""
+    """Mean over documents and labels of binary cross-entropy between
+    sigmoid(logit) and target; `targets` has the shape of `logits`."""
     x = logits.data
     t = np.asarray(targets, dtype=np.float64)
     per_label = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     loss = per_label.mean()
 
     def backward(g):
-        return ((logits, g * (_stable_sigmoid(x) - t) / x.shape[0]),)
+        return ((logits, g * (_stable_sigmoid(x) - t) / x.size),)
 
     return _make(loss, (logits,), backward)
-
-
-def add_n(tensors: list[Tensor]) -> Tensor:
-    """Sum of same-shaped tensors as a single tape node."""
-    def backward(g):
-        return tuple((t, g) for t in tensors)
-
-    return _make(sum(t.data for t in tensors), tuple(tensors), backward)

@@ -253,7 +253,8 @@ class InteractionParams:
                    final_gain=final_gain, final_bias=final_bias)
 
 
-def _attention(x: ad.Tensor, layer: InteractionLayer, n_heads: int) -> ad.Tensor:
+def _attention(x: ad.Tensor, layer: InteractionLayer, n_heads: int,
+               mask: ad.Tensor | None) -> ad.Tensor:
     m, dim = x.shape
     head_dim = dim // n_heads
 
@@ -264,27 +265,79 @@ def _attention(x: ad.Tensor, layer: InteractionLayer, n_heads: int) -> ad.Tensor
     k = split_heads(ad.matmul(x, layer.wk))
     v = split_heads(ad.matmul(x, layer.wv))
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
+    if mask is not None:
+        scores = ad.add(scores, mask)
     attn = ad.softmax(scores, axis=-1)
     ctx = ad.matmul(attn, v)  # heads x m x head_dim
     merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (m, dim))
     return ad.matmul(merged, layer.wo)
 
 
-def interact_tensor(x: ad.Tensor, params: InteractionParams) -> ad.Tensor:
-    """Differentiable interaction stack; identity when num_layers == 0."""
+#: Most segments one attention call takes. A batch with more is split into
+#: runs of whole documents, so attention memory grows with the batch's
+#: segment count times this bound, not with its square.
+ATTENTION_ROWS = 256
+
+
+def _attention_runs(offsets: np.ndarray) -> list[tuple[int, int, ad.Tensor | None]]:
+    """(first row, end row, mask) of each attention call.
+
+    A run is consecutive whole documents with at most ATTENTION_ROWS
+    segments in all (a longer document runs alone). Its block-diagonal 0/-inf
+    mask keeps every row inside its own document; a one-document run has none.
+    """
+    bounds, first = [], 0
+    for b in range(1, len(offsets)):
+        if offsets[b] - offsets[first] > ATTENTION_ROWS and b - 1 > first:
+            bounds.append(offsets[first:b])
+            first = b - 1
+    bounds.append(offsets[first:])
+    runs = []
+    for run in bounds:
+        mask = None
+        if len(run) > 2:
+            doc = np.repeat(np.arange(len(run) - 1), np.diff(run))
+            mask = ad.Tensor(np.where(doc[:, None] == doc, 0.0, -np.inf))
+        runs.append((int(run[0]), int(run[-1]), mask))
+    return runs
+
+
+def interact_tensor(x: ad.Tensor, params: InteractionParams,
+                    offsets: np.ndarray | None = None) -> ad.Tensor:
+    """Differentiable interaction stack; identity when num_layers == 0.
+
+    Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1];
+    None means one document) attend only within their own document, through
+    a block-diagonal 0/-inf mask on the attention scores, and take positional
+    rows by their index within the document. Every other op is row-wise.
+    """
     m, dim = x.shape
     if dim != params.dim:
         raise ConfigError(f"interaction dim {params.dim} != input dim {dim}")
+    if offsets is None:
+        offsets = np.array([0, m])
+    counts = offsets[1:] - offsets[:-1]
     if params.positions is not None:
-        if m > params.positions.shape[0]:
+        longest = int(counts.max())
+        if longest > params.positions.shape[0]:
             raise ConfigError(
-                f"document has {m} segments but positional table holds "
+                f"document has {longest} segments but positional table holds "
                 f"{params.positions.shape[0]}"
             )
-        x = ad.add(x, ad.take_rows(params.positions, np.arange(m)))
+        within = np.arange(m) - np.repeat(offsets[:-1], counts)
+        x = ad.add(x, ad.take_rows(params.positions, within))
+    runs = _attention_runs(offsets)
     for layer in params.layers:
         attn_in = ad.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
-        x = ad.add(x, _attention(attn_in, layer, params.n_heads))
+        if len(runs) == 1:
+            attn = _attention(attn_in, layer, params.n_heads, runs[0][2])
+        else:
+            attn = ad.concat_rows([
+                _attention(ad.take_rows(attn_in, np.arange(start, stop)), layer,
+                           params.n_heads, mask)
+                for start, stop, mask in runs
+            ])
+        x = ad.add(x, attn)
         ff_in = ad.layer_norm(x, layer.ln2_gain, layer.ln2_bias)
         hidden = ad.relu(ad.matmul(ff_in, layer.ff_in))
         x = ad.add(x, ad.matmul(hidden, layer.ff_out))

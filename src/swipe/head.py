@@ -102,20 +102,30 @@ def gates_tensor(x: ad.Tensor, params: SwipeParams) -> ad.Tensor:
 
 
 def pool_tensor(
-    scores: ad.Tensor, gates: ad.Tensor | None, strategy: Pooling
+    scores: ad.Tensor, gates: ad.Tensor | None, strategy: Pooling,
+    offsets: np.ndarray | None = None,
 ) -> tuple[ad.Tensor, np.ndarray | None]:
-    """Reduce (m, L) scores to (L,) document scores.
+    """Reduce (M, L) segment scores to (B, L) document scores.
 
-    Max variants also return the per-label argmax segment (ties resolved to
-    the lowest segment index, which is also where the subgradient flows).
+    Document b owns rows offsets[b]:offsets[b+1]. With `offsets` None all
+    rows are one document and the result is (L,). Max variants also return
+    the per-label argmax segment, counted within its document (ties resolved
+    to the lowest segment index, which is also where the subgradient flows).
     """
     if strategy.gated and gates is None:
         raise ConfigError(f"{strategy.value} pooling requires gates")
     effective = ad.mul(gates, scores) if strategy.gated else scores
+    one_doc = offsets is None
+    if one_doc:
+        offsets = np.array([0, scores.shape[0]])
     if strategy.is_max:
-        pooled, argmax = ad.max_along(effective, axis=0)
-        return pooled, argmax
-    return ad.sum_along(effective, axis=0), None
+        pooled, argmax = ad.ragged_max(effective, offsets)
+        argmax = argmax - offsets[:-1, None]
+    else:
+        pooled, argmax = ad.ragged_sum(effective, offsets), None
+    if one_doc:
+        return ad.reshape(pooled, (scores.shape[1],)), None if argmax is None else argmax[0]
+    return pooled, argmax
 
 
 @dataclass

@@ -13,8 +13,11 @@ Also owns the checkpoint container. Format (version 1, stable):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,19 +53,81 @@ HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
 #: or its frozen segment vectors (precomputed encoder).
 Features = SegmentFeatures | SegmentMatrix
 
+#: Per-layer interaction parameters, in checkpoint order.
+LAYER_PARAMS = ("wq", "wk", "wv", "wo", "ff_in", "ff_out",
+                "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Ragged batch: every document's segments stacked into one encoder input.
+
+    Document b owns segment rows offsets[b]:offsets[b+1] of `inputs`: one
+    n-gram bag per segment (hash encoder) or one frozen vector per segment
+    (precomputed encoder). A single document is a batch of one whose input
+    is its own features.
+    """
+
+    inputs: Features
+    offsets: np.ndarray  # (B+1,)
+
+    @classmethod
+    def of(cls, feats: Sequence[Features]) -> "Batch":
+        if len(feats) == 1:
+            return cls(feats[0], np.array([0, feats[0].m]))
+        offsets = np.concatenate(([0], np.cumsum([f.m for f in feats])))
+        name = " ".join(f.doc_id for f in feats)
+        if all(isinstance(f, SegmentMatrix) for f in feats):
+            inputs = SegmentMatrix(doc_id=name, rows=np.concatenate([f.rows for f in feats]))
+        elif all(isinstance(f, SegmentFeatures) for f in feats):
+            shifts = np.cumsum([0] + [len(f.ids) for f in feats[:-1]])
+            bags = [f.offsets[1:] + shift for f, shift in zip(feats, shifts)]
+            inputs = SegmentFeatures(doc_id=name, ids=np.concatenate([f.ids for f in feats]),
+                                     offsets=np.concatenate(([0], *bags)))
+        else:
+            raise ConfigError("a batch cannot mix hashed and precomputed features")
+        return cls(inputs, offsets)
+
 
 @dataclass
 class ForwardOut:
-    doc_scores: ad.Tensor            # (L,)
-    seg_scores: ad.Tensor            # (m, L)
-    gates: ad.Tensor | None          # (m, L)
-    pool_argmax: np.ndarray | None   # (L,) for max variants
+    """One forward pass over a `Batch` of B documents with M segments in all."""
+
+    doc_scores: ad.Tensor            # (B, L)
+    seg_scores: ad.Tensor            # (M, L), in the batch's segment order
+    gates: ad.Tensor | None          # (M, L)
+    pool_argmax: np.ndarray | None   # (B, L) segment within each document, max variants
 
     def signature(self) -> tuple | None:
         """Hashable pooling-path marker; changes when a max argmax flips."""
         if self.pool_argmax is None:
             return None
-        return tuple(int(i) for i in self.pool_argmax)
+        return tuple(self.pool_argmax.ravel().tolist())
+
+
+def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor `SwipeModel.create(config).parameters()`
+    holds, in that order, computed from the config alone and lazily, so a
+    config claiming a huge architecture costs nothing until it is consumed."""
+    dim, n_labels = config.dim, len(config.labels)
+    if config.encoder_mode == ENCODER_HASH:
+        yield "encoder.table", (config.n_buckets, dim)
+    if config.interaction_layers > 0:
+        ff_dim = 4 * dim if config.ff_dim is None else config.ff_dim
+        shapes = dict.fromkeys(("wq", "wk", "wv", "wo"), (dim, dim))
+        shapes |= dict.fromkeys(("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"), (dim,))
+        shapes |= {"ff_in": (dim, ff_dim), "ff_out": (ff_dim, dim)}
+        for i in range(config.interaction_layers):
+            for name in LAYER_PARAMS:
+                yield f"interaction.{i}.{name}", shapes[name]
+        yield "interaction.final_gain", (dim,)
+        yield "interaction.final_bias", (dim,)
+        if config.max_positions is not None:
+            yield "interaction.positions", (config.max_positions, dim)
+    yield "head.weight", (n_labels, dim)
+    yield "head.bias", (n_labels,)
+    yield "head.gate_weight", (n_labels, dim)
+    yield "head.gate_bias", (n_labels,)
 
 
 class SwipeModel:
@@ -130,8 +195,7 @@ class SwipeModel:
             params["encoder.table"] = self.encoder.table
         if self.interaction is not None:
             for i, layer in enumerate(self.interaction.layers):
-                for name in ("wq", "wk", "wv", "wo", "ff_in", "ff_out",
-                             "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"):
+                for name in LAYER_PARAMS:
                     params[f"interaction.{i}.{name}"] = getattr(layer, name)
             if self.interaction.final_gain is not None:
                 params["interaction.final_gain"] = self.interaction.final_gain
@@ -155,25 +219,28 @@ class SwipeModel:
             return self.precomputed[doc.id]
         return featurize_segments(truncate(doc, self.config.truncation), self.encoder)
 
-    def forward(self, feats: Features) -> ForwardOut:
-        if isinstance(feats, SegmentFeatures):
-            x = encode_features(feats, self.encoder)
+    def forward(self, batch: Batch) -> ForwardOut:
+        """One pass over a ragged batch: every segment scored by one matmul,
+        pooled per document."""
+        if isinstance(batch.inputs, SegmentFeatures):
+            x = encode_features(batch.inputs, self.encoder)
         else:
-            x = ad.Tensor(feats.rows)  # frozen: no gradient
+            x = ad.Tensor(batch.inputs.rows)  # frozen: no gradient
         if self.interaction is not None:
-            x = interact_tensor(x, self.interaction)
+            x = interact_tensor(x, self.interaction, batch.offsets)
         seg_scores = scores_tensor(x, self.head)
         gates = gates_tensor(x, self.head) if self.config.pooling.gated else None
-        doc_scores, argmax = pool_tensor(seg_scores, gates, self.config.pooling)
+        doc_scores, argmax = pool_tensor(seg_scores, gates, self.config.pooling, batch.offsets)
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores,
                           gates=gates, pool_argmax=argmax)
 
     def predict_features(self, feats: Features) -> Prediction:
-        out = self.forward(feats)
+        """Predict one document: the forward pass over a batch of one."""
+        out = self.forward(Batch.of([feats]))
         return build_prediction(
             doc_id=feats.doc_id,
             strategy=self.config.pooling,
-            doc_scores=out.doc_scores.data,
+            doc_scores=out.doc_scores.data[0],
             seg_scores=out.seg_scores.data.T,
             gates=out.gates.data.T if out.gates is not None else None,
             task_kind=self.config.task_kind,
@@ -202,33 +269,40 @@ class SwipeModel:
 
     @classmethod
     def load(cls, path) -> "SwipeModel":
+        """Read a checkpoint; the header and the payload size are checked in
+        full before any parameter is allocated."""
         path = Path(path)
         with path.open("rb") as fh:
             try:
                 config, train_config, manifest = _read_header(fh.readline())
+                _check_manifest(config, manifest, os.fstat(fh.fileno()).st_size - fh.tell())
             except FormatError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
             model = cls.create(config)
             model.train_config = train_config
-            params = model.parameters()
-            if [name for name, _ in manifest] != list(params):
-                raise FormatError(f"{path}: tensor manifest does not match architecture")
-            for name, shape in manifest:
-                tensor = params[name]
-                if shape != tensor.data.shape:
-                    raise FormatError(
-                        f"{path}: tensor {name} has shape {shape}, expected {tensor.data.shape}"
-                    )
-                nbytes = math.prod(shape) * 8
-                buf = fh.read(nbytes)
-                if len(buf) != nbytes:
-                    raise FormatError(f"{path}: truncated tensor {name}")
+            for tensor, (_, shape) in zip(model.parameters().values(), manifest):
+                buf = fh.read(math.prod(shape) * 8)
                 tensor.data = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(
                     np.float64, copy=True
                 )
-            if fh.read(1):
-                raise FormatError(f"{path}: trailing bytes after the last tensor")
         return model
+
+
+def _check_manifest(config: ModelConfig, manifest: list[tuple[str, tuple[int, ...]]],
+                    payload_bytes: int) -> None:
+    """The manifest must list `config`'s tensors, and the payload hold exactly them."""
+    expected = list(itertools.islice(parameter_shapes(config), len(manifest) + 1))
+    if [name for name, _ in expected] != [name for name, _ in manifest]:
+        raise FormatError("tensor manifest does not match architecture")
+    end = 0
+    for (name, shape), (_, want) in zip(manifest, expected):
+        if shape != want:
+            raise FormatError(f"tensor {name} has shape {shape}, expected {want}")
+        end += math.prod(shape) * 8
+        if end > payload_bytes:
+            raise FormatError(f"truncated tensor {name}")
+    if end < payload_bytes:
+        raise FormatError("trailing bytes after the last tensor")
 
 
 def _read_header(line: bytes) -> tuple[ModelConfig, TrainConfig | None,

@@ -4,6 +4,12 @@ Cross-entropy losses (softmax for multi-class, per-label logistic for
 multi-label, both threshold-consistent with the strict-zero document bit),
 Adam with bias correction, and a learning rate that decays linearly from
 `base_lr` to zero over the planned number of steps.
+
+A training step is one forward and one backward over the whole ragged batch
+(`model.Batch`). The hash encoder's table gradient arrives row-sparse
+(`autodiff.RowSparse`, one summed row per touched bucket), and Adam updates
+moments and parameters in place through preallocated work arrays. Its
+semantics stay dense: every row's moments decay every step, touched or not.
 """
 
 from __future__ import annotations
@@ -20,18 +26,20 @@ from swipe.config import TrainConfig
 from swipe.corpus import Corpus, Document, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
-from swipe.model import Features, SwipeModel
+from swipe.model import Batch, Features, SwipeModel
 from swipe.head import Prediction
 
 
-def loss_multiclass(doc_scores, gold: int) -> ad.Tensor:
-    """Softmax cross-entropy over the document scores vs the gold label index."""
+def loss_multiclass(doc_scores, gold) -> ad.Tensor:
+    """Softmax cross-entropy of each document's scores vs its gold label index,
+    averaged over the batch; (L,) scores with one index are a batch of one."""
     logits = ad.as_tensor(doc_scores)
-    n_labels = logits.shape[0]
+    n_labels = logits.shape[-1]
     if n_labels < 2:
         raise ValidationError(f"multi-class loss needs >= 2 labels, got {n_labels}")
-    if not 0 <= gold < n_labels:
-        raise ValidationError(f"gold index {gold} out of range for L={n_labels}")
+    gold = np.asarray(gold)
+    if np.any((gold < 0) | (gold >= n_labels)):
+        raise ValidationError(f"gold index {gold.tolist()} out of range for L={n_labels}")
     return ad.softmax_cross_entropy(logits, gold)
 
 
@@ -46,25 +54,33 @@ def loss_multilabel(doc_scores, gold_bits) -> ad.Tensor:
     return ad.bce_with_logits_mean(logits, gold_bits)
 
 
-def doc_loss(model: SwipeModel, feats: Features, target) -> tuple[ad.Tensor, tuple | None]:
-    """Per-document loss plus the pooling signature (for kink detection)."""
+def doc_loss(model: SwipeModel, feats: Features | Batch, target) -> tuple[ad.Tensor, tuple | None]:
+    """Mean loss over a batch plus its pooling signature (for kink detection).
+
+    A `Batch` takes one target per document, in order; one document's
+    features with its own target are a batch of one.
+    """
+    if not isinstance(feats, Batch):
+        feats, target = Batch.of([feats]), [target]
     out = model.forward(feats)
     if model.config.task_kind == TASK_MULTICLASS:
-        return loss_multiclass(out.doc_scores, int(target)), out.signature()
-    return loss_multilabel(out.doc_scores, target), out.signature()
+        return loss_multiclass(out.doc_scores, np.asarray(target)), out.signature()
+    return loss_multilabel(out.doc_scores, np.stack(target)), out.signature()
 
 
 def backward_batch(
     model: SwipeModel, batch: list[tuple[Features, object]]
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray | ad.RowSparse]]:
     """Mean batch loss and its gradients for every trainable parameter.
 
-    Parameters that do not participate in the forward pass (e.g. gate
-    weights under ungated pooling) get zero gradients.
+    One forward and one backward over the whole ragged batch. The encoder
+    table's gradient is an `ad.RowSparse`; parameters that do not participate
+    in the forward pass (e.g. gate weights under ungated pooling) get zero
+    gradients.
     """
     model.zero_grad()
-    losses = [doc_loss(model, feats, target)[0] for feats, target in batch]
-    total = ad.scale(ad.add_n(losses), 1.0 / len(losses))
+    total, _ = doc_loss(model, Batch.of([feats for feats, _ in batch]),
+                        [target for _, target in batch])
     value = total.item()
     if not math.isfinite(value):
         ids = [feats.doc_id for feats, _ in batch]
@@ -106,12 +122,14 @@ def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
     return config.base_lr * max(0.0, 1.0 - step / total_steps)
 
 
-def adam_step(state: ModelState, grads: dict[str, np.ndarray], step: int) -> float:
+def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
+              step: int) -> float:
     """Standard bias-corrected Adam update, in place; returns the learning rate used.
 
     Every parameter, moment and work array is updated through `out=`, in the
     same operation order as the textbook expressions noted alongside, so the
-    result is bit-identical to them.
+    result is bit-identical to them. A `RowSparse` gradient is zero outside
+    its rows: there the moments only decay, as they would for a dense zero.
     """
     cfg = state.config
     lr = learning_rate(cfg, step, state.total_steps)
@@ -123,13 +141,16 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray], step: int) -> flo
             g = np.zeros_like(tensor.data)
         m, v = state.adam_m[name], state.adam_v[name]
         num, den = state.scratch[name]
-        # m = beta1 * m + (1 - beta1) * g
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
         np.multiply(m, cfg.beta1, out=m)
-        np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
-        # v = beta2 * v + (1 - beta2) * g * g
         np.multiply(v, cfg.beta2, out=v)
-        np.multiply(g, 1 - cfg.beta2, out=num)
-        np.add(v, np.multiply(num, g, out=num), out=v)
+        if isinstance(g, ad.RowSparse):
+            m[g.rows] += (1 - cfg.beta1) * g.values
+            v[g.rows] += (1 - cfg.beta2) * g.values * g.values
+        else:
+            np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
+            np.multiply(g, 1 - cfg.beta2, out=num)
+            np.add(v, np.multiply(num, g, out=num), out=v)
         # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
         np.multiply(np.divide(m, correction1, out=num), lr, out=num)
         np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
@@ -184,7 +205,7 @@ def grad_check(
         loss, _ = fn()
         loss.backward()
         analytic = {
-            name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+            name: (np.zeros_like(t.data) if t.grad is None else np.array(ad.dense(t.grad)))
             for name, t in params.items()
         }
     _, base_sig = fn()
@@ -252,12 +273,20 @@ def exact_match(pred: Prediction, model: SwipeModel, doc: Document) -> bool:
 
 
 def evaluate_split(model: SwipeModel, docs: list[Document],
-                   features: dict[str, Features]) -> float:
+                   features: dict[str, Features], batch_size: int) -> float:
+    """Exact-match share of `docs` (see `exact_match`), scored through the
+    batched forward in chunks of `batch_size` documents."""
     if not docs:
         return float("nan")
-    hits = sum(
-        exact_match(model.predict_features(features[doc.id]), model, doc) for doc in docs
-    )
+    hits = 0
+    for start in range(0, len(docs), batch_size):
+        chunk = docs[start:start + batch_size]
+        scores = model.forward(Batch.of([features[doc.id] for doc in chunk])).doc_scores.data
+        gold = np.stack([_target_for(model, doc) for doc in chunk])
+        if model.config.task_kind == TASK_MULTICLASS:
+            hits += int(np.sum(scores.argmax(axis=1) == gold))
+        else:
+            hits += int(np.sum(np.all((scores > 0) == (gold > 0), axis=1)))
     return hits / len(docs)
 
 
@@ -298,7 +327,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
             lr = adam_step(state, grads, step)
             epoch_loss += loss_value * len(batch)
         epoch_loss /= len(train_docs)
-        dev_metric = evaluate_split(model, dev_docs, features)
+        dev_metric = evaluate_split(model, dev_docs, features, config.batch_size)
         best.metrics.append(
             {"epoch": epoch, "step": step, "lr": lr,
              "train_loss": epoch_loss, "dev_metric": dev_metric}

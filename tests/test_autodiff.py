@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swipe import autodiff as ad
+from swipe.train import grad_check
 
 
 def numeric_grad(fn, arrays, index, h=1e-6):
@@ -117,31 +118,108 @@ def test_sum_mean_axes():
     )
 
 
-def test_max_along_routes_gradient_to_first_argmax():
-    data = np.array([[1.0, 3.0, 3.0], [2.0, 1.0, 0.0]])
+def _ragged_data(rng, n_blocks, n_cols, ties):
+    """Random blocks of 1-5 rows (some of one row); `ties` draws small integers."""
+    counts = rng.integers(1, 6, size=n_blocks)
+    counts[0] = 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    shape = (int(offsets[-1]), n_cols)
+    data = rng.integers(-2, 3, size=shape).astype(float) if ties else rng.normal(size=shape)
+    return data, offsets
+
+
+def _loop_max(data, offsets):
+    """Brute-force per-block max and first maximizing row."""
+    values = np.empty((len(offsets) - 1, data.shape[1]))
+    rows = np.empty(values.shape, dtype=np.int64)
+    for b in range(len(offsets) - 1):
+        for j in range(data.shape[1]):
+            best = offsets[b]
+            for r in range(offsets[b], offsets[b + 1]):
+                if data[r, j] > data[best, j]:
+                    best = r
+            values[b, j], rows[b, j] = data[best, j], best
+    return values, rows
+
+
+def test_ragged_max_matches_loop_oracle_and_routes_ties_to_first_row():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        data, offsets = _ragged_data(rng, int(rng.integers(1, 6)), 3, ties=True)
+        x = ad.Tensor(data, requires_grad=True)
+        out, argmax = ad.ragged_max(x, offsets)
+        values, rows = _loop_max(data, offsets)
+        np.testing.assert_array_equal(out.data, values)
+        np.testing.assert_array_equal(argmax, rows)
+        weights = rng.normal(size=values.shape)
+        ad.sum_along(ad.mul(out, ad.Tensor(weights))).backward()
+        expected = np.zeros_like(data)
+        for b in range(len(offsets) - 1):
+            for j in range(data.shape[1]):
+                expected[rows[b, j], j] = weights[b, j]
+        np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_ragged_max_nan_block_reports_a_row_of_that_block():
+    data = np.array([[1.0], [np.nan], [2.0], [0.0]])
+    out, argmax = ad.ragged_max(ad.Tensor(data), np.array([0, 2, 4]))
+    assert np.isnan(out.data[0, 0]) and out.data[1, 0] == 2.0
+    assert argmax[0, 0] in (0, 1) and argmax[1, 0] == 2
+    one, argmax = ad.ragged_max(ad.Tensor(data[:2]), np.array([0, 2]))
+    assert np.isnan(one.data[0, 0]) and argmax[0, 0] in (0, 1)
+
+
+def test_ragged_sum_matches_loop_oracle():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        data, offsets = _ragged_data(rng, int(rng.integers(1, 6)), 3, ties=False)
+        out = ad.ragged_sum(ad.Tensor(data), offsets)
+        for b in range(len(offsets) - 1):
+            acc = np.zeros(3)
+            for r in range(offsets[b], offsets[b + 1]):
+                acc = acc + data[r]
+            np.testing.assert_allclose(out.data[b], acc, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+@pytest.mark.parametrize("op", ["max", "sum"])
+def test_ragged_pooling_grad_check(op, blocks):
+    rng = np.random.default_rng(7)
+    data, offsets = _ragged_data(rng, blocks, 3, ties=False)
+    if blocks == 1:
+        data, offsets = rng.normal(size=(5, 3)), np.array([0, 5])
     x = ad.Tensor(data, requires_grad=True)
-    out, argmax = ad.max_along(x, axis=1)
-    assert list(argmax) == [1, 0]  # tie at row 0 resolves to the lowest index
-    out.backward(np.array([1.0, 1.0]))
-    expected = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(x.grad, expected)
+    weights = ad.Tensor(rng.normal(size=(blocks, 3)))
+
+    def fn():
+        if op == "max":
+            pooled, argmax = ad.ragged_max(x, offsets)
+            signature = tuple(argmax.ravel().tolist())
+        else:
+            pooled, signature = ad.ragged_sum(x, offsets), None
+        return ad.sum_along(ad.mul(ad.sigmoid(pooled), weights)), signature
+
+    report = grad_check(fn, {"x": x}, tolerance=1e-6)
+    assert report.passed and report.n_checked == data.size, report.failures[:3]
 
 
-def test_max_along_gradient_matches_fd_away_from_ties():
-    rng = np.random.default_rng(3)
-    arr = rng.normal(0, 2, size=(4, 5))
-    check_shapes = [arr.shape]
+@pytest.mark.parametrize("offsets", [[0, 2, 2, 4], [0, 3], [1, 4], [0, 2, 5]])
+def test_ragged_offsets_must_split_every_row_into_non_empty_blocks(offsets):
+    x = ad.Tensor(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="ragged offsets"):
+        ad.ragged_sum(x, np.array(offsets))
+    with pytest.raises(ValueError, match="ragged offsets"):
+        ad.ragged_max(x, np.array(offsets))
 
-    def build(ts):
-        out, _ = ad.max_along(ts[0], axis=1)
-        return ad.sum_along(out)
 
-    tensors = [ad.Tensor(arr, requires_grad=True)]
-    tensors[0].data = arr
-    build(tensors).backward()
-    fd = numeric_grad(lambda: build([ad.Tensor(arr)]).item(), [arr], 0)
-    np.testing.assert_allclose(tensors[0].grad, fd, atol=1e-6)
-    assert check_shapes  # silence linters
+def test_concat_rows_matches_row_copy_loop_and_grad():
+    rng = np.random.default_rng(8)
+    parts = [rng.normal(size=(n, 3)) for n in (2, 1, 4)]
+    out = ad.concat_rows([ad.Tensor(p) for p in parts]).data
+    rows = [row for p in parts for row in p]
+    np.testing.assert_array_equal(out, np.array(rows))
+    check_op(lambda ts: ad.sum_along(ad.mul(ad.concat_rows(ts[:3]), ts[3])),
+             [(2, 3), (1, 3), (4, 3), (7, 3)])
 
 
 def test_take_rows_accumulates_duplicates():
@@ -169,6 +247,8 @@ def test_embedding_bag_mean_forward_and_grad():
     weights = rng.normal(0, 1, size=(2, 4))
     loss = ad.sum_along(ad.mul(ad.embedding_bag_mean(table, ids, offsets), ad.Tensor(weights)))
     loss.backward()
+    assert isinstance(table.grad, ad.RowSparse)
+    assert table.grad.rows.tolist() == [0, 1, 2, 5]  # each touched row once, sorted
     fd = numeric_grad(
         lambda: float(
             (np.ascontiguousarray(
@@ -178,7 +258,33 @@ def test_embedding_bag_mean_forward_and_grad():
         [table_data],
         0,
     )
-    np.testing.assert_allclose(table.grad, fd, atol=1e-6)
+    np.testing.assert_allclose(ad.dense(table.grad), fd, atol=1e-6)
+
+
+def test_embedding_bag_row_sparse_grad_matches_dense_loop():
+    rng = np.random.default_rng(1)
+    table = ad.Tensor(rng.normal(size=(50, 3)), requires_grad=True)
+    ids = rng.integers(0, 50, size=40)
+    offsets = np.array([0, 1, 9, 25, 40])
+    g = rng.normal(size=(4, 3))
+    ad.embedding_bag_mean(table, ids, offsets).backward(g)
+    expected = np.zeros((50, 3))
+    for b in range(4):
+        for i in ids[offsets[b]:offsets[b + 1]]:
+            expected[i] += g[b] / (offsets[b + 1] - offsets[b])
+    np.testing.assert_array_equal(table.grad.rows, np.unique(ids))
+    # summed in another order than the loop: equal up to a few ulps
+    np.testing.assert_allclose(ad.dense(table.grad), expected, rtol=1e-14, atol=1e-16)
+
+
+def test_row_sparse_grads_accumulate_densely():
+    table = ad.Tensor(np.ones((5, 2)), requires_grad=True)
+    twice = ad.add(ad.embedding_bag_mean(table, np.array([1]), np.array([0, 1])),
+                   ad.embedding_bag_mean(table, np.array([1, 3]), np.array([0, 2])))
+    ad.sum_along(twice).backward()
+    expected = np.zeros((5, 2))
+    expected[1], expected[3] = 1.5, 0.5
+    np.testing.assert_array_equal(table.grad, expected)
 
 
 def test_embedding_bag_empty_bag_rejected():
@@ -202,6 +308,28 @@ def test_layer_norm_normalizes():
     np.testing.assert_allclose(out.data.std(axis=-1), 1, atol=1e-3)
 
 
+def _loop_mean(rows_loss, x, gold):
+    return sum(rows_loss(ad.Tensor(row), g).item() for row, g in zip(x, gold)) / len(x)
+
+
+def test_softmax_cross_entropy_batch_is_mean_of_rows():
+    rng = np.random.default_rng(2)
+    x, gold = rng.normal(size=(4, 3)), np.array([0, 2, 2, 1])
+    batched = ad.softmax_cross_entropy(ad.Tensor(x), gold).item()
+    assert batched == pytest.approx(_loop_mean(ad.softmax_cross_entropy, x, gold), rel=1e-14)
+    check_op(lambda ts: ad.softmax_cross_entropy(ts[0], gold), [(4, 3)])
+    with pytest.raises(ValueError):
+        ad.softmax_cross_entropy(ad.Tensor(x), gold[:3])
+
+
+def test_bce_batch_is_mean_of_rows():
+    rng = np.random.default_rng(3)
+    x, t = rng.normal(size=(4, 3)), rng.integers(0, 2, size=(4, 3)).astype(float)
+    batched = ad.bce_with_logits_mean(ad.Tensor(x), t).item()
+    assert batched == pytest.approx(_loop_mean(ad.bce_with_logits_mean, x, t), rel=1e-14)
+    check_op(lambda ts: ad.bce_with_logits_mean(ts[0], t), [(4, 3)])
+
+
 def test_softmax_cross_entropy_values_and_grad():
     loss = ad.softmax_cross_entropy(ad.Tensor([0.0, 0.0]), 0)
     np.testing.assert_allclose(loss.item(), np.log(2))
@@ -218,13 +346,6 @@ def test_bce_with_logits_values_and_grad():
     check_op(
         lambda ts: ad.bce_with_logits_mean(ts[0], np.array([1.0, 0.0, 1.0])),
         [(3,)],
-    )
-
-
-def test_add_n():
-    check_op(
-        lambda ts: ad.sum_along(ad.add_n([ts[0], ts[1], ts[0]])),
-        [(2, 2), (2, 2)],
     )
 
 

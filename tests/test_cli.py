@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -379,6 +380,30 @@ class TestParsing:
         code = run(["predict", "--checkpoint", ckpt, "--corpus", tmp_path / "c.jsonl",
                     "--out", tmp_path / "p.jsonl"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and expected in err
+
+    @pytest.mark.parametrize("key, in_manifest, expected", [
+        ("interaction_layers", False, "tensor manifest does not match architecture"),
+        ("n_buckets", False, "tensor encoder.table has shape (16, 4), expected"),
+        ("n_buckets", True, "truncated tensor encoder.table"),
+    ])
+    def test_checkpoint_claiming_a_huge_model_exits_2_before_allocating(
+            self, tmp_path, capsys, key, in_manifest, expected):
+        """A small checkpoint whose header claims 10**30 layers or buckets is
+        rejected from the header and the file size alone."""
+        ckpt = tmp_path / "m.ckpt"
+        SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4)).save(ckpt)
+        line, tensors = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["config"][key] = 10**30
+        if in_manifest:
+            header["tensors"][0]["shape"][0] = 10**30
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + tensors)
+        start = time.perf_counter()
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", tmp_path / "c.jsonl",
+                    "--out", tmp_path / "p.jsonl"])
+        assert code == 2 and time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and expected in err
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from swipe import autodiff as ad
-from swipe import hashing
+from swipe import encoder, hashing
 from swipe.encoder import (
     HashEncoderParams,
     InteractionParams,
@@ -70,7 +70,7 @@ class TestHashEncoder:
         out = ad.sum_along(ad.embedding_bag_mean(params.table, feats.ids, feats.offsets))
         out.backward()
         assert params.table.grad is not None
-        assert np.any(params.table.grad != 0)
+        assert np.any(ad.dense(params.table.grad) != 0)
 
     def test_empty_segment_list_rejected(self):
         params = HashEncoderParams.create(n_buckets=16, dim=3)
@@ -171,6 +171,22 @@ class TestInteraction:
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):
             InteractionParams.create(num_layers=1, dim=6, n_heads=4)
+
+    @pytest.mark.parametrize("sizes", [[5], [1, 3, 2], [2, 2, 2, 2], [6, 1, 1, 4], [1] * 9])
+    def test_attention_runs_hold_whole_documents_within_the_row_bound(self, monkeypatch, sizes):
+        monkeypatch.setattr(encoder, "ATTENTION_ROWS", 4)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        runs = encoder._attention_runs(offsets)
+        assert runs[0][0] == 0 and runs[-1][1] == offsets[-1]
+        for (_, stop, _), (start, _, _) in zip(runs, runs[1:]):
+            assert stop == start and stop in offsets
+        for start, stop, mask in runs:
+            docs = [b for b in range(len(sizes)) if start <= offsets[b] < stop]
+            assert stop - start <= 4 or len(docs) == 1
+            assert (mask is None) == (len(docs) == 1)
+            if mask is not None:  # 0 exactly where two rows share a document
+                doc = np.repeat(np.arange(len(docs)), [sizes[b] for b in docs])
+                np.testing.assert_array_equal(mask.data == 0, doc[:, None] == doc[None, :])
 
     def test_differentiable_end_to_end(self):
         params = InteractionParams.create(num_layers=1, dim=4, n_heads=2, init_seed=0)

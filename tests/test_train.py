@@ -1,10 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipe import autodiff as ad
+from swipe import encoder
 from swipe.corpus import (
     Corpus,
     Document,
@@ -13,9 +17,16 @@ from swipe.corpus import (
     TASK_MULTILABEL,
 )
 from swipe.encoder import SegmentMatrix
-from swipe.errors import TrainingError, ValidationError
+from swipe.errors import ConfigError, TrainingError, ValidationError
 from swipe.head import Pooling
-from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
+from swipe.model import (
+    ENCODER_HASH,
+    ENCODER_PRECOMPUTED,
+    Batch,
+    ModelConfig,
+    SwipeModel,
+    parameter_shapes,
+)
 from swipe.train import (
     GRAD_CHECK_FLOOR,
     ModelState,
@@ -23,6 +34,8 @@ from swipe.train import (
     adam_step,
     backward_batch,
     doc_loss,
+    evaluate_split,
+    exact_match,
     grad_check,
     learning_rate,
     loss_multiclass,
@@ -160,6 +173,23 @@ class TestAdam:
             model.head.bias.data, before - lr1, rtol=1e-7
         )
 
+    def test_row_sparse_gradient_steps_like_its_dense_form(self):
+        # untouched rows keep decaying their moments, exactly as under a dense zero
+        config = ModelConfig(labels=("a", "b"), n_buckets=8, dim=3)
+        states = [self._state(SwipeModel.create(config), total_steps=10) for _ in range(2)]
+        rng = np.random.default_rng(0)
+        for step, rows in enumerate(([1, 4], [0, 4, 7], [2]), start=1):
+            sparse = ad.RowSparse(np.array(rows), rng.normal(size=(len(rows), 3)), (8, 3))
+            for state, table_grad in zip(states, (sparse, sparse.to_dense())):
+                grads = {k: np.ones_like(t.data) for k, t in state.model.parameters().items()}
+                adam_step(state, {**grads, "encoder.table": table_grad}, step)
+        sparse_state, dense_state = states
+        for name, tensor in sparse_state.model.parameters().items():
+            np.testing.assert_array_equal(tensor.data,
+                                          dense_state.model.parameters()[name].data)
+            np.testing.assert_array_equal(sparse_state.adam_m[name], dense_state.adam_m[name])
+            np.testing.assert_array_equal(sparse_state.adam_v[name], dense_state.adam_v[name])
+
     def test_schedule(self):
         cfg = TrainConfig(base_lr=1.0, epochs=1)
         assert learning_rate(cfg, 0, 10) == 1.0
@@ -218,6 +248,102 @@ class TestGradCheck:
 
     def test_floor_documented(self):
         assert GRAD_CHECK_FLOOR == 1e-3
+
+
+# -- the batched step ----------------------------------------------------------
+
+def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
+    """A small model, its documents with `sizes` segments each, and one
+    (features, target) pair per document."""
+    rng = np.random.default_rng(seed)
+    labels = ("a", "b", "c")
+    config = ModelConfig(
+        labels=labels, task_kind=task, pooling=pooling,
+        truncation=TruncationConfig(strategy="structure"), encoder_mode=encoder_mode,
+        n_buckets=32, dim=4, interaction_layers=layers, n_heads=2, ff_dim=8,
+        max_positions=6 if positions else None, init_seed=seed,
+    )
+    model = SwipeModel.create(config)
+    docs = []
+    for i, m in enumerate(sizes):
+        # a token of its own keeps every segment's bag, and score, distinct
+        units = tuple(" ".join([f"u{i}x{k}"] + [f"w{rng.integers(40)}"
+                                                 for _ in range(rng.integers(1, 5))])
+                      for k in range(m))
+        docs.append(Document(id=f"d{i}", units=units, labels=(labels[i % 3],)))
+    if encoder_mode == ENCODER_PRECOMPUTED:
+        model.attach_vectors({d.id: SegmentMatrix(doc_id=d.id, rows=rng.normal(size=(m, 4)))
+                              for d, m in zip(docs, sizes)})
+    if task == TASK_MULTICLASS:
+        targets = [model.vocab.index(d.labels[0]) for d in docs]
+    else:
+        targets = [rng.integers(0, 2, size=3).astype(float) for _ in docs]
+    return model, docs, [(model.featurize(d), t) for d, t in zip(docs, targets)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    pooling=st.sampled_from(list(Pooling)),
+    layers=st.integers(0, 2),
+    positions=st.booleans(),
+    task=st.sampled_from([TASK_MULTICLASS, TASK_MULTILABEL]),
+    encoder_mode=st.sampled_from([ENCODER_HASH, ENCODER_PRECOMPUTED]),
+    attention_rows=st.sampled_from([4, encoder.ATTENTION_ROWS]),
+)
+def test_batched_step_equals_mean_of_single_document_steps(
+        seed, sizes, pooling, layers, positions, task, encoder_mode, attention_rows):
+    model, _, batch = _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode)
+    with mock.patch.object(encoder, "ATTENTION_ROWS", attention_rows):
+        loss, grads = backward_batch(model, batch)
+    singles = [backward_batch(model, [pair]) for pair in batch]
+    mean_loss = sum(value for value, _ in singles) / len(batch)
+    assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
+    for name, grad in grads.items():
+        expected = sum(ad.dense(g[name]) for _, g in singles) / len(batch)
+        error = np.max(np.abs(ad.dense(grad) - expected))
+        assert error <= 1e-12 * np.max(np.abs(expected)), (name, error)
+    if pooling.is_max:
+        out = model.forward(Batch.of([feats for feats, _ in batch]))
+        for b, (feats, _) in enumerate(batch):
+            single = model.forward(Batch.of([feats])).pool_argmax[0]
+            np.testing.assert_array_equal(out.pool_argmax[b], single)
+
+
+@pytest.mark.parametrize("pooling, attention_rows", [
+    (Pooling.MAX, encoder.ATTENTION_ROWS), (Pooling.SUM, encoder.ATTENTION_ROWS),
+    (Pooling.GATED_MAX, encoder.ATTENTION_ROWS), (Pooling.GATED_SUM, 4),
+])
+def test_grad_check_on_a_ragged_batch(monkeypatch, pooling, attention_rows):
+    # one-, three- and two-segment documents; interaction with positions
+    # under the gated poolings, as acceptance criterion 4 checks one document;
+    # at 4 rows the attention runs over documents {0, 1} and {2}
+    monkeypatch.setattr(encoder, "ATTENTION_ROWS", attention_rows)
+    task = TASK_MULTICLASS if pooling.gated else TASK_MULTILABEL
+    model, _, batch = _ragged_model(3, [1, 3, 2], pooling, layers=2 if pooling.gated else 0,
+                                    positions=pooling.gated, task=task, encoder_mode=ENCODER_HASH)
+    inputs, targets = Batch.of([feats for feats, _ in batch]), [t for _, t in batch]
+    report = grad_check(lambda: doc_loss(model, inputs, targets), model.parameters(),
+                        tolerance=1e-4)
+    assert report.passed and report.n_checked > 0, report.failures[:3]
+
+
+@pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
+def test_evaluate_split_matches_per_document_exact_match(task):
+    for seed in range(4):
+        model, docs, batch = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1, False,
+                                           task, ENCODER_HASH)
+        features = {doc.id: feats for doc, (feats, _) in zip(docs, batch)}
+        share = np.mean([exact_match(model.predict_features(features[d.id]), model, d)
+                         for d in docs])
+        assert evaluate_split(model, docs, features, batch_size=2) == share
+
+
+def test_batch_rejects_mixed_feature_kinds():
+    model, _, batch = _ragged_model(0, [2], Pooling.MAX, 0, False, TASK_MULTICLASS, ENCODER_HASH)
+    with pytest.raises(ConfigError, match="mix"):
+        Batch.of([batch[0][0], SegmentMatrix(doc_id="v", rows=np.ones((1, 4)))])
 
 
 def _toy_corpus():
@@ -338,6 +464,16 @@ class TestCheckpoint:
             '{"base_lr": 0.25, "batch_size": 4, "beta1": 0.9, "beta2": 0.999, '
             '"epochs": 3, "epsilon": 1e-08, "seed": 9}'
         )
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"encoder_mode": ENCODER_PRECOMPUTED},
+        {"interaction_layers": 2, "ff_dim": 6, "max_positions": 5},
+        {"interaction_layers": 1, "n_heads": 4},
+    ])
+    def test_parameter_shapes_match_created_parameters(self, overrides):
+        config = ModelConfig(labels=("a", "b", "c"), n_buckets=8, dim=4, **overrides)
+        created = SwipeModel.create(config).parameters()
+        assert list(parameter_shapes(config)) == [(n, t.shape) for n, t in created.items()]
 
     def test_hash_mode_round_trip(self, tmp_path):
         config = ModelConfig(labels=("a", "b"), task_kind=TASK_MULTICLASS,
