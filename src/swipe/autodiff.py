@@ -19,8 +19,13 @@ Conventions:
   `ragged_sum` pool per document, and both losses take one row of logits
   per document and return the batch mean
 * ops skip tape construction when no input requires grad; the model's
-  parameters always require grad, so `SwipeModel.forward` builds a tape even
-  at prediction time
+  parameters always require grad, so inference builds a tape too, once per
+  chunk of documents (`SwipeModel.predict_many`): a handful of nodes
+* forward values do not depend on how many rows share a call: `linear`
+  reduces with einsum's own loops, not BLAS (whose rounding of a row varies
+  with the row count), and `ragged_sum` always uses `reduceat` (a maximum
+  is exact in any order), so a document scores the same bits alone or
+  inside any batch
 """
 
 from __future__ import annotations
@@ -182,6 +187,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map `x @ w.T + b` of (M, D) rows by an (L, D) weight and (L,) bias.
+
+    Each output row is computed from its input row alone, with the same
+    rounding whatever M is (see the module docstring).
+    """
+
+    def backward(g):
+        return ((x, g @ w.data), (w, g.T @ x.data), (b, g.sum(axis=0)))
+
+    return _make(np.einsum("md,ld->ml", x.data, w.data) + b.data, (x, w, b), backward)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
     axes = tuple(axes) if axes is not None else tuple(reversed(range(a.data.ndim)))
     inverse = tuple(np.argsort(axes))
@@ -279,10 +297,7 @@ def ragged_max(a: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
 def ragged_sum(a: Tensor, offsets: np.ndarray) -> Tensor:
     """Sum over each block of rows; block b spans rows offsets[b]:offsets[b+1]."""
     starts, counts = _blocks(offsets, a.data.shape[0])
-    if len(starts) == 1:  # one document, as in prediction: a plain column sum
-        values = a.data.sum(axis=0, keepdims=True)
-    else:
-        values = np.add.reduceat(a.data, starts, axis=0)
+    values = np.add.reduceat(a.data, starts, axis=0)
 
     def backward(g):
         return ((a, np.repeat(g, counts, axis=0)),)

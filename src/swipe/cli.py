@@ -23,12 +23,12 @@ from swipe.config import (
     TrainConfig,
     TruncationConfig,
 )
-from swipe.encoder import featurize_segments, load_precomputed
+from swipe.encoder import load_precomputed
 from swipe.errors import ConfigError, SwipeError
 from swipe.head import Pooling
 from swipe.model import SwipeModel
 from swipe.train import train, write_metrics_csv
-from swipe.truncate import truncate
+from swipe.truncate import truncate  # noqa: F401  (perfbench/layers.py traces swipe.cli.truncate)
 
 
 def _numbers(text: str, kind, flag: str, skip_blank: bool = False) -> list:
@@ -197,8 +197,7 @@ def cmd_predict(args) -> int:
     model = _load_model_inputs(args)
     documents = corpus_mod.load_documents(args.corpus)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for doc in documents:
-            pred = model.predict(doc)
+        for _, _, pred in model.predict_many(documents):
             fh.write(json.dumps(pred.to_record(model.vocab.names)) + "\n")
     print(f"wrote predictions for {len(documents)} documents to {args.out}")
     return 0
@@ -208,16 +207,11 @@ def cmd_explain(args) -> int:
     model = _load_model_inputs(args)
     documents = corpus_mod.load_documents(args.corpus)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for doc in documents:
-            if model.config.encoder_mode == ENCODER_HASH:
-                segments = truncate(doc, model.config.truncation)
-                pred = model.predict_features(featurize_segments(segments, model.encoder))
-                record = pred.to_record(model.vocab.names)
+        for _, segments, pred in model.predict_many(documents):
+            record = pred.to_record(model.vocab.names)
+            if segments is not None:  # hashed text; precomputed vectors carry none
                 for entry in record["per_label"]:
-                    key = entry["key_segment"]
-                    entry["key_segment_text"] = " ".join(segments[key].tokens)
-            else:
-                record = model.predict(doc).to_record(model.vocab.names)
+                    entry["key_segment_text"] = " ".join(segments[entry["key_segment"]].tokens)
             fh.write(json.dumps(record) + "\n")
     print(f"wrote explanations for {len(documents)} documents to {args.out}")
     return 0
@@ -226,7 +220,8 @@ def cmd_explain(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_model_inputs(args)
     loaded = corpus_mod.load_jsonl(args.corpus, model.config.task_kind)
-    predictions = {doc.id: model.predict(doc) for doc in loaded.split_docs(args.split)}
+    docs = loaded.split_docs(args.split)
+    predictions = {doc.id: pred for doc, _, pred in model.predict_many(docs)}
     report = eval_mod.classification_eval(predictions, loaded, model, split=args.split)
     if args.keymap:
         key_map = corpus_mod.load_key_map(args.keymap)

@@ -19,13 +19,12 @@ import numpy as np
 
 from swipe.config import ENCODER_HASH, ModelConfig, TrainConfig, TruncationConfig
 from swipe.corpus import Corpus, Document, KeyMap, LabelVocab, TASK_MULTICLASS
-from swipe.encoder import featurize_segments
 from swipe.errors import ValidationError
 from swipe.hashing import derive_seed
 from swipe.head import Pooling, Prediction
 from swipe.model import SwipeModel
 from swipe.train import backward_batch, exact_match, train
-from swipe.truncate import Segment, truncate
+from swipe.truncate import Segment
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -200,7 +199,8 @@ def _probe_score(
         seed=derive_seed("probe-train", seed),
     ))
     test_docs = corpus.split_docs("test")
-    hits = sum(exact_match(probe_model.predict(d), probe_model, d) for d in test_docs)
+    hits = sum(exact_match(pred, probe_model, doc)
+               for doc, _, pred in probe_model.predict_many(test_docs))
     return hits / len(test_docs) if test_docs else float("nan")
 
 
@@ -260,9 +260,7 @@ def sufficiency_test(
             "full_text": {"train": [], "test": []},
         }
         for split in ("train", "test"):
-            for doc in corpus.split_docs(split):
-                segments = truncate(doc, trunc)
-                pred = model.predict_features(featurize_segments(segments, model.encoder))
+            for doc, segments, pred in model.predict_many(corpus.split_docs(split), trunc):
                 explained = explanation_segment_indices(pred, model.config.task_kind)
                 random_k = int(rng.integers(0, len(segments)))
                 samples["swipe"][split].append(

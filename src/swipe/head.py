@@ -92,13 +92,13 @@ def _check_dims(h: int, params: SwipeParams) -> None:
 def scores_tensor(x: ad.Tensor, params: SwipeParams) -> ad.Tensor:
     """Differentiable per-segment scores, shape (m, L)."""
     _check_dims(x.shape[1], params)
-    return ad.add(ad.matmul(x, ad.transpose(params.weight)), params.bias)
+    return ad.linear(x, params.weight, params.bias)
 
 
 def gates_tensor(x: ad.Tensor, params: SwipeParams) -> ad.Tensor:
     """Differentiable per-segment gates in (0, 1), shape (m, L)."""
     _check_dims(x.shape[1], params)
-    return ad.sigmoid(ad.add(ad.matmul(x, ad.transpose(params.gate_weight)), params.gate_bias))
+    return ad.sigmoid(ad.linear(x, params.gate_weight, params.gate_bias))
 
 
 def pool_tensor(
@@ -156,8 +156,8 @@ class Prediction:
                     "y": float(self.scores[i]),
                     "bit": int(self.bits[i]),
                     "key_segment": int(self.key_segments[i]),
-                    "positive_segments": [int(k) for k in np.flatnonzero(self.seg_bits[i])],
-                    "segment_scores": [float(v) for v in self.seg_scores[i]],
+                    "positive_segments": np.flatnonzero(self.seg_bits[i]).tolist(),
+                    "segment_scores": self.seg_scores[i].tolist(),
                 }
             )
         predicted = (

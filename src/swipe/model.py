@@ -17,17 +17,24 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from swipe import autodiff as ad
-from swipe.config import ENCODER_HASH, ENCODER_PRECOMPUTED, ModelConfig, TrainConfig
+from swipe.config import (
+    ENCODER_HASH,
+    ENCODER_PRECOMPUTED,
+    ModelConfig,
+    TrainConfig,
+    TruncationConfig,
+)
 from swipe.corpus import Document, LabelVocab
 from swipe.encoder import (
     HashEncoderParams,
+    InteractionLayer,
     InteractionParams,
     SegmentFeatures,
     SegmentMatrix,
@@ -36,7 +43,7 @@ from swipe.encoder import (
     interact_tensor,
 )
 from swipe.errors import ConfigError, FormatError, SwipeError
-from swipe.hashing import derive_seed
+from swipe.hashing import derive_seed, ngram_counts
 from swipe.head import (
     Prediction,
     SwipeParams,
@@ -45,13 +52,22 @@ from swipe.head import (
     pool_tensor,
     scores_tensor,
 )
-from swipe.truncate import truncate
+from swipe.truncate import Segment, truncate
 
 HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
 
 #: Cacheable forward input of one document: hashed n-gram ids (hash encoder)
 #: or its frozen segment vectors (precomputed encoder).
 Features = SegmentFeatures | SegmentMatrix
+
+#: Byte budget of one inference chunk's two largest temporaries: the
+#: embedding gather (n-grams x dim x 8 bytes; with precomputed vectors, the
+#: stacked segment rows) and the hashing byte matrix (tokens x bytes of the
+#: chunk's widest token, counted as 4 bytes per character, UTF-8's most, so
+#: no token is encoded twice). A chunk closes before a document would take it
+#: past the budget; a document over budget on its own runs in a chunk of its
+#: own.
+CHUNK_BYTES = 1 << 20
 
 #: Per-layer interaction parameters, in checkpoint order.
 LAYER_PARAMS = ("wq", "wk", "wv", "wo", "ff_in", "ff_out",
@@ -214,14 +230,17 @@ class SwipeModel:
 
     def featurize(self, doc: Document) -> Features:
         if self.config.encoder_mode == ENCODER_PRECOMPUTED:
-            if self.precomputed is None or doc.id not in self.precomputed:
-                raise KeyError(f"no precomputed vectors for document {doc.id!r}")
-            return self.precomputed[doc.id]
+            return self._vectors(doc)
         return featurize_segments(truncate(doc, self.config.truncation), self.encoder)
 
+    def _vectors(self, doc: Document) -> SegmentMatrix:
+        if self.precomputed is None or doc.id not in self.precomputed:
+            raise KeyError(f"no precomputed vectors for document {doc.id!r}")
+        return self.precomputed[doc.id]
+
     def forward(self, batch: Batch) -> ForwardOut:
-        """One pass over a ragged batch: every segment scored by one matmul,
-        pooled per document."""
+        """One pass over a ragged batch: every segment scored by one
+        `ad.linear`, pooled per document."""
         if isinstance(batch.inputs, SegmentFeatures):
             x = encode_features(batch.inputs, self.encoder)
         else:
@@ -234,20 +253,87 @@ class SwipeModel:
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores,
                           gates=gates, pool_argmax=argmax)
 
+    def _predictions(self, batch: Batch, doc_ids: Sequence[str]) -> list[Prediction]:
+        """One forward over `batch`, sliced into one prediction per document."""
+        out = self.forward(batch)
+        bounds = batch.offsets.tolist()
+        gates = None if out.gates is None else out.gates.data
+        return [
+            build_prediction(
+                doc_id=doc_id,
+                strategy=self.config.pooling,
+                doc_scores=out.doc_scores.data[b],
+                seg_scores=out.seg_scores.data[bounds[b]:bounds[b + 1]].T,
+                gates=None if gates is None else gates[bounds[b]:bounds[b + 1]].T,
+                task_kind=self.config.task_kind,
+            )
+            for b, doc_id in enumerate(doc_ids)
+        ]
+
     def predict_features(self, feats: Features) -> Prediction:
-        """Predict one document: the forward pass over a batch of one."""
-        out = self.forward(Batch.of([feats]))
-        return build_prediction(
-            doc_id=feats.doc_id,
-            strategy=self.config.pooling,
-            doc_scores=out.doc_scores.data[0],
-            seg_scores=out.seg_scores.data.T,
-            gates=out.gates.data.T if out.gates is not None else None,
-            task_kind=self.config.task_kind,
-        )
+        """Predict one document from its features: a batch of one."""
+        return self._predictions(Batch.of([feats]), [feats.doc_id])[0]
 
     def predict(self, doc: Document) -> Prediction:
-        return self.predict_features(self.featurize(doc))
+        """Predict one document: a chunk of one (see `predict_many`)."""
+        segments = truncate(doc, self.config.truncation) if self.encoder is not None else None
+        return next(self._predict_chunk([(doc, segments)]))[2]
+
+    def predict_many(
+        self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
+    ) -> Iterator[tuple[Document, list[Segment] | None, Prediction]]:
+        """Predict documents chunk by chunk; yields (doc, segments, prediction)
+        in input order.
+
+        Each document is truncated once, by `truncation` (default: the
+        model's own); `segments` is None with precomputed vectors. A chunk's
+        segments are hashed in one `featurize_segments` call and scored by
+        one `forward`. A chunk closes before it would exceed `CHUNK_BYTES`,
+        and with interaction layers, whose attention mixes rows across
+        documents, every document is a chunk of its own. A document's
+        prediction is bit for bit the same whichever documents share its chunk.
+        """
+        trunc = self.config.truncation if truncation is None else truncation
+        chunk: list[tuple[Document, list[Segment] | None]] = []
+        rows = tokens = width = 0  # the chunk's encoder rows, tokens, widest token
+        for doc in docs:
+            segments = truncate(doc, trunc) if self.encoder is not None else None
+            if self.interaction is not None:
+                yield from self._predict_chunk([(doc, segments)])
+                continue
+            doc_rows, doc_tokens, doc_width = self._chunk_size(doc, segments)
+            if chunk and ((rows + doc_rows) * self.config.dim * 8
+                          + (tokens + doc_tokens) * max(width, doc_width) > CHUNK_BYTES):
+                yield from self._predict_chunk(chunk)
+                chunk, rows, tokens, width = [], 0, 0, 0
+            chunk.append((doc, segments))
+            rows, tokens, width = rows + doc_rows, tokens + doc_tokens, max(width, doc_width)
+        if chunk:
+            yield from self._predict_chunk(chunk)
+
+    def _chunk_size(self, doc: Document,
+                    segments: list[Segment] | None) -> tuple[int, int, int]:
+        """(encoder rows gathered, tokens hashed, most bytes a token can take)."""
+        if segments is None:
+            return self._vectors(doc).m, 0, 0
+        lengths = [len(seg.tokens) for seg in segments]
+        tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
+        return (int(ngram_counts(lengths, self.encoder.ngram_orders).sum()), sum(lengths),
+                4 * max(map(len, tokens)))
+
+    def _predict_chunk(self, chunk: list[tuple[Document, list[Segment] | None]]):
+        if chunk[0][1] is None:
+            batch = Batch.of([self._vectors(doc) for doc, _ in chunk])
+        else:
+            counts = [len(segments) for _, segments in chunk]
+            batch = Batch(
+                featurize_segments([seg for _, segments in chunk for seg in segments],
+                                   self.encoder),
+                np.concatenate(([0], np.cumsum(counts))),
+            )
+        preds = self._predictions(batch, [doc.id for doc, _ in chunk])
+        for (doc, segments), pred in zip(chunk, preds):
+            yield doc, segments, pred
 
     # -- checkpoint container ------------------------------------------------
 
@@ -268,24 +354,55 @@ class SwipeModel:
                 fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
     @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SwipeModel":
+        """A model whose parameters are `arrays`, not copied, named and shaped
+        as `parameter_shapes(config)` lists them."""
+        t = {name: ad.Tensor(array, requires_grad=True) for name, array in arrays.items()}
+        encoder = None
+        if config.encoder_mode == ENCODER_HASH:
+            encoder = HashEncoderParams(table=t["encoder.table"], n_buckets=config.n_buckets,
+                                        ngram_orders=tuple(config.ngram_orders),
+                                        hash_seed=config.hash_seed)
+        interaction = None
+        if config.interaction_layers > 0:
+            interaction = InteractionParams(
+                layers=[InteractionLayer(**{name: t[f"interaction.{i}.{name}"]
+                                            for name in LAYER_PARAMS})
+                        for i in range(config.interaction_layers)],
+                n_heads=config.n_heads,
+                dim=config.dim,
+                positions=t.get("interaction.positions"),
+                final_gain=t["interaction.final_gain"],
+                final_bias=t["interaction.final_bias"],
+            )
+        head = SwipeParams(weight=t["head.weight"], bias=t["head.bias"],
+                           gate_weight=t["head.gate_weight"], gate_bias=t["head.gate_bias"])
+        return cls(config=config, encoder=encoder, interaction=interaction, head=head)
+
+    @classmethod
     def load(cls, path) -> "SwipeModel":
         """Read a checkpoint; the header and the payload size are checked in
-        full before any parameter is allocated."""
+        full before any parameter is allocated, and each tensor is read
+        straight into its array."""
         path = Path(path)
         with path.open("rb") as fh:
             try:
                 config, train_config, manifest = _read_header(fh.readline())
                 _check_manifest(config, manifest, os.fstat(fh.fileno()).st_size - fh.tell())
+                arrays = {name: _read_tensor(fh, name, shape) for name, shape in manifest}
             except FormatError as exc:
                 raise FormatError(f"{path}: {exc}") from exc
-            model = cls.create(config)
-            model.train_config = train_config
-            for tensor, (_, shape) in zip(model.parameters().values(), manifest):
-                buf = fh.read(math.prod(shape) * 8)
-                tensor.data = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(
-                    np.float64, copy=True
-                )
+        model = cls.from_arrays(config, arrays)
+        model.train_config = train_config
         return model
+
+
+def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The next little-endian float64 tensor of `fh`, read into a new array."""
+    out = np.empty(shape, dtype="<f8")
+    if fh.readinto(out) != out.nbytes:
+        raise FormatError(f"truncated tensor {name}")
+    return out.astype(np.float64, copy=False)
 
 
 def _check_manifest(config: ModelConfig, manifest: list[tuple[str, tuple[int, ...]]],

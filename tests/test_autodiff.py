@@ -76,6 +76,43 @@ def test_matmul_shape_mismatch():
         ad.matmul(a, b)
 
 
+def test_linear_matches_loop_oracle():
+    rng = np.random.default_rng(2)
+    x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
+    out = ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+    expected = np.zeros((5, 4))
+    for m in range(5):
+        for label in range(4):
+            acc = b[label]
+            for d in range(3):
+                acc += x[m, d] * w[label, d]
+            expected[m, label] = acc
+    np.testing.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-14)
+
+
+def test_linear_grad_check():
+    rng = np.random.default_rng(3)
+    params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
+              for name, shape in (("x", (6, 4)), ("w", (3, 4)), ("b", (3,)))}
+    weights = ad.Tensor(rng.normal(size=(6, 3)))
+
+    def fn():
+        out = ad.linear(params["x"], params["w"], params["b"])
+        return ad.sum_along(ad.mul(ad.sigmoid(out), weights)), None
+
+    report = grad_check(fn, params, tolerance=1e-6)
+    assert report.passed and report.n_checked == 24 + 12 + 3, report.failures[:3]
+
+
+def test_linear_rows_do_not_depend_on_the_row_count():
+    rng = np.random.default_rng(4)
+    x, w, b = rng.normal(size=(300, 32)), rng.normal(size=(4, 32)), rng.normal(size=4)
+    full = ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
+    for start, stop in ((0, 1), (7, 8), (5, 42), (100, 299), (0, 300)):
+        part = ad.linear(ad.Tensor(x[start:stop]), ad.Tensor(w), ad.Tensor(b)).data
+        assert part.tobytes() == full[start:stop].tobytes(), (start, stop)
+
+
 def test_transpose_reshape():
     check_op(
         lambda ts: ad.sum_along(
@@ -179,6 +216,22 @@ def test_ragged_sum_matches_loop_oracle():
             for r in range(offsets[b], offsets[b + 1]):
                 acc = acc + data[r]
             np.testing.assert_allclose(out.data[b], acc, rtol=1e-15, atol=1e-15)
+
+
+def test_ragged_pools_give_each_block_the_bits_it_gets_alone():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        data, offsets = _ragged_data(rng, int(rng.integers(2, 6)), 3, ties=False)
+        data = data * 10.0 ** rng.integers(-3, 4, size=data.shape)  # rounding differs by order
+        sums = ad.ragged_sum(ad.Tensor(data), offsets).data
+        maxes, argmax = ad.ragged_max(ad.Tensor(data), offsets)
+        for b in range(len(offsets) - 1):
+            block = data[offsets[b]:offsets[b + 1]]
+            alone = np.array([0, len(block)])
+            assert ad.ragged_sum(ad.Tensor(block), alone).data[0].tobytes() == sums[b].tobytes()
+            one, one_argmax = ad.ragged_max(ad.Tensor(block), alone)
+            np.testing.assert_array_equal(one.data[0], maxes.data[b])
+            np.testing.assert_array_equal(one_argmax[0] + offsets[b], argmax[b])
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
