@@ -19,13 +19,8 @@ from swipe.corpus import (
     split_corpus,
     write_jsonl,
 )
-from swipe.encoder import (
-    HashEncoderParams,
-    InteractionParams,
-    SegmentMatrix,
-    load_precomputed,
-)
-from swipe.head import Pooling, Prediction, SwipeParams
+from swipe.encoder import SegmentMatrix, load_precomputed
+from swipe.head import Pooling, Prediction
 from swipe.model import SwipeModel
 from swipe.train import grad_check, loss_multiclass, loss_multilabel, train
 from swipe.truncate import Segment, tokenize, truncate
@@ -33,8 +28,6 @@ from swipe.truncate import Segment, tokenize, truncate
 __all__ = [
     "Corpus",
     "Document",
-    "HashEncoderParams",
-    "InteractionParams",
     "LabelVocab",
     "ModelConfig",
     "Pooling",
@@ -42,7 +35,6 @@ __all__ = [
     "Segment",
     "SegmentMatrix",
     "SwipeModel",
-    "SwipeParams",
     "SyntheticSpec",
     "TrainConfig",
     "TruncationConfig",

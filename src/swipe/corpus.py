@@ -127,6 +127,20 @@ def build_vocab(documents, task_kind: str) -> LabelVocab:
     return LabelVocab(names=tuple(names), task_kind=task_kind)
 
 
+def _utf8_string(value) -> bool:
+    """A string UTF-8 can encode: one that holds no lone surrogate, such as
+    JSON's "\\ud800". Only non-ASCII strings are encoded to find out."""
+    if not isinstance(value, str):
+        return False
+    if value.isascii():
+        return True
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_documents(path) -> list[Document]:
     """Parse JSONL documents without building a vocabulary (prediction input)."""
     path = Path(path)
@@ -148,13 +162,18 @@ def load_documents(path) -> list[Document]:
                 raise ParseError(
                     f"{path}:{lineno}: 'text' must be a string, 'units' and 'labels' arrays"
                 )
+            if not all(map(_utf8_string, [text, *(units or ()), *labels])):
+                raise ParseError(
+                    f"{path}:{lineno}: 'text', 'units' and 'labels' must hold strings "
+                    "that UTF-8 can encode (no lone surrogates)"
+                )
             try:
                 documents.append(
                     Document(
                         id=str(raw["id"]),
                         text=text,
-                        units=tuple(str(u) for u in units) if units is not None else None,
-                        labels=tuple(str(x) for x in labels),
+                        units=tuple(units) if units is not None else None,
+                        labels=tuple(labels),
                         split=raw.get("split"),
                     )
                 )

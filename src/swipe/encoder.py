@@ -3,11 +3,14 @@
 Two sources of segment vectors:
 
 * a trainable hashed n-gram mean-embedding encoder (the built-in default),
+  whose table is the model parameter "encoder.table",
 * a loader for externally precomputed vectors (frozen, no gradient).
 
 Plus optional pre-norm transformer layers that let the per-segment rows
-interact before scoring. Positional embeddings are off by default so the
-whole pipeline stays permutation equivariant.
+interact before scoring, over the "interaction.*" parameters. Positional
+embeddings are off by default so the whole pipeline stays permutation
+equivariant. The functions here take the model's parameter dict, named as
+`model.parameter_shapes` lists them, and the `ModelConfig` it was built from.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from swipe import autodiff as ad
 from swipe import hashing
+from swipe.config import ModelConfig
 from swipe.errors import ConfigError, FormatError
 from swipe.truncate import Segment
 
@@ -48,35 +52,6 @@ class SegmentMatrix:
         return self.rows.shape[1]
 
 
-@dataclass
-class HashEncoderParams:
-    """Trainable hashed n-gram encoder: B x h embedding table."""
-
-    table: ad.Tensor
-    n_buckets: int
-    ngram_orders: tuple[int, ...] = (1, 2)
-    hash_seed: int = 0
-
-    @classmethod
-    def create(
-        cls,
-        n_buckets: int,
-        dim: int,
-        ngram_orders: tuple[int, ...] = (1, 2),
-        hash_seed: int = 0,
-        init_seed: int = 0,
-    ) -> "HashEncoderParams":
-        if n_buckets < 1 or dim < 1:
-            raise ConfigError(f"n_buckets and dim must be >= 1, got {n_buckets}, {dim}")
-        rng = np.random.default_rng(init_seed)
-        table = ad.Tensor(
-            rng.normal(0.0, 1.0 / np.sqrt(dim), size=(n_buckets, dim)),
-            requires_grad=True,
-        )
-        return cls(table=table, n_buckets=n_buckets, ngram_orders=tuple(ngram_orders),
-                   hash_seed=hash_seed)
-
-
 @dataclass(frozen=True)
 class SegmentFeatures:
     """Hashed n-gram ids for one document, bagged per segment."""
@@ -90,16 +65,17 @@ class SegmentFeatures:
         return len(self.offsets) - 1
 
 
-def featurize_segments(segments: list[Segment], params: HashEncoderParams) -> SegmentFeatures:
-    """Hash every segment's n-grams in one kernel call per document."""
+def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentFeatures:
+    """Hash every segment's n-grams in one kernel call, with `config`'s
+    `n_buckets`, `ngram_orders` and `hash_seed`."""
     if not segments:
         raise ConfigError("featurize_segments: no segments")
     lengths = np.asarray([len(seg.tokens) for seg in segments], dtype=np.int64)
     ids = hashing.ngram_bucket_ids(
-        [tok for seg in segments for tok in seg.tokens], params.n_buckets,
-        params.ngram_orders, params.hash_seed, lengths=lengths,
+        [tok for seg in segments for tok in seg.tokens], config.n_buckets,
+        config.ngram_orders, config.hash_seed, lengths=lengths,
     )
-    counts = hashing.ngram_counts(lengths, params.ngram_orders).sum(axis=1)
+    counts = hashing.ngram_counts(lengths, config.ngram_orders).sum(axis=1)
     return SegmentFeatures(
         doc_id=segments[0].doc_id,
         ids=ids,
@@ -107,9 +83,9 @@ def featurize_segments(segments: list[Segment], params: HashEncoderParams) -> Se
     )
 
 
-def encode_features(feats: SegmentFeatures, params: HashEncoderParams) -> ad.Tensor:
-    """Differentiable encode: row k = mean of table rows hit by segment k."""
-    return ad.embedding_bag_mean(params.table, feats.ids, feats.offsets)
+def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:
+    """Differentiable encode: row k = mean of the "encoder.table" rows hit by segment k."""
+    return ad.embedding_bag_mean(params["encoder.table"], feats.ids, feats.offsets)
 
 
 def load_precomputed(path) -> dict[str, SegmentMatrix]:
@@ -164,7 +140,7 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
 
 
 def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
-    """Inverse of `load_precomputed` (fixture/productions helper)."""
+    """Write `matrices` in the format `load_precomputed` reads."""
     path = Path(path)
     items = list(matrices.values())
     if not items:
@@ -175,102 +151,25 @@ def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
             fh.write(json.dumps({"doc_id": mat.doc_id, "vectors": mat.rows.tolist()}) + "\n")
 
 
-@dataclass
-class InteractionLayer:
-    """One pre-norm transformer encoder layer (no biases on projections)."""
-
-    wq: ad.Tensor
-    wk: ad.Tensor
-    wv: ad.Tensor
-    wo: ad.Tensor
-    ff_in: ad.Tensor
-    ff_out: ad.Tensor
-    ln1_gain: ad.Tensor
-    ln1_bias: ad.Tensor
-    ln2_gain: ad.Tensor
-    ln2_bias: ad.Tensor
-
-
-@dataclass
-class InteractionParams:
-    """Stack of self-attention layers letting segment vectors interact.
-
-    A final layer norm caps the residual-stream magnitude; without it the
-    downstream sigmoid gates saturate irrecoverably during training.
-    """
-
-    layers: list[InteractionLayer]
-    n_heads: int
-    dim: int
-    positions: ad.Tensor | None = None  # max_m x dim table, optional
-    final_gain: ad.Tensor | None = None  # present iff layers exist
-    final_bias: ad.Tensor | None = None
-
-    @classmethod
-    def create(
-        cls,
-        num_layers: int,
-        dim: int,
-        n_heads: int = 2,
-        ff_dim: int | None = None,
-        max_positions: int | None = None,
-        init_seed: int = 0,
-    ) -> "InteractionParams":
-        if num_layers < 0:
-            raise ConfigError(f"num_layers must be >= 0, got {num_layers}")
-        if n_heads < 1 or dim % n_heads != 0:
-            raise ConfigError(f"dim {dim} must divide evenly over {n_heads} heads")
-        ff_dim = 4 * dim if ff_dim is None else ff_dim
-        rng = np.random.default_rng(init_seed)
-
-        def w(rows, cols):
-            return ad.Tensor(rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols)),
-                             requires_grad=True)
-
-        layers = []
-        for _ in range(num_layers):
-            layers.append(
-                InteractionLayer(
-                    wq=w(dim, dim), wk=w(dim, dim), wv=w(dim, dim), wo=w(dim, dim),
-                    ff_in=w(dim, ff_dim), ff_out=w(ff_dim, dim),
-                    ln1_gain=ad.Tensor(np.ones(dim), requires_grad=True),
-                    ln1_bias=ad.Tensor(np.zeros(dim), requires_grad=True),
-                    ln2_gain=ad.Tensor(np.ones(dim), requires_grad=True),
-                    ln2_bias=ad.Tensor(np.zeros(dim), requires_grad=True),
-                )
-            )
-        positions = None
-        if max_positions is not None:
-            positions = ad.Tensor(
-                rng.normal(0.0, 1.0 / np.sqrt(dim), size=(max_positions, dim)),
-                requires_grad=True,
-            )
-        final_gain = final_bias = None
-        if num_layers > 0:
-            final_gain = ad.Tensor(np.ones(dim), requires_grad=True)
-            final_bias = ad.Tensor(np.zeros(dim), requires_grad=True)
-        return cls(layers=layers, n_heads=n_heads, dim=dim, positions=positions,
-                   final_gain=final_gain, final_bias=final_bias)
-
-
-def _attention(x: ad.Tensor, layer: InteractionLayer, n_heads: int,
+def _attention(x: ad.Tensor, params: dict[str, ad.Tensor], layer: str, n_heads: int,
                mask: ad.Tensor | None) -> ad.Tensor:
+    """Multi-head self-attention of the layer whose parameters are named `layer` + "wq" etc."""
     m, dim = x.shape
     head_dim = dim // n_heads
 
     def split_heads(t: ad.Tensor) -> ad.Tensor:
         return ad.transpose(ad.reshape(t, (m, n_heads, head_dim)), (1, 0, 2))
 
-    q = split_heads(ad.matmul(x, layer.wq))
-    k = split_heads(ad.matmul(x, layer.wk))
-    v = split_heads(ad.matmul(x, layer.wv))
+    q = split_heads(ad.matmul(x, params[layer + "wq"]))
+    k = split_heads(ad.matmul(x, params[layer + "wk"]))
+    v = split_heads(ad.matmul(x, params[layer + "wv"]))
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
     if mask is not None:
         scores = ad.add(scores, mask)
     attn = ad.softmax(scores, axis=-1)
     ctx = ad.matmul(attn, v)  # heads x m x head_dim
     merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (m, dim))
-    return ad.matmul(merged, layer.wo)
+    return ad.matmul(merged, params[layer + "wo"])
 
 
 #: Most segments one attention call takes. A batch with more is split into
@@ -302,9 +201,12 @@ def _attention_runs(offsets: np.ndarray) -> list[tuple[int, int, ad.Tensor | Non
     return runs
 
 
-def interact_tensor(x: ad.Tensor, params: InteractionParams,
+def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,
                     offsets: np.ndarray | None = None) -> ad.Tensor:
-    """Differentiable interaction stack; identity when num_layers == 0.
+    """Differentiable stack of `config.interaction_layers` pre-norm layers
+    (parameters "interaction.<i>.<name>"), then a final layer norm that caps
+    the residual-stream magnitude (without it the downstream sigmoid gates
+    saturate irrecoverably during training); identity with no layers.
 
     Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1];
     None means one document) attend only within their own document, through
@@ -312,35 +214,37 @@ def interact_tensor(x: ad.Tensor, params: InteractionParams,
     rows by their index within the document. Every other op is row-wise.
     """
     m, dim = x.shape
-    if dim != params.dim:
-        raise ConfigError(f"interaction dim {params.dim} != input dim {dim}")
+    if dim != config.dim:
+        raise ConfigError(f"interaction dim {config.dim} != input dim {dim}")
     if offsets is None:
         offsets = np.array([0, m])
     counts = offsets[1:] - offsets[:-1]
-    if params.positions is not None:
+    positions = params.get("interaction.positions")
+    if positions is not None:
         longest = int(counts.max())
-        if longest > params.positions.shape[0]:
+        if longest > positions.shape[0]:
             raise ConfigError(
                 f"document has {longest} segments but positional table holds "
-                f"{params.positions.shape[0]}"
+                f"{positions.shape[0]}"
             )
         within = np.arange(m) - np.repeat(offsets[:-1], counts)
-        x = ad.add(x, ad.take_rows(params.positions, within))
+        x = ad.add(x, ad.take_rows(positions, within))
     runs = _attention_runs(offsets)
-    for layer in params.layers:
-        attn_in = ad.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
+    for i in range(config.interaction_layers):
+        layer = f"interaction.{i}."
+        attn_in = ad.layer_norm(x, params[layer + "ln1_gain"], params[layer + "ln1_bias"])
         if len(runs) == 1:
-            attn = _attention(attn_in, layer, params.n_heads, runs[0][2])
+            attn = _attention(attn_in, params, layer, config.n_heads, runs[0][2])
         else:
             attn = ad.concat_rows([
-                _attention(ad.take_rows(attn_in, np.arange(start, stop)), layer,
-                           params.n_heads, mask)
+                _attention(ad.take_rows(attn_in, np.arange(start, stop)), params, layer,
+                           config.n_heads, mask)
                 for start, stop, mask in runs
             ])
         x = ad.add(x, attn)
-        ff_in = ad.layer_norm(x, layer.ln2_gain, layer.ln2_bias)
-        hidden = ad.relu(ad.matmul(ff_in, layer.ff_in))
-        x = ad.add(x, ad.matmul(hidden, layer.ff_out))
-    if params.layers:
-        x = ad.layer_norm(x, params.final_gain, params.final_bias)
+        ff_in = ad.layer_norm(x, params[layer + "ln2_gain"], params[layer + "ln2_bias"])
+        hidden = ad.relu(ad.matmul(ff_in, params[layer + "ff_in"]))
+        x = ad.add(x, ad.matmul(hidden, params[layer + "ff_out"]))
+    if config.interaction_layers:
+        x = ad.layer_norm(x, params["interaction.final_gain"], params["interaction.final_bias"])
     return x

@@ -132,7 +132,7 @@ def classification_eval(
     docs = corpus.split_docs(split)
     if not docs:
         raise ValidationError(f"split {split!r} is empty")
-    acc = float(np.mean([exact_match(preds[d.id], model, d) for d in docs]))
+    acc = float(np.mean(exact_match(model, docs, np.stack([preds[d.id].scores for d in docs]))))
     pred_bits = np.stack([preds[d.id].bits for d in docs])
     gold_bits = np.stack([model.vocab.bits(d.labels) for d in docs])
     report = confusion_report(pred_bits, gold_bits, model.vocab.names)
@@ -199,9 +199,10 @@ def _probe_score(
         seed=derive_seed("probe-train", seed),
     ))
     test_docs = corpus.split_docs("test")
-    hits = sum(exact_match(pred, probe_model, doc)
-               for doc, _, pred in probe_model.predict_many(test_docs))
-    return hits / len(test_docs) if test_docs else float("nan")
+    if not test_docs:
+        return float("nan")
+    scores = np.stack([pred.scores for _, _, pred in probe_model.predict_many(test_docs)])
+    return int(exact_match(probe_model, test_docs, scores).sum()) / len(test_docs)
 
 
 def explanation_segment_indices(pred: Prediction, task_kind: str) -> list[int]:

@@ -1,9 +1,11 @@
 """Segment-aware perceptron head.
 
-Every segment vector is scored against every label by a shared affine map;
-a per-label sigmoid gate can modulate each segment's participation; one of
-four pooling reductions turns per-segment scores into the document score;
-a strict zero threshold yields document and segment bits. The same scores
+Every segment vector is scored against every label by a shared affine map
+(the model parameters "head.weight", L x h, and "head.bias", L); a per-label
+sigmoid gate ("head.gate_weight", "head.gate_bias") can modulate each
+segment's participation; one of four pooling reductions turns per-segment
+scores into the document score; a strict zero threshold yields document and
+segment bits. The same scores
 rank segments for label relevance, which is where the self-explaining
 behaviour comes from: key segments are read off the trained scores without
 any segment-level supervision.
@@ -36,69 +38,21 @@ class Pooling(str, Enum):
         return self in (Pooling.MAX, Pooling.GATED_MAX)
 
 
-@dataclass
-class SwipeParams:
-    """Per-label score weights (weight, bias) and gate weights."""
-
-    weight: ad.Tensor       # L x h
-    bias: ad.Tensor         # L
-    gate_weight: ad.Tensor  # L x h
-    gate_bias: ad.Tensor    # L
-
-    @property
-    def n_labels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.weight.shape[1]
-
-    @classmethod
-    def create(
-        cls,
-        n_labels: int,
-        dim: int,
-        init_seed: int = 0,
-        label_vectors: np.ndarray | None = None,
-    ) -> "SwipeParams":
-        """Zero-mean Gaussian rows of scale 1/sqrt(h); biases zero.
-
-        `label_vectors` (L x h) optionally seeds the score weights with label
-        embeddings instead of random rows.
-        """
-        rng = np.random.default_rng(init_seed)
-        if label_vectors is not None:
-            weight = np.asarray(label_vectors, dtype=np.float64).copy()
-            if weight.shape != (n_labels, dim):
-                raise ConfigError(
-                    f"label_vectors shape {weight.shape} != ({n_labels}, {dim})"
-                )
-        else:
-            weight = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(n_labels, dim))
-        gate_weight = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(n_labels, dim))
-        return cls(
-            weight=ad.Tensor(weight, requires_grad=True),
-            bias=ad.Tensor(np.zeros(n_labels), requires_grad=True),
-            gate_weight=ad.Tensor(gate_weight, requires_grad=True),
-            gate_bias=ad.Tensor(np.zeros(n_labels), requires_grad=True),
-        )
+def _check_dims(h: int, weight: ad.Tensor) -> None:
+    if h != weight.shape[1]:
+        raise ConfigError(f"segment dim {h} != head dim {weight.shape[1]}")
 
 
-def _check_dims(h: int, params: SwipeParams) -> None:
-    if h != params.dim:
-        raise ConfigError(f"segment dim {h} != head dim {params.dim}")
-
-
-def scores_tensor(x: ad.Tensor, params: SwipeParams) -> ad.Tensor:
+def scores_tensor(x: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
     """Differentiable per-segment scores, shape (m, L)."""
-    _check_dims(x.shape[1], params)
-    return ad.linear(x, params.weight, params.bias)
+    _check_dims(x.shape[1], params["head.weight"])
+    return ad.linear(x, params["head.weight"], params["head.bias"])
 
 
-def gates_tensor(x: ad.Tensor, params: SwipeParams) -> ad.Tensor:
+def gates_tensor(x: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
     """Differentiable per-segment gates in (0, 1), shape (m, L)."""
-    _check_dims(x.shape[1], params)
-    return ad.sigmoid(ad.linear(x, params.gate_weight, params.gate_bias))
+    _check_dims(x.shape[1], params["head.gate_weight"])
+    return ad.sigmoid(ad.linear(x, params["head.gate_weight"], params["head.gate_bias"]))
 
 
 def pool_tensor(

@@ -1,6 +1,9 @@
 """End-to-end model: truncation -> encoder -> interaction -> head.
 
-Also owns the checkpoint container. Format (version 1, stable):
+`parameter_shapes(config)` is the one place that names, orders and shapes
+the model's parameters; a `SwipeModel` holds them as one dict of tensors in
+that order, which `create` fills and `from_arrays` wraps. Also owns the
+checkpoint container. Format (version 1, stable):
 
 * line 1: UTF-8 JSON header ending in a newline, holding exactly
   ``{"format": "swipe-checkpoint", "version": 1, "config": {...},
@@ -33,9 +36,6 @@ from swipe.config import (
 )
 from swipe.corpus import Document, LabelVocab
 from swipe.encoder import (
-    HashEncoderParams,
-    InteractionLayer,
-    InteractionParams,
     SegmentFeatures,
     SegmentMatrix,
     encode_features,
@@ -46,7 +46,6 @@ from swipe.errors import ConfigError, FormatError, SwipeError
 from swipe.hashing import derive_seed, ngram_counts
 from swipe.head import (
     Prediction,
-    SwipeParams,
     build_prediction,
     gates_tensor,
     pool_tensor,
@@ -122,9 +121,9 @@ class ForwardOut:
 
 
 def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every tensor `SwipeModel.create(config).parameters()`
-    holds, in that order, computed from the config alone and lazily, so a
-    config claiming a huge architecture costs nothing until it is consumed."""
+    """(name, shape) of every parameter of a model with `config`, in
+    checkpoint order, computed from the config alone and lazily, so a config
+    claiming a huge architecture costs nothing until it is consumed."""
     dim, n_labels = config.dim, len(config.labels)
     if config.encoder_mode == ENCODER_HASH:
         yield "encoder.table", (config.n_buckets, dim)
@@ -147,51 +146,41 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]
 
 
 class SwipeModel:
-    """Trainable classifier over truncated segments."""
+    """Trainable classifier over truncated segments.
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        encoder: HashEncoderParams | None,
-        interaction: InteractionParams | None,
-        head: SwipeParams,
-    ):
+    `params` maps each name of `parameter_shapes(config)` to its tensor, in
+    that order.
+    """
+
+    def __init__(self, config: ModelConfig, params: dict[str, ad.Tensor]):
         self.config = config
         self.vocab = LabelVocab(names=config.labels, task_kind=config.task_kind)
-        self.encoder = encoder
-        self.interaction = interaction
-        self.head = head
+        self.params = params
         self.precomputed: dict[str, SegmentMatrix] | None = None
         self.train_config: TrainConfig | None = None
 
     @classmethod
-    def create(cls, config: ModelConfig, label_vectors: np.ndarray | None = None) -> "SwipeModel":
-        encoder = None
-        if config.encoder_mode == ENCODER_HASH:
-            encoder = HashEncoderParams.create(
-                n_buckets=config.n_buckets,
-                dim=config.dim,
-                ngram_orders=config.ngram_orders,
-                hash_seed=config.hash_seed,
-                init_seed=derive_seed("encoder-init", config.init_seed),
-            )
-        interaction = None
-        if config.interaction_layers > 0:
-            interaction = InteractionParams.create(
-                num_layers=config.interaction_layers,
-                dim=config.dim,
-                n_heads=config.n_heads,
-                ff_dim=config.ff_dim,
-                max_positions=config.max_positions,
-                init_seed=derive_seed("interaction-init", config.init_seed),
-            )
-        head = SwipeParams.create(
-            n_labels=len(config.labels),
-            dim=config.dim,
-            init_seed=derive_seed("head-init", config.init_seed),
-            label_vectors=label_vectors,
-        )
-        return cls(config=config, encoder=encoder, interaction=interaction, head=head)
+    def create(cls, config: ModelConfig) -> "SwipeModel":
+        """Fresh parameters drawn from `config.init_seed`.
+
+        Each part (encoder, interaction, head) draws from its own stream, in
+        `parameter_shapes` order. Matrices are zero-mean Gaussian: a layer's
+        weights ("interaction.<i>.wq" ... "ff_out") with std 1/sqrt(rows),
+        every other table with std 1/sqrt(dim). Gains start at one, biases
+        at zero.
+        """
+        streams = {part: np.random.default_rng(derive_seed(f"{part}-init", config.init_seed))
+                   for part in ("encoder", "interaction", "head")}
+        params = {}
+        for name, shape in parameter_shapes(config):
+            part, *_, leaf = name.split(".")
+            if len(shape) == 1:
+                data = np.ones(shape) if leaf.endswith("gain") else np.zeros(shape)
+            else:
+                fan_in = shape[0] if leaf in LAYER_PARAMS else config.dim
+                data = streams[part].normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+            params[name] = ad.Tensor(data, requires_grad=True)
+        return cls(config, params)
 
     def attach_vectors(self, matrices: dict[str, SegmentMatrix]) -> None:
         """Provide frozen precomputed segment vectors (precomputed mode)."""
@@ -205,24 +194,8 @@ class SwipeModel:
         self.precomputed = matrices
 
     def parameters(self) -> dict[str, ad.Tensor]:
-        """Trainable tensors by stable name (iteration order is fixed)."""
-        params: dict[str, ad.Tensor] = {}
-        if self.encoder is not None:
-            params["encoder.table"] = self.encoder.table
-        if self.interaction is not None:
-            for i, layer in enumerate(self.interaction.layers):
-                for name in LAYER_PARAMS:
-                    params[f"interaction.{i}.{name}"] = getattr(layer, name)
-            if self.interaction.final_gain is not None:
-                params["interaction.final_gain"] = self.interaction.final_gain
-                params["interaction.final_bias"] = self.interaction.final_bias
-            if self.interaction.positions is not None:
-                params["interaction.positions"] = self.interaction.positions
-        params["head.weight"] = self.head.weight
-        params["head.bias"] = self.head.bias
-        params["head.gate_weight"] = self.head.gate_weight
-        params["head.gate_bias"] = self.head.gate_bias
-        return params
+        """Trainable tensors by name, in `parameter_shapes` order."""
+        return self.params
 
     def zero_grad(self) -> None:
         for tensor in self.parameters().values():
@@ -231,7 +204,7 @@ class SwipeModel:
     def featurize(self, doc: Document) -> Features:
         if self.config.encoder_mode == ENCODER_PRECOMPUTED:
             return self._vectors(doc)
-        return featurize_segments(truncate(doc, self.config.truncation), self.encoder)
+        return featurize_segments(truncate(doc, self.config.truncation), self.config)
 
     def _vectors(self, doc: Document) -> SegmentMatrix:
         if self.precomputed is None or doc.id not in self.precomputed:
@@ -242,13 +215,13 @@ class SwipeModel:
         """One pass over a ragged batch: every segment scored by one
         `ad.linear`, pooled per document."""
         if isinstance(batch.inputs, SegmentFeatures):
-            x = encode_features(batch.inputs, self.encoder)
+            x = encode_features(batch.inputs, self.params)
         else:
             x = ad.Tensor(batch.inputs.rows)  # frozen: no gradient
-        if self.interaction is not None:
-            x = interact_tensor(x, self.interaction, batch.offsets)
-        seg_scores = scores_tensor(x, self.head)
-        gates = gates_tensor(x, self.head) if self.config.pooling.gated else None
+        if self.config.interaction_layers:
+            x = interact_tensor(x, self.params, self.config, batch.offsets)
+        seg_scores = scores_tensor(x, self.params)
+        gates = gates_tensor(x, self.params) if self.config.pooling.gated else None
         doc_scores, argmax = pool_tensor(seg_scores, gates, self.config.pooling, batch.offsets)
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores,
                           gates=gates, pool_argmax=argmax)
@@ -276,7 +249,8 @@ class SwipeModel:
 
     def predict(self, doc: Document) -> Prediction:
         """Predict one document: a chunk of one (see `predict_many`)."""
-        segments = truncate(doc, self.config.truncation) if self.encoder is not None else None
+        hashed = self.config.encoder_mode == ENCODER_HASH
+        segments = truncate(doc, self.config.truncation) if hashed else None
         return next(self._predict_chunk([(doc, segments)]))[2]
 
     def predict_many(
@@ -294,11 +268,12 @@ class SwipeModel:
         prediction is bit for bit the same whichever documents share its chunk.
         """
         trunc = self.config.truncation if truncation is None else truncation
+        hashed = self.config.encoder_mode == ENCODER_HASH
         chunk: list[tuple[Document, list[Segment] | None]] = []
         rows = tokens = width = 0  # the chunk's encoder rows, tokens, widest token
         for doc in docs:
-            segments = truncate(doc, trunc) if self.encoder is not None else None
-            if self.interaction is not None:
+            segments = truncate(doc, trunc) if hashed else None
+            if self.config.interaction_layers:
                 yield from self._predict_chunk([(doc, segments)])
                 continue
             doc_rows, doc_tokens, doc_width = self._chunk_size(doc, segments)
@@ -318,7 +293,7 @@ class SwipeModel:
             return self._vectors(doc).m, 0, 0
         lengths = [len(seg.tokens) for seg in segments]
         tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
-        return (int(ngram_counts(lengths, self.encoder.ngram_orders).sum()), sum(lengths),
+        return (int(ngram_counts(lengths, self.config.ngram_orders).sum()), sum(lengths),
                 4 * max(map(len, tokens)))
 
     def _predict_chunk(self, chunk: list[tuple[Document, list[Segment] | None]]):
@@ -328,7 +303,7 @@ class SwipeModel:
             counts = [len(segments) for _, segments in chunk]
             batch = Batch(
                 featurize_segments([seg for _, segments in chunk for seg in segments],
-                                   self.encoder),
+                                   self.config),
                 np.concatenate(([0], np.cumsum(counts))),
             )
         preds = self._predictions(batch, [doc.id for doc, _ in chunk])
@@ -357,27 +332,8 @@ class SwipeModel:
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SwipeModel":
         """A model whose parameters are `arrays`, not copied, named and shaped
         as `parameter_shapes(config)` lists them."""
-        t = {name: ad.Tensor(array, requires_grad=True) for name, array in arrays.items()}
-        encoder = None
-        if config.encoder_mode == ENCODER_HASH:
-            encoder = HashEncoderParams(table=t["encoder.table"], n_buckets=config.n_buckets,
-                                        ngram_orders=tuple(config.ngram_orders),
-                                        hash_seed=config.hash_seed)
-        interaction = None
-        if config.interaction_layers > 0:
-            interaction = InteractionParams(
-                layers=[InteractionLayer(**{name: t[f"interaction.{i}.{name}"]
-                                            for name in LAYER_PARAMS})
-                        for i in range(config.interaction_layers)],
-                n_heads=config.n_heads,
-                dim=config.dim,
-                positions=t.get("interaction.positions"),
-                final_gain=t["interaction.final_gain"],
-                final_bias=t["interaction.final_bias"],
-            )
-        head = SwipeParams(weight=t["head.weight"], bias=t["head.bias"],
-                           gate_weight=t["head.gate_weight"], gate_bias=t["head.gate_bias"])
-        return cls(config=config, encoder=encoder, interaction=interaction, head=head)
+        return cls(config, {name: ad.Tensor(arrays[name], requires_grad=True)
+                            for name, _ in parameter_shapes(config)})
 
     @classmethod
     def load(cls, path) -> "SwipeModel":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from swipe.corpus import Corpus, Document, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
 from swipe.model import Batch, Features, SwipeModel
-from swipe.head import Prediction
 
 
 def loss_multiclass(doc_scores, gold) -> ad.Tensor:
@@ -265,11 +265,14 @@ def _target_for(model: SwipeModel, doc: Document):
     return model.vocab.bits(doc.labels)
 
 
-def exact_match(pred: Prediction, model: SwipeModel, doc: Document) -> bool:
-    """Document-level correctness: argmax class (multi-class) or bit set."""
+def exact_match(model: SwipeModel, docs: Sequence[Document], scores: np.ndarray) -> np.ndarray:
+    """Which of `docs` their (B, L) document scores get right: the argmax
+    label is the gold one (multi-class), or every bit (score > 0) equals its
+    gold bit (multi-label)."""
+    gold = np.stack([_target_for(model, doc) for doc in docs])
     if model.config.task_kind == TASK_MULTICLASS:
-        return pred.pred_class == model.vocab.index(doc.labels[0])
-    return bool(np.array_equal(pred.bits.astype(np.float64), model.vocab.bits(doc.labels)))
+        return scores.argmax(axis=1) == gold
+    return np.all((scores > 0) == (gold > 0), axis=1)
 
 
 def evaluate_split(model: SwipeModel, docs: list[Document],
@@ -282,11 +285,7 @@ def evaluate_split(model: SwipeModel, docs: list[Document],
     for start in range(0, len(docs), batch_size):
         chunk = docs[start:start + batch_size]
         scores = model.forward(Batch.of([features[doc.id] for doc in chunk])).doc_scores.data
-        gold = np.stack([_target_for(model, doc) for doc in chunk])
-        if model.config.task_kind == TASK_MULTICLASS:
-            hits += int(np.sum(scores.argmax(axis=1) == gold))
-        else:
-            hits += int(np.sum(np.all((scores > 0) == (gold > 0), axis=1)))
+        hits += int(exact_match(model, chunk, scores).sum())
     return hits / len(docs)
 
 

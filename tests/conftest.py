@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from swipe.corpus import TASK_MULTILABEL
@@ -5,23 +6,43 @@ from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
 
 
 @pytest.fixture(scope="session")
+def head_params():
+    """Draw head parameters as a seeded test instance.
+
+    `head_params(n_labels, dim, init_seed)` returns the four "head.*" arrays:
+    weight then gate weight drawn by one `default_rng(init_seed)` with std
+    1/sqrt(dim), biases zero.
+    """
+
+    def draw(n_labels, dim, init_seed=0):
+        rng = np.random.default_rng(init_seed)
+        weight = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(n_labels, dim))
+        gate_weight = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(n_labels, dim))
+        return {"head.weight": weight, "head.bias": np.zeros(n_labels),
+                "head.gate_weight": gate_weight, "head.gate_bias": np.zeros(n_labels)}
+
+    return draw
+
+
+@pytest.fixture(scope="session")
 def head_model():
     """Build a frozen-vector model around given head parameters.
 
     `head_model(params, pooling, task_kind)` returns a precomputed-encoder
-    `SwipeModel` with no interaction layers whose head is `params`, so
-    `predict_features(SegmentMatrix)` runs the model's own forward path on
-    hand-made segment vectors.
+    `SwipeModel` with no interaction layers whose parameters are the "head.*"
+    arrays of `params`, so `predict_features(SegmentMatrix)` runs the model's
+    own forward path on hand-made segment vectors.
     """
 
     def build(params, pooling, task_kind=TASK_MULTILABEL):
+        n_labels, dim = params["head.weight"].shape
         config = ModelConfig(
-            labels=tuple(f"label{i}" for i in range(params.n_labels)),
+            labels=tuple(f"label{i}" for i in range(n_labels)),
             task_kind=task_kind,
             pooling=pooling,
             encoder_mode=ENCODER_PRECOMPUTED,
-            dim=params.dim,
+            dim=dim,
         )
-        return SwipeModel(config=config, encoder=None, interaction=None, head=params)
+        return SwipeModel.from_arrays(config, params)
 
     return build

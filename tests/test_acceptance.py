@@ -29,7 +29,7 @@ from swipe.evaluate import (
     segment_labeling_eval,
     sufficiency_test,
 )
-from swipe.head import Pooling, SwipeParams, pool_tensor
+from swipe.head import Pooling, pool_tensor
 from swipe.model import ModelConfig, SwipeModel
 from swipe.train import TrainConfig, doc_loss, grad_check, train
 from swipe.truncate import TruncationConfig
@@ -99,7 +99,7 @@ def _test_predictions(model, corpus):
 
 # -- criteria ------------------------------------------------------------------
 
-def test_criterion_1_perceptron_equivalence(head_model):
+def test_criterion_1_perceptron_equivalence(head_model, head_params):
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     failures = 0
@@ -107,9 +107,9 @@ def test_criterion_1_perceptron_equivalence(head_model):
         n_labels = int(rng.integers(1, 5))
         dim = int(rng.integers(2, 9))
         vector = rng.normal(size=(1, dim))
-        params = SwipeParams.create(n_labels, dim, init_seed=int(rng.integers(2**31)))
+        params = head_params(n_labels, dim, init_seed=int(rng.integers(2**31)))
         perceptron_bits = (
-            params.weight.data @ vector[0] + params.bias.data > 0
+            params["head.weight"] @ vector[0] + params["head.bias"] > 0
         ).astype(np.int8)
         mat = SegmentMatrix(doc_id="d", rows=vector)
         for strategy in (Pooling.MAX, Pooling.SUM):
@@ -124,7 +124,7 @@ def test_criterion_1_perceptron_equivalence(head_model):
     )
 
 
-def test_criterion_2_explanation_soundness(head_model):
+def test_criterion_2_explanation_soundness(head_model, head_params):
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     failures = 0
@@ -133,7 +133,7 @@ def test_criterion_2_explanation_soundness(head_model):
         m = int(rng.integers(1, 7))
         dim = int(rng.integers(2, 7))
         mat = SegmentMatrix(doc_id="d", rows=rng.normal(size=(m, dim)))
-        params = SwipeParams.create(n_labels, dim, init_seed=int(rng.integers(2**31)))
+        params = head_params(n_labels, dim, init_seed=int(rng.integers(2**31)))
         for strategy in (Pooling.MAX, Pooling.GATED_MAX):
             pred = head_model(params, strategy).predict_features(mat)
             for i in range(n_labels):

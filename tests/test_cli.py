@@ -407,6 +407,19 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and expected in err
 
+    @pytest.mark.parametrize("record", [
+        {"id": "a", "text": "hello \ud800 world", "labels": ["a"]},
+        {"id": "a", "units": [1, {"a": 2}, None], "labels": ["a"]},
+    ])
+    def test_corpus_entry_that_is_no_utf8_string_exits_2(self, tmp_path, capsys, record):
+        ckpt, corpus = tmp_path / "m.ckpt", tmp_path / "c.jsonl"
+        SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4)).save(ckpt)
+        corpus.write_text(json.dumps(record) + "\n")
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", corpus,
+                    "--out", tmp_path / "p.jsonl"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {corpus}:1: ")
+
     @pytest.mark.parametrize("args, flag", [
         (["synth", "--segments-per-doc", "x"], "--segments-per-doc"),
         (["synth", "--split", "a,b,c"], "--split"),

@@ -74,6 +74,25 @@ class TestLoad:
             else:
                 load_jsonl(path, TASK_MULTILABEL)
 
+    @pytest.mark.parametrize("record", [
+        {"id": "1", "text": "hello \ud800 world", "labels": ["a"]},
+        {"id": "1", "units": ["caf\u00e9", "\udfff"], "labels": ["a"]},
+        {"id": "1", "text": "x", "labels": ["\ud800"]},
+        {"id": "1", "units": [1, {"a": 2}, None], "labels": ["a"]},
+        {"id": "1", "text": "x", "labels": ["a", 1]},
+    ])
+    def test_non_string_or_unencodable_entry_names_line(self, tmp_path, record):
+        path = _write(tmp_path, ["", json.dumps(record)])
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:2: .*must hold strings"):
+            load_jsonl(path, TASK_MULTILABEL)
+
+    def test_non_ascii_strings_load_unchanged(self, tmp_path):
+        record = {"id": "1", "units": ["caf\u00e9", "\U0001f600 \u0130stanbul"],
+                  "labels": ["\u00e9t\u00e9"]}
+        path = _write(tmp_path, [json.dumps(record)])
+        doc = load_jsonl(path, TASK_MULTILABEL).documents[0]
+        assert doc.units == tuple(record["units"]) and doc.labels == ("\u00e9t\u00e9",)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = _write(tmp_path, [
             json.dumps({"id": "1", "text": "x", "labels": ["a"]}),

@@ -4,8 +4,6 @@ import pytest
 from swipe import autodiff as ad
 from swipe import encoder, hashing
 from swipe.encoder import (
-    HashEncoderParams,
-    InteractionParams,
     SegmentMatrix,
     encode_features,
     featurize_segments,
@@ -14,6 +12,7 @@ from swipe.encoder import (
     write_precomputed,
 )
 from swipe.errors import ConfigError, FormatError
+from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, parameter_shapes
 from swipe.truncate import Segment
 
 
@@ -22,6 +21,38 @@ def _segments(token_lists, doc_id="d"):
         Segment(doc_id=doc_id, index=k, tokens=tuple(toks))
         for k, toks in enumerate(token_lists)
     ]
+
+
+def _hash_encoder(n_buckets, dim, ngram_orders=(1, 2), hash_seed=0, init_seed=0):
+    """A hash-encoder config and its "encoder.table", drawn by
+    `default_rng(init_seed)` with std 1/sqrt(dim)."""
+    config = ModelConfig(labels=("a", "b"), n_buckets=n_buckets, dim=dim,
+                         ngram_orders=ngram_orders, hash_seed=hash_seed)
+    table = np.random.default_rng(init_seed).normal(0.0, 1.0 / np.sqrt(dim),
+                                                    size=(n_buckets, dim))
+    return config, {"encoder.table": ad.Tensor(table, requires_grad=True)}
+
+
+def _interaction(num_layers, dim, n_heads=2, max_positions=None, init_seed=0):
+    """An interaction config and its "interaction.*" tensors, drawn by one
+    `default_rng(init_seed)` in `parameter_shapes` order: a layer's weights
+    with std 1/sqrt(rows), positions with std 1/sqrt(dim), gains one and
+    biases zero."""
+    config = ModelConfig(labels=("a", "b"), encoder_mode=ENCODER_PRECOMPUTED, dim=dim,
+                         interaction_layers=num_layers, n_heads=n_heads,
+                         max_positions=max_positions)
+    rng = np.random.default_rng(init_seed)
+    params = {}
+    for name, shape in parameter_shapes(config):
+        if not name.startswith("interaction."):
+            continue
+        if len(shape) == 1:
+            data = np.ones(shape) if name.endswith("gain") else np.zeros(shape)
+        else:
+            std = 1.0 / np.sqrt(dim if name.endswith("positions") else shape[0])
+            data = rng.normal(0.0, std, size=shape)
+        params[name] = ad.Tensor(data, requires_grad=True)
+    return config, params
 
 
 class TestSegmentMatrix:
@@ -37,45 +68,46 @@ class TestSegmentMatrix:
 class TestHashEncoder:
     def test_single_bucket_row_equals_that_embedding(self):
         # with one bucket, every n-gram hits bucket 0: mean of identical rows
-        params = HashEncoderParams.create(n_buckets=1, dim=4, init_seed=0)
-        out = encode_features(featurize_segments(_segments([["a", "b", "c"], ["d"]]), params),
+        config, params = _hash_encoder(n_buckets=1, dim=4, init_seed=0)
+        out = encode_features(featurize_segments(_segments([["a", "b", "c"], ["d"]]), config),
                               params).data
-        np.testing.assert_allclose(out[0], params.table.data[0])
-        np.testing.assert_allclose(out[1], params.table.data[0])
+        np.testing.assert_allclose(out[0], params["encoder.table"].data[0])
+        np.testing.assert_allclose(out[1], params["encoder.table"].data[0])
 
     def test_zero_table_gives_zero_rows(self):
-        params = HashEncoderParams.create(n_buckets=64, dim=4, init_seed=0)
-        params.table.data = np.zeros_like(params.table.data)
-        feats = featurize_segments(_segments([["a", "b"], ["c", "d", "e"]]), params)
+        config, params = _hash_encoder(n_buckets=64, dim=4, init_seed=0)
+        params["encoder.table"].data = np.zeros_like(params["encoder.table"].data)
+        feats = featurize_segments(_segments([["a", "b"], ["c", "d", "e"]]), config)
         np.testing.assert_array_equal(encode_features(feats, params).data, np.zeros((2, 4)))
 
     def test_rows_match_standalone_hash_and_average_oracle(self):
         # oracle recomputes the same contract with its own loop
-        params = HashEncoderParams.create(n_buckets=97, dim=4, ngram_orders=(1, 2),
-                                          hash_seed=5, init_seed=1)
+        config, params = _hash_encoder(n_buckets=97, dim=4, ngram_orders=(1, 2),
+                                       hash_seed=5, init_seed=1)
         token_lists = [["the", "cat", "sat"], ["on", "the", "mat", "."]]
-        out = encode_features(featurize_segments(_segments(token_lists), params), params).data
+        out = encode_features(featurize_segments(_segments(token_lists), config), params).data
         for k, tokens in enumerate(token_lists):
             grams = [tuple(tokens[i:i + n]) for n in (1, 2)
                      for i in range(len(tokens) - n + 1)]
             rows = []
             for gram in grams:
                 h = hashing.hash64(b"\x1f".join(t.encode() for t in gram), 5)
-                rows.append(params.table.data[h % 97])
+                rows.append(params["encoder.table"].data[h % 97])
             np.testing.assert_allclose(out[k], np.mean(rows, axis=0), atol=1e-12)
 
     def test_differentiable_wrt_table(self):
-        params = HashEncoderParams.create(n_buckets=16, dim=3, init_seed=2)
-        feats = featurize_segments(_segments([["a", "b"], ["c"]]), params)
-        out = ad.sum_along(ad.embedding_bag_mean(params.table, feats.ids, feats.offsets))
+        config, params = _hash_encoder(n_buckets=16, dim=3, init_seed=2)
+        table = params["encoder.table"]
+        feats = featurize_segments(_segments([["a", "b"], ["c"]]), config)
+        out = ad.sum_along(ad.embedding_bag_mean(table, feats.ids, feats.offsets))
         out.backward()
-        assert params.table.grad is not None
-        assert np.any(ad.dense(params.table.grad) != 0)
+        assert table.grad is not None
+        assert np.any(ad.dense(table.grad) != 0)
 
     def test_empty_segment_list_rejected(self):
-        params = HashEncoderParams.create(n_buckets=16, dim=3)
+        config, _ = _hash_encoder(n_buckets=16, dim=3)
         with pytest.raises(ConfigError):
-            featurize_segments([], params)
+            featurize_segments([], config)
 
 
 class TestPrecomputed:
@@ -130,47 +162,47 @@ class TestPrecomputed:
 
 class TestInteraction:
     def test_zero_layers_is_identity(self):
-        params = InteractionParams.create(num_layers=0, dim=8)
+        config, params = _interaction(num_layers=0, dim=8)
         rows = np.random.default_rng(0).normal(size=(3, 8))
-        out = interact_tensor(ad.Tensor(rows), params).data
+        out = interact_tensor(ad.Tensor(rows), params, config).data
         np.testing.assert_array_equal(out, rows)
 
     def test_single_row_shape_preserved_and_finite(self):
-        params = InteractionParams.create(num_layers=2, dim=8, n_heads=2, init_seed=1)
+        config, params = _interaction(num_layers=2, dim=8, n_heads=2, init_seed=1)
         rows = np.random.default_rng(1).normal(size=(1, 8))
-        out = interact_tensor(ad.Tensor(rows), params).data
+        out = interact_tensor(ad.Tensor(rows), params, config).data
         assert out.shape == (1, 8)
         assert np.all(np.isfinite(out))
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(7)
-        params = InteractionParams.create(num_layers=2, dim=8, n_heads=2, init_seed=3)
+        config, params = _interaction(num_layers=2, dim=8, n_heads=2, init_seed=3)
         rows = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = interact_tensor(ad.Tensor(rows), params).data
-        out_perm = interact_tensor(ad.Tensor(rows[perm]), params).data
+        out = interact_tensor(ad.Tensor(rows), params, config).data
+        out_perm = interact_tensor(ad.Tensor(rows[perm]), params, config).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-6)
 
     def test_positions_break_equivariance_and_cap_length(self):
         rng = np.random.default_rng(7)
-        params = InteractionParams.create(num_layers=1, dim=8, n_heads=2,
-                                          max_positions=4, init_seed=3)
+        config, params = _interaction(num_layers=1, dim=8, n_heads=2,
+                                      max_positions=4, init_seed=3)
         rows = rng.normal(size=(3, 8))
-        out = interact_tensor(ad.Tensor(rows), params).data
+        out = interact_tensor(ad.Tensor(rows), params, config).data
         swapped = rows[[1, 0, 2]]
-        out_swapped = interact_tensor(ad.Tensor(swapped), params).data
+        out_swapped = interact_tensor(ad.Tensor(swapped), params, config).data
         assert not np.allclose(out_swapped, out[[1, 0, 2]], atol=1e-6)
         with pytest.raises(ConfigError, match="positional"):
-            interact_tensor(ad.Tensor(rng.normal(size=(5, 8))), params)
+            interact_tensor(ad.Tensor(rng.normal(size=(5, 8))), params, config)
 
     def test_dim_mismatch_rejected(self):
-        params = InteractionParams.create(num_layers=1, dim=8, n_heads=2)
+        config, params = _interaction(num_layers=1, dim=8, n_heads=2)
         with pytest.raises(ConfigError):
-            interact_tensor(ad.Tensor(np.zeros((2, 4))), params)
+            interact_tensor(ad.Tensor(np.zeros((2, 4))), params, config)
 
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):
-            InteractionParams.create(num_layers=1, dim=6, n_heads=4)
+            ModelConfig(labels=("a", "b"), dim=6, interaction_layers=1, n_heads=4)
 
     @pytest.mark.parametrize("sizes", [[5], [1, 3, 2], [2, 2, 2, 2], [6, 1, 1, 4], [1] * 9])
     def test_attention_runs_hold_whole_documents_within_the_row_bound(self, monkeypatch, sizes):
@@ -189,9 +221,9 @@ class TestInteraction:
                 np.testing.assert_array_equal(mask.data == 0, doc[:, None] == doc[None, :])
 
     def test_differentiable_end_to_end(self):
-        params = InteractionParams.create(num_layers=1, dim=4, n_heads=2, init_seed=0)
+        config, params = _interaction(num_layers=1, dim=4, n_heads=2, init_seed=0)
         x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-        out = ad.sum_along(interact_tensor(x, params))
+        out = ad.sum_along(interact_tensor(x, params, config))
         out.backward()
         assert x.grad is not None and np.all(np.isfinite(x.grad))
-        assert params.layers[0].wq.grad is not None
+        assert params["interaction.0.wq"].grad is not None

@@ -7,48 +7,42 @@ from swipe import autodiff as ad
 from swipe.corpus import TASK_MULTICLASS
 from swipe.encoder import SegmentMatrix
 from swipe.errors import ConfigError
-from swipe.head import Pooling, SwipeParams, build_prediction, pool_tensor
+from swipe.head import Pooling, build_prediction, pool_tensor
+from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
 
 
 def _params(weight, bias, gate_weight=None, gate_bias=None):
     weight = np.asarray(weight, dtype=float)
     n_labels, dim = weight.shape
-    return SwipeParams(
-        weight=ad.Tensor(weight, requires_grad=True),
-        bias=ad.Tensor(np.asarray(bias, dtype=float), requires_grad=True),
-        gate_weight=ad.Tensor(
-            np.zeros((n_labels, dim)) if gate_weight is None else np.asarray(gate_weight, float),
-            requires_grad=True,
-        ),
-        gate_bias=ad.Tensor(
-            np.zeros(n_labels) if gate_bias is None else np.asarray(gate_bias, float),
-            requires_grad=True,
-        ),
-    )
+    return {
+        "head.weight": weight,
+        "head.bias": np.asarray(bias, dtype=float),
+        "head.gate_weight": (np.zeros((n_labels, dim)) if gate_weight is None
+                             else np.asarray(gate_weight, float)),
+        "head.gate_bias": (np.zeros(n_labels) if gate_bias is None
+                           else np.asarray(gate_bias, float)),
+    }
 
 
-def _random_instance(rng, n_labels, m, dim):
-    mat = SegmentMatrix(doc_id="d", rows=rng.normal(size=(m, dim)))
-    params = SwipeParams.create(n_labels, dim, init_seed=int(rng.integers(2**31)))
-    return mat, params
+@pytest.fixture()
+def random_instance(head_params):
+    """`random_instance(rng, n_labels, m, dim)`: m random segment vectors and
+    head parameters drawn from a seed taken from `rng`."""
+
+    def draw(rng, n_labels, m, dim):
+        mat = SegmentMatrix(doc_id="d", rows=rng.normal(size=(m, dim)))
+        return mat, head_params(n_labels, dim, init_seed=int(rng.integers(2**31)))
+
+    return draw
 
 
 class TestInit:
     def test_random_rows_scale(self):
-        params = SwipeParams.create(n_labels=50, dim=100, init_seed=0)
-        assert abs(params.weight.data.std() - 0.1) < 0.02  # 1/sqrt(dim)
-        assert np.all(params.bias.data == 0)
-
-    def test_label_vector_rows_copied(self):
-        vectors = np.arange(6, dtype=float).reshape(2, 3)
-        params = SwipeParams.create(n_labels=2, dim=3, label_vectors=vectors)
-        np.testing.assert_array_equal(params.weight.data, vectors)
-        vectors[0, 0] = 99.0  # the copy must not alias the caller's array
-        assert params.weight.data[0, 0] == 0.0
-
-    def test_label_vector_shape_checked(self):
-        with pytest.raises(ConfigError):
-            SwipeParams.create(n_labels=2, dim=3, label_vectors=np.zeros((3, 3)))
+        config = ModelConfig(labels=tuple(f"l{i}" for i in range(50)),
+                             encoder_mode=ENCODER_PRECOMPUTED, dim=100)
+        params = SwipeModel.create(config).parameters()
+        assert abs(params["head.weight"].data.std() - 0.1) < 0.02  # 1/sqrt(dim)
+        assert np.all(params["head.bias"].data == 0)
 
 
 class TestScores:
@@ -65,11 +59,11 @@ class TestScores:
         pred = head_model(params, Pooling.MAX).predict_features(mat)
         np.testing.assert_allclose(pred.seg_scores, [[2.0]])
 
-    def test_matches_matrix_multiply_oracle(self, head_model):
+    def test_matches_matrix_multiply_oracle(self, head_model, random_instance):
         rng = np.random.default_rng(0)
-        mat, params = _random_instance(rng, n_labels=3, m=4, dim=5)
+        mat, params = random_instance(rng, n_labels=3, m=4, dim=5)
         scores = head_model(params, Pooling.MAX).predict_features(mat).seg_scores
-        oracle = params.weight.data @ mat.rows.T + params.bias.data[:, None]
+        oracle = params["head.weight"] @ mat.rows.T + params["head.bias"][:, None]
         np.testing.assert_allclose(scores, oracle, atol=1e-6)
         assert scores.shape == (3, 4)
 
@@ -93,11 +87,11 @@ class TestGates:
         gates = head_model(params, Pooling.GATED_MAX).predict_features(mat).gates
         assert abs(gates[0, 0] - 1.0) < 1e-15
 
-    def test_matches_sigmoid_affine_oracle(self, head_model):
+    def test_matches_sigmoid_affine_oracle(self, head_model, random_instance):
         rng = np.random.default_rng(1)
-        mat, params = _random_instance(rng, n_labels=2, m=5, dim=4)
+        mat, params = random_instance(rng, n_labels=2, m=5, dim=4)
         gates = head_model(params, Pooling.GATED_SUM).predict_features(mat).gates
-        logits = params.gate_weight.data @ mat.rows.T + params.gate_bias.data[:, None]
+        logits = params["head.gate_weight"] @ mat.rows.T + params["head.gate_bias"][:, None]
         np.testing.assert_allclose(gates, 1 / (1 + np.exp(-logits)), atol=1e-6)
         assert np.all((gates > 0) & (gates < 1))
 
@@ -169,12 +163,12 @@ class TestClassify:
         assert pred.bits.tolist() == [0, 0, 0]  # y == 0 counts as negative
         assert pred.seg_bits.tolist() == np.zeros((3, 4), dtype=int).tolist()
 
-    def test_single_segment_equals_standard_perceptron(self, head_model):
+    def test_single_segment_equals_standard_perceptron(self, head_model, random_instance):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            mat, params = _random_instance(rng, n_labels=3, m=1, dim=4)
+            mat, params = random_instance(rng, n_labels=3, m=1, dim=4)
             perceptron_bits = (
-                params.weight.data @ mat.rows[0] + params.bias.data > 0
+                params["head.weight"] @ mat.rows[0] + params["head.bias"] > 0
             ).astype(int)
             for strategy in (Pooling.MAX, Pooling.SUM):
                 pred = head_model(params, strategy).predict_features(mat)
@@ -195,9 +189,9 @@ class TestClassify:
         pred = head_model(params, Pooling.MAX, TASK_MULTICLASS).predict_features(mat)
         assert pred.pred_class == 0  # tie between labels 0 and 1 -> lowest index
 
-    def test_record_serialization_layout(self, head_model):
+    def test_record_serialization_layout(self, head_model, random_instance):
         rng = np.random.default_rng(0)
-        mat, params = _random_instance(rng, n_labels=2, m=3, dim=4)
+        mat, params = random_instance(rng, n_labels=2, m=3, dim=4)
         pred = head_model(params, Pooling.GATED_MAX).predict_features(mat)
         record = pred.to_record(["alpha", "beta"])
         assert record["doc_id"] == "d"
@@ -232,11 +226,11 @@ class TestRanking:
 
 
 class TestExplain:
-    def test_positive_document_has_key_in_positive_set(self, head_model):
+    def test_positive_document_has_key_in_positive_set(self, head_model, random_instance):
         rng = np.random.default_rng(11)
         found = 0
         for _ in range(100):
-            mat, params = _random_instance(rng, n_labels=2, m=5, dim=3)
+            mat, params = random_instance(rng, n_labels=2, m=5, dim=3)
             pred = head_model(params, Pooling.MAX).predict_features(mat)
             for label in range(2):
                 positives = np.flatnonzero(pred.seg_bits[label])

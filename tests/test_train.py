@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from unittest import mock
@@ -25,7 +26,6 @@ from swipe.model import (
     Batch,
     ModelConfig,
     SwipeModel,
-    parameter_shapes,
 )
 from swipe.train import (
     GRAD_CHECK_FLOOR,
@@ -105,7 +105,8 @@ class TestBackward:
         doc = Document(id="d", text="ignored", labels=("a",))
         feats = model.featurize(doc)
         _, grads = backward_batch(model, [(feats, model.vocab.bits(doc.labels))])
-        y = float(model.head.weight.data[0] @ s[0] + model.head.bias.data[0])
+        params = model.parameters()
+        y = float(params["head.weight"].data[0] @ s[0] + params["head.bias"].data[0])
         residual = 1 / (1 + math.exp(-y)) - 1.0
         np.testing.assert_allclose(grads["head.weight"][0], residual * s[0], atol=1e-12)
         np.testing.assert_allclose(grads["head.bias"], [residual], atol=1e-12)
@@ -113,7 +114,7 @@ class TestBackward:
     def test_saturated_batch_has_vanishing_gradients(self):
         s = np.full((1, 2), 100.0)
         model = _precomputed_model({"d": s}, labels=("a",), pooling=Pooling.SUM)
-        model.head.weight.data = np.array([[1.0, 1.0]])
+        model.parameters()["head.weight"].data = np.array([[1.0, 1.0]])
         doc = Document(id="d", text="x", labels=("a",))
         _, grads = backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
         for name, grad in grads.items():
@@ -131,7 +132,7 @@ class TestBackward:
     def test_non_finite_loss_raises_training_error(self):
         s = np.full((1, 2), 1e308)
         model = _precomputed_model({"d": s}, pooling=Pooling.SUM)
-        model.head.weight.data = np.array([[1e308, 1e308]])
+        model.parameters()["head.weight"].data = np.array([[1e308, 1e308]])
         doc = Document(id="d", text="x", labels=("a",))
         with pytest.raises(TrainingError, match="d"):
             backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
@@ -165,12 +166,12 @@ class TestAdam:
         # fresh moments, g = 1: update = -lr_1 * 1 / (1 + eps) ~ -lr_1
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model, total_steps=10, lr=0.01)
-        before = model.head.bias.data.copy()
+        before = model.parameters()["head.bias"].data.copy()
         ones = {k: np.ones_like(t.data) for k, t in model.parameters().items()}
         lr1 = learning_rate(state.config, 1, 10)
         adam_step(state, ones, step=1)
         np.testing.assert_allclose(
-            model.head.bias.data, before - lr1, rtol=1e-7
+            model.parameters()["head.bias"].data, before - lr1, rtol=1e-7
         )
 
     def test_row_sparse_gradient_steps_like_its_dense_form(self):
@@ -238,8 +239,8 @@ class TestGradCheck:
         # the argmax, so those coordinates cross a kink and must be excluded
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = _precomputed_model({"d": vectors}, labels=("a",), pooling=Pooling.MAX)
-        model.head.weight.data = np.array([[0.7, 0.7]])
-        model.head.bias.data = np.array([0.0])
+        model.parameters()["head.weight"].data = np.array([[0.7, 0.7]])
+        model.parameters()["head.bias"].data = np.array([0.0])
         doc = Document(id="d", text="x", labels=("a",))
         fn = self._loss_fn(model, model.featurize(doc), np.array([1.0]))
         report = grad_check(fn, model.parameters(), tolerance=1e-4)
@@ -335,8 +336,8 @@ def test_evaluate_split_matches_per_document_exact_match(task):
         model, docs, batch = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1, False,
                                            task, ENCODER_HASH)
         features = {doc.id: feats for doc, (feats, _) in zip(docs, batch)}
-        share = np.mean([exact_match(model.predict_features(features[d.id]), model, d)
-                         for d in docs])
+        scores = np.stack([model.predict_features(features[d.id]).scores for d in docs])
+        share = np.mean(exact_match(model, docs, scores))
         assert evaluate_split(model, docs, features, batch_size=2) == share
 
 
@@ -417,6 +418,16 @@ class TestTrainLoop:
         assert lines[1] == "1,2,0.5,0.25,1.0"
 
 
+#: A hash-encoder config whose other fields are all off their defaults.
+NON_DEFAULT_CONFIG = ModelConfig(
+    labels=("x", "y", "z"), task_kind=TASK_MULTILABEL, pooling=Pooling.GATED_SUM,
+    truncation=TruncationConfig(strategy="punct", window_len=20, overlap=3,
+                                max_seg_len=9, sentence_terminators=frozenset(";.")),
+    n_buckets=128, dim=12, ngram_orders=(1, 3), hash_seed=7, interaction_layers=2,
+    n_heads=3, ff_dim=24, max_positions=16, init_seed=5,
+)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact_predictions(self, tmp_path):
         corpus, vectors = _toy_corpus()
@@ -442,13 +453,7 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_config_bytes_are_pinned(self):
-        config = ModelConfig(
-            labels=("x", "y", "z"), task_kind=TASK_MULTILABEL, pooling=Pooling.GATED_SUM,
-            truncation=TruncationConfig(strategy="punct", window_len=20, overlap=3,
-                                        max_seg_len=9, sentence_terminators=frozenset(";.")),
-            n_buckets=128, dim=12, ngram_orders=(1, 3), hash_seed=7, interaction_layers=2,
-            n_heads=3, ff_dim=24, max_positions=16, init_seed=5,
-        )
+        config = NON_DEFAULT_CONFIG
         header = json.dumps(config.to_meta(), sort_keys=True)
         assert header == (
             '{"dim": 12, "encoder_mode": "hash", "ff_dim": 24, "hash_seed": 7, '
@@ -465,15 +470,20 @@ class TestCheckpoint:
             '"epochs": 3, "epsilon": 1e-08, "seed": 9}'
         )
 
-    @pytest.mark.parametrize("overrides", [
-        {}, {"encoder_mode": ENCODER_PRECOMPUTED},
-        {"interaction_layers": 2, "ff_dim": 6, "max_positions": 5},
-        {"interaction_layers": 1, "n_heads": 4},
-    ])
-    def test_parameter_shapes_match_created_parameters(self, overrides):
-        config = ModelConfig(labels=("a", "b", "c"), n_buckets=8, dim=4, **overrides)
-        created = SwipeModel.create(config).parameters()
-        assert list(parameter_shapes(config)) == [(n, t.shape) for n, t in created.items()]
+    @pytest.mark.parametrize("config, digest", [
+        (NON_DEFAULT_CONFIG, "eccb9bc72a9e62fe1130cfbf0329b84e0f42c8caedc1222346557f3a8e99c6a2"),
+        (ModelConfig(labels=("a", "b", "c"), encoder_mode=ENCODER_PRECOMPUTED, dim=7,
+                     init_seed=2),
+         "698c45bb8238c5f28ef3e9a2efac9bca9630035e06dacaea0e72f1c4eb4135a2"),
+    ], ids=["hash-interaction", "precomputed"])
+    def test_created_parameter_bytes_are_pinned(self, config, digest):
+        # SHA-256 over each parameter's name, shape and little-endian float64
+        # bytes, in order; a change means `create` draws other initial values
+        sha = hashlib.sha256()
+        for name, tensor in SwipeModel.create(config).parameters().items():
+            sha.update(f"{name} {tensor.shape}\n".encode())
+            sha.update(np.ascontiguousarray(tensor.data, "<f8").tobytes())
+        assert sha.hexdigest() == digest
 
     def test_hash_mode_round_trip(self, tmp_path):
         config = ModelConfig(labels=("a", "b"), task_kind=TASK_MULTICLASS,
