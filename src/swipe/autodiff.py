@@ -23,9 +23,12 @@ Conventions:
   chunk of documents (`SwipeModel.predict_many`): a handful of nodes
 * forward values do not depend on how many rows share a call: `linear`
   reduces with einsum's own loops, not BLAS (whose rounding of a row varies
-  with the row count), and `ragged_sum` always uses `reduceat` (a maximum
-  is exact in any order), so a document scores the same bits alone or
-  inside any batch
+  with the row count; a one-row product even takes another BLAS routine);
+  `slab_matmul` and `slab_attention` take documents of equal length as one
+  stacked product per slab, so each document gets the BLAS calls, shapes
+  and last-axis reductions it gets alone; `ragged_sum` always uses
+  `reduceat` (a maximum is exact in any order). A document scores the same
+  bits alone or inside any batch
 """
 
 from __future__ import annotations
@@ -164,29 +167,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        return ((a, g * s),)
-
-    return _make(a.data * s, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; operands must be 2-D, or stacked with equal batch dims."""
-    if a.data.ndim != b.data.ndim or (
-        a.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]
-    ):
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-
-    def backward(g):
-        return (
-            (a, g @ np.swapaxes(b.data, -1, -2)),
-            (b, np.swapaxes(a.data, -1, -2) @ g),
-        )
-
-    return _make(a.data @ b.data, (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map `x @ w.T + b` of (M, D) rows by an (L, D) weight and (L,) bias.
 
@@ -198,16 +178,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return ((x, g @ w.data), (w, g.T @ x.data), (b, g.sum(axis=0)))
 
     return _make(np.einsum("md,ld->ml", x.data, w.data) + b.data, (x, w, b), backward)
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(a.data.ndim)))
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return ((a, g.transpose(inverse)),)
-
-    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -233,18 +203,6 @@ def relu(a: Tensor) -> Tensor:
         return ((a, g * mask),)
 
     return _make(a.data * mask, (a,), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((a, (g - inner) * out),)
-
-    return _make(out, (a,), backward)
 
 
 def sum_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -316,14 +274,74 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _make(a.data[indices], (a,), backward)
 
 
-def concat_rows(tensors: list[Tensor]) -> Tensor:
-    """Stack tensors along the first axis, in order."""
-    bounds = np.cumsum([t.data.shape[0] for t in tensors])[:-1]
+def _slab_rows(slabs) -> list[tuple[slice, int, int]]:
+    """(rows, documents, rows per document) of each slab, slabs stacked in order."""
+    out, start = [], 0
+    for n_docs, m in slabs:
+        out.append((slice(start, start + n_docs * m), n_docs, m))
+        start += n_docs * m
+    return out
+
+
+def slab_matmul(x: Tensor, w: Tensor, slabs) -> Tensor:
+    """Row product `x @ w` of (M, D) rows by a (D, N) weight, taken slab by slab.
+
+    `slabs` lists (documents, rows per document) of consecutive row groups
+    that cover `x`; a slab of G documents of m rows is one stacked
+    (G, m, D) @ (D, N) product, so each document's rows get the same BLAS
+    call as the document alone (see the module docstring).
+    """
+    out = np.empty((x.data.shape[0], w.data.shape[1]))
+    for rows, n_docs, m in _slab_rows(slabs):
+        np.matmul(x.data[rows].reshape(n_docs, m, -1), w.data,
+                  out=out[rows].reshape(n_docs, m, -1))
 
     def backward(g):
-        return tuple(zip(tensors, np.split(g, bounds)))
+        return ((x, g @ w.data.T), (w, x.data.T @ g))
 
-    return _make(np.concatenate([t.data for t in tensors]), tuple(tensors), backward)
+    return _make(out, (x, w), backward)
+
+
+def slab_attention(q: Tensor, k: Tensor, v: Tensor, slabs, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within each document.
+
+    `q`, `k` and `v` are (M, D) rows laid out as `slab_matmul`'s `slabs`
+    say; each row attends over the rows of its own document only. A slab of
+    G documents of m rows is a stacked (G, heads, m, m) score matrix and
+    softmax, so no score between two documents is ever computed. Returns the
+    (M, D) attention output, heads concatenated per row.
+    """
+    dim = q.data.shape[1]
+    head_dim = dim // n_heads
+    scale = 1.0 / np.sqrt(head_dim)
+    slab_rows = _slab_rows(slabs)
+
+    def split(a: np.ndarray, slab) -> np.ndarray:  # (G, heads, m, head_dim) view
+        rows, n_docs, m = slab
+        return a[rows].reshape(n_docs, m, n_heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(out: np.ndarray, slab, heads: np.ndarray) -> None:
+        out[slab[0]] = heads.transpose(0, 2, 1, 3).reshape(-1, dim)
+
+    out, probs = np.empty_like(q.data), []
+    for slab in slab_rows:
+        scores = (split(q.data, slab) @ split(k.data, slab).swapaxes(-1, -2)) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs.append(e / e.sum(axis=-1, keepdims=True))
+        merge(out, slab, probs[-1] @ split(v.data, slab))
+
+    def backward(g):
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for slab, p in zip(slab_rows, probs):
+            qs, ks, vs, gs = (split(a, slab) for a in (q.data, k.data, v.data, g))
+            dp = gs @ vs.swapaxes(-1, -2)
+            ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
+            merge(dq, slab, ds @ ks)
+            merge(dk, slab, ds.swapaxes(-1, -2) @ qs)
+            merge(dv, slab, p.swapaxes(-1, -2) @ gs)
+        return ((q, dq), (k, dk), (v, dv))
+
+    return _make(out, (q, k, v), backward)
 
 
 def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:

@@ -141,6 +141,18 @@ def _utf8_string(value) -> bool:
     return True
 
 
+def record_key(raw: dict, key: str) -> str:
+    """`raw[key]` as an id or label: a string as is, an integer as its decimal
+    string. Anything else (null, bool, float, array, object) raises TypeError,
+    so no id is ever read as the Python spelling of a JSON value."""
+    value = raw[key]
+    if isinstance(value, str):
+        return value
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"{key!r} must be a string or an integer, got {json.dumps(value)}")
+
+
 def load_documents(path) -> list[Document]:
     """Parse JSONL documents without building a vocabulary (prediction input)."""
     path = Path(path)
@@ -156,6 +168,10 @@ def load_documents(path) -> list[Document]:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(raw, dict) or "id" not in raw:
                 raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
+            try:
+                doc_id = record_key(raw, "id")
+            except TypeError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
             text, units, labels = raw.get("text", ""), raw.get("units"), raw.get("labels", [])
             if not (isinstance(text, str) and isinstance(labels, list)
                     and (units is None or isinstance(units, list))):
@@ -170,7 +186,7 @@ def load_documents(path) -> list[Document]:
             try:
                 documents.append(
                     Document(
-                        id=str(raw["id"]),
+                        id=doc_id,
                         text=text,
                         units=tuple(units) if units is not None else None,
                         labels=tuple(labels),
@@ -345,7 +361,7 @@ def load_key_map(path) -> KeyMap:
                 segments = raw["key_segments"]
                 if not isinstance(segments, list) or any(type(k) is not int for k in segments):
                     raise TypeError(f"key_segments must be an array of integers, got {segments!r}")
-                key_map[(str(raw["doc_id"]), str(raw["label"]))] = tuple(segments)
+                key_map[(record_key(raw, "doc_id"), record_key(raw, "label"))] = tuple(segments)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad key map record: {exc}") from exc
     return key_map

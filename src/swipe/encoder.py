@@ -15,6 +15,7 @@ equivariant. The functions here take the model's parameter dict, named as
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ import numpy as np
 from swipe import autodiff as ad
 from swipe import hashing
 from swipe.config import ModelConfig
+from swipe.corpus import record_key
 from swipe.errors import ConfigError, FormatError
 from swipe.truncate import Segment
 
@@ -120,7 +122,10 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
                 continue
             if "doc_id" not in raw:
                 raise FormatError(f"{path}:{lineno}: record without doc_id")
-            doc_id = str(raw["doc_id"])
+            try:
+                doc_id = record_key(raw, "doc_id")
+            except TypeError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
             vectors = raw.get("vectors")
             if not vectors:
                 raise FormatError(f"{path}:{lineno}: record without vectors")
@@ -151,54 +156,34 @@ def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
             fh.write(json.dumps({"doc_id": mat.doc_id, "vectors": mat.rows.tolist()}) + "\n")
 
 
-def _attention(x: ad.Tensor, params: dict[str, ad.Tensor], layer: str, n_heads: int,
-               mask: ad.Tensor | None) -> ad.Tensor:
-    """Multi-head self-attention of the layer whose parameters are named `layer` + "wq" etc."""
-    m, dim = x.shape
-    head_dim = dim // n_heads
+def _slabs(offsets: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
+    """Order a ragged batch's documents by segment count.
 
-    def split_heads(t: ad.Tensor) -> ad.Tensor:
-        return ad.transpose(ad.reshape(t, (m, n_heads, head_dim)), (1, 0, 2))
-
-    q = split_heads(ad.matmul(x, params[layer + "wq"]))
-    k = split_heads(ad.matmul(x, params[layer + "wk"]))
-    v = split_heads(ad.matmul(x, params[layer + "wv"]))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(head_dim))
-    if mask is not None:
-        scores = ad.add(scores, mask)
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(attn, v)  # heads x m x head_dim
-    merged = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (m, dim))
-    return ad.matmul(merged, params[layer + "wo"])
-
-
-#: Most segments one attention call takes. A batch with more is split into
-#: runs of whole documents, so attention memory grows with the batch's
-#: segment count times this bound, not with its square.
-ATTENTION_ROWS = 256
-
-
-def _attention_runs(offsets: np.ndarray) -> list[tuple[int, int, ad.Tensor | None]]:
-    """(first row, end row, mask) of each attention call.
-
-    A run is consecutive whole documents with at most ATTENTION_ROWS
-    segments in all (a longer document runs alone). Its block-diagonal 0/-inf
-    mask keeps every row inside its own document; a one-document run has none.
+    Returns the row gather that stacks the documents in that order (None when
+    they already are: one document, or counts that never fall) and the
+    (documents, segments per document) of each run of equal counts.
     """
-    bounds, first = [], 0
-    for b in range(1, len(offsets)):
-        if offsets[b] - offsets[first] > ATTENTION_ROWS and b - 1 > first:
-            bounds.append(offsets[first:b])
-            first = b - 1
-    bounds.append(offsets[first:])
-    runs = []
-    for run in bounds:
-        mask = None
-        if len(run) > 2:
-            doc = np.repeat(np.arange(len(run) - 1), np.diff(run))
-            mask = ad.Tensor(np.where(doc[:, None] == doc, 0.0, -np.inf))
-        runs.append((int(run[0]), int(run[-1]), mask))
-    return runs
+    counts = (offsets[1:] - offsets[:-1]).tolist()
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    slabs = [(len(list(group)), m) for m, group in itertools.groupby(counts[b] for b in order)]
+    if order == list(range(len(counts))):
+        return None, slabs
+    sorted_counts = np.array([counts[b] for b in order])
+    shift = offsets[order] - np.concatenate(([0], np.cumsum(sorted_counts)[:-1]))
+    return np.arange(int(offsets[-1])) + np.repeat(shift, sorted_counts), slabs
+
+
+def interaction_bytes(m: int, params: dict[str, ad.Tensor], config: ModelConfig) -> int:
+    """Bytes of the activations `interact_tensor` keeps for one document of
+    `m` segments: per layer and segment about 12 x dim + 2 x ff_dim floats
+    (layer-norm outputs and normalized inputs, q, k, v, attention output,
+    projections, residuals, the feed-forward hidden rows), and per layer
+    3 x heads x m^2 floats of attention scores. Zero with no layers."""
+    if not config.interaction_layers:
+        return 0
+    ff_dim = params["interaction.0.ff_in"].shape[1]
+    return config.interaction_layers * 8 * (
+        m * (12 * config.dim + 2 * ff_dim) + 3 * config.n_heads * m * m)
 
 
 def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,
@@ -209,9 +194,12 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
     saturate irrecoverably during training); identity with no layers.
 
     Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1];
-    None means one document) attend only within their own document, through
-    a block-diagonal 0/-inf mask on the attention scores, and take positional
-    rows by their index within the document. Every other op is row-wise.
+    None means one document) take positional rows by their index within the
+    document. The documents are then stacked by segment count (one
+    `take_rows` in, one out), so documents of equal length form slabs: every
+    projection is one `ad.slab_matmul` and attention one `ad.slab_attention`,
+    which attends only within each document. Every other op is row-wise, so a
+    document's rows come out the same bits in any batch.
     """
     m, dim = x.shape
     if dim != config.dim:
@@ -229,22 +217,25 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
             )
         within = np.arange(m) - np.repeat(offsets[:-1], counts)
         x = ad.add(x, ad.take_rows(positions, within))
-    runs = _attention_runs(offsets)
+    gather, slabs = _slabs(offsets)
+    if gather is not None:
+        x = ad.take_rows(x, gather)
     for i in range(config.interaction_layers):
         layer = f"interaction.{i}."
+
+        def project(t: ad.Tensor, name: str) -> ad.Tensor:
+            return ad.slab_matmul(t, params[layer + name], slabs)
+
         attn_in = ad.layer_norm(x, params[layer + "ln1_gain"], params[layer + "ln1_bias"])
-        if len(runs) == 1:
-            attn = _attention(attn_in, params, layer, config.n_heads, runs[0][2])
-        else:
-            attn = ad.concat_rows([
-                _attention(ad.take_rows(attn_in, np.arange(start, stop)), params, layer,
-                           config.n_heads, mask)
-                for start, stop, mask in runs
-            ])
-        x = ad.add(x, attn)
+        attn = ad.slab_attention(project(attn_in, "wq"), project(attn_in, "wk"),
+                                 project(attn_in, "wv"), slabs, config.n_heads)
+        x = ad.add(x, project(attn, "wo"))
         ff_in = ad.layer_norm(x, params[layer + "ln2_gain"], params[layer + "ln2_bias"])
-        hidden = ad.relu(ad.matmul(ff_in, params[layer + "ff_in"]))
-        x = ad.add(x, ad.matmul(hidden, params[layer + "ff_out"]))
+        x = ad.add(x, project(ad.relu(project(ff_in, "ff_in")), "ff_out"))
     if config.interaction_layers:
         x = ad.layer_norm(x, params["interaction.final_gain"], params["interaction.final_bias"])
+    if gather is not None:
+        inverse = np.empty_like(gather)
+        inverse[gather] = np.arange(len(gather))
+        x = ad.take_rows(x, inverse)
     return x

@@ -41,6 +41,7 @@ from swipe.encoder import (
     encode_features,
     featurize_segments,
     interact_tensor,
+    interaction_bytes,
 )
 from swipe.errors import ConfigError, FormatError, SwipeError
 from swipe.hashing import derive_seed, ngram_counts
@@ -59,13 +60,14 @@ HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
 #: or its frozen segment vectors (precomputed encoder).
 Features = SegmentFeatures | SegmentMatrix
 
-#: Byte budget of one inference chunk's two largest temporaries: the
-#: embedding gather (n-grams x dim x 8 bytes; with precomputed vectors, the
-#: stacked segment rows) and the hashing byte matrix (tokens x bytes of the
-#: chunk's widest token, counted as 4 bytes per character, UTF-8's most, so
-#: no token is encoded twice). A chunk closes before a document would take it
-#: past the budget; a document over budget on its own runs in a chunk of its
-#: own.
+#: Byte budget of one inference chunk's largest temporaries: the embedding
+#: gather (n-grams x dim x 8 bytes; with precomputed vectors, the stacked
+#: segment rows), the hashing byte matrix (tokens x bytes of the chunk's
+#: widest token, counted as 4 bytes per character, UTF-8's most, so no token
+#: is encoded twice) and, with interaction layers, the activations the
+#: layers keep (`encoder.interaction_bytes`). A chunk closes
+#: before a document would take it past the budget; a document over budget
+#: on its own runs in a chunk of its own.
 CHUNK_BYTES = 1 << 20
 
 #: Per-layer interaction parameters, in checkpoint order.
@@ -262,39 +264,43 @@ class SwipeModel:
         Each document is truncated once, by `truncation` (default: the
         model's own); `segments` is None with precomputed vectors. A chunk's
         segments are hashed in one `featurize_segments` call and scored by
-        one `forward`. A chunk closes before it would exceed `CHUNK_BYTES`,
-        and with interaction layers, whose attention mixes rows across
-        documents, every document is a chunk of its own. A document's
-        prediction is bit for bit the same whichever documents share its chunk.
+        one `forward`, with or without interaction layers (attention stays
+        within each document). A chunk closes before it would exceed
+        `CHUNK_BYTES`. A document's prediction is bit for bit the same
+        whichever documents share its chunk.
         """
         trunc = self.config.truncation if truncation is None else truncation
         hashed = self.config.encoder_mode == ENCODER_HASH
         chunk: list[tuple[Document, list[Segment] | None]] = []
-        rows = tokens = width = 0  # the chunk's encoder rows, tokens, widest token
+        size = tokens = width = 0  # the chunk's per-document bytes, tokens, widest token
         for doc in docs:
             segments = truncate(doc, trunc) if hashed else None
-            if self.config.interaction_layers:
-                yield from self._predict_chunk([(doc, segments)])
-                continue
-            doc_rows, doc_tokens, doc_width = self._chunk_size(doc, segments)
-            if chunk and ((rows + doc_rows) * self.config.dim * 8
+            doc_size, doc_tokens, doc_width = self._chunk_size(doc, segments)
+            if chunk and (size + doc_size
                           + (tokens + doc_tokens) * max(width, doc_width) > CHUNK_BYTES):
                 yield from self._predict_chunk(chunk)
-                chunk, rows, tokens, width = [], 0, 0, 0
+                chunk, size, tokens, width = [], 0, 0, 0
             chunk.append((doc, segments))
-            rows, tokens, width = rows + doc_rows, tokens + doc_tokens, max(width, doc_width)
+            size, tokens, width = size + doc_size, tokens + doc_tokens, max(width, doc_width)
         if chunk:
             yield from self._predict_chunk(chunk)
 
     def _chunk_size(self, doc: Document,
                     segments: list[Segment] | None) -> tuple[int, int, int]:
-        """(encoder rows gathered, tokens hashed, most bytes a token can take)."""
+        """(bytes of the document's embedding gather and interaction
+        activations, tokens hashed, most bytes a token can take); see
+        `CHUNK_BYTES`."""
+        config = self.config
         if segments is None:
-            return self._vectors(doc).m, 0, 0
-        lengths = [len(seg.tokens) for seg in segments]
-        tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
-        return (int(ngram_counts(lengths, self.config.ngram_orders).sum()), sum(lengths),
-                4 * max(map(len, tokens)))
+            m = rows = self._vectors(doc).m
+            tokens = width = 0
+        else:
+            m = len(segments)
+            lengths = [len(seg.tokens) for seg in segments]
+            all_tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
+            rows = int(ngram_counts(lengths, config.ngram_orders).sum())
+            tokens, width = sum(lengths), 4 * max(map(len, all_tokens))
+        return rows * config.dim * 8 + interaction_bytes(m, self.params, config), tokens, width
 
     def _predict_chunk(self, chunk: list[tuple[Document, list[Segment] | None]]):
         if chunk[0][1] is None:

@@ -1,5 +1,7 @@
 """Finite-difference checks for every primitive in the tape engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,33 +49,17 @@ def test_add_mul_broadcasting():
     )
 
 
+def _times(a, s):
+    """`a` times the constant `s`: a product with a tensor that needs no grad."""
+    return ad.mul(a, ad.Tensor(s))
+
+
 def test_sub_and_scale():
-    # a - b is spelled add(a, scale(b, -1)); there is no separate sub op
+    # a - b is spelled add(a, mul(b, -1)); there is no separate sub or scale op
     check_op(
-        lambda ts: ad.sum_along(ad.scale(ad.add(ts[0], ad.scale(ts[1], -1.0)), 2.5)),
+        lambda ts: ad.sum_along(_times(ad.add(ts[0], _times(ts[1], -1.0)), 2.5)),
         [(2, 3), (2, 3)],
     )
-
-
-def test_matmul_2d():
-    check_op(
-        lambda ts: ad.sum_along(ad.matmul(ts[0], ts[1])),
-        [(3, 4), (4, 2)],
-    )
-
-
-def test_matmul_batched():
-    check_op(
-        lambda ts: ad.sum_along(ad.matmul(ts[0], ts[1])),
-        [(2, 3, 4), (2, 4, 3)],
-    )
-
-
-def test_matmul_shape_mismatch():
-    a = ad.Tensor(np.zeros((2, 3, 4)))
-    b = ad.Tensor(np.zeros((3, 4, 4)))
-    with pytest.raises(ValueError):
-        ad.matmul(a, b)
 
 
 def test_linear_matches_loop_oracle():
@@ -113,13 +99,94 @@ def test_linear_rows_do_not_depend_on_the_row_count():
         assert part.tobytes() == full[start:stop].tobytes(), (start, stop)
 
 
-def test_transpose_reshape():
-    check_op(
-        lambda ts: ad.sum_along(
-            ad.mul(ad.reshape(ad.transpose(ts[0], (1, 0, 2)), (6, 2)), ts[1])
-        ),
-        [(3, 2, 2), (6, 2)],
-    )
+def _slab_layout(sizes):
+    """Row bounds of documents of `sizes` rows stacked in order, and their slabs
+    (the sizes must already be grouped into runs of equal length)."""
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    slabs = [(len(list(run)), m) for m, run in itertools.groupby(sizes)]
+    return bounds, slabs
+
+
+def _attention_alone(q, k, v, n_heads):
+    """One document's attention in plain numpy, head by head."""
+    head_dim = q.shape[1] // n_heads
+    out = np.empty_like(q)
+    for h in range(n_heads):
+        cols = slice(h * head_dim, (h + 1) * head_dim)
+        scores = (q[:, cols] @ k[:, cols].T) * (1.0 / np.sqrt(head_dim))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[:, cols] = (e / e.sum(axis=-1, keepdims=True)) @ v[:, cols]
+    return out
+
+
+# 1-row documents, several of one length, mixed lengths
+SLAB_SIZES = [[1], [4], [1, 1, 1], [3, 3, 3, 3], [1, 1, 2, 5, 5, 7]]
+
+
+@pytest.mark.parametrize("sizes", SLAB_SIZES)
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_slab_ops_match_each_document_alone_bit_for_bit(sizes, n_heads):
+    rng = np.random.default_rng(len(sizes) + n_heads)
+    bounds, slabs = _slab_layout(sizes)
+    x, w = rng.normal(size=(bounds[-1], 8)), rng.normal(size=(8, 12))
+    q, k, v = rng.normal(size=(3, bounds[-1], 8))
+    product = ad.slab_matmul(ad.Tensor(x), ad.Tensor(w), slabs).data
+    attention = ad.slab_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), slabs, n_heads).data
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        assert product[rows].tobytes() == (x[rows] @ w).tobytes(), (start, stop)
+        alone = _attention_alone(q[rows], k[rows], v[rows], n_heads)
+        assert attention[rows].tobytes() == alone.tobytes(), (start, stop)
+
+
+def test_slab_attention_weights_sum_to_one_and_stay_finite():
+    # rows of v all equal: any convex combination of them is that row
+    _, slabs = _slab_layout([1, 3, 3])
+    q = np.array([[1e4, 0.0]] * 7)
+    k = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]] + [[2.0, 1.0]] * 3)
+    v = np.tile([[0.25, -2.0]], (7, 1))
+    out = ad.slab_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), slabs, 1).data
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, v, rtol=1e-15)
+
+
+def test_slab_ops_grad_check_on_three_documents():
+    # documents of 1, 2 and 2 rows: a one-row slab and a two-document slab
+    _, slabs = _slab_layout([1, 2, 2])
+    rng = np.random.default_rng(9)
+    params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
+              for name, shape in (("x", (5, 4)), ("wq", (4, 4)), ("wk", (4, 4)),
+                                  ("wv", (4, 4)), ("wo", (4, 3)))}
+    weights = ad.Tensor(rng.normal(size=(5, 3)))
+
+    def fn():
+        q, k, v = (ad.slab_matmul(params["x"], params[name], slabs) for name in ("wq", "wk", "wv"))
+        out = ad.slab_matmul(ad.slab_attention(q, k, v, slabs, 2), params["wo"], slabs)
+        return ad.sum_along(ad.mul(ad.sigmoid(out), weights)), None
+
+    report = grad_check(fn, params, tolerance=1e-6)
+    assert report.passed and report.n_checked == 20 + 3 * 16 + 12, report.failures[:3]
+
+
+def test_slab_ops_rows_do_not_depend_on_the_document_count():
+    rng = np.random.default_rng(10)
+    for m, n in ((1, 3), (1, 128), (3, 3), (7, 128)):
+        x, w = rng.normal(size=(60 * m, 32)), rng.normal(size=(32, n))
+        qkv = [ad.Tensor(rng.normal(size=(60 * m, 32))) for _ in range(3)]
+        full = ad.slab_matmul(ad.Tensor(x), ad.Tensor(w), [(60, m)]).data
+        attention = ad.slab_attention(*qkv, [(60, m)], 2).data
+        for first, last in ((0, 1), (7, 8), (5, 42), (0, 60)):
+            rows = slice(first * m, last * m)
+            part = ad.slab_matmul(ad.Tensor(x[rows]), ad.Tensor(w), [(last - first, m)]).data
+            assert part.tobytes() == full[rows].tobytes(), (m, n, first, last)
+            part = ad.slab_attention(*(ad.Tensor(t.data[rows]) for t in qkv),
+                                     [(last - first, m)], 2).data
+            assert part.tobytes() == attention[rows].tobytes(), (m, first, last)
+
+
+def test_reshape():
+    check_op(lambda ts: ad.sum_along(ad.mul(ad.reshape(ts[0], (6, 2)), ts[1])),
+             [(3, 2, 2), (6, 2)])
 
 
 def test_sigmoid_relu():
@@ -136,21 +203,11 @@ def test_sigmoid_relu():
     np.testing.assert_allclose(tensor.grad, fd, atol=1e-6)
 
 
-def test_softmax_rows_sum_to_one_and_grad():
-    check_op(
-        lambda ts: ad.sum_along(ad.mul(ad.softmax(ts[0], axis=-1), ts[1])),
-        [(3, 5), (3, 5)],
-    )
-    s = ad.softmax(ad.Tensor(np.array([[1e4, 0.0, -1e4]])), axis=-1)
-    assert np.all(np.isfinite(s.data))
-    np.testing.assert_allclose(s.data.sum(axis=-1), 1.0)
-
-
 def test_sum_mean_axes():
-    # a mean is spelled scale(sum_along(...), 1 / count)
-    check_op(lambda ts: ad.sum_along(ad.scale(ad.sum_along(ts[0], axis=0), 1 / 3)), [(3, 4)])
+    # a mean is spelled mul(sum_along(...), 1 / count)
+    check_op(lambda ts: ad.sum_along(_times(ad.sum_along(ts[0], axis=0), 1 / 3)), [(3, 4)])
     check_op(
-        lambda ts: ad.scale(ad.sum_along(ad.sum_along(ts[0], axis=1, keepdims=True)), 1 / 3),
+        lambda ts: _times(ad.sum_along(ad.sum_along(ts[0], axis=1, keepdims=True)), 1 / 3),
         [(3, 4)],
     )
 
@@ -263,16 +320,6 @@ def test_ragged_offsets_must_split_every_row_into_non_empty_blocks(offsets):
         ad.ragged_sum(x, np.array(offsets))
     with pytest.raises(ValueError, match="ragged offsets"):
         ad.ragged_max(x, np.array(offsets))
-
-
-def test_concat_rows_matches_row_copy_loop_and_grad():
-    rng = np.random.default_rng(8)
-    parts = [rng.normal(size=(n, 3)) for n in (2, 1, 4)]
-    out = ad.concat_rows([ad.Tensor(p) for p in parts]).data
-    rows = [row for p in parts for row in p]
-    np.testing.assert_array_equal(out, np.array(rows))
-    check_op(lambda ts: ad.sum_along(ad.mul(ad.concat_rows(ts[:3]), ts[3])),
-             [(2, 3), (1, 3), (4, 3), (7, 3)])
 
 
 def test_take_rows_accumulates_duplicates():
@@ -412,7 +459,7 @@ def test_grad_accumulates_across_reuses():
 def test_no_tape_without_requires_grad():
     a = ad.Tensor(np.ones((2, 2)))
     b = ad.Tensor(np.ones((2, 2)))
-    out = ad.matmul(a, b)
+    out = ad.mul(a, b)
     assert out._backward is None and not out.requires_grad
 
 

@@ -420,6 +420,16 @@ class TestParsing:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {corpus}:1: ")
 
+    @pytest.mark.parametrize("doc_id", [None, {"a": 2}])
+    def test_corpus_id_neither_string_nor_integer_exits_2(self, tmp_path, capsys, doc_id):
+        ckpt, corpus = tmp_path / "m.ckpt", tmp_path / "c.jsonl"
+        SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4)).save(ckpt)
+        corpus.write_text(json.dumps({"id": doc_id, "text": "x", "labels": ["a"]}) + "\n")
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", corpus,
+                    "--out", tmp_path / "p.jsonl"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {corpus}:1: 'id' must be a string")
+
     @pytest.mark.parametrize("args, flag", [
         (["synth", "--segments-per-doc", "x"], "--segments-per-doc"),
         (["synth", "--split", "a,b,c"], "--split"),

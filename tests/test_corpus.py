@@ -86,6 +86,27 @@ class TestLoad:
         with pytest.raises(ParseError, match=r"corpus\.jsonl:2: .*must hold strings"):
             load_jsonl(path, TASK_MULTILABEL)
 
+    @pytest.mark.parametrize("bad", [None, True, 1.0, [1], {"a": 2}])
+    def test_id_neither_string_nor_integer_names_line(self, tmp_path, bad):
+        good = {"id": 7, "text": "x", "labels": ["a"]}
+        path = _write(tmp_path, [json.dumps(good)])
+        assert [doc.id for doc in load_jsonl(path, TASK_MULTILABEL).documents] == ["7"]
+        path = _write(tmp_path, [json.dumps(good), json.dumps({**good, "id": bad})])
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:2: 'id' must be a string or"):
+            load_jsonl(path, TASK_MULTILABEL)
+
+    @pytest.mark.parametrize("key", ["doc_id", "label"])
+    @pytest.mark.parametrize("bad", [None, False, 2.5, ["d"], {"a": 2}])
+    def test_key_map_id_or_label_neither_string_nor_integer_names_line(self, tmp_path, key,
+                                                                       bad):
+        good = {"doc_id": 3, "label": 1, "key_segments": [0]}
+        path = _write(tmp_path, [json.dumps(good)], "keymap.jsonl")
+        assert load_key_map(path) == {("3", "1"): (0,)}
+        path = _write(tmp_path, [json.dumps(good), json.dumps({**good, key: bad})],
+                      "keymap.jsonl")
+        with pytest.raises(ParseError, match=rf"keymap\.jsonl:2: .*'{key}' must be a string"):
+            load_key_map(path)
+
     def test_non_ascii_strings_load_unchanged(self, tmp_path):
         record = {"id": "1", "units": ["caf\u00e9", "\U0001f600 \u0130stanbul"],
                   "labels": ["\u00e9t\u00e9"]}

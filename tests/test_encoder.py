@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from swipe import autodiff as ad
 from swipe import encoder, hashing
+from swipe import model as model_mod
 from swipe.encoder import (
     SegmentMatrix,
     encode_features,
@@ -53,6 +56,34 @@ def _interaction(num_layers, dim, n_heads=2, max_positions=None, init_seed=0):
             data = rng.normal(0.0, std, size=shape)
         params[name] = ad.Tensor(data, requires_grad=True)
     return config, params
+
+
+def _layer_norm(x, gain, bias, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)
+    return gain.data * (centered * inv_std) + bias.data
+
+
+def _interaction_alone(x, params, config):
+    """One document's interaction layers in plain numpy, attention head by head."""
+    m, dim = x.shape
+    head_dim = dim // config.n_heads
+    if "interaction.positions" in params:
+        x = x + params["interaction.positions"].data[:m]
+    for i in range(config.interaction_layers):
+        p = {name: params[f"interaction.{i}.{name}"] for name in model_mod.LAYER_PARAMS}
+        h = _layer_norm(x, p["ln1_gain"], p["ln1_bias"])
+        q, k, v = h @ p["wq"].data, h @ p["wk"].data, h @ p["wv"].data
+        ctx = np.empty_like(x)
+        for head in range(config.n_heads):
+            cols = slice(head * head_dim, (head + 1) * head_dim)
+            scores = (q[:, cols] @ k[:, cols].T) * (1.0 / np.sqrt(head_dim))
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            ctx[:, cols] = (e / e.sum(axis=-1, keepdims=True)) @ v[:, cols]
+        x = x + ctx @ p["wo"].data
+        hidden = _layer_norm(x, p["ln2_gain"], p["ln2_bias"]) @ p["ff_in"].data
+        x = x + (hidden * (hidden > 0)) @ p["ff_out"].data
+    return _layer_norm(x, params["interaction.final_gain"], params["interaction.final_bias"])
 
 
 class TestSegmentMatrix:
@@ -159,6 +190,15 @@ class TestPrecomputed:
         with pytest.raises(FormatError, match=rf"vectors\.jsonl:{line}: "):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("bad", ["null", "true", "1.0", "[1]", '{"a": 2}'])
+    def test_doc_id_neither_string_nor_integer_names_line(self, tmp_path, bad):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('{"h": 1}\n{"doc_id": 3, "vectors": [[1]]}\n')
+        assert list(load_precomputed(path)) == ["3"]
+        path.write_text(f'{{"h": 1}}\n{{"doc_id": {bad}, "vectors": [[1]]}}\n')
+        with pytest.raises(FormatError, match=r"vectors\.jsonl:2: 'doc_id' must be a string"):
+            load_precomputed(path)
+
 
 class TestInteraction:
     def test_zero_layers_is_identity(self):
@@ -205,20 +245,30 @@ class TestInteraction:
             ModelConfig(labels=("a", "b"), dim=6, interaction_layers=1, n_heads=4)
 
     @pytest.mark.parametrize("sizes", [[5], [1, 3, 2], [2, 2, 2, 2], [6, 1, 1, 4], [1] * 9])
-    def test_attention_runs_hold_whole_documents_within_the_row_bound(self, monkeypatch, sizes):
-        monkeypatch.setattr(encoder, "ATTENTION_ROWS", 4)
+    def test_slabs_stack_documents_by_segment_count(self, sizes):
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        runs = encoder._attention_runs(offsets)
-        assert runs[0][0] == 0 and runs[-1][1] == offsets[-1]
-        for (_, stop, _), (start, _, _) in zip(runs, runs[1:]):
-            assert stop == start and stop in offsets
-        for start, stop, mask in runs:
-            docs = [b for b in range(len(sizes)) if start <= offsets[b] < stop]
-            assert stop - start <= 4 or len(docs) == 1
-            assert (mask is None) == (len(docs) == 1)
-            if mask is not None:  # 0 exactly where two rows share a document
-                doc = np.repeat(np.arange(len(docs)), [sizes[b] for b in docs])
-                np.testing.assert_array_equal(mask.data == 0, doc[:, None] == doc[None, :])
+        gather, slabs = encoder._slabs(offsets)
+        order = sorted(range(len(sizes)), key=lambda b: sizes[b])  # stable
+        rows = [r for b in order for r in range(offsets[b], offsets[b + 1])]
+        if order == list(range(len(sizes))):
+            assert gather is None
+        else:
+            assert gather.tolist() == rows
+        runs = [(len(list(run)), m) for m, run in itertools.groupby(sorted(sizes))]
+        assert slabs == runs
+
+    @pytest.mark.parametrize("sizes", [[1], [3], [1, 1, 1], [2, 2, 2], [4, 1, 2, 1, 4, 3]])
+    @pytest.mark.parametrize("n_heads, positions", [(1, None), (2, None), (4, None), (2, 6)])
+    def test_ragged_batch_matches_each_document_alone_bit_for_bit(self, sizes, n_heads,
+                                                                 positions):
+        config, params = _interaction(num_layers=2, dim=8, n_heads=n_heads,
+                                      max_positions=positions, init_seed=len(sizes))
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        rows = np.random.default_rng(n_heads).normal(size=(offsets[-1], 8))
+        out = interact_tensor(ad.Tensor(rows), params, config, offsets).data
+        for start, stop in zip(offsets, offsets[1:]):
+            alone = _interaction_alone(rows[start:stop], params, config)
+            assert out[start:stop].tobytes() == alone.tobytes(), (start, stop)
 
     def test_differentiable_end_to_end(self):
         config, params = _interaction(num_layers=1, dim=4, n_heads=2, init_seed=0)

@@ -1,5 +1,6 @@
 """Chunked inference: `SwipeModel.predict_many` against one document at a time."""
 
+import collections
 import io
 from unittest import mock
 
@@ -19,11 +20,13 @@ from swipe.truncate import TruncationConfig
 WORDS = ["the", "a", "café", "東京", "🙂", "straße", "word", "x1", "über", "ok"]
 
 
-def _docs(rng, n_docs, max_segments=6):
+def _docs(rng, n_docs, max_segments=6, single=()):
+    """Random documents; those whose index is in `single` have one segment."""
     docs = []
     for i in range(n_docs):
+        m = 1 if i in single else rng.integers(1, max_segments + 1)
         units = tuple(" ".join(str(w) for w in rng.choice(WORDS, size=rng.integers(1, 9)))
-                      for _ in range(rng.integers(1, max_segments + 1)))
+                      for _ in range(m))
         docs.append(Document(id=f"d{i}", units=units, labels=("a",)))
     return docs
 
@@ -75,10 +78,11 @@ def _forward_calls(model):
     encoder_mode=st.sampled_from([ENCODER_HASH, ENCODER_PRECOMPUTED]),
     # from one document per chunk (0) up to the whole corpus in one chunk
     budget=st.one_of(st.just(0), st.integers(0, 20_000), st.just(10**9)),
+    single=st.sets(st.integers(0, 7)),
 )
 def test_chunked_predictions_equal_per_document_predictions_bit_for_bit(
-        seed, n_docs, pooling, layers, task, encoder_mode, budget):
-    docs = _docs(np.random.default_rng(seed), n_docs)
+        seed, n_docs, pooling, layers, task, encoder_mode, budget, single):
+    docs = _docs(np.random.default_rng(seed), n_docs, single=single)
     model = _model(seed, pooling, layers, task, encoder_mode, docs)
     singles = [model.predict(doc) for doc in docs]
     calls = _forward_calls(model)
@@ -91,7 +95,7 @@ def test_chunked_predictions_equal_per_document_predictions_bit_for_bit(
         for field in ("scores", "bits", "seg_scores", "seg_bits", "gates", "key_segments"):
             assert _same_bits(getattr(got, field), getattr(want, field)), (doc.id, field)
         assert got.pred_class == want.pred_class
-    if layers > 0 or budget == 0:
+    if budget == 0:
         assert calls == [1] * n_docs
     elif budget == 10**9:
         assert calls == [n_docs]
@@ -107,11 +111,17 @@ def test_predict_many_uses_the_truncation_it_is_given():
     assert pred.m == 3
 
 
-def _exact_chunk_bytes(segments, dim, orders=(1, 2)):
-    """Bytes of the embedding gather and of the hashing byte matrix."""
+def _exact_chunk_bytes(segments, dim, orders=(1, 2), layers=0, heads=2, ff_dim=8):
+    """Bytes of the embedding gather, of the hashing byte matrix and of the
+    interaction layers' activations: per segment 12 x dim + 2 x ff_dim floats,
+    per document of m segments 3 x heads x m^2 floats, per layer."""
     tokens = [tok for seg in segments for tok in seg.tokens]
     ngrams = sum(max(len(seg.tokens) - k + 1, 0) for seg in segments for k in orders)
-    return ngrams * dim * 8 + len(tokens) * max(len(tok.encode()) for tok in tokens)
+    per_doc = collections.Counter(seg.doc_id for seg in segments).values()
+    activations = layers * 8 * (len(segments) * (12 * dim + 2 * ff_dim)
+                                + sum(3 * heads * m * m for m in per_doc))
+    return (ngrams * dim * 8 + len(tokens) * max(len(tok.encode()) for tok in tokens)
+            + activations)
 
 
 def _chunks(model, docs, monkeypatch):
@@ -142,6 +152,17 @@ def test_chunks_stay_within_the_budget_and_a_very_long_token_runs_alone(monkeypa
     assert len(shared) >= 2  # the budget does group documents
     for chunk in shared:
         assert _exact_chunk_bytes(chunk, dim=32) <= model_mod.CHUNK_BYTES
+
+
+def test_interaction_chunks_stay_within_the_budget(monkeypatch):
+    docs = _docs(np.random.default_rng(2), 200, max_segments=24, single=range(0, 200, 5))
+    model = _model(2, Pooling.GATED_SUM, 2, TASK_MULTILABEL, ENCODER_HASH, docs, dim=32)
+    chunks = _chunks(model, docs, monkeypatch)
+    sizes = [len({seg.doc_id for seg in chunk}) for chunk in chunks]
+    assert sum(sizes) == len(docs) and max(sizes) >= 4  # the budget does group documents
+    for chunk, size in zip(chunks, sizes):
+        if size > 1:
+            assert _exact_chunk_bytes(chunk, dim=32, layers=2) <= model_mod.CHUNK_BYTES
 
 
 class TestLoad:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipe import autodiff as ad
-from swipe import encoder
 from swipe.corpus import (
     Corpus,
     Document,
@@ -291,13 +289,11 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
     positions=st.booleans(),
     task=st.sampled_from([TASK_MULTICLASS, TASK_MULTILABEL]),
     encoder_mode=st.sampled_from([ENCODER_HASH, ENCODER_PRECOMPUTED]),
-    attention_rows=st.sampled_from([4, encoder.ATTENTION_ROWS]),
 )
 def test_batched_step_equals_mean_of_single_document_steps(
-        seed, sizes, pooling, layers, positions, task, encoder_mode, attention_rows):
+        seed, sizes, pooling, layers, positions, task, encoder_mode):
     model, _, batch = _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode)
-    with mock.patch.object(encoder, "ATTENTION_ROWS", attention_rows):
-        loss, grads = backward_batch(model, batch)
+    loss, grads = backward_batch(model, batch)
     singles = [backward_batch(model, [pair]) for pair in batch]
     mean_loss = sum(value for value, _ in singles) / len(batch)
     assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
@@ -312,15 +308,10 @@ def test_batched_step_equals_mean_of_single_document_steps(
             np.testing.assert_array_equal(out.pool_argmax[b], single)
 
 
-@pytest.mark.parametrize("pooling, attention_rows", [
-    (Pooling.MAX, encoder.ATTENTION_ROWS), (Pooling.SUM, encoder.ATTENTION_ROWS),
-    (Pooling.GATED_MAX, encoder.ATTENTION_ROWS), (Pooling.GATED_SUM, 4),
-])
-def test_grad_check_on_a_ragged_batch(monkeypatch, pooling, attention_rows):
+@pytest.mark.parametrize("pooling", list(Pooling))
+def test_grad_check_on_a_ragged_batch(pooling):
     # one-, three- and two-segment documents; interaction with positions
-    # under the gated poolings, as acceptance criterion 4 checks one document;
-    # at 4 rows the attention runs over documents {0, 1} and {2}
-    monkeypatch.setattr(encoder, "ATTENTION_ROWS", attention_rows)
+    # under the gated poolings, as acceptance criterion 4 checks one document
     task = TASK_MULTICLASS if pooling.gated else TASK_MULTILABEL
     model, _, batch = _ragged_model(3, [1, 3, 2], pooling, layers=2 if pooling.gated else 0,
                                     positions=pooling.gated, task=task, encoder_mode=ENCODER_HASH)
