@@ -26,9 +26,9 @@ Conventions:
   with the row count; a one-row product even takes another BLAS routine);
   `slab_matmul` and `slab_attention` take documents of equal length as one
   stacked product per slab, so each document gets the BLAS calls, shapes
-  and last-axis reductions it gets alone; `ragged_sum` always uses
-  `reduceat` (a maximum is exact in any order). A document scores the same
-  bits alone or inside any batch
+  and last-axis reductions it gets alone; `ragged_sum` and `ragged_max`
+  reduce with `reduceat` for one block or many. A document scores the same
+  bits alone (a batch of one) or inside any batch
 """
 
 from __future__ import annotations
@@ -205,16 +205,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(a.data * mask, (a,), backward)
 
 
-def sum_along(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def backward(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.data.shape).copy()),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g_exp, a.data.shape).copy()),)
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
 def _blocks(offsets: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(first row, row count) of each block; every block must be non-empty."""
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -235,14 +225,10 @@ def ragged_max(a: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """
     n = a.data.shape[0]
     starts, counts = _blocks(offsets, n)
-    if len(starts) == 1:  # one document, as in prediction: plain column reductions
-        values = a.data.max(axis=0, keepdims=True)
-        argmax = a.data.argmax(axis=0)[None]
-    else:
-        values = np.maximum.reduceat(a.data, starts, axis=0)
-        # rows below their block's maximum are pushed past every real row index
-        below = a.data < np.repeat(values, counts, axis=0)
-        argmax = np.minimum.reduceat(below * n + np.arange(n)[:, None], starts, axis=0)
+    values = np.maximum.reduceat(a.data, starts, axis=0)
+    # rows below their block's maximum are pushed past every real row index
+    below = a.data < np.repeat(values, counts, axis=0)
+    argmax = np.minimum.reduceat(below * n + np.arange(n)[:, None], starts, axis=0)
 
     def backward(g):
         grad = np.zeros_like(a.data)

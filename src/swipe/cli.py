@@ -24,7 +24,7 @@ from swipe.config import (
     TruncationConfig,
 )
 from swipe.encoder import load_precomputed
-from swipe.errors import ConfigError, SwipeError
+from swipe.errors import ConfigError, SwipeError, ValidationError
 from swipe.head import Pooling
 from swipe.model import SwipeModel
 from swipe.train import train, write_metrics_csv
@@ -57,6 +57,16 @@ def _parse_fractions(text: str, flag: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"{flag}: expected three fractions, got {text!r}")
     return parts[0], parts[1], parts[2]
+
+
+def _json(value, what: str, **kwargs) -> str:
+    """`value` as strict JSON; a NaN or infinity in it raises ValidationError,
+    so no output file holds the non-standard `NaN` or `Infinity`."""
+    try:
+        return json.dumps(value, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{what} holds a NaN or an infinity, which JSON cannot hold") \
+            from exc
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -198,7 +208,8 @@ def cmd_predict(args) -> int:
     documents = corpus_mod.load_documents(args.corpus)
     with open(args.out, "w", encoding="utf-8") as fh:
         for _, _, pred in model.predict_many(documents):
-            fh.write(json.dumps(pred.to_record(model.vocab.names)) + "\n")
+            fh.write(_json(pred.to_record(model.vocab.names), f"document {pred.doc_id!r}")
+                     + "\n")
     print(f"wrote predictions for {len(documents)} documents to {args.out}")
     return 0
 
@@ -212,7 +223,7 @@ def cmd_explain(args) -> int:
             if segments is not None:  # hashed text; precomputed vectors carry none
                 for entry in record["per_label"]:
                     entry["key_segment_text"] = " ".join(segments[entry["key_segment"]].tokens)
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_json(record, f"document {pred.doc_id!r}") + "\n")
     print(f"wrote explanations for {len(documents)} documents to {args.out}")
     return 0
 
@@ -232,8 +243,7 @@ def cmd_eval(args) -> int:
             predictions, key_map, model.vocab.names
         )
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(report, "eval report", indent=2, sort_keys=True) + "\n")
     summary = " ".join(
         f"{k}={report[k]:.4f}" for k in
         ("accuracy", "micro_f1", "macro_f1", "segment_micro_f1", "key_segment_recovery")
@@ -253,8 +263,8 @@ def cmd_sufficiency(args) -> int:
         seed=args.seed,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"rows": report.rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json({"rows": report.rows}, "sufficiency report", indent=2, sort_keys=True)
+                 + "\n")
     for row in report.rows:
         length = row["segment_len"] if row["segment_len"] is not None else "model"
         print(f"segment_len={length} swipe={row['swipe']:.4f} "

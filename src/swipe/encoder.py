@@ -187,25 +187,23 @@ def interaction_bytes(m: int, params: dict[str, ad.Tensor], config: ModelConfig)
 
 
 def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,
-                    offsets: np.ndarray | None = None) -> ad.Tensor:
+                    offsets: np.ndarray) -> ad.Tensor:
     """Differentiable stack of `config.interaction_layers` pre-norm layers
     (parameters "interaction.<i>.<name>"), then a final layer norm that caps
     the residual-stream magnitude (without it the downstream sigmoid gates
     saturate irrecoverably during training); identity with no layers.
 
-    Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1];
-    None means one document) take positional rows by their index within the
-    document. The documents are then stacked by segment count (one
-    `take_rows` in, one out), so documents of equal length form slabs: every
-    projection is one `ad.slab_matmul` and attention one `ad.slab_attention`,
-    which attends only within each document. Every other op is row-wise, so a
-    document's rows come out the same bits in any batch.
+    Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1]; one
+    document is a batch of one, offsets [0, M]) take positional rows by their
+    index within the document. The documents are then stacked by segment
+    count (one `take_rows` in, one out), so documents of equal length form
+    slabs: every projection is one `ad.slab_matmul` and attention one
+    `ad.slab_attention`, which attends only within each document. Every other
+    op is row-wise, so a document's rows come out the same bits in any batch.
     """
     m, dim = x.shape
     if dim != config.dim:
         raise ConfigError(f"interaction dim {config.dim} != input dim {dim}")
-    if offsets is None:
-        offsets = np.array([0, m])
     counts = offsets[1:] - offsets[:-1]
     positions = params.get("interaction.positions")
     if positions is not None:

@@ -199,8 +199,6 @@ def _probe_score(
         seed=derive_seed("probe-train", seed),
     ))
     test_docs = corpus.split_docs("test")
-    if not test_docs:
-        return float("nan")
     scores = np.stack([pred.scores for _, _, pred in probe_model.predict_many(test_docs)])
     return int(exact_match(probe_model, test_docs, scores).sum()) / len(test_docs)
 
@@ -236,13 +234,15 @@ def sufficiency_test(
 
     Each requested segment length re-truncates with an auto window of that
     size before extracting explanations; `None` keeps the model's own
-    truncation. Requires the built-in encoder (explanations need tokens) and
-    a trained model.
+    truncation. Requires the built-in encoder (explanations need tokens), a
+    trained model and a non-empty test split (the probes are scored on it).
     """
     if model.train_config is None:
         raise ValidationError("sufficiency_test needs a trained model")
     if model.config.encoder_mode != ENCODER_HASH:
         raise ValidationError("sufficiency_test needs the built-in token encoder")
+    if not corpus.split_docs("test"):
+        raise ValidationError("sufficiency_test needs a non-empty test split")
     probe = probe or ProbeConfig()
     settings: list[int | None] = list(segment_lens) if segment_lens else [None]
     rows = []

@@ -56,30 +56,22 @@ def gates_tensor(x: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
 
 
 def pool_tensor(
-    scores: ad.Tensor, gates: ad.Tensor | None, strategy: Pooling,
-    offsets: np.ndarray | None = None,
+    scores: ad.Tensor, gates: ad.Tensor | None, strategy: Pooling, offsets: np.ndarray,
 ) -> tuple[ad.Tensor, np.ndarray | None]:
     """Reduce (M, L) segment scores to (B, L) document scores.
 
-    Document b owns rows offsets[b]:offsets[b+1]. With `offsets` None all
-    rows are one document and the result is (L,). Max variants also return
-    the per-label argmax segment, counted within its document (ties resolved
-    to the lowest segment index, which is also where the subgradient flows).
+    Document b owns rows offsets[b]:offsets[b+1]; one document is a batch of
+    one, offsets [0, M]. Max variants also return the (B, L) argmax segment,
+    counted within its document (ties resolved to the lowest segment index,
+    which is also where the subgradient flows).
     """
     if strategy.gated and gates is None:
         raise ConfigError(f"{strategy.value} pooling requires gates")
     effective = ad.mul(gates, scores) if strategy.gated else scores
-    one_doc = offsets is None
-    if one_doc:
-        offsets = np.array([0, scores.shape[0]])
     if strategy.is_max:
         pooled, argmax = ad.ragged_max(effective, offsets)
-        argmax = argmax - offsets[:-1, None]
-    else:
-        pooled, argmax = ad.ragged_sum(effective, offsets), None
-    if one_doc:
-        return ad.reshape(pooled, (scores.shape[1],)), None if argmax is None else argmax[0]
-    return pooled, argmax
+        return pooled, argmax - offsets[:-1, None]
+    return ad.ragged_sum(effective, offsets), None
 
 
 @dataclass

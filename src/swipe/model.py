@@ -81,8 +81,8 @@ class Batch:
 
     Document b owns segment rows offsets[b]:offsets[b+1] of `inputs`: one
     n-gram bag per segment (hash encoder) or one frozen vector per segment
-    (precomputed encoder). A single document is a batch of one whose input
-    is its own features.
+    (precomputed encoder). A single document is a batch of one,
+    `Batch.of([feats])`.
     """
 
     inputs: Features
@@ -90,8 +90,6 @@ class Batch:
 
     @classmethod
     def of(cls, feats: Sequence[Features]) -> "Batch":
-        if len(feats) == 1:
-            return cls(feats[0], np.array([0, feats[0].m]))
         offsets = np.concatenate(([0], np.cumsum([f.m for f in feats])))
         name = " ".join(f.doc_id for f in feats)
         if all(isinstance(f, SegmentMatrix) for f in feats):
@@ -195,12 +193,8 @@ class SwipeModel:
                 )
         self.precomputed = matrices
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        """Trainable tensors by name, in `parameter_shapes` order."""
-        return self.params
-
     def zero_grad(self) -> None:
-        for tensor in self.parameters().values():
+        for tensor in self.params.values():
             tensor.zero_grad()
 
     def featurize(self, doc: Document) -> Features:
@@ -319,8 +313,8 @@ class SwipeModel:
     # -- checkpoint container ------------------------------------------------
 
     def save(self, path) -> None:
-        params = self.parameters()
-        manifest = [{"name": name, "shape": list(t.data.shape)} for name, t in params.items()]
+        manifest = [{"name": name, "shape": list(t.data.shape)}
+                    for name, t in self.params.items()]
         header = {
             "format": "swipe-checkpoint",
             "version": 1,
@@ -331,7 +325,7 @@ class SwipeModel:
         path = Path(path)
         with path.open("wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for tensor in params.values():
+            for tensor in self.params.values():
                 fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
     @classmethod
@@ -360,10 +354,14 @@ class SwipeModel:
 
 
 def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The next little-endian float64 tensor of `fh`, read into a new array."""
+    """The next little-endian float64 tensor of `fh`, read into a new array;
+    every entry must be finite."""
     out = np.empty(shape, dtype="<f8")
     if fh.readinto(out) != out.nbytes:
         raise FormatError(f"truncated tensor {name}")
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise FormatError(f"tensor {name} holds {out.flat[bad[0]]} at flat index {bad[0]}")
     return out.astype(np.float64, copy=False)
 
 

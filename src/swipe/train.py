@@ -54,18 +54,16 @@ def loss_multilabel(doc_scores, gold_bits) -> ad.Tensor:
     return ad.bce_with_logits_mean(logits, gold_bits)
 
 
-def doc_loss(model: SwipeModel, feats: Features | Batch, target) -> tuple[ad.Tensor, tuple | None]:
+def doc_loss(model: SwipeModel, batch: Batch, targets) -> tuple[ad.Tensor, tuple | None]:
     """Mean loss over a batch plus its pooling signature (for kink detection).
 
-    A `Batch` takes one target per document, in order; one document's
-    features with its own target are a batch of one.
+    `targets` holds one target per document of `batch`, in order; one
+    document is `Batch.of([feats])` with `[target]`.
     """
-    if not isinstance(feats, Batch):
-        feats, target = Batch.of([feats]), [target]
-    out = model.forward(feats)
+    out = model.forward(batch)
     if model.config.task_kind == TASK_MULTICLASS:
-        return loss_multiclass(out.doc_scores, np.asarray(target)), out.signature()
-    return loss_multilabel(out.doc_scores, np.stack(target)), out.signature()
+        return loss_multiclass(out.doc_scores, np.asarray(targets)), out.signature()
+    return loss_multilabel(out.doc_scores, np.stack(targets)), out.signature()
 
 
 def backward_batch(
@@ -76,7 +74,7 @@ def backward_batch(
     One forward and one backward over the whole ragged batch. The encoder
     table's gradient is an `ad.RowSparse`; parameters that do not participate
     in the forward pass (e.g. gate weights under ungated pooling) get zero
-    gradients.
+    gradients, so every parameter has one.
     """
     model.zero_grad()
     total, _ = doc_loss(model, Batch.of([feats for feats, _ in batch]),
@@ -88,14 +86,14 @@ def backward_batch(
     total.backward()
     grads = {
         name: (np.zeros_like(t.data) if t.grad is None else t.grad)
-        for name, t in model.parameters().items()
+        for name, t in model.params.items()
     }
     return value, grads
 
 
 @dataclass
 class ModelState:
-    """Model plus optimizer accumulators; `step` counts completed Adam steps.
+    """Model plus optimizer accumulators.
 
     `scratch` holds two work arrays per parameter, so an Adam step allocates
     nothing.
@@ -104,13 +102,12 @@ class ModelState:
     model: SwipeModel
     config: TrainConfig
     total_steps: int
-    step: int = 0
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, tensor in self.model.parameters().items():
+        for name, tensor in self.model.params.items():
             self.adam_m.setdefault(name, np.zeros_like(tensor.data))
             self.adam_v.setdefault(name, np.zeros_like(tensor.data))
             self.scratch.setdefault(
@@ -126,6 +123,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
               step: int) -> float:
     """Standard bias-corrected Adam update, in place; returns the learning rate used.
 
+    `grads` holds a gradient for every parameter, as `backward_batch` gives.
+
     Every parameter, moment and work array is updated through `out=`, in the
     same operation order as the textbook expressions noted alongside, so the
     result is bit-identical to them. A `RowSparse` gradient is zero outside
@@ -135,10 +134,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     lr = learning_rate(cfg, step, state.total_steps)
     correction1 = 1 - cfg.beta1**step
     correction2 = 1 - cfg.beta2**step
-    for name, tensor in state.model.parameters().items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.data)
+    for name, tensor in state.model.params.items():
+        g = grads[name]
         m, v = state.adam_m[name], state.adam_v[name]
         num, den = state.scratch[name]
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
@@ -157,7 +154,6 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
         np.subtract(tensor.data, np.divide(num, den, out=num), out=tensor.data)
         if not np.isfinite(tensor.data).all():
             raise TrainingError(f"non-finite parameter {name!r} after step {step}")
-    state.step = step
     return lr
 
 
@@ -254,7 +250,7 @@ class TrainResult:
 
     def restore_best(self) -> SwipeModel:
         """Overwrite the model's parameters with the best-dev snapshot."""
-        for name, tensor in self.model.parameters().items():
+        for name, tensor in self.model.params.items():
             tensor.data = self.best_params[name].copy()
         return self.model
 
@@ -308,7 +304,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     model.train_config = config
     rng = np.random.default_rng(derive_seed("train-shuffle", config.seed))
 
-    snapshot = {name: t.data.copy() for name, t in model.parameters().items()}
+    snapshot = {name: t.data.copy() for name, t in model.params.items()}
     best = TrainResult(model=model, best_params=snapshot, best_epoch=0,
                        best_metric=-math.inf, metrics=[])
     step = 0
@@ -334,9 +330,9 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
         if dev_docs and dev_metric > best.best_metric:
             best.best_metric = dev_metric
             best.best_epoch = epoch
-            best.best_params = {name: t.data.copy() for name, t in model.parameters().items()}
+            best.best_params = {name: t.data.copy() for name, t in model.params.items()}
     if not dev_docs:
-        best.best_params = {name: t.data.copy() for name, t in model.parameters().items()}
+        best.best_params = {name: t.data.copy() for name, t in model.params.items()}
         best.best_epoch = config.epochs
     return best
 

@@ -30,7 +30,7 @@ from swipe.evaluate import (
     sufficiency_test,
 )
 from swipe.head import Pooling, pool_tensor
-from swipe.model import ModelConfig, SwipeModel
+from swipe.model import Batch, ModelConfig, SwipeModel
 from swipe.train import TrainConfig, doc_loss, grad_check, train
 from swipe.truncate import TruncationConfig
 
@@ -159,7 +159,7 @@ def test_criterion_3_pooling_oracle():
         gates = 1 / (1 + np.exp(-rng.normal(size=(n_labels, m))))
         for strategy in Pooling:
             g = ad.Tensor(gates.T) if strategy.gated else None
-            y = pool_tensor(ad.Tensor(scores.T), g, strategy)[0].data
+            y = pool_tensor(ad.Tensor(scores.T), g, strategy, np.array([0, m]))[0].data[0]
             for i in range(n_labels):
                 acc = -np.inf if strategy.is_max else 0.0
                 for k in range(m):
@@ -196,13 +196,13 @@ def test_criterion_4_gradient_checks():
                 init_seed=layers * 10 + 7,
             )
             model = SwipeModel.create(config)
-            feats = model.featurize(doc)
-            target = model.vocab.bits(doc.labels)
+            batch = Batch.of([model.featurize(doc)])
+            targets = [model.vocab.bits(doc.labels)]
 
             def fn():
-                return doc_loss(model, feats, target)
+                return doc_loss(model, batch, targets)
 
-            rep = grad_check(fn, model.parameters(), tolerance=1e-4)
+            rep = grad_check(fn, model.params, tolerance=1e-4)
             assert rep.passed, (strategy, layers, rep.failures[:3])
             worst = max(worst, rep.max_rel_error)
             checked += rep.n_checked

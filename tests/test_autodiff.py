@@ -42,9 +42,28 @@ def check_op(build, shapes, seed=0, atol=1e-6, rtol=1e-5):
         np.testing.assert_allclose(got, fd, atol=atol, rtol=rtol)
 
 
+def _dot(t, weights):
+    """Scalar sum of `t` times the constant `weights` (broadcast to `t`'s
+    shape): `t` flattened to one row, then `linear` against the weights."""
+    row = np.broadcast_to(np.asarray(weights, dtype=float), t.shape).reshape(1, -1)
+    total = ad.linear(ad.reshape(t, row.shape), ad.Tensor(row), ad.Tensor(np.zeros(1)))
+    return ad.reshape(total, ())
+
+
+def test_dot_reduces_to_the_weighted_sum_with_its_gradient():
+    rng = np.random.default_rng(11)
+    weights = rng.normal(size=(3, 4))
+    check_op(lambda ts: _dot(ts[0], weights), [(3, 4)])
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    out = _dot(x, weights)
+    assert out.shape == () and out.item() == pytest.approx(float((x.data * weights).sum()))
+    out.backward()
+    np.testing.assert_array_equal(x.grad, weights)
+
+
 def test_add_mul_broadcasting():
     check_op(
-        lambda ts: ad.sum_along(ad.mul(ad.add(ts[0], ts[1]), ts[2])),
+        lambda ts: _dot(ad.mul(ad.add(ts[0], ts[1]), ts[2]), 1.0),
         [(3, 4), (4,), (3, 4)],
     )
 
@@ -57,7 +76,7 @@ def _times(a, s):
 def test_sub_and_scale():
     # a - b is spelled add(a, mul(b, -1)); there is no separate sub or scale op
     check_op(
-        lambda ts: ad.sum_along(_times(ad.add(ts[0], _times(ts[1], -1.0)), 2.5)),
+        lambda ts: _dot(_times(ad.add(ts[0], _times(ts[1], -1.0)), 2.5), 1.0),
         [(2, 3), (2, 3)],
     )
 
@@ -80,11 +99,11 @@ def test_linear_grad_check():
     rng = np.random.default_rng(3)
     params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
               for name, shape in (("x", (6, 4)), ("w", (3, 4)), ("b", (3,)))}
-    weights = ad.Tensor(rng.normal(size=(6, 3)))
+    weights = rng.normal(size=(6, 3))
 
     def fn():
         out = ad.linear(params["x"], params["w"], params["b"])
-        return ad.sum_along(ad.mul(ad.sigmoid(out), weights)), None
+        return _dot(ad.sigmoid(out), weights), None
 
     report = grad_check(fn, params, tolerance=1e-6)
     assert report.passed and report.n_checked == 24 + 12 + 3, report.failures[:3]
@@ -157,12 +176,12 @@ def test_slab_ops_grad_check_on_three_documents():
     params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
               for name, shape in (("x", (5, 4)), ("wq", (4, 4)), ("wk", (4, 4)),
                                   ("wv", (4, 4)), ("wo", (4, 3)))}
-    weights = ad.Tensor(rng.normal(size=(5, 3)))
+    weights = rng.normal(size=(5, 3))
 
     def fn():
         q, k, v = (ad.slab_matmul(params["x"], params[name], slabs) for name in ("wq", "wk", "wv"))
         out = ad.slab_matmul(ad.slab_attention(q, k, v, slabs, 2), params["wo"], slabs)
-        return ad.sum_along(ad.mul(ad.sigmoid(out), weights)), None
+        return _dot(ad.sigmoid(out), weights), None
 
     report = grad_check(fn, params, tolerance=1e-6)
     assert report.passed and report.n_checked == 20 + 3 * 16 + 12, report.failures[:3]
@@ -185,31 +204,21 @@ def test_slab_ops_rows_do_not_depend_on_the_document_count():
 
 
 def test_reshape():
-    check_op(lambda ts: ad.sum_along(ad.mul(ad.reshape(ts[0], (6, 2)), ts[1])),
+    check_op(lambda ts: _dot(ad.mul(ad.reshape(ts[0], (6, 2)), ts[1]), 1.0),
              [(3, 2, 2), (6, 2)])
 
 
 def test_sigmoid_relu():
-    check_op(lambda ts: ad.sum_along(ad.sigmoid(ts[0])), [(4, 3)])
+    check_op(lambda ts: _dot(ad.sigmoid(ts[0]), 1.0), [(4, 3)])
     # keep inputs away from the relu kink
     rng = np.random.default_rng(1)
     arr = rng.normal(0, 1, size=(4, 3))
     arr[np.abs(arr) < 0.05] = 0.5
     tensor = ad.Tensor(arr, requires_grad=True)
     tensor.data = arr
-    out = ad.sum_along(ad.relu(tensor))
-    out.backward()
+    ad.relu(tensor).backward()  # the gradient of the sum of every entry
     fd = numeric_grad(lambda: float(np.sum(np.maximum(arr, 0))), [arr], 0)
     np.testing.assert_allclose(tensor.grad, fd, atol=1e-6)
-
-
-def test_sum_mean_axes():
-    # a mean is spelled mul(sum_along(...), 1 / count)
-    check_op(lambda ts: ad.sum_along(_times(ad.sum_along(ts[0], axis=0), 1 / 3)), [(3, 4)])
-    check_op(
-        lambda ts: _times(ad.sum_along(ad.sum_along(ts[0], axis=1, keepdims=True)), 1 / 3),
-        [(3, 4)],
-    )
 
 
 def _ragged_data(rng, n_blocks, n_cols, ties):
@@ -246,7 +255,7 @@ def test_ragged_max_matches_loop_oracle_and_routes_ties_to_first_row():
         np.testing.assert_array_equal(out.data, values)
         np.testing.assert_array_equal(argmax, rows)
         weights = rng.normal(size=values.shape)
-        ad.sum_along(ad.mul(out, ad.Tensor(weights))).backward()
+        out.backward(weights)
         expected = np.zeros_like(data)
         for b in range(len(offsets) - 1):
             for j in range(data.shape[1]):
@@ -299,7 +308,7 @@ def test_ragged_pooling_grad_check(op, blocks):
     if blocks == 1:
         data, offsets = rng.normal(size=(5, 3)), np.array([0, 5])
     x = ad.Tensor(data, requires_grad=True)
-    weights = ad.Tensor(rng.normal(size=(blocks, 3)))
+    weights = rng.normal(size=(blocks, 3))
 
     def fn():
         if op == "max":
@@ -307,7 +316,7 @@ def test_ragged_pooling_grad_check(op, blocks):
             signature = tuple(argmax.ravel().tolist())
         else:
             pooled, signature = ad.ragged_sum(x, offsets), None
-        return ad.sum_along(ad.mul(ad.sigmoid(pooled), weights)), signature
+        return _dot(ad.sigmoid(pooled), weights), signature
 
     report = grad_check(fn, {"x": x}, tolerance=1e-6)
     assert report.passed and report.n_checked == data.size, report.failures[:3]
@@ -324,8 +333,7 @@ def test_ragged_offsets_must_split_every_row_into_non_empty_blocks(offsets):
 
 def test_take_rows_accumulates_duplicates():
     table = ad.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
-    out = ad.take_rows(table, np.array([1, 1, 3]))
-    ad.sum_along(out).backward()
+    ad.take_rows(table, np.array([1, 1, 3])).backward()
     expected = np.zeros((4, 3))
     expected[1] = 2.0
     expected[3] = 1.0
@@ -345,8 +353,7 @@ def test_embedding_bag_mean_forward_and_grad():
     np.testing.assert_allclose(out.data[1], table_data[[5, 1]].mean(axis=0))
 
     weights = rng.normal(0, 1, size=(2, 4))
-    loss = ad.sum_along(ad.mul(ad.embedding_bag_mean(table, ids, offsets), ad.Tensor(weights)))
-    loss.backward()
+    ad.embedding_bag_mean(table, ids, offsets).backward(weights)
     assert isinstance(table.grad, ad.RowSparse)
     assert table.grad.rows.tolist() == [0, 1, 2, 5]  # each touched row once, sorted
     fd = numeric_grad(
@@ -381,7 +388,7 @@ def test_row_sparse_grads_accumulate_densely():
     table = ad.Tensor(np.ones((5, 2)), requires_grad=True)
     twice = ad.add(ad.embedding_bag_mean(table, np.array([1]), np.array([0, 1])),
                    ad.embedding_bag_mean(table, np.array([1, 3]), np.array([0, 2])))
-    ad.sum_along(twice).backward()
+    twice.backward()
     expected = np.zeros((5, 2))
     expected[1], expected[3] = 1.5, 0.5
     np.testing.assert_array_equal(table.grad, expected)
@@ -395,7 +402,7 @@ def test_embedding_bag_empty_bag_rejected():
 
 def test_layer_norm_grad_all_inputs():
     check_op(
-        lambda ts: ad.sum_along(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), ts[3])),
+        lambda ts: _dot(ad.mul(ad.layer_norm(ts[0], ts[1], ts[2]), ts[3]), 1.0),
         [(3, 6), (6,), (6,), (3, 6)],
     )
 

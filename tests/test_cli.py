@@ -1,4 +1,5 @@
 import json
+import struct
 import time
 
 import pytest
@@ -444,3 +445,53 @@ class TestParsing:
         assert run([*args, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+
+class TestNonFinite:
+    """No output file holds JSON's non-standard `NaN` or `Infinity`."""
+
+    @staticmethod
+    def _checkpoint(tmp_path, **fill):
+        """A small hash-encoder checkpoint, each tensor named in `fill` set to its value."""
+        model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4))
+        for name, value in fill.items():
+            model.params[name].data[...] = value
+        ckpt = tmp_path / "m.ckpt"
+        model.save(ckpt)
+        return ckpt
+
+    @staticmethod
+    def _corpus(tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"d{i}", "text": f"word{i} and more", "labels": ["a"]}) + "\n"
+            for i in range(3)))
+        return corpus
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_checkpoint_payload_exits_2(self, tmp_path, capsys, value):
+        ckpt = self._checkpoint(tmp_path)
+        header, payload = ckpt.read_bytes().split(b"\n", 1)
+        ckpt.write_bytes(header + b"\n" + struct.pack("<d", value) + payload[8:])
+        out = tmp_path / "p.jsonl"
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", self._corpus(tmp_path),
+                    "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: tensor encoder.table holds {value} at flat index 0\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_overflowing_scores_exit_2_and_are_not_written(self, tmp_path, capsys, command):
+        # every parameter is finite, but each score w.x + b is past the float64 range
+        ckpt = self._checkpoint(tmp_path, **{"encoder.table": 1.0, "head.weight": 1e307,
+                                             "head.bias": 1.7e308})
+        out = tmp_path / "out.jsonl"
+        code = run([command, "--checkpoint", ckpt, "--corpus", self._corpus(tmp_path),
+                    "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: document 'd0' holds a NaN or an infinity")
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text

@@ -86,6 +86,11 @@ def _interaction_alone(x, params, config):
     return _layer_norm(x, params["interaction.final_gain"], params["interaction.final_bias"])
 
 
+def _whole(rows):
+    """Offsets of a batch of one document that owns every row of `rows`."""
+    return np.array([0, len(rows)])
+
+
 class TestSegmentMatrix:
     def test_requires_2d(self):
         with pytest.raises(FormatError):
@@ -130,8 +135,7 @@ class TestHashEncoder:
         config, params = _hash_encoder(n_buckets=16, dim=3, init_seed=2)
         table = params["encoder.table"]
         feats = featurize_segments(_segments([["a", "b"], ["c"]]), config)
-        out = ad.sum_along(ad.embedding_bag_mean(table, feats.ids, feats.offsets))
-        out.backward()
+        ad.embedding_bag_mean(table, feats.ids, feats.offsets).backward()
         assert table.grad is not None
         assert np.any(ad.dense(table.grad) != 0)
 
@@ -204,13 +208,13 @@ class TestInteraction:
     def test_zero_layers_is_identity(self):
         config, params = _interaction(num_layers=0, dim=8)
         rows = np.random.default_rng(0).normal(size=(3, 8))
-        out = interact_tensor(ad.Tensor(rows), params, config).data
+        out = interact_tensor(ad.Tensor(rows), params, config, _whole(rows)).data
         np.testing.assert_array_equal(out, rows)
 
     def test_single_row_shape_preserved_and_finite(self):
         config, params = _interaction(num_layers=2, dim=8, n_heads=2, init_seed=1)
         rows = np.random.default_rng(1).normal(size=(1, 8))
-        out = interact_tensor(ad.Tensor(rows), params, config).data
+        out = interact_tensor(ad.Tensor(rows), params, config, _whole(rows)).data
         assert out.shape == (1, 8)
         assert np.all(np.isfinite(out))
 
@@ -219,8 +223,8 @@ class TestInteraction:
         config, params = _interaction(num_layers=2, dim=8, n_heads=2, init_seed=3)
         rows = rng.normal(size=(5, 8))
         perm = rng.permutation(5)
-        out = interact_tensor(ad.Tensor(rows), params, config).data
-        out_perm = interact_tensor(ad.Tensor(rows[perm]), params, config).data
+        out = interact_tensor(ad.Tensor(rows), params, config, _whole(rows)).data
+        out_perm = interact_tensor(ad.Tensor(rows[perm]), params, config, _whole(rows)).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-6)
 
     def test_positions_break_equivariance_and_cap_length(self):
@@ -228,17 +232,18 @@ class TestInteraction:
         config, params = _interaction(num_layers=1, dim=8, n_heads=2,
                                       max_positions=4, init_seed=3)
         rows = rng.normal(size=(3, 8))
-        out = interact_tensor(ad.Tensor(rows), params, config).data
+        out = interact_tensor(ad.Tensor(rows), params, config, _whole(rows)).data
         swapped = rows[[1, 0, 2]]
-        out_swapped = interact_tensor(ad.Tensor(swapped), params, config).data
+        out_swapped = interact_tensor(ad.Tensor(swapped), params, config, _whole(rows)).data
         assert not np.allclose(out_swapped, out[[1, 0, 2]], atol=1e-6)
         with pytest.raises(ConfigError, match="positional"):
-            interact_tensor(ad.Tensor(rng.normal(size=(5, 8))), params, config)
+            interact_tensor(ad.Tensor(rng.normal(size=(5, 8))), params, config,
+                            np.array([0, 5]))
 
     def test_dim_mismatch_rejected(self):
         config, params = _interaction(num_layers=1, dim=8, n_heads=2)
         with pytest.raises(ConfigError):
-            interact_tensor(ad.Tensor(np.zeros((2, 4))), params, config)
+            interact_tensor(ad.Tensor(np.zeros((2, 4))), params, config, np.array([0, 2]))
 
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):
@@ -273,7 +278,6 @@ class TestInteraction:
     def test_differentiable_end_to_end(self):
         config, params = _interaction(num_layers=1, dim=4, n_heads=2, init_seed=0)
         x = ad.Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-        out = ad.sum_along(interact_tensor(x, params, config))
-        out.backward()
+        interact_tensor(x, params, config, np.array([0, 3])).backward()
         assert x.grad is not None and np.all(np.isfinite(x.grad))
         assert params["interaction.0.wq"].grad is not None

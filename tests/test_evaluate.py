@@ -222,6 +222,13 @@ class TestSufficiency:
         with pytest.raises(ValidationError, match="trained"):
             sufficiency_test(corpus, model)
 
+    def test_corpus_without_test_split_rejected(self):
+        # the probes are scored on the test split; without one there is no score
+        corpus, _, model = _trained_synthetic()
+        docs = [d for d in corpus.documents if d.effective_split() != "test"]
+        with pytest.raises(ValidationError, match="non-empty test split"):
+            sufficiency_test(Corpus(documents=docs, vocab=corpus.vocab), model)
+
     def test_report_structure_and_determinism(self):
         corpus, _, model = _trained_synthetic()
         probe = ProbeConfig(epochs=4, lr=0.05, n_buckets=512, dim=16)

@@ -40,7 +40,7 @@ class TestInit:
     def test_random_rows_scale(self):
         config = ModelConfig(labels=tuple(f"l{i}" for i in range(50)),
                              encoder_mode=ENCODER_PRECOMPUTED, dim=100)
-        params = SwipeModel.create(config).parameters()
+        params = SwipeModel.create(config).params
         assert abs(params["head.weight"].data.std() - 0.1) < 0.02  # 1/sqrt(dim)
         assert np.all(params["head.bias"].data == 0)
 
@@ -96,30 +96,35 @@ class TestGates:
         assert np.all((gates > 0) & (gates < 1))
 
 
+def _pool_alone(scores, gates, strategy):
+    """`pool_tensor` over one document of (m, L) segment scores, a batch of
+    one: its (L,) document scores, and its (L,) argmax segments or None."""
+    y, argmax = pool_tensor(ad.Tensor(scores), None if gates is None else ad.Tensor(gates),
+                            strategy, np.array([0, len(scores)]))
+    return y.data[0], None if argmax is None else argmax[0]
+
+
 class TestPool:
-    # pool_tensor takes (m, L) scores: one row per segment, one column per label
+    # pool_tensor takes (M, L) scores: one row per segment, one column per label
 
     def test_max(self):
-        y, argmax = pool_tensor(ad.Tensor(np.array([[-1.0], [2.0], [0.5]])), None, Pooling.MAX)
-        assert y.data[0] == 2.0 and argmax[0] == 1
+        y, argmax = _pool_alone(np.array([[-1.0], [2.0], [0.5]]), None, Pooling.MAX)
+        assert y[0] == 2.0 and argmax[0] == 1
 
     def test_sum(self):
-        y, argmax = pool_tensor(ad.Tensor(np.array([[1.0], [-2.0], [0.5]])), None, Pooling.SUM)
-        np.testing.assert_allclose(y.data, [-0.5])
+        y, argmax = _pool_alone(np.array([[1.0], [-2.0], [0.5]]), None, Pooling.SUM)
+        np.testing.assert_allclose(y, [-0.5])
         assert argmax is None
 
     def test_gated_max(self):
-        y, argmax = pool_tensor(
-            ad.Tensor(np.array([[-1.0], [2.0], [0.5]])),
-            ad.Tensor(np.array([[0.9], [0.1], [0.8]])),
-            Pooling.GATED_MAX,
-        )
-        np.testing.assert_allclose(y.data, [0.4])
+        y, argmax = _pool_alone(np.array([[-1.0], [2.0], [0.5]]),
+                               np.array([[0.9], [0.1], [0.8]]), Pooling.GATED_MAX)
+        np.testing.assert_allclose(y, [0.4])
         assert argmax[0] == 2
 
     def test_missing_gates_rejected(self):
         with pytest.raises(ConfigError):
-            pool_tensor(ad.Tensor(np.zeros((3, 1))), None, Pooling.GATED_SUM)
+            _pool_alone(np.zeros((3, 1)), None, Pooling.GATED_SUM)
 
     def test_brute_force_oracle_random_instances(self):
         rng = np.random.default_rng(42)
@@ -129,8 +134,7 @@ class TestPool:
             scores = rng.normal(size=(n_labels, m))
             gates = 1 / (1 + np.exp(-rng.normal(size=(n_labels, m))))
             for strategy in Pooling:
-                g = ad.Tensor(gates.T) if strategy.gated else None
-                y = pool_tensor(ad.Tensor(scores.T), g, strategy)[0].data
+                y, _ = _pool_alone(scores.T, gates.T if strategy.gated else None, strategy)
                 for i in range(n_labels):
                     if strategy is Pooling.MAX:
                         expected = max(scores[i])
@@ -148,11 +152,11 @@ class TestPool:
         gates = 1 / (1 + np.exp(-rng.normal(size=(3, 6))))
         perm = rng.permutation(6)
         for strategy in Pooling:
-            g = ad.Tensor(gates.T) if strategy.gated else None
-            g_perm = ad.Tensor(gates[:, perm].T) if strategy.gated else None
-            y, _ = pool_tensor(ad.Tensor(scores.T), g, strategy)
-            y_perm, _ = pool_tensor(ad.Tensor(scores[:, perm].T), g_perm, strategy)
-            np.testing.assert_allclose(y.data, y_perm.data, atol=1e-9)
+            g = gates.T if strategy.gated else None
+            g_perm = gates[:, perm].T if strategy.gated else None
+            y, _ = _pool_alone(scores.T, g, strategy)
+            y_perm, _ = _pool_alone(scores[:, perm].T, g_perm, strategy)
+            np.testing.assert_allclose(y, y_perm, atol=1e-9)
 
 
 class TestClassify:
@@ -268,9 +272,9 @@ def test_gate_sign_preservation_implies_same_max_bit(scores, gate_logits):
     scores = np.asarray(scores)
     rng = np.random.default_rng(0)
     gates = 1 / (1 + np.exp(-rng.normal(gate_logits, 1, size=scores.shape)))
-    y_max, _ = pool_tensor(ad.Tensor(scores.T), None, Pooling.MAX)
-    y_gated, _ = pool_tensor(ad.Tensor(scores.T), ad.Tensor(gates.T), Pooling.GATED_MAX)
-    np.testing.assert_array_equal(y_max.data > 0, y_gated.data > 0)
+    y_max, _ = _pool_alone(scores.T, None, Pooling.MAX)
+    y_gated, _ = _pool_alone(scores.T, gates.T, Pooling.GATED_MAX)
+    np.testing.assert_array_equal(y_max > 0, y_gated > 0)
     assert np.array_equal(np.sign(gates * scores), np.sign(scores))
 
 

@@ -2,6 +2,7 @@
 
 import collections
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -40,8 +41,8 @@ def _model(seed, pooling, layers, task, encoder_mode, docs, dim=4):
         init_seed=seed,
     )
     model = SwipeModel.create(config)
-    model.parameters()["head.bias"].data = rng.normal(size=3)  # scores on both sides of zero
-    model.parameters()["head.gate_bias"].data = rng.normal(size=3)
+    model.params["head.bias"].data = rng.normal(size=3)  # scores on both sides of zero
+    model.params["head.gate_bias"].data = rng.normal(size=3)
     if encoder_mode == ENCODER_PRECOMPUTED:
         model.attach_vectors({d.id: SegmentMatrix(doc_id=d.id,
                                                   rows=rng.normal(size=(len(d.units), dim)))
@@ -187,7 +188,7 @@ class TestLoad:
         monkeypatch.setattr(SwipeModel, "create", no_draws)
         loaded = SwipeModel.load(path)
         assert loaded.config == model.config
-        want, got = model.parameters(), loaded.parameters()
+        want, got = model.params, loaded.params
         assert list(got) == list(want)
         for name, tensor in got.items():
             assert tensor.requires_grad and tensor.data.dtype == np.float64
@@ -195,6 +196,23 @@ class TestLoad:
         if model.config.interaction_layers:
             assert loaded.config.n_heads == model.config.n_heads
             assert "interaction.positions" in got
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, at", [("encoder.table", 0), ("head.bias", 1)])
+    def test_non_finite_payload_is_rejected_naming_the_tensor(self, tmp_path, value, name, at):
+        model, path = self._saved(tmp_path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        start = 0
+        for tensor_name, tensor in model.params.items():
+            if tensor_name == name:
+                break
+            start += tensor.data.nbytes
+        payload = bytearray(payload)
+        payload[start + 8 * at:start + 8 * (at + 1)] = np.array([value], "<f8").tobytes()
+        path.write_bytes(header + b"\n" + bytes(payload))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: tensor {name} holds {value} at flat index {at}")):
+            SwipeModel.load(path)
 
     def test_short_read_is_a_truncated_tensor(self):
         assert model_mod._read_tensor(io.BytesIO(bytes(16)), "t", (2,)).tolist() == [0.0, 0.0]

@@ -103,7 +103,7 @@ class TestBackward:
         doc = Document(id="d", text="ignored", labels=("a",))
         feats = model.featurize(doc)
         _, grads = backward_batch(model, [(feats, model.vocab.bits(doc.labels))])
-        params = model.parameters()
+        params = model.params
         y = float(params["head.weight"].data[0] @ s[0] + params["head.bias"].data[0])
         residual = 1 / (1 + math.exp(-y)) - 1.0
         np.testing.assert_allclose(grads["head.weight"][0], residual * s[0], atol=1e-12)
@@ -112,7 +112,7 @@ class TestBackward:
     def test_saturated_batch_has_vanishing_gradients(self):
         s = np.full((1, 2), 100.0)
         model = _precomputed_model({"d": s}, labels=("a",), pooling=Pooling.SUM)
-        model.parameters()["head.weight"].data = np.array([[1.0, 1.0]])
+        model.params["head.weight"].data = np.array([[1.0, 1.0]])
         doc = Document(id="d", text="x", labels=("a",))
         _, grads = backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
         for name, grad in grads.items():
@@ -130,7 +130,7 @@ class TestBackward:
     def test_non_finite_loss_raises_training_error(self):
         s = np.full((1, 2), 1e308)
         model = _precomputed_model({"d": s}, pooling=Pooling.SUM)
-        model.parameters()["head.weight"].data = np.array([[1e308, 1e308]])
+        model.params["head.weight"].data = np.array([[1e308, 1e308]])
         doc = Document(id="d", text="x", labels=("a",))
         with pytest.raises(TrainingError, match="d"):
             backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
@@ -144,32 +144,32 @@ class TestAdam:
     def test_zero_gradients_fixed_point(self):
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model)
-        before = {k: t.data.copy() for k, t in model.parameters().items()}
-        zeros = {k: np.zeros_like(t.data) for k, t in model.parameters().items()}
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        zeros = {k: np.zeros_like(t.data) for k, t in model.params.items()}
         adam_step(state, zeros, step=1)
-        for name, t in model.parameters().items():
+        for name, t in model.params.items():
             np.testing.assert_array_equal(t.data, before[name])
 
     def test_final_step_lr_zero_no_change(self):
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model, total_steps=5)
-        before = {k: t.data.copy() for k, t in model.parameters().items()}
-        ones = {k: np.ones_like(t.data) for k, t in model.parameters().items()}
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        ones = {k: np.ones_like(t.data) for k, t in model.params.items()}
         lr = adam_step(state, ones, step=5)
         assert lr == 0.0
-        for name, t in model.parameters().items():
+        for name, t in model.params.items():
             np.testing.assert_array_equal(t.data, before[name])
 
     def test_first_step_closed_form(self):
         # fresh moments, g = 1: update = -lr_1 * 1 / (1 + eps) ~ -lr_1
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model, total_steps=10, lr=0.01)
-        before = model.parameters()["head.bias"].data.copy()
-        ones = {k: np.ones_like(t.data) for k, t in model.parameters().items()}
+        before = model.params["head.bias"].data.copy()
+        ones = {k: np.ones_like(t.data) for k, t in model.params.items()}
         lr1 = learning_rate(state.config, 1, 10)
         adam_step(state, ones, step=1)
         np.testing.assert_allclose(
-            model.parameters()["head.bias"].data, before - lr1, rtol=1e-7
+            model.params["head.bias"].data, before - lr1, rtol=1e-7
         )
 
     def test_row_sparse_gradient_steps_like_its_dense_form(self):
@@ -180,12 +180,12 @@ class TestAdam:
         for step, rows in enumerate(([1, 4], [0, 4, 7], [2]), start=1):
             sparse = ad.RowSparse(np.array(rows), rng.normal(size=(len(rows), 3)), (8, 3))
             for state, table_grad in zip(states, (sparse, sparse.to_dense())):
-                grads = {k: np.ones_like(t.data) for k, t in state.model.parameters().items()}
+                grads = {k: np.ones_like(t.data) for k, t in state.model.params.items()}
                 adam_step(state, {**grads, "encoder.table": table_grad}, step)
         sparse_state, dense_state = states
-        for name, tensor in sparse_state.model.parameters().items():
+        for name, tensor in sparse_state.model.params.items():
             np.testing.assert_array_equal(tensor.data,
-                                          dense_state.model.parameters()[name].data)
+                                          dense_state.model.params[name].data)
             np.testing.assert_array_equal(sparse_state.adam_m[name], dense_state.adam_m[name])
             np.testing.assert_array_equal(sparse_state.adam_v[name], dense_state.adam_v[name])
 
@@ -199,8 +199,10 @@ class TestAdam:
 
 class TestGradCheck:
     def _loss_fn(self, model, feats, target):
+        batch = Batch.of([feats])
+
         def fn():
-            return doc_loss(model, feats, target)
+            return doc_loss(model, batch, [target])
         return fn
 
     def test_correct_gradients_pass(self):
@@ -209,7 +211,7 @@ class TestGradCheck:
                                    labels=("a", "b"), pooling=Pooling.GATED_SUM)
         doc = Document(id="d", text="x", labels=("a",))
         fn = self._loss_fn(model, model.featurize(doc), model.vocab.bits(doc.labels))
-        report = grad_check(fn, model.parameters(), tolerance=1e-4)
+        report = grad_check(fn, model.params, tolerance=1e-4)
         assert report.passed
         assert report.max_rel_error < 1e-4
         assert report.n_checked > 0
@@ -220,7 +222,7 @@ class TestGradCheck:
                                    labels=("a", "b"), pooling=Pooling.SUM)
         doc = Document(id="d", text="x", labels=("a",))
         fn = self._loss_fn(model, model.featurize(doc), model.vocab.bits(doc.labels))
-        params = model.parameters()
+        params = model.params
         for t in params.values():
             t.zero_grad()
         loss, _ = fn()
@@ -237,11 +239,11 @@ class TestGradCheck:
         # the argmax, so those coordinates cross a kink and must be excluded
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = _precomputed_model({"d": vectors}, labels=("a",), pooling=Pooling.MAX)
-        model.parameters()["head.weight"].data = np.array([[0.7, 0.7]])
-        model.parameters()["head.bias"].data = np.array([0.0])
+        model.params["head.weight"].data = np.array([[0.7, 0.7]])
+        model.params["head.bias"].data = np.array([0.0])
         doc = Document(id="d", text="x", labels=("a",))
         fn = self._loss_fn(model, model.featurize(doc), np.array([1.0]))
-        report = grad_check(fn, model.parameters(), tolerance=1e-4)
+        report = grad_check(fn, model.params, tolerance=1e-4)
         assert report.n_excluded > 0
         assert report.passed
 
@@ -316,7 +318,7 @@ def test_grad_check_on_a_ragged_batch(pooling):
     model, _, batch = _ragged_model(3, [1, 3, 2], pooling, layers=2 if pooling.gated else 0,
                                     positions=pooling.gated, task=task, encoder_mode=ENCODER_HASH)
     inputs, targets = Batch.of([feats for feats, _ in batch]), [t for _, t in batch]
-    report = grad_check(lambda: doc_loss(model, inputs, targets), model.parameters(),
+    report = grad_check(lambda: doc_loss(model, inputs, targets), model.params,
                         tolerance=1e-4)
     assert report.passed and report.n_checked > 0, report.failures[:3]
 
@@ -397,7 +399,7 @@ class TestTrainLoop:
         assert result.best_metric == max(r["dev_metric"] for r in result.metrics)
         assert result.best_metric == 1.0
         restored = result.restore_best()
-        for name, tensor in restored.parameters().items():
+        for name, tensor in restored.params.items():
             np.testing.assert_array_equal(tensor.data, result.best_params[name])
 
     def test_metrics_csv_layout(self, tmp_path):
@@ -471,7 +473,7 @@ class TestCheckpoint:
         # SHA-256 over each parameter's name, shape and little-endian float64
         # bytes, in order; a change means `create` draws other initial values
         sha = hashlib.sha256()
-        for name, tensor in SwipeModel.create(config).parameters().items():
+        for name, tensor in SwipeModel.create(config).params.items():
             sha.update(f"{name} {tensor.shape}\n".encode())
             sha.update(np.ascontiguousarray(tensor.data, "<f8").tobytes())
         assert sha.hexdigest() == digest
