@@ -16,8 +16,8 @@ Conventions:
   a dense table-sized gradient (`dense` expands one where a caller needs it)
 * ragged batches: documents' rows are stacked and `offsets` (B+1
   boundaries) say which rows belong to which document; `ragged_max` and
-  `ragged_sum` pool per document, and both losses take one row of logits
-  per document and return the batch mean
+  `ragged_sum` pool per document, and both losses take (B, L) logits, one
+  row per document, and return the batch mean
 * ops skip tape construction when no input requires grad; the model's
   parameters always require grad, so inference builds a tape too, once per
   chunk of documents (`SwipeModel.predict_many`): a handful of nodes
@@ -387,13 +387,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
     """Mean over documents of the stable softmax cross-entropy vs the gold index.
 
-    `logits` holds one row per document, `gold` one index per document; a
-    1-D logit vector with one gold index is a batch of one.
+    `logits` holds one row per document, (B, L), and `gold` one index per
+    document, (B,).
     """
-    x = logits.data.reshape(-1, logits.data.shape[-1])
-    gold = np.asarray(gold, dtype=np.int64).reshape(-1)
-    if gold.shape != (x.shape[0],):
-        raise ValueError(f"{gold.shape[0]} gold indices for {x.shape[0]} logit rows")
+    x = logits.data
+    gold = np.asarray(gold, dtype=np.int64)
+    if x.ndim != 2 or gold.shape != (x.shape[0],):
+        raise ValueError(f"expected (B, L) logits and (B,) gold, got {x.shape} and {gold.shape}")
     if np.any((gold < 0) | (gold >= x.shape[1])):
         raise ValueError(f"gold index {gold.tolist()} out of range for {x.shape[1]} labels")
     docs = np.arange(x.shape[0])
@@ -404,7 +404,7 @@ def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
     def backward(g):
         p = np.exp(x - lse)
         p[docs, gold] -= 1.0
-        return ((logits, (g / x.shape[0] * p).reshape(logits.data.shape)),)
+        return ((logits, g / x.shape[0] * p),)
 
     return _make(loss, (logits,), backward)
 

@@ -230,7 +230,7 @@ def cmd_explain(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model_inputs(args)
-    loaded = corpus_mod.load_jsonl(args.corpus, model.config.task_kind)
+    loaded = corpus_mod.Corpus(corpus_mod.load_documents(args.corpus), model.vocab)
     docs = loaded.split_docs(args.split)
     predictions = {doc.id: pred for doc, _, pred in model.predict_many(docs)}
     report = eval_mod.classification_eval(predictions, loaded, model, split=args.split)
@@ -256,7 +256,7 @@ def cmd_eval(args) -> int:
 def cmd_sufficiency(args) -> int:
     lengths = _parse_ints(args.lengths, "--lengths") if args.lengths else None
     model = _load_model_inputs(args)
-    loaded = corpus_mod.load_jsonl(args.corpus, model.config.task_kind)
+    loaded = corpus_mod.Corpus(corpus_mod.load_documents(args.corpus), model.vocab)
     report = eval_mod.sufficiency_test(
         loaded, model, segment_lens=lengths,
         probe=eval_mod.ProbeConfig(epochs=args.probe_epochs, lr=args.probe_lr),

@@ -105,7 +105,8 @@ class Corpus:
                     f"one label, got {len(doc.labels)}"
                 )
             for name in doc.labels:
-                self.vocab.index(name)
+                if name not in self.vocab.names:
+                    raise ValidationError(f"document {doc.id!r}: unknown label {name!r}")
 
     def __len__(self) -> int:
         return len(self.documents)

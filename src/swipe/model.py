@@ -111,6 +111,7 @@ class ForwardOut:
     doc_scores: ad.Tensor            # (B, L)
     seg_scores: ad.Tensor            # (M, L), in the batch's segment order
     gates: ad.Tensor | None          # (M, L)
+    pooled_rows: ad.Tensor           # (M, L) gates x seg_scores when gated, else seg_scores
     pool_argmax: np.ndarray | None   # (B, L) segment within each document, max variants
 
     def signature(self) -> tuple | None:
@@ -218,26 +219,24 @@ class SwipeModel:
             x = interact_tensor(x, self.params, self.config, batch.offsets)
         seg_scores = scores_tensor(x, self.params)
         gates = gates_tensor(x, self.params) if self.config.pooling.gated else None
-        doc_scores, argmax = pool_tensor(seg_scores, gates, self.config.pooling, batch.offsets)
-        return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores,
-                          gates=gates, pool_argmax=argmax)
+        doc_scores, rows, argmax = pool_tensor(seg_scores, gates, self.config.pooling,
+                                               batch.offsets)
+        return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores, gates=gates,
+                          pooled_rows=rows, pool_argmax=argmax)
 
     def _predictions(self, batch: Batch, doc_ids: Sequence[str]) -> list[Prediction]:
-        """One forward over `batch`, sliced into one prediction per document."""
-        out = self.forward(batch)
-        bounds = batch.offsets.tolist()
+        """One forward over `batch` and one `build_prediction` over its arrays; key
+        segments are max pooling's argmax, or the sum-pooled rows' first maximizers.
+        Overflow warnings are off: `build_prediction` rejects non-finite scores."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.forward(batch)
+            keys = out.pool_argmax
+            if keys is None:
+                argmax = ad.ragged_max(ad.Tensor(out.pooled_rows.data), batch.offsets)[1]
+                keys = argmax - batch.offsets[:-1, None]
         gates = None if out.gates is None else out.gates.data
-        return [
-            build_prediction(
-                doc_id=doc_id,
-                strategy=self.config.pooling,
-                doc_scores=out.doc_scores.data[b],
-                seg_scores=out.seg_scores.data[bounds[b]:bounds[b + 1]].T,
-                gates=None if gates is None else gates[bounds[b]:bounds[b + 1]].T,
-                task_kind=self.config.task_kind,
-            )
-            for b, doc_id in enumerate(doc_ids)
-        ]
+        return build_prediction(doc_ids, out.doc_scores.data, keys, out.seg_scores.data,
+                                gates, batch.offsets, self.config.task_kind)
 
     def predict_features(self, feats: Features) -> Prediction:
         """Predict one document from its features: a batch of one."""

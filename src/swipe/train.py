@@ -31,8 +31,8 @@ from swipe.model import Batch, Features, SwipeModel
 
 
 def loss_multiclass(doc_scores, gold) -> ad.Tensor:
-    """Softmax cross-entropy of each document's scores vs its gold label index,
-    averaged over the batch; (L,) scores with one index are a batch of one."""
+    """Softmax cross-entropy of each document's (B, L) scores vs its gold
+    label index, averaged over the batch."""
     logits = ad.as_tensor(doc_scores)
     n_labels = logits.shape[-1]
     if n_labels < 2:

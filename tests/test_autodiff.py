@@ -416,7 +416,9 @@ def test_layer_norm_normalizes():
 
 
 def _loop_mean(rows_loss, x, gold):
-    return sum(rows_loss(ad.Tensor(row), g).item() for row, g in zip(x, gold)) / len(x)
+    """Mean of `rows_loss` over batches of one row of `x` and its `gold` entry."""
+    return sum(rows_loss(ad.Tensor(x[i:i + 1]), gold[i:i + 1]).item()
+               for i in range(len(x))) / len(x)
 
 
 def test_softmax_cross_entropy_batch_is_mean_of_rows():
@@ -438,11 +440,22 @@ def test_bce_batch_is_mean_of_rows():
 
 
 def test_softmax_cross_entropy_values_and_grad():
-    loss = ad.softmax_cross_entropy(ad.Tensor([0.0, 0.0]), 0)
+    loss = ad.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [0])
     np.testing.assert_allclose(loss.item(), np.log(2))
-    check_op(lambda ts: ad.softmax_cross_entropy(ts[0], 2), [(5,)])
+    check_op(lambda ts: ad.softmax_cross_entropy(ts[0], [2]), [(1, 5)])
     with pytest.raises(ValueError):
-        ad.softmax_cross_entropy(ad.Tensor([0.0, 0.0]), 2)
+        ad.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [2])
+
+
+@pytest.mark.parametrize("logits, gold", [
+    ([0.0, 0.0], 0),          # 1-D logits are not a batch
+    ([0.0, 0.0], [0]),
+    ([[0.0, 0.0]], 0),        # nor is a bare gold index
+    ([[[0.0, 0.0]]], [0]),
+])
+def test_softmax_cross_entropy_takes_only_batches(logits, gold):
+    with pytest.raises(ValueError, match=r"expected \(B, L\) logits and \(B,\) gold"):
+        ad.softmax_cross_entropy(ad.Tensor(logits), gold)
 
 
 def test_bce_with_logits_values_and_grad():

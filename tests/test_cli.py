@@ -447,51 +447,92 @@ class TestParsing:
         assert err.startswith("error: ") and flag in err
 
 
+def _saved_model(tmp_path, task_kind="multi-class", **fill):
+    """A small trained-looking hash-encoder checkpoint over the labels a and b,
+    each tensor named in `fill` set to its value."""
+    model = SwipeModel.create(ModelConfig(labels=("a", "b"), task_kind=task_kind,
+                                          n_buckets=16, dim=4))
+    model.train_config = TrainConfig()
+    for name, value in fill.items():
+        model.params[name].data[...] = value
+    ckpt = tmp_path / "m.ckpt"
+    model.save(ckpt)
+    return ckpt
+
+
+def _labelled_corpus(tmp_path, labels, splits=("test",) * 3):
+    """One document per split, each carrying `labels`."""
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{i}", "text": f"word{i} and more", "labels": list(labels),
+                    "split": split}) + "\n"
+        for i, split in enumerate(splits)))
+    return corpus
+
+
+_EVAL_ARGS = {"eval": [], "sufficiency": ["--probe-epochs", 1]}
+
+
+class TestEvalVocabulary:
+    """`eval` and `sufficiency` read the file's labels against the model's
+    vocabulary, not one built from the file."""
+
+    @pytest.mark.parametrize("command", sorted(_EVAL_ARGS))
+    @pytest.mark.parametrize("task_kind, labels", [
+        ("multi-class", ["a"]),   # a one-label file for a two-label model
+        ("multi-label", []),      # a file with no positive label at all
+    ])
+    def test_file_with_fewer_labels_than_the_model_exits_0(self, tmp_path, command,
+                                                          task_kind, labels):
+        ckpt = _saved_model(tmp_path, task_kind)
+        corpus = _labelled_corpus(tmp_path, labels, splits=("train", "train", "test", "test"))
+        out = tmp_path / "report.json"
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus, "--out", out,
+                    *_EVAL_ARGS[command]]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_EVAL_ARGS))
+    @pytest.mark.parametrize("unknown", [0, 1])  # a train or a test document
+    def test_label_unknown_to_the_model_exits_2_in_any_split(self, tmp_path, capsys, command,
+                                                             unknown):
+        ckpt = _saved_model(tmp_path)
+        corpus = _labelled_corpus(tmp_path, ["a"], splits=("train", "test", "test"))
+        lines = corpus.read_text().splitlines()
+        lines[unknown] = lines[unknown].replace('"labels": ["a"]', '"labels": ["z"]')
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus, "--out", out,
+                    *_EVAL_ARGS[command]]) == 2
+        assert capsys.readouterr().err == f"error: document 'd{unknown}': unknown label 'z'\n"
+        assert not out.exists()
+
+
 class TestNonFinite:
     """No output file holds JSON's non-standard `NaN` or `Infinity`."""
 
-    @staticmethod
-    def _checkpoint(tmp_path, **fill):
-        """A small hash-encoder checkpoint, each tensor named in `fill` set to its value."""
-        model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=4))
-        for name, value in fill.items():
-            model.params[name].data[...] = value
-        ckpt = tmp_path / "m.ckpt"
-        model.save(ckpt)
-        return ckpt
-
-    @staticmethod
-    def _corpus(tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"id": f"d{i}", "text": f"word{i} and more", "labels": ["a"]}) + "\n"
-            for i in range(3)))
-        return corpus
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_checkpoint_payload_exits_2(self, tmp_path, capsys, value):
-        ckpt = self._checkpoint(tmp_path)
+        ckpt = _saved_model(tmp_path)
         header, payload = ckpt.read_bytes().split(b"\n", 1)
         ckpt.write_bytes(header + b"\n" + struct.pack("<d", value) + payload[8:])
         out = tmp_path / "p.jsonl"
-        code = run(["predict", "--checkpoint", ckpt, "--corpus", self._corpus(tmp_path),
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", _labelled_corpus(tmp_path, ["a"]),
                     "--out", out])
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {ckpt}: tensor encoder.table holds {value} at flat index 0\n")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("command", ["predict", "explain"])
+    @pytest.mark.parametrize("command", ["predict", "explain", "eval", "sufficiency"])
     def test_overflowing_scores_exit_2_and_are_not_written(self, tmp_path, capsys, command):
         # every parameter is finite, but each score w.x + b is past the float64 range
-        ckpt = self._checkpoint(tmp_path, **{"encoder.table": 1.0, "head.weight": 1e307,
-                                             "head.bias": 1.7e308})
-        out = tmp_path / "out.jsonl"
-        code = run([command, "--checkpoint", ckpt, "--corpus", self._corpus(tmp_path),
-                    "--out", out])
+        ckpt = _saved_model(tmp_path, **{"encoder.table": 1.0, "head.weight": 1e307,
+                                         "head.bias": 1.7e308})
+        out = tmp_path / "out.json"
+        code = run([command, "--checkpoint", ckpt,
+                    "--corpus", _labelled_corpus(tmp_path, ["a"]), "--out", out])
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "error: document 'd0' holds a NaN or an infinity")
-        text = out.read_text()
-        assert "NaN" not in text and "Infinity" not in text
+        err = capsys.readouterr().err
+        assert err.startswith("error: document 'd0' holds a NaN or an infinity")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists() or out.read_text() == ""

@@ -33,12 +33,11 @@ def _accuracy(pred_classes, gold_classes) -> float:
     model = SwipeModel.create(ModelConfig(labels=names, n_buckets=8, dim=2))
     docs = [Document(id=f"d{i}", text="x", labels=(names[g],), split="test")
             for i, g in enumerate(gold_classes)]
-    one_hot = np.eye(len(names))
-    preds = {
-        doc.id: build_prediction(doc.id, Pooling.MAX, one_hot[p], one_hot[p][:, None],
-                                 None, TASK_MULTICLASS)
-        for doc, p in zip(docs, pred_classes)
-    }
+    # one one-segment document per prediction, scoring 1 on its predicted class
+    scores = np.eye(len(names))[pred_classes]
+    chunk = build_prediction([doc.id for doc in docs], scores, np.zeros(scores.shape, int),
+                             scores, None, np.arange(len(docs) + 1), TASK_MULTICLASS)
+    preds = {pred.doc_id: pred for pred in chunk}
     return classification_eval(preds, Corpus(docs, model.vocab), model, "test")["accuracy"]
 
 
@@ -101,13 +100,11 @@ class TestF1:
             preds[perm], golds[perm], names)
 
 
-def _prediction(doc_id, seg_bits, key_segments=None, strategy=Pooling.MAX):
+def _prediction(doc_id, seg_bits, key_segments=None):
     seg_bits = np.asarray(seg_bits, dtype=np.int8)
-    n_labels, m = seg_bits.shape
     scores = seg_bits.astype(float) - 0.5
     return Prediction(
         doc_id=doc_id,
-        strategy=strategy,
         scores=scores.max(axis=1),
         bits=(scores.max(axis=1) > 0).astype(np.int8),
         seg_scores=scores,

@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from swipe import autodiff as ad
-from swipe.corpus import TASK_MULTICLASS
+from swipe.corpus import TASK_KINDS, TASK_MULTICLASS, Document
 from swipe.encoder import SegmentMatrix
 from swipe.errors import ConfigError
-from swipe.head import Pooling, build_prediction, pool_tensor
+from swipe.head import Pooling, pool_tensor
 from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
 
 
@@ -99,8 +102,8 @@ class TestGates:
 def _pool_alone(scores, gates, strategy):
     """`pool_tensor` over one document of (m, L) segment scores, a batch of
     one: its (L,) document scores, and its (L,) argmax segments or None."""
-    y, argmax = pool_tensor(ad.Tensor(scores), None if gates is None else ad.Tensor(gates),
-                            strategy, np.array([0, len(scores)]))
+    y, _, argmax = pool_tensor(ad.Tensor(scores), None if gates is None else ad.Tensor(gates),
+                               strategy, np.array([0, len(scores)]))
     return y.data[0], None if argmax is None else argmax[0]
 
 
@@ -121,6 +124,13 @@ class TestPool:
                                np.array([[0.9], [0.1], [0.8]]), Pooling.GATED_MAX)
         np.testing.assert_allclose(y, [0.4])
         assert argmax[0] == 2
+
+    def test_pooled_rows(self):
+        scores, gates = np.array([[-1.0], [2.0], [0.5]]), np.array([[0.9], [0.1], [0.8]])
+        for strategy in Pooling:
+            _, rows, _ = pool_tensor(ad.Tensor(scores), ad.Tensor(gates), strategy,
+                                     np.array([0, 3]))
+            np.testing.assert_array_equal(rows.data, gates * scores if strategy.gated else scores)
 
     def test_missing_gates_rejected(self):
         with pytest.raises(ConfigError):
@@ -219,13 +229,17 @@ class TestRanking:
         pred = head_model(params, Pooling.SUM).predict_features(mat)
         assert list(pred.key_segments) == [0]
 
-    def test_gated_ranking_uses_product(self):
-        seg_scores = np.array([[5.0, 0.1, 0.2]])
-        gates = np.array([[0.01, 0.999, 0.5]])
+    def test_gated_ranking_uses_product(self, head_model):
+        # a segment vector is (score, gate logit): the head reads one into each
+        seg_scores = np.array([5.0, 0.1, 0.2])
+        gates = np.array([0.01, 0.999, 0.5])
+        mat = SegmentMatrix(doc_id="d", rows=np.stack([seg_scores, np.log(gates / (1 - gates))],
+                                                      axis=1))
+        params = _params([[1.0, 0.0]], [0.0], gate_weight=[[0.0, 1.0]], gate_bias=[0.0])
         # products 0.05, 0.0999, 0.1: the gate moves the key off segment 0
         for strategy, key in ((Pooling.MAX, 0), (Pooling.GATED_MAX, 2)):
-            pred = build_prediction("d", strategy, np.ones(1), seg_scores, gates,
-                                    TASK_MULTICLASS)
+            pred = head_model(params, strategy).predict_features(mat)
+            np.testing.assert_allclose(pred.seg_scores, [seg_scores])
             assert list(pred.key_segments) == [key]
 
 
@@ -291,3 +305,62 @@ def test_sum_deduction_inserted_element_sign(first, inserted, position):
     with_e = first[:position] + [inserted] + first[position:]
     if sum(with_e) > 0 and sum(first) < 0:
         assert inserted > 0
+
+
+def _old_record(pred, names) -> dict:
+    """The prediction record as it was built one label at a time."""
+    per_label = [{"label": name, "y": float(pred.scores[i]), "bit": int(pred.bits[i]),
+                  "key_segment": int(pred.key_segments[i]),
+                  "positive_segments": np.flatnonzero(pred.seg_bits[i]).tolist(),
+                  "segment_scores": pred.seg_scores[i].tolist()}
+                 for i, name in enumerate(names)]
+    labels = ([names[pred.pred_class]] if pred.pred_class is not None
+              else [names[i] for i in np.flatnonzero(pred.bits)])
+    return {"doc_id": pred.doc_id, "labels": labels, "per_label": per_label}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), pooling=st.sampled_from(list(Pooling)),
+       task_kind=st.sampled_from(TASK_KINDS))
+def test_chunk_predictions_match_per_document_formulas(head_model, data, pooling, task_kind):
+    """A chunk of 1-5 documents of 1-6 segments, predicted together, gives
+    each document what the per-document formulas give on its own arrays.
+
+    Small integer scores and gate logits make ties common. The head reads a
+    segment vector (scores | gate logits) through identity weights, so each
+    document's segment scores are its vectors' first half exactly.
+    """
+    n_labels = data.draw(st.integers(2 if task_kind == TASK_MULTICLASS else 1, 4))
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    cell = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+    vectors = {f"d{b}": data.draw(hnp.arrays(np.float64, (m, 2 * n_labels), elements=cell))
+               for b, m in enumerate(lengths)}
+    eye, zero = np.eye(n_labels), np.zeros((n_labels, n_labels))
+    model = head_model({"head.weight": np.hstack([eye, zero]), "head.bias": np.zeros(n_labels),
+                        "head.gate_weight": np.hstack([zero, eye]),
+                        "head.gate_bias": np.zeros(n_labels)}, pooling, task_kind)
+    model.attach_vectors({doc_id: SegmentMatrix(doc_id=doc_id, rows=rows)
+                          for doc_id, rows in vectors.items()})
+    docs = [Document(id=doc_id, text="x") for doc_id in vectors]
+    names = model.vocab.names
+    for (doc, _, pred), rows in zip(model.predict_many(docs), vectors.values()):
+        assert pred.doc_id == doc.id and pred.m == len(rows)
+        np.testing.assert_array_equal(pred.seg_scores, rows[:, :n_labels].T)
+        if pooling.gated:
+            np.testing.assert_allclose(pred.gates, 1 / (1 + np.exp(-rows[:, n_labels:].T)))
+        else:
+            assert pred.gates is None
+        ranking = pred.gates * pred.seg_scores if pooling.gated else pred.seg_scores
+        np.testing.assert_array_equal(pred.key_segments, np.argmax(ranking, axis=1))
+        if pooling.is_max:
+            np.testing.assert_array_equal(pred.scores, ranking.max(axis=1))
+        else:
+            np.testing.assert_allclose(pred.scores, ranking.sum(axis=1), atol=1e-12)
+        assert pred.bits.dtype == pred.seg_bits.dtype == np.int8
+        np.testing.assert_array_equal(pred.bits, pred.scores > 0)
+        np.testing.assert_array_equal(pred.seg_bits, pred.seg_scores > 0)
+        if task_kind == TASK_MULTICLASS:
+            assert pred.pred_class == int(np.argmax(pred.scores))
+        else:
+            assert pred.pred_class is None
+        assert json.dumps(pred.to_record(names)) == json.dumps(_old_record(pred, names))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from swipe import model as model_mod
 from swipe.corpus import Document, TASK_MULTICLASS, TASK_MULTILABEL
 from swipe.encoder import SegmentMatrix
-from swipe.errors import FormatError
+from swipe.errors import FormatError, ValidationError
 from swipe.head import Pooling
 from swipe.model import ENCODER_HASH, ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
 from swipe.truncate import TruncationConfig
@@ -87,8 +87,11 @@ def test_chunked_predictions_equal_per_document_predictions_bit_for_bit(
     model = _model(seed, pooling, layers, task, encoder_mode, docs)
     singles = [model.predict(doc) for doc in docs]
     calls = _forward_calls(model)
-    with mock.patch.object(model_mod, "CHUNK_BYTES", budget):
+    with (mock.patch.object(model_mod, "CHUNK_BYTES", budget),
+          mock.patch.object(model_mod, "build_prediction",
+                            wraps=model_mod.build_prediction) as builds):
         chunked = list(model.predict_many(docs))
+    assert builds.call_count == len(calls)  # one chunk-wide build per forward
     assert [doc for doc, _, _ in chunked] == docs
     for (doc, segments, got), want in zip(chunked, singles):
         assert (segments is None) == (encoder_mode == ENCODER_PRECOMPUTED)
@@ -100,6 +103,15 @@ def test_chunked_predictions_equal_per_document_predictions_bit_for_bit(
         assert calls == [1] * n_docs
     elif budget == 10**9:
         assert calls == [n_docs]
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_a_document_whose_scores_are_not_finite_is_named(layers):
+    docs = _docs(np.random.default_rng(3), 4)
+    model = _model(3, Pooling.GATED_MAX, layers, TASK_MULTILABEL, ENCODER_PRECOMPUTED, docs)
+    model.precomputed["d2"].rows[...] = 1e308  # finite, but its scores overflow
+    with pytest.raises(ValidationError, match="^document 'd2' holds a NaN or an infinity"):
+        list(model.predict_many(docs))
 
 
 def test_predict_many_uses_the_truncation_it_is_given():

@@ -45,39 +45,41 @@ from swipe.truncate import TruncationConfig
 
 
 class TestLosses:
+    # each case is a batch of one document: (1, L) scores, one target
+
     def test_multiclass_uniform(self):
-        assert loss_multiclass(np.array([0.0, 0.0]), 0).item() == pytest.approx(math.log(2))
+        assert loss_multiclass(np.array([[0.0, 0.0]]), [0]).item() == pytest.approx(math.log(2))
 
     def test_multiclass_confident_correct(self):
         # ln(1 + e^-20), evaluated independently
-        loss = loss_multiclass(np.array([10.0, -10.0]), 0).item()
+        loss = loss_multiclass(np.array([[10.0, -10.0]]), [0]).item()
         assert loss == pytest.approx(2.0611536181902037e-09, rel=1e-6)
 
     def test_multiclass_confident_wrong(self):
-        loss = loss_multiclass(np.array([10.0, -10.0]), 1).item()
+        loss = loss_multiclass(np.array([[10.0, -10.0]]), [1]).item()
         assert loss == pytest.approx(20.0, abs=1e-6)
 
     def test_multiclass_validation(self):
         with pytest.raises(ValidationError):
-            loss_multiclass(np.array([0.0, 0.0]), 2)
+            loss_multiclass(np.array([[0.0, 0.0]]), [2])
         with pytest.raises(ValidationError):
-            loss_multiclass(np.array([0.0]), 0)
+            loss_multiclass(np.array([[0.0]]), [0])
 
     def test_multilabel_zero_scores_ln2_any_gold(self):
         for gold in ([1.0, 0.0], [0.0, 0.0], [1.0, 1.0]):
-            loss = loss_multilabel(np.array([0.0, 0.0]), np.array(gold)).item()
+            loss = loss_multilabel(np.array([[0.0, 0.0]]), np.array([gold])).item()
             assert loss == pytest.approx(math.log(2))
 
     def test_multilabel_saturated(self):
-        assert loss_multilabel(np.array([50.0]), np.array([1.0])).item() < 1e-12
+        assert loss_multilabel(np.array([[50.0]]), np.array([[1.0]])).item() < 1e-12
 
     def test_multilabel_closed_form(self):
-        loss = loss_multilabel(np.array([2.0, -2.0]), np.array([1.0, 0.0])).item()
+        loss = loss_multilabel(np.array([[2.0, -2.0]]), np.array([[1.0, 0.0]])).item()
         assert loss == pytest.approx(math.log(1 + math.exp(-2)), rel=1e-9)
 
     def test_multilabel_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            loss_multilabel(np.array([0.0, 0.0]), np.array([1.0]))
+            loss_multilabel(np.array([[0.0, 0.0]]), np.array([[1.0]]))
 
 
 def _precomputed_model(vectors: dict[str, np.ndarray], task=TASK_MULTILABEL,
