@@ -18,9 +18,11 @@ Conventions:
   boundaries) say which rows belong to which document; `ragged_max` and
   `ragged_sum` pool per document, and both losses take (B, L) logits, one
   row per document, and return the batch mean
-* ops skip tape construction when no input requires grad; the model's
-  parameters always require grad, so inference builds a tape too, once per
-  chunk of documents (`SwipeModel.predict_many`): a handful of nodes
+* ops skip tape construction when no input requires grad, so a forward
+  over grad-free views of the parameters (`SwipeModel.frozen_params`, used
+  by inference and dev scoring) records no tape and each activation is freed
+  once its last consumer has run; training's forward runs on the parameters
+  themselves, which require grad
 * forward values do not depend on how many rows share a call: `linear`
   reduces with einsum's own loops, not BLAS (whose rounding of a row varies
   with the row count; a one-row product even takes another BLAS routine);

@@ -208,31 +208,41 @@ class SwipeModel:
             raise KeyError(f"no precomputed vectors for document {doc.id!r}")
         return self.precomputed[doc.id]
 
-    def forward(self, batch: Batch) -> ForwardOut:
+    def frozen_params(self) -> dict[str, ad.Tensor]:
+        """Grad-free views of the parameters, sharing their arrays: a forward
+        over them records no tape. Built per call, because `restore_best`
+        rebinds each parameter's `.data`."""
+        return {name: ad.Tensor(t.data) for name, t in self.params.items()}
+
+    def forward(self, batch: Batch, params: dict[str, ad.Tensor] | None = None) -> ForwardOut:
         """One pass over a ragged batch: every segment scored by one
-        `ad.linear`, pooled per document."""
+        `ad.linear`, pooled per document. `params` defaults to the model's
+        own, which record a tape for `backward`; inference passes
+        `frozen_params()`, whose outputs hold no tape."""
+        params = self.params if params is None else params
         if isinstance(batch.inputs, SegmentFeatures):
-            x = encode_features(batch.inputs, self.params)
+            x = encode_features(batch.inputs, params)
         else:
             x = ad.Tensor(batch.inputs.rows)  # frozen: no gradient
         if self.config.interaction_layers:
-            x = interact_tensor(x, self.params, self.config, batch.offsets)
-        seg_scores = scores_tensor(x, self.params)
-        gates = gates_tensor(x, self.params) if self.config.pooling.gated else None
+            x = interact_tensor(x, params, self.config, batch.offsets)
+        seg_scores = scores_tensor(x, params)
+        gates = gates_tensor(x, params) if self.config.pooling.gated else None
         doc_scores, rows, argmax = pool_tensor(seg_scores, gates, self.config.pooling,
                                                batch.offsets)
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores, gates=gates,
                           pooled_rows=rows, pool_argmax=argmax)
 
     def _predictions(self, batch: Batch, doc_ids: Sequence[str]) -> list[Prediction]:
-        """One forward over `batch` and one `build_prediction` over its arrays; key
-        segments are max pooling's argmax, or the sum-pooled rows' first maximizers.
-        Overflow warnings are off: `build_prediction` rejects non-finite scores."""
+        """One tape-free forward over `batch` and one `build_prediction` over its
+        arrays; key segments are max pooling's argmax, or the sum-pooled rows'
+        first maximizers. Overflow warnings are off: `build_prediction` rejects
+        non-finite scores."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.forward(batch)
+            out = self.forward(batch, self.frozen_params())
             keys = out.pool_argmax
             if keys is None:
-                argmax = ad.ragged_max(ad.Tensor(out.pooled_rows.data), batch.offsets)[1]
+                argmax = ad.ragged_max(out.pooled_rows, batch.offsets)[1]
                 keys = argmax - batch.offsets[:-1, None]
         gates = None if out.gates is None else out.gates.data
         return build_prediction(doc_ids, out.doc_scores.data, keys, out.seg_scores.data,

@@ -274,13 +274,15 @@ def exact_match(model: SwipeModel, docs: Sequence[Document], scores: np.ndarray)
 def evaluate_split(model: SwipeModel, docs: list[Document],
                    features: dict[str, Features], batch_size: int) -> float:
     """Exact-match share of `docs` (see `exact_match`), scored through the
-    batched forward in chunks of `batch_size` documents."""
+    batched forward, tape-free, in chunks of `batch_size` documents."""
     if not docs:
         return float("nan")
+    params = model.frozen_params()
     hits = 0
     for start in range(0, len(docs), batch_size):
         chunk = docs[start:start + batch_size]
-        scores = model.forward(Batch.of([features[doc.id] for doc in chunk])).doc_scores.data
+        batch = Batch.of([features[doc.id] for doc in chunk])
+        scores = model.forward(batch, params).doc_scores.data
         hits += int(exact_match(model, chunk, scores).sum())
     return hits / len(docs)
 

@@ -11,7 +11,7 @@ Three strategies:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from swipe.config import TruncationConfig
 from swipe.corpus import Document
@@ -24,8 +24,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 EMPTY_UNIT_TOKEN = "<empty>"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One truncated piece of a document."""
 
     doc_id: str
@@ -34,8 +33,20 @@ class Segment:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased whitespace/punctuation tokenization. Deterministic."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercased whitespace/punctuation tokenization. Deterministic.
+
+    Equal to `_TOKEN_RE.findall(text.lower())`: `str.split` splits at the
+    `str.isspace` characters, which are `re`'s `\\s`, and a word that is all
+    `str.isalnum` (`re`'s `[^\\W_]`) is one alphanumeric run, so only the
+    other words go through the regex.
+    """
+    tokens: list[str] = []
+    for word in text.lower().split():
+        if word.isalnum():
+            tokens.append(word)
+        else:
+            tokens.extend(_TOKEN_RE.findall(word))
+    return tokens
 
 
 def truncate(doc: Document, cfg: TruncationConfig) -> list[Segment]:
@@ -49,7 +60,7 @@ def truncate(doc: Document, cfg: TruncationConfig) -> list[Segment]:
 
 def _make_segments(doc_id, runs, tokens) -> list[Segment]:
     return [
-        Segment(doc_id=doc_id, index=k, tokens=tuple(tokens[start:end]))
+        Segment(doc_id, k, tuple(tokens[start:end]))
         for k, (start, end) in enumerate(runs)
     ]
 
@@ -130,5 +141,5 @@ def truncate_struct(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     segments = []
     for k, unit in enumerate(doc.units):
         tokens = tokenize(unit) or [EMPTY_UNIT_TOKEN]
-        segments.append(Segment(doc_id=doc.id, index=k, tokens=tuple(tokens)))
+        segments.append(Segment(doc.id, k, tuple(tokens)))
     return segments

@@ -61,9 +61,9 @@ def _forward_calls(model):
     calls = []
     forward = model.forward
 
-    def counted(batch):
+    def counted(batch, params=None):
         calls.append(len(batch.offsets) - 1)  # documents in this forward
-        return forward(batch)
+        return forward(batch, params)
 
     model.forward = counted
     return calls

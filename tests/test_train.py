@@ -336,6 +336,35 @@ def test_evaluate_split_matches_per_document_exact_match(task):
         assert evaluate_split(model, docs, features, batch_size=2) == share
 
 
+@pytest.mark.parametrize("pooling", list(Pooling))
+def test_inference_and_dev_scoring_record_no_tape(pooling):
+    model, docs, batch = _ragged_model(5, [2, 1, 4, 3], pooling, 1, True, TASK_MULTILABEL,
+                                       ENCODER_HASH)
+    _, before = backward_batch(model, batch)
+    model.zero_grad()
+    outs = []
+    forward = model.forward
+
+    def recorded(inputs, params=None):
+        outs.append(forward(inputs, params))
+        return outs[-1]
+
+    model.forward = recorded
+    list(model.predict_many(docs))
+    features = {doc.id: feats for doc, (feats, _) in zip(docs, batch)}
+    evaluate_split(model, docs, features, batch_size=2)
+    assert len(outs) == 3  # one predict chunk and two dev chunks
+    assert all(t.grad is None for t in model.params.values())
+    for out in outs:
+        tensors = [out.doc_scores, out.seg_scores, out.gates, out.pooled_rows]
+        for t in (t for t in tensors if t is not None):
+            assert not t.requires_grad and t._parents == () and t._backward is None
+    _, after = backward_batch(model, batch)
+    assert outs[-1].doc_scores._parents  # training's forward still records its tape
+    for name, grad in before.items():
+        assert ad.dense(after[name]).tobytes() == ad.dense(grad).tobytes(), name
+
+
 def test_batch_rejects_mixed_feature_kinds():
     model, _, batch = _ragged_model(0, [2], Pooling.MAX, 0, False, TASK_MULTICLASS, ENCODER_HASH)
     with pytest.raises(ConfigError, match="mix"):

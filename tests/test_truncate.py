@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from swipe.corpus import Document
 from swipe.errors import ConfigError, ValidationError
 from swipe.truncate import (
+    _TOKEN_RE,
     EMPTY_UNIT_TOKEN,
     TruncationConfig,
     tokenize,
@@ -24,6 +25,25 @@ class TestTokenize:
 
     def test_whitespace_collapse(self):
         assert tokenize("A  b\tc") == ["a", "b", "c"]
+
+    def test_dotted_capital_i_lowercases_to_two_code_points(self):
+        # "İ".lower() is "i" + U+0307 (combining dot above), which is not
+        # alphanumeric, so the word splits in three
+        assert tokenize("İstanbul") == ["i", "\u0307", "stanbul"]
+
+
+# Characters where `str.split`/`str.isalnum` and the regex could part ways:
+# a capital whose lowercase is two code points, the separators U+001C-U+001F,
+# NEL, NBSP, the line separator and the ideographic space, the underscore,
+# numerals that are not decimal digits, a combining accent, CJK and digits.
+_TRICKY = ("İ\u0307\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000_²½\u0301東京ß"
+           "0123456789 \t\n.-aZ")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters())))
+def test_tokenize_equals_the_regex_on_the_lowercased_text(text):
+    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
 
 
 class TestConfig:
