@@ -20,8 +20,8 @@ Conventions:
   row per document, and return the batch mean
 * ops skip tape construction when no input requires grad, so a forward
   over grad-free views of the parameters (`SwipeModel.frozen_params`, used
-  by inference and dev scoring) records no tape and each activation is freed
-  once its last consumer has run; training's forward runs on the parameters
+  by inference and dev scoring) records no tape, and an activation is freed
+  as soon as nothing refers to it; training's forward runs on the parameters
   themselves, which require grad
 * forward values do not depend on how many rows share a call: `linear`
   reduces with einsum's own loops, not BLAS (whose rounding of a row varies
