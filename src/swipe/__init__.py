@@ -22,7 +22,7 @@ from swipe.corpus import (
 from swipe.encoder import SegmentMatrix, load_precomputed
 from swipe.head import Pooling, Prediction
 from swipe.model import SwipeModel
-from swipe.train import grad_check, loss_multiclass, loss_multilabel, train
+from swipe.train import grad_check, train
 from swipe.truncate import Segment, tokenize, truncate
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "grad_check",
     "load_jsonl",
     "load_precomputed",
-    "loss_multiclass",
-    "loss_multilabel",
     "split_corpus",
     "tokenize",
     "train",

@@ -119,10 +119,6 @@ def dense(grad):
     return grad.to_dense() if isinstance(grad, RowSparse) else grad
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -416,6 +412,8 @@ def bce_with_logits_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     sigmoid(logit) and target; `targets` has the shape of `logits`."""
     x = logits.data
     t = np.asarray(targets, dtype=np.float64)
+    if t.shape != x.shape:
+        raise ValueError(f"targets shape {t.shape} != logits shape {x.shape}")
     per_label = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     loss = per_label.mean()
 

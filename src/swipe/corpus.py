@@ -86,6 +86,10 @@ class LabelVocab:
             out[self.index(name)] = 1.0
         return out
 
+    def gold(self, docs) -> np.ndarray:
+        """(documents, labels) 0/1 gold matrix: row i is `bits` of docs[i]'s labels."""
+        return np.array([self.bits(doc.labels) for doc in docs]).reshape(len(docs), len(self))
+
 
 @dataclass
 class Corpus:
@@ -360,8 +364,10 @@ def load_key_map(path) -> KeyMap:
             try:
                 raw = json.loads(line)
                 segments = raw["key_segments"]
-                if not isinstance(segments, list) or any(type(k) is not int for k in segments):
-                    raise TypeError(f"key_segments must be an array of integers, got {segments!r}")
+                if not isinstance(segments, list) or any(type(k) is not int or k < 0
+                                                         for k in segments):
+                    raise TypeError("key_segments must be an array of non-negative integers, "
+                                    f"got {segments!r}")
                 key_map[(record_key(raw, "doc_id"), record_key(raw, "label"))] = tuple(segments)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad key map record: {exc}") from exc

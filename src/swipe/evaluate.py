@@ -22,7 +22,7 @@ from swipe.corpus import Corpus, Document, KeyMap, LabelVocab, TASK_MULTICLASS
 from swipe.errors import ValidationError
 from swipe.hashing import derive_seed
 from swipe.head import Pooling, Prediction
-from swipe.model import SwipeModel
+from swipe.model import Batch, SwipeModel
 from swipe.train import backward_batch, exact_match, train
 from swipe.truncate import Segment
 
@@ -81,24 +81,25 @@ def segment_labeling_eval(
     predictions; a gold key index outside a document's segment range means
     the truncation is misaligned with the annotations.
     """
-    pred_mat = []
-    gold_mat = []
+    if not predictions:
+        raise ValidationError("no predictions to evaluate")
+    pred_blocks = []
+    gold_blocks = []
     for doc_id, pred in predictions.items():
-        gold_keys_per_label = []
-        for name in label_names:
-            gold_keys = set(key_map.get((doc_id, name), ()))
-            if gold_keys and max(gold_keys) >= pred.m:
+        gold = np.zeros((pred.m, len(label_names)), dtype=np.int8)
+        for j, name in enumerate(label_names):
+            keys = key_map.get((doc_id, name), ())
+            bad = [k for k in keys if not 0 <= k < pred.m]
+            if bad:
                 raise ValidationError(
-                    f"document {doc_id!r}: gold key segment {max(gold_keys)} out of "
+                    f"document {doc_id!r}: gold key segment {max(bad)} out of "
                     f"range for m={pred.m}; segment indices are misaligned"
                 )
-            gold_keys_per_label.append(gold_keys)
-        for k in range(pred.m):
-            pred_mat.append(pred.seg_bits[:, k])
-            gold_mat.append([1 if k in keys else 0 for keys in gold_keys_per_label])
-    if not pred_mat:
-        raise ValidationError("no predictions to evaluate")
-    return confusion_report(np.asarray(pred_mat), np.asarray(gold_mat), label_names)
+            gold[list(keys), j] = 1
+        pred_blocks.append(pred.seg_bits.T)
+        gold_blocks.append(gold)
+    return confusion_report(np.concatenate(pred_blocks), np.concatenate(gold_blocks),
+                            label_names)
 
 
 def key_segment_recovery(
@@ -132,10 +133,11 @@ def classification_eval(
     docs = corpus.split_docs(split)
     if not docs:
         raise ValidationError(f"split {split!r} is empty")
-    acc = float(np.mean(exact_match(model, docs, np.stack([preds[d.id].scores for d in docs]))))
+    gold = model.vocab.gold(docs)
+    scores = np.stack([preds[d.id].scores for d in docs])
+    acc = float(np.mean(exact_match(model.config.task_kind, scores, gold)))
     pred_bits = np.stack([preds[d.id].bits for d in docs])
-    gold_bits = np.stack([model.vocab.bits(d.labels) for d in docs])
-    report = confusion_report(pred_bits, gold_bits, model.vocab.names)
+    report = confusion_report(pred_bits, gold, model.vocab.names)
     return {
         "split": split,
         "n_docs": len(docs),
@@ -200,7 +202,8 @@ def _probe_score(
     ))
     test_docs = corpus.split_docs("test")
     scores = np.stack([pred.scores for _, _, pred in probe_model.predict_many(test_docs)])
-    return int(exact_match(probe_model, test_docs, scores).sum()) / len(test_docs)
+    hits = exact_match(vocab.task_kind, scores, vocab.gold(test_docs))
+    return int(hits.sum()) / len(test_docs)
 
 
 def explanation_segment_indices(pred: Prediction, task_kind: str) -> list[int]:
@@ -319,13 +322,13 @@ def scaling_probe(
             for _ in range(n)
         )
         doc = Document(id=f"scale-{n}", units=units, labels=("label0",))
-        batches[n] = [(model.featurize(doc), 0)]
+        batches[n] = (Batch.of([model.featurize(doc)]), model.vocab.gold([doc]))
     samples_ms: dict[int, list[float]] = {n: [] for n in segment_counts}
     for trial in range(-2, trials):  # two warmup rounds, then measured rounds
         for n in segment_counts:
             start = time.perf_counter()
             for _ in range(reps_per_trial):
-                backward_batch(model, batches[n])
+                backward_batch(model, *batches[n])
             elapsed = (time.perf_counter() - start) * 1e3 / reps_per_trial
             if trial >= 0:
                 samples_ms[n].append(elapsed)

@@ -24,65 +24,41 @@ import numpy as np
 
 from swipe import autodiff as ad
 from swipe.config import TrainConfig
-from swipe.corpus import Corpus, Document, TASK_MULTICLASS
+from swipe.corpus import Corpus, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
 from swipe.model import Batch, Features, SwipeModel
 
 
-def loss_multiclass(doc_scores, gold) -> ad.Tensor:
-    """Softmax cross-entropy of each document's (B, L) scores vs its gold
-    label index, averaged over the batch."""
-    logits = ad.as_tensor(doc_scores)
-    n_labels = logits.shape[-1]
-    if n_labels < 2:
-        raise ValidationError(f"multi-class loss needs >= 2 labels, got {n_labels}")
-    gold = np.asarray(gold)
-    if np.any((gold < 0) | (gold >= n_labels)):
-        raise ValidationError(f"gold index {gold.tolist()} out of range for L={n_labels}")
-    return ad.softmax_cross_entropy(logits, gold)
-
-
-def loss_multilabel(doc_scores, gold_bits) -> ad.Tensor:
-    """Mean per-label logistic loss; sigmoid(score) crosses 0.5 exactly at 0."""
-    logits = ad.as_tensor(doc_scores)
-    gold_bits = np.asarray(gold_bits, dtype=np.float64)
-    if gold_bits.shape != logits.shape:
-        raise ValidationError(
-            f"gold bits shape {gold_bits.shape} != scores shape {logits.shape}"
-        )
-    return ad.bce_with_logits_mean(logits, gold_bits)
-
-
-def doc_loss(model: SwipeModel, batch: Batch, targets) -> tuple[ad.Tensor, tuple | None]:
+def doc_loss(model: SwipeModel, batch: Batch,
+             gold: np.ndarray) -> tuple[ad.Tensor, tuple | None]:
     """Mean loss over a batch plus its pooling signature (for kink detection).
 
-    `targets` holds one target per document of `batch`, in order; one
-    document is `Batch.of([feats])` with `[target]`.
+    `gold` is the batch's (B, L) 0/1 gold matrix, one row per document of
+    `batch`; the one 1 of a multi-class row marks the gold label.
     """
     out = model.forward(batch)
     if model.config.task_kind == TASK_MULTICLASS:
-        return loss_multiclass(out.doc_scores, np.asarray(targets)), out.signature()
-    return loss_multilabel(out.doc_scores, np.stack(targets)), out.signature()
+        return ad.softmax_cross_entropy(out.doc_scores, gold.argmax(axis=1)), out.signature()
+    return ad.bce_with_logits_mean(out.doc_scores, gold), out.signature()
 
 
 def backward_batch(
-    model: SwipeModel, batch: list[tuple[Features, object]]
+    model: SwipeModel, batch: Batch, gold: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray | ad.RowSparse]]:
     """Mean batch loss and its gradients for every trainable parameter.
 
-    One forward and one backward over the whole ragged batch. The encoder
-    table's gradient is an `ad.RowSparse`; parameters that do not participate
-    in the forward pass (e.g. gate weights under ungated pooling) get zero
-    gradients, so every parameter has one.
+    One forward and one backward over the whole ragged batch against its
+    (B, L) gold matrix. The encoder table's gradient is an `ad.RowSparse`;
+    parameters that do not participate in the forward pass (e.g. gate
+    weights under ungated pooling) get zero gradients, so every parameter
+    has one.
     """
     model.zero_grad()
-    total, _ = doc_loss(model, Batch.of([feats for feats, _ in batch]),
-                        [target for _, target in batch])
+    total, _ = doc_loss(model, batch, gold)
     value = total.item()
     if not math.isfinite(value):
-        ids = [feats.doc_id for feats, _ in batch]
-        raise TrainingError(f"non-finite loss {value!r} on batch {ids}")
+        raise TrainingError(f"non-finite loss {value!r} on documents {batch.inputs.doc_id}")
     total.backward()
     grads = {
         name: (np.zeros_like(t.data) if t.grad is None else t.grad)
@@ -249,46 +225,40 @@ class TrainResult:
     metrics: list[dict]               # rows: epoch, step, lr, train_loss, dev_metric
 
     def restore_best(self) -> SwipeModel:
-        """Overwrite the model's parameters with the best-dev snapshot."""
+        """Overwrite the model's parameters with the best epoch's snapshot."""
         for name, tensor in self.model.params.items():
             tensor.data = self.best_params[name].copy()
         return self.model
 
 
-def _target_for(model: SwipeModel, doc: Document):
-    if model.config.task_kind == TASK_MULTICLASS:
-        return model.vocab.index(doc.labels[0])
-    return model.vocab.bits(doc.labels)
-
-
-def exact_match(model: SwipeModel, docs: Sequence[Document], scores: np.ndarray) -> np.ndarray:
-    """Which of `docs` their (B, L) document scores get right: the argmax
-    label is the gold one (multi-class), or every bit (score > 0) equals its
-    gold bit (multi-label)."""
-    gold = np.stack([_target_for(model, doc) for doc in docs])
-    if model.config.task_kind == TASK_MULTICLASS:
-        return scores.argmax(axis=1) == gold
+def exact_match(task_kind: str, scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """Which rows of the (B, L) document scores match their (B, L) gold
+    matrix: the argmax label is the gold one (multi-class), or every bit
+    (score > 0) equals its gold bit (multi-label)."""
+    if task_kind == TASK_MULTICLASS:
+        return scores.argmax(axis=1) == gold.argmax(axis=1)
     return np.all((scores > 0) == (gold > 0), axis=1)
 
 
-def evaluate_split(model: SwipeModel, docs: list[Document],
-                   features: dict[str, Features], batch_size: int) -> float:
-    """Exact-match share of `docs` (see `exact_match`), scored through the
-    batched forward, tape-free, in chunks of `batch_size` documents."""
-    if not docs:
+def evaluate_split(model: SwipeModel, features: Sequence[Features], gold: np.ndarray,
+                   batch_size: int) -> float:
+    """Exact-match share of the documents whose `features` and gold rows are
+    given (see `exact_match`), scored through the batched forward, tape-free,
+    in chunks of `batch_size` documents."""
+    if not features:
         return float("nan")
     params = model.frozen_params()
     hits = 0
-    for start in range(0, len(docs), batch_size):
-        chunk = docs[start:start + batch_size]
-        batch = Batch.of([features[doc.id] for doc in chunk])
-        scores = model.forward(batch, params).doc_scores.data
-        hits += int(exact_match(model, chunk, scores).sum())
-    return hits / len(docs)
+    for start in range(0, len(features), batch_size):
+        stop = start + batch_size
+        scores = model.forward(Batch.of(features[start:stop]), params).doc_scores.data
+        hits += int(exact_match(model.config.task_kind, scores, gold[start:stop]).sum())
+    return hits / len(features)
 
 
 def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult:
-    """Train on the corpus train split; track the best dev epoch.
+    """Train on the corpus train split; keep the best dev epoch's parameters,
+    or the last epoch's when there is no dev split.
 
     Deterministic under (config.seed, model init): batch order comes from a
     dedicated shuffle stream and every reduction runs in a fixed order.
@@ -297,8 +267,9 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     if not train_docs:
         raise ValidationError("train split is empty")
     dev_docs = corpus.split_docs("dev")
-    features = {doc.id: model.featurize(doc) for doc in (*train_docs, *dev_docs)}
-    targets = {doc.id: _target_for(model, doc) for doc in train_docs}
+    train_feats = [model.featurize(doc) for doc in train_docs]
+    dev_feats = [model.featurize(doc) for doc in dev_docs]
+    train_gold, dev_gold = model.vocab.gold(train_docs), model.vocab.gold(dev_docs)
 
     n_batches = math.ceil(len(train_docs) / config.batch_size)
     state = ModelState(model=model, config=config,
@@ -306,8 +277,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     model.train_config = config
     rng = np.random.default_rng(derive_seed("train-shuffle", config.seed))
 
-    snapshot = {name: t.data.copy() for name, t in model.params.items()}
-    best = TrainResult(model=model, best_params=snapshot, best_epoch=0,
+    best = TrainResult(model=model, best_params={}, best_epoch=0,
                        best_metric=-math.inf, metrics=[])
     step = 0
     lr = config.base_lr
@@ -316,26 +286,22 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
         epoch_loss = 0.0
         for b in range(n_batches):
             chosen = order[b * config.batch_size:(b + 1) * config.batch_size]
-            batch = [
-                (features[train_docs[i].id], targets[train_docs[i].id]) for i in chosen
-            ]
-            loss_value, grads = backward_batch(model, batch)
+            batch = Batch.of([train_feats[i] for i in chosen])
+            loss_value, grads = backward_batch(model, batch, train_gold[chosen])
             step += 1
             lr = adam_step(state, grads, step)
-            epoch_loss += loss_value * len(batch)
+            epoch_loss += loss_value * len(chosen)
         epoch_loss /= len(train_docs)
-        dev_metric = evaluate_split(model, dev_docs, features, config.batch_size)
+        dev_metric = evaluate_split(model, dev_feats, dev_gold, config.batch_size)
         best.metrics.append(
             {"epoch": epoch, "step": step, "lr": lr,
              "train_loss": epoch_loss, "dev_metric": dev_metric}
         )
-        if dev_docs and dev_metric > best.best_metric:
-            best.best_metric = dev_metric
+        if not dev_docs or dev_metric > best.best_metric:
             best.best_epoch = epoch
             best.best_params = {name: t.data.copy() for name, t in model.params.items()}
-    if not dev_docs:
-        best.best_params = {name: t.data.copy() for name, t in model.params.items()}
-        best.best_epoch = config.epochs
+            if dev_docs:
+                best.best_metric = dev_metric
     return best
 
 

@@ -197,10 +197,10 @@ def test_criterion_4_gradient_checks():
             )
             model = SwipeModel.create(config)
             batch = Batch.of([model.featurize(doc)])
-            targets = [model.vocab.bits(doc.labels)]
+            gold = model.vocab.gold([doc])
 
             def fn():
-                return doc_loss(model, batch, targets)
+                return doc_loss(model, batch, gold)
 
             rep = grad_check(fn, model.params, tolerance=1e-4)
             assert rep.passed, (strategy, layers, rep.failures[:3])

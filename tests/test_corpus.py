@@ -65,6 +65,7 @@ class TestLoad:
         ("corpus.jsonl", {"id": "1", "text": None, "labels": ["a"]}),
         ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": "12"}),
         ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": [1.5]}),
+        ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": [0, -1]}),
     ])
     def test_wrongly_typed_field_names_line(self, tmp_path, name, record):
         path = _write(tmp_path, ["", json.dumps(record)], name)
@@ -156,6 +157,10 @@ class TestVocab:
         assert list(vocab.bits(("c", "a"))) == [1.0, 0.0, 1.0]
         with pytest.raises(ValidationError):
             vocab.index("nope")
+        docs = [Document(id="1", text="x", labels=("c", "a")),
+                Document(id="2", text="x", labels=())]
+        assert vocab.gold(docs).tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        assert vocab.gold([]).shape == (0, 3)
 
 
 class TestSplit:

@@ -142,10 +142,12 @@ class TestSegmentLabeling:
         # per label: a: TP=1 FP=1 FN=1 -> 0.5 ; b: TP=1 FP=1 FN=0 -> 2/3
         assert report.macro_f1 == pytest.approx((0.5 + 2 / 3) / 2)
 
-    def test_misaligned_gold_index_rejected(self):
+    # a negative key would otherwise mark a segment counted from the end
+    @pytest.mark.parametrize("keys", [(5,), (0, 2), (0, -1)])
+    def test_misaligned_gold_index_rejected(self, keys):
         preds = {"d0": _prediction("d0", [[0, 1]])}
-        key_map = {("d0", "a"): (5,)}
-        with pytest.raises(ValidationError, match="misaligned"):
+        key_map = {("d0", "a"): keys}
+        with pytest.raises(ValidationError, match=f"segment {keys[-1]} out of range.*misaligned"):
             segment_labeling_eval(preds, key_map, ["a"])
 
 

@@ -36,50 +36,10 @@ from swipe.train import (
     exact_match,
     grad_check,
     learning_rate,
-    loss_multiclass,
-    loss_multilabel,
     train,
     write_metrics_csv,
 )
 from swipe.truncate import TruncationConfig
-
-
-class TestLosses:
-    # each case is a batch of one document: (1, L) scores, one target
-
-    def test_multiclass_uniform(self):
-        assert loss_multiclass(np.array([[0.0, 0.0]]), [0]).item() == pytest.approx(math.log(2))
-
-    def test_multiclass_confident_correct(self):
-        # ln(1 + e^-20), evaluated independently
-        loss = loss_multiclass(np.array([[10.0, -10.0]]), [0]).item()
-        assert loss == pytest.approx(2.0611536181902037e-09, rel=1e-6)
-
-    def test_multiclass_confident_wrong(self):
-        loss = loss_multiclass(np.array([[10.0, -10.0]]), [1]).item()
-        assert loss == pytest.approx(20.0, abs=1e-6)
-
-    def test_multiclass_validation(self):
-        with pytest.raises(ValidationError):
-            loss_multiclass(np.array([[0.0, 0.0]]), [2])
-        with pytest.raises(ValidationError):
-            loss_multiclass(np.array([[0.0]]), [0])
-
-    def test_multilabel_zero_scores_ln2_any_gold(self):
-        for gold in ([1.0, 0.0], [0.0, 0.0], [1.0, 1.0]):
-            loss = loss_multilabel(np.array([[0.0, 0.0]]), np.array([gold])).item()
-            assert loss == pytest.approx(math.log(2))
-
-    def test_multilabel_saturated(self):
-        assert loss_multilabel(np.array([[50.0]]), np.array([[1.0]])).item() < 1e-12
-
-    def test_multilabel_closed_form(self):
-        loss = loss_multilabel(np.array([[2.0, -2.0]]), np.array([[1.0, 0.0]])).item()
-        assert loss == pytest.approx(math.log(1 + math.exp(-2)), rel=1e-9)
-
-    def test_multilabel_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            loss_multilabel(np.array([[0.0, 0.0]]), np.array([[1.0]]))
 
 
 def _precomputed_model(vectors: dict[str, np.ndarray], task=TASK_MULTILABEL,
@@ -96,6 +56,60 @@ def _precomputed_model(vectors: dict[str, np.ndarray], task=TASK_MULTILABEL,
     return model
 
 
+def _loss(scores, gold_row, task=TASK_MULTILABEL) -> float:
+    """`doc_loss` of one document whose (L,) document scores are `scores`:
+    one segment, sum pooling, a zero head weight and `scores` as the bias."""
+    labels = tuple("abcdef"[:len(scores)])
+    model = _precomputed_model({"d": np.ones((1, 2))}, task=task, labels=labels)
+    model.params["head.weight"].data = np.zeros((len(labels), 2))
+    model.params["head.bias"].data = np.array(scores, dtype=float)
+    feats = model.featurize(Document(id="d", text="x", labels=()))
+    loss, _ = doc_loss(model, Batch.of([feats]), np.array([gold_row], dtype=float))
+    return loss.item()
+
+
+class TestLosses:
+    # each case is a batch of one document: (1, L) scores, one gold row
+
+    def test_multiclass_uniform(self):
+        assert _loss([0.0, 0.0], [1, 0], TASK_MULTICLASS) == pytest.approx(math.log(2))
+
+    def test_multiclass_confident_correct(self):
+        # ln(1 + e^-20), evaluated independently
+        loss = _loss([10.0, -10.0], [1, 0], TASK_MULTICLASS)
+        assert loss == pytest.approx(2.0611536181902037e-09, rel=1e-6)
+
+    def test_multiclass_confident_wrong(self):
+        loss = _loss([10.0, -10.0], [0, 1], TASK_MULTICLASS)
+        assert loss == pytest.approx(20.0, abs=1e-6)
+
+    def test_multiclass_validation(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ad.softmax_cross_entropy(ad.Tensor([[0.0, 0.0]]), [2])
+        with pytest.raises(ValidationError, match=">= 2 labels"):
+            LabelVocab(("a",), TASK_MULTICLASS)
+
+    def test_multilabel_zero_scores_ln2_any_gold(self):
+        for gold in ([1.0, 0.0], [0.0, 0.0], [1.0, 1.0]):
+            assert _loss([0.0, 0.0], gold) == pytest.approx(math.log(2))
+
+    def test_multilabel_saturated(self):
+        assert _loss([50.0], [1.0]) < 1e-12
+
+    def test_multilabel_closed_form(self):
+        loss = _loss([2.0, -2.0], [1.0, 0.0])
+        assert loss == pytest.approx(math.log(1 + math.exp(-2)), rel=1e-9)
+
+    def test_multilabel_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            ad.bce_with_logits_mean(ad.Tensor([[0.0, 0.0]]), np.array([[1.0]]))
+
+
+def _step(model, doc):
+    """`backward_batch` over a batch of one document against its gold labels."""
+    return backward_batch(model, Batch.of([model.featurize(doc)]), model.vocab.gold([doc]))
+
+
 class TestBackward:
     def test_single_segment_sum_matches_logistic_regression_gradient(self):
         # one segment, ungated sum: y = w.s + b, so dL/dw = (sigmoid(y) - t) s
@@ -103,8 +117,7 @@ class TestBackward:
         s = rng.normal(size=(1, 4))
         model = _precomputed_model({"d": s}, labels=("a",), pooling=Pooling.SUM)
         doc = Document(id="d", text="ignored", labels=("a",))
-        feats = model.featurize(doc)
-        _, grads = backward_batch(model, [(feats, model.vocab.bits(doc.labels))])
+        _, grads = _step(model, doc)
         params = model.params
         y = float(params["head.weight"].data[0] @ s[0] + params["head.bias"].data[0])
         residual = 1 / (1 + math.exp(-y)) - 1.0
@@ -116,7 +129,7 @@ class TestBackward:
         model = _precomputed_model({"d": s}, labels=("a",), pooling=Pooling.SUM)
         model.params["head.weight"].data = np.array([[1.0, 1.0]])
         doc = Document(id="d", text="x", labels=("a",))
-        _, grads = backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
+        _, grads = _step(model, doc)
         for name, grad in grads.items():
             assert np.max(np.abs(grad)) < 1e-12, name
 
@@ -124,7 +137,7 @@ class TestBackward:
         s = np.ones((2, 3))
         model = _precomputed_model({"d": s}, pooling=Pooling.MAX)
         doc = Document(id="d", text="x", labels=("a",))
-        _, grads = backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
+        _, grads = _step(model, doc)
         assert np.all(grads["head.gate_weight"] == 0)
         assert np.all(grads["head.gate_bias"] == 0)
 
@@ -135,7 +148,7 @@ class TestBackward:
         model.params["head.weight"].data = np.array([[1e308, 1e308]])
         doc = Document(id="d", text="x", labels=("a",))
         with pytest.raises(TrainingError, match="d"):
-            backward_batch(model, [(model.featurize(doc), np.array([1.0]))])
+            _step(model, doc)
 
 
 class TestAdam:
@@ -200,11 +213,11 @@ class TestAdam:
 
 
 class TestGradCheck:
-    def _loss_fn(self, model, feats, target):
-        batch = Batch.of([feats])
+    def _loss_fn(self, model, doc):
+        batch, gold = Batch.of([model.featurize(doc)]), model.vocab.gold([doc])
 
         def fn():
-            return doc_loss(model, batch, [target])
+            return doc_loss(model, batch, gold)
         return fn
 
     def test_correct_gradients_pass(self):
@@ -212,7 +225,7 @@ class TestGradCheck:
         model = _precomputed_model({"d": rng.normal(size=(3, 4))},
                                    labels=("a", "b"), pooling=Pooling.GATED_SUM)
         doc = Document(id="d", text="x", labels=("a",))
-        fn = self._loss_fn(model, model.featurize(doc), model.vocab.bits(doc.labels))
+        fn = self._loss_fn(model, doc)
         report = grad_check(fn, model.params, tolerance=1e-4)
         assert report.passed
         assert report.max_rel_error < 1e-4
@@ -223,7 +236,7 @@ class TestGradCheck:
         model = _precomputed_model({"d": rng.normal(size=(2, 3))},
                                    labels=("a", "b"), pooling=Pooling.SUM)
         doc = Document(id="d", text="x", labels=("a",))
-        fn = self._loss_fn(model, model.featurize(doc), model.vocab.bits(doc.labels))
+        fn = self._loss_fn(model, doc)
         params = model.params
         for t in params.values():
             t.zero_grad()
@@ -244,7 +257,7 @@ class TestGradCheck:
         model.params["head.weight"].data = np.array([[0.7, 0.7]])
         model.params["head.bias"].data = np.array([0.0])
         doc = Document(id="d", text="x", labels=("a",))
-        fn = self._loss_fn(model, model.featurize(doc), np.array([1.0]))
+        fn = self._loss_fn(model, doc)
         report = grad_check(fn, model.params, tolerance=1e-4)
         assert report.n_excluded > 0
         assert report.passed
@@ -256,8 +269,9 @@ class TestGradCheck:
 # -- the batched step ----------------------------------------------------------
 
 def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
-    """A small model, its documents with `sizes` segments each, and one
-    (features, target) pair per document."""
+    """A small model, its documents with `sizes` segments each, their
+    features and their (documents, labels) gold matrix (random bits for
+    multi-label)."""
     rng = np.random.default_rng(seed)
     labels = ("a", "b", "c")
     config = ModelConfig(
@@ -278,10 +292,10 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
         model.attach_vectors({d.id: SegmentMatrix(doc_id=d.id, rows=rng.normal(size=(m, 4)))
                               for d, m in zip(docs, sizes)})
     if task == TASK_MULTICLASS:
-        targets = [model.vocab.index(d.labels[0]) for d in docs]
+        gold = model.vocab.gold(docs)
     else:
-        targets = [rng.integers(0, 2, size=3).astype(float) for _ in docs]
-    return model, docs, [(model.featurize(d), t) for d, t in zip(docs, targets)]
+        gold = rng.integers(0, 2, size=(len(docs), 3)).astype(float)
+    return model, docs, [model.featurize(d) for d in docs], gold
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,19 +310,20 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
 )
 def test_batched_step_equals_mean_of_single_document_steps(
         seed, sizes, pooling, layers, positions, task, encoder_mode):
-    model, _, batch = _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode)
-    loss, grads = backward_batch(model, batch)
-    singles = [backward_batch(model, [pair]) for pair in batch]
-    mean_loss = sum(value for value, _ in singles) / len(batch)
+    model, _, feats, gold = _ragged_model(seed, sizes, pooling, layers, positions, task,
+                                          encoder_mode)
+    loss, grads = backward_batch(model, Batch.of(feats), gold)
+    singles = [backward_batch(model, Batch.of([f]), gold[b:b + 1]) for b, f in enumerate(feats)]
+    mean_loss = sum(value for value, _ in singles) / len(feats)
     assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
     for name, grad in grads.items():
-        expected = sum(ad.dense(g[name]) for _, g in singles) / len(batch)
+        expected = sum(ad.dense(g[name]) for _, g in singles) / len(feats)
         error = np.max(np.abs(ad.dense(grad) - expected))
         assert error <= 1e-12 * np.max(np.abs(expected)), (name, error)
     if pooling.is_max:
-        out = model.forward(Batch.of([feats for feats, _ in batch]))
-        for b, (feats, _) in enumerate(batch):
-            single = model.forward(Batch.of([feats])).pool_argmax[0]
+        out = model.forward(Batch.of(feats))
+        for b, f in enumerate(feats):
+            single = model.forward(Batch.of([f])).pool_argmax[0]
             np.testing.assert_array_equal(out.pool_argmax[b], single)
 
 
@@ -317,10 +332,12 @@ def test_grad_check_on_a_ragged_batch(pooling):
     # one-, three- and two-segment documents; interaction with positions
     # under the gated poolings, as acceptance criterion 4 checks one document
     task = TASK_MULTICLASS if pooling.gated else TASK_MULTILABEL
-    model, _, batch = _ragged_model(3, [1, 3, 2], pooling, layers=2 if pooling.gated else 0,
-                                    positions=pooling.gated, task=task, encoder_mode=ENCODER_HASH)
-    inputs, targets = Batch.of([feats for feats, _ in batch]), [t for _, t in batch]
-    report = grad_check(lambda: doc_loss(model, inputs, targets), model.params,
+    model, _, feats, gold = _ragged_model(3, [1, 3, 2], pooling,
+                                          layers=2 if pooling.gated else 0,
+                                          positions=pooling.gated, task=task,
+                                          encoder_mode=ENCODER_HASH)
+    inputs = Batch.of(feats)
+    report = grad_check(lambda: doc_loss(model, inputs, gold), model.params,
                         tolerance=1e-4)
     assert report.passed and report.n_checked > 0, report.failures[:3]
 
@@ -328,19 +345,18 @@ def test_grad_check_on_a_ragged_batch(pooling):
 @pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
 def test_evaluate_split_matches_per_document_exact_match(task):
     for seed in range(4):
-        model, docs, batch = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1, False,
-                                           task, ENCODER_HASH)
-        features = {doc.id: feats for doc, (feats, _) in zip(docs, batch)}
-        scores = np.stack([model.predict_features(features[d.id]).scores for d in docs])
-        share = np.mean(exact_match(model, docs, scores))
-        assert evaluate_split(model, docs, features, batch_size=2) == share
+        model, _, feats, gold = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1,
+                                              False, task, ENCODER_HASH)
+        scores = np.stack([model.predict_features(f).scores for f in feats])
+        share = np.mean(exact_match(task, scores, gold))
+        assert evaluate_split(model, feats, gold, batch_size=2) == share
 
 
 @pytest.mark.parametrize("pooling", list(Pooling))
 def test_inference_and_dev_scoring_record_no_tape(pooling):
-    model, docs, batch = _ragged_model(5, [2, 1, 4, 3], pooling, 1, True, TASK_MULTILABEL,
-                                       ENCODER_HASH)
-    _, before = backward_batch(model, batch)
+    model, docs, feats, gold = _ragged_model(5, [2, 1, 4, 3], pooling, 1, True,
+                                             TASK_MULTILABEL, ENCODER_HASH)
+    _, before = backward_batch(model, Batch.of(feats), gold)
     model.zero_grad()
     outs = []
     forward = model.forward
@@ -351,24 +367,24 @@ def test_inference_and_dev_scoring_record_no_tape(pooling):
 
     model.forward = recorded
     list(model.predict_many(docs))
-    features = {doc.id: feats for doc, (feats, _) in zip(docs, batch)}
-    evaluate_split(model, docs, features, batch_size=2)
+    evaluate_split(model, feats, gold, batch_size=2)
     assert len(outs) == 3  # one predict chunk and two dev chunks
     assert all(t.grad is None for t in model.params.values())
     for out in outs:
         tensors = [out.doc_scores, out.seg_scores, out.gates, out.pooled_rows]
         for t in (t for t in tensors if t is not None):
             assert not t.requires_grad and t._parents == () and t._backward is None
-    _, after = backward_batch(model, batch)
+    _, after = backward_batch(model, Batch.of(feats), gold)
     assert outs[-1].doc_scores._parents  # training's forward still records its tape
     for name, grad in before.items():
         assert ad.dense(after[name]).tobytes() == ad.dense(grad).tobytes(), name
 
 
 def test_batch_rejects_mixed_feature_kinds():
-    model, _, batch = _ragged_model(0, [2], Pooling.MAX, 0, False, TASK_MULTICLASS, ENCODER_HASH)
+    model, _, feats, _ = _ragged_model(0, [2], Pooling.MAX, 0, False, TASK_MULTICLASS,
+                                       ENCODER_HASH)
     with pytest.raises(ConfigError, match="mix"):
-        Batch.of([batch[0][0], SegmentMatrix(doc_id="v", rows=np.ones((1, 4)))])
+        Batch.of([feats[0], SegmentMatrix(doc_id="v", rows=np.ones((1, 4)))])
 
 
 def _toy_corpus():
@@ -432,6 +448,19 @@ class TestTrainLoop:
         restored = result.restore_best()
         for name, tensor in restored.params.items():
             np.testing.assert_array_equal(tensor.data, result.best_params[name])
+
+    def test_no_dev_split_keeps_last_epoch(self):
+        corpus, vectors = _toy_corpus()
+        model = _precomputed_model(vectors, labels=("pos",), pooling=Pooling.SUM)
+        initial = {name: t.data.copy() for name, t in model.params.items()}
+        result = train(corpus, model, TrainConfig(epochs=3, base_lr=0.2,
+                                                  batch_size=2, seed=0))
+        assert result.best_epoch == 3
+        assert result.best_metric == -math.inf
+        assert all(math.isnan(row["dev_metric"]) for row in result.metrics)
+        assert not np.array_equal(result.best_params["head.bias"], initial["head.bias"])
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(result.best_params[name], tensor.data)
 
     def test_metrics_csv_layout(self, tmp_path):
         rows = [{"epoch": 1, "step": 2, "lr": 0.5, "train_loss": 0.25, "dev_metric": 1.0}]
