@@ -230,18 +230,16 @@ def cmd_explain(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _load_model_inputs(args)
-    loaded = corpus_mod.Corpus(corpus_mod.load_documents(args.corpus), model.vocab)
-    docs = loaded.split_docs(args.split)
-    predictions = {doc.id: pred for doc, _, pred in model.predict_many(docs)}
-    report = eval_mod.classification_eval(predictions, loaded, model, split=args.split)
-    if args.keymap:
-        key_map = corpus_mod.load_key_map(args.keymap)
-        seg_report = eval_mod.segment_labeling_eval(predictions, key_map, model.vocab.names)
-        report["segment_micro_f1"] = seg_report.micro_f1
-        report["segment_macro_f1"] = seg_report.macro_f1
-        report["key_segment_recovery"] = eval_mod.key_segment_recovery(
-            predictions, key_map, model.vocab.names
-        )
+    docs = corpus_mod.Corpus(corpus_mod.load_documents(args.corpus),
+                             model.vocab).split_docs(args.split)
+    if not docs:
+        raise ValidationError(f"split {args.split!r} is empty")
+    key_map = corpus_mod.load_key_map(args.keymap, model.vocab.names) if args.keymap else None
+    preds = [pred for _, _, pred in model.predict_many(docs)]
+    report = {"split": args.split,
+              **eval_mod.classification_eval(preds, model.vocab.gold(docs), model.vocab)}
+    if key_map is not None:
+        report.update(eval_mod.segment_labeling_eval(preds, key_map, model.vocab.names))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_json(report, "eval report", indent=2, sort_keys=True) + "\n")
     summary = " ".join(
@@ -298,8 +296,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def command(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file providing flag defaults")
+        p.add_argument("--config", type=str, default=None, nargs="?", const="",
+                       metavar="FILE", help="key=value file providing flag defaults")
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
         subparsers[name] = p
@@ -371,11 +369,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        if "--config" in argv:
-            at = argv.index("--config") + 1
-            if at == len(argv):
+        # parse once to find --config, again with the file's values as defaults
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            if not args.config:
                 raise ConfigError("--config needs a file path")
-            config = load_config_file(argv[at])
+            config = load_config_file(args.config)
             known = {action.dest for sub in subparsers.values() for action in sub._actions}
             for key in config:
                 if key not in known:
@@ -384,7 +383,7 @@ def main(argv=None) -> int:
                 for action in sub._actions:
                     if action.dest in config:
                         action.default = _config_value(action, config[action.dest])
-        args = parser.parse_args(argv)
+            args = parser.parse_args(argv)
         return args.func(args)
     except SwipeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -353,8 +353,11 @@ def write_key_map(key_map: KeyMap, path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_key_map(path) -> KeyMap:
+def load_key_map(path, labels) -> KeyMap:
+    """Key map records by (doc_id, label); a record whose label is not in
+    `labels` raises ParseError at its line, as a malformed one does."""
     path = Path(path)
+    known = set(labels)
     key_map: KeyMap = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -368,7 +371,10 @@ def load_key_map(path) -> KeyMap:
                                                          for k in segments):
                     raise TypeError("key_segments must be an array of non-negative integers, "
                                     f"got {segments!r}")
-                key_map[(record_key(raw, "doc_id"), record_key(raw, "label"))] = tuple(segments)
+                doc_id, label = record_key(raw, "doc_id"), record_key(raw, "label")
+                if label not in known:
+                    raise ValueError(f"unknown label {label!r}")
+                key_map[(doc_id, label)] = tuple(segments)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad key map record: {exc}") from exc
     return key_map

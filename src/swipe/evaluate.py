@@ -72,76 +72,58 @@ def confusion_report(pred_bits, gold_bits, label_names) -> MetricReport:
     )
 
 
-def segment_labeling_eval(
-    predictions: dict[str, Prediction], key_map: KeyMap, label_names
-) -> MetricReport:
-    """Micro/macro F1 of per-segment label bits against the gold key map.
+def segment_labeling_eval(preds: list[Prediction], key_map: KeyMap, label_names) -> dict:
+    """Segment-labeling micro/macro F1 and key-segment recovery against the
+    gold key map, in one pass over `preds`.
 
-    Decisions are all (document, label, segment) triples of the given
+    F1 decisions are all (document, label, segment) triples of the
     predictions; a gold key index outside a document's segment range means
-    the truncation is misaligned with the annotations.
+    the truncation is misaligned with the annotations. Recovery is top-1
+    accuracy over the key map's records of the predicted documents: a hit
+    when the label's predicted key segment lies in the gold key set (an
+    empty set is a miss).
     """
-    if not predictions:
+    if not preds:
         raise ValidationError("no predictions to evaluate")
     pred_blocks = []
     gold_blocks = []
-    for doc_id, pred in predictions.items():
+    hits = total = 0
+    for pred in preds:
         gold = np.zeros((pred.m, len(label_names)), dtype=np.int8)
         for j, name in enumerate(label_names):
-            keys = key_map.get((doc_id, name), ())
+            keys = key_map.get((pred.doc_id, name))
+            if keys is None:
+                continue
             bad = [k for k in keys if not 0 <= k < pred.m]
             if bad:
                 raise ValidationError(
-                    f"document {doc_id!r}: gold key segment {max(bad)} out of "
+                    f"document {pred.doc_id!r}: gold key segment {max(bad)} out of "
                     f"range for m={pred.m}; segment indices are misaligned"
                 )
             gold[list(keys), j] = 1
+            total += 1
+            hits += int(pred.key_segments[j]) in keys
         pred_blocks.append(pred.seg_bits.T)
         gold_blocks.append(gold)
-    return confusion_report(np.concatenate(pred_blocks), np.concatenate(gold_blocks),
-                            label_names)
-
-
-def key_segment_recovery(
-    predictions: dict[str, Prediction], key_map: KeyMap, label_names
-) -> float:
-    """Top-1 accuracy: the predicted key segment lies in the gold key set.
-
-    Counted over gold-positive (document, label) pairs whose document appears
-    in `predictions`.
-    """
-    hits = 0
-    total = 0
-    index = {name: i for i, name in enumerate(label_names)}
-    for (doc_id, label), gold_keys in key_map.items():
-        pred = predictions.get(doc_id)
-        if pred is None:
-            continue
-        total += 1
-        if int(pred.key_segments[index[label]]) in set(gold_keys):
-            hits += 1
-    return hits / total if total else 0.0
-
-
-def classification_eval(
-    preds: dict[str, Prediction], corpus: Corpus, model: SwipeModel, split: str = "test"
-) -> dict:
-    """Accuracy plus micro/macro F1 of the document bits on one split.
-
-    `preds` holds the model's prediction for every document of the split.
-    """
-    docs = corpus.split_docs(split)
-    if not docs:
-        raise ValidationError(f"split {split!r} is empty")
-    gold = model.vocab.gold(docs)
-    scores = np.stack([preds[d.id].scores for d in docs])
-    acc = float(np.mean(exact_match(model.config.task_kind, scores, gold)))
-    pred_bits = np.stack([preds[d.id].bits for d in docs])
-    report = confusion_report(pred_bits, gold, model.vocab.names)
+    report = confusion_report(np.concatenate(pred_blocks), np.concatenate(gold_blocks),
+                              label_names)
     return {
-        "split": split,
-        "n_docs": len(docs),
-        "accuracy": acc,
+        "segment_micro_f1": report.micro_f1,
+        "segment_macro_f1": report.macro_f1,
+        "key_segment_recovery": hits / total if total else 0.0,
+    }
+
+
+def classification_eval(preds: list[Prediction], gold: np.ndarray, vocab: LabelVocab) -> dict:
+    """Accuracy plus micro/macro F1 of the document bits; `gold` holds the
+    `vocab.gold` rows of the predicted documents, in the order of `preds`."""
+    if not preds:
+        raise ValidationError("no predictions to evaluate")
+    report = confusion_report(np.stack([pred.bits for pred in preds]), gold, vocab.names)
+    scores = np.stack([pred.scores for pred in preds])
+    return {
+        "n_docs": len(preds),
+        "accuracy": float(np.mean(exact_match(vocab.task_kind, scores, gold))),
         "micro_f1": report.micro_f1,
         "macro_f1": report.macro_f1,
         "per_label": report.per_label,

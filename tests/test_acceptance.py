@@ -24,7 +24,6 @@ from swipe.encoder import SegmentMatrix
 from swipe.evaluate import (
     ProbeConfig,
     classification_eval,
-    key_segment_recovery,
     scaling_probe,
     segment_labeling_eval,
     sufficiency_test,
@@ -94,7 +93,7 @@ def trained_max(synth_corpus):
 
 
 def _test_predictions(model, corpus):
-    return {doc.id: model.predict(doc) for doc in corpus.split_docs("test")}
+    return [model.predict(doc) for doc in corpus.split_docs("test")]
 
 
 # -- criteria ------------------------------------------------------------------
@@ -219,8 +218,8 @@ def test_criterion_4_gradient_checks():
 def test_criterion_5_synthetic_recovery(synth_corpus, trained_max):
     corpus, key_map = synth_corpus
     preds = _test_predictions(trained_max, corpus)
-    rep = classification_eval(preds, corpus, trained_max, "test")
-    recovery = key_segment_recovery(preds, key_map, corpus.vocab.names)
+    rep = classification_eval(preds, corpus.vocab.gold(corpus.split_docs("test")), corpus.vocab)
+    recovery = segment_labeling_eval(preds, key_map, corpus.vocab.names)["key_segment_recovery"]
     report(
         "5 synthetic-recovery",
         rep["accuracy"] >= 0.95 and recovery >= 0.90 and trained_max.train_seconds < 120,
@@ -234,7 +233,8 @@ def test_criterion_6_segment_labeling_f1(synth_corpus, trained_max):
     names = corpus.vocab.names
 
     def seg_f1(model):
-        return segment_labeling_eval(_test_predictions(model, corpus), key_map, names).micro_f1
+        return segment_labeling_eval(_test_predictions(model, corpus), key_map,
+                                     names)["segment_micro_f1"]
 
     max_family = {
         "max": seg_f1(trained_max),

@@ -82,14 +82,16 @@ class TestTrain:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
-    def test_config_file_provides_defaults(self, synth_dir, tmp_path):
+    @pytest.mark.parametrize("joined", [False, True], ids=["--config FILE", "--config=FILE"])
+    def test_config_file_provides_defaults(self, synth_dir, tmp_path, joined):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "truncate = structure\npooling = max\nepochs = 2\n"
             "lr = 0.05\ndim = 16\nbuckets = 512\nngram-orders = 1\n"
         )
         ckpt = tmp_path / "from_config.ckpt"
-        code = run(["train", "--config", cfg, "--corpus", synth_dir / "corpus.jsonl",
+        config = [f"--config={cfg}"] if joined else ["--config", cfg]
+        code = run(["train", *config, "--corpus", synth_dir / "corpus.jsonl",
                     "--task", "multi-label", "--seed", 5, "--out", ckpt])
         assert code == 0
         meta = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
@@ -137,6 +139,26 @@ class TestPredictExplainEval:
         for key in ("accuracy", "micro_f1", "macro_f1",
                     "segment_micro_f1", "key_segment_recovery"):
             assert key in report
+        assert report["split"] == "test"
+
+    def test_eval_keymap_unknown_label_exits_2(self, synth_dir, tmp_path, capsys):
+        ckpt = _train(synth_dir, tmp_path)
+        keymap = tmp_path / "keymap.jsonl"
+        lines = (synth_dir / "keymap.jsonl").read_text().splitlines()
+        lines[2] = lines[2].replace('"label0"', '"zzz"').replace('"label1"', '"zzz"')
+        keymap.write_text("\n".join(lines) + "\n")
+        code = run(["eval", "--checkpoint", ckpt, "--corpus", synth_dir / "corpus.jsonl",
+                    "--keymap", keymap, "--out", tmp_path / "report.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{keymap}:3: " in err and "'zzz'" in err
+
+    def test_eval_empty_split_exits_2(self, synth_dir, tmp_path, capsys):
+        ckpt = _train(synth_dir, tmp_path)
+        code = run(["eval", "--checkpoint", ckpt, "--corpus", synth_dir / "corpus.jsonl",
+                    "--split", "none", "--out", tmp_path / "report.json"])
+        assert code == 2
+        assert "error: split 'none' is empty" in capsys.readouterr().err
 
     def test_checkpoint_roundtrip_predictions_identical(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)

@@ -66,12 +66,13 @@ class TestLoad:
         ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": "12"}),
         ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": [1.5]}),
         ("keymap.jsonl", {"doc_id": "1", "label": "a", "key_segments": [0, -1]}),
+        ("keymap.jsonl", {"doc_id": "1", "label": "zzz", "key_segments": [0]}),
     ])
     def test_wrongly_typed_field_names_line(self, tmp_path, name, record):
         path = _write(tmp_path, ["", json.dumps(record)], name)
         with pytest.raises(ParseError, match=rf"{name}:2: "):
             if name == "keymap.jsonl":
-                load_key_map(path)
+                load_key_map(path, ("a",))
             else:
                 load_jsonl(path, TASK_MULTILABEL)
 
@@ -102,11 +103,11 @@ class TestLoad:
                                                                        bad):
         good = {"doc_id": 3, "label": 1, "key_segments": [0]}
         path = _write(tmp_path, [json.dumps(good)], "keymap.jsonl")
-        assert load_key_map(path) == {("3", "1"): (0,)}
+        assert load_key_map(path, ("1",)) == {("3", "1"): (0,)}
         path = _write(tmp_path, [json.dumps(good), json.dumps({**good, key: bad})],
                       "keymap.jsonl")
         with pytest.raises(ParseError, match=rf"keymap\.jsonl:2: .*'{key}' must be a string"):
-            load_key_map(path)
+            load_key_map(path, ("1",))
 
     def test_non_ascii_strings_load_unchanged(self, tmp_path):
         record = {"id": "1", "units": ["caf\u00e9", "\U0001f600 \u0130stanbul"],
@@ -246,7 +247,7 @@ class TestSynthetic:
 
     def test_key_map_sidecar_round_trip(self, tmp_path):
         spec = SyntheticSpec(num_docs=40, num_labels=2, seed=3)
-        _, key_map = generate_synthetic(spec)
+        corpus, key_map = generate_synthetic(spec)
         path = tmp_path / "keymap.jsonl"
         write_key_map(key_map, path)
-        assert load_key_map(path) == key_map
+        assert load_key_map(path, corpus.vocab.names) == key_map

@@ -4,6 +4,7 @@ import pytest
 from swipe.corpus import (
     Corpus,
     Document,
+    LabelVocab,
     SyntheticSpec,
     TASK_MULTICLASS,
     TASK_MULTILABEL,
@@ -15,7 +16,6 @@ from swipe.evaluate import (
     ProbeConfig,
     classification_eval,
     confusion_report,
-    key_segment_recovery,
     scaling_probe,
     segment_labeling_eval,
     sufficiency_test,
@@ -37,8 +37,7 @@ def _accuracy(pred_classes, gold_classes) -> float:
     scores = np.eye(len(names))[pred_classes]
     chunk = build_prediction([doc.id for doc in docs], scores, np.zeros(scores.shape, int),
                              scores, None, np.arange(len(docs) + 1), TASK_MULTICLASS)
-    preds = {pred.doc_id: pred for pred in chunk}
-    return classification_eval(preds, Corpus(docs, model.vocab), model, "test")["accuracy"]
+    return classification_eval(chunk, model.vocab.gold(docs), model.vocab)["accuracy"]
 
 
 class TestAccuracy:
@@ -118,65 +117,74 @@ def _prediction(doc_id, seg_bits, key_segments=None):
 
 class TestSegmentLabeling:
     def test_exact_match_is_perfect(self):
-        preds = {"d0": _prediction("d0", [[0, 1, 0], [0, 0, 0]])}
+        preds = [_prediction("d0", [[0, 1, 0], [0, 0, 0]])]
         key_map = {("d0", "a"): (1,)}
         report = segment_labeling_eval(preds, key_map, ["a", "b"])
-        assert report.micro_f1 == 1.0 and report.macro_f1 == 1.0
+        assert report["segment_micro_f1"] == 1.0 and report["segment_macro_f1"] == 1.0
 
     def test_all_zero_bits_zero_micro(self):
-        preds = {"d0": _prediction("d0", [[0, 0, 0]])}
+        preds = [_prediction("d0", [[0, 0, 0]])]
         key_map = {("d0", "a"): (1,)}
         report = segment_labeling_eval(preds, key_map, ["a"])
-        assert report.micro_f1 == 0.0
+        assert report["segment_micro_f1"] == 0.0
 
     def test_hand_tallied_three_docs(self):
-        preds = {
-            "d0": _prediction("d0", [[1, 1], [0, 0]]),  # a: TP@0, FP@1
-            "d1": _prediction("d1", [[0, 0], [1, 0]]),  # a: FN@1; b: TP@0
-            "d2": _prediction("d2", [[0, 0], [0, 1]]),  # b: FP@1
-        }
+        preds = [
+            _prediction("d0", [[1, 1], [0, 0]]),  # a: TP@0, FP@1
+            _prediction("d1", [[0, 0], [1, 0]]),  # a: FN@1; b: TP@0
+            _prediction("d2", [[0, 0], [0, 1]]),  # b: FP@1
+        ]
         key_map = {("d0", "a"): (0,), ("d1", "a"): (1,), ("d1", "b"): (0,)}
         report = segment_labeling_eval(preds, key_map, ["a", "b"])
         # pooled: TP=2 FP=2 FN=1 -> micro = 4/(4+2+1)
-        assert report.micro_f1 == pytest.approx(4 / 7)
+        assert report["segment_micro_f1"] == pytest.approx(4 / 7)
         # per label: a: TP=1 FP=1 FN=1 -> 0.5 ; b: TP=1 FP=1 FN=0 -> 2/3
-        assert report.macro_f1 == pytest.approx((0.5 + 2 / 3) / 2)
+        assert report["segment_macro_f1"] == pytest.approx((0.5 + 2 / 3) / 2)
 
     # a negative key would otherwise mark a segment counted from the end
     @pytest.mark.parametrize("keys", [(5,), (0, 2), (0, -1)])
     def test_misaligned_gold_index_rejected(self, keys):
-        preds = {"d0": _prediction("d0", [[0, 1]])}
+        preds = [_prediction("d0", [[0, 1]])]
         key_map = {("d0", "a"): keys}
         with pytest.raises(ValidationError, match=f"segment {keys[-1]} out of range.*misaligned"):
             segment_labeling_eval(preds, key_map, ["a"])
 
 
+def _recovery(preds, key_map) -> float:
+    return segment_labeling_eval(preds, key_map, ["a"])["key_segment_recovery"]
+
+
 class TestRecovery:
     def test_exact_predictions(self):
-        preds = {"d0": _prediction("d0", [[0, 1, 0]], key_segments=[1])}
-        assert key_segment_recovery(preds, {("d0", "a"): (1,)}, ["a"]) == 1.0
+        preds = [_prediction("d0", [[0, 1, 0]], key_segments=[1])]
+        assert _recovery(preds, {("d0", "a"): (1,)}) == 1.0
 
     def test_miss(self):
-        preds = {"d0": _prediction("d0", [[1, 0, 0]], key_segments=[0])}
-        assert key_segment_recovery(preds, {("d0", "a"): (1,)}, ["a"]) == 0.0
+        preds = [_prediction("d0", [[1, 0, 0]], key_segments=[0])]
+        assert _recovery(preds, {("d0", "a"): (1,)}) == 0.0
 
     def test_uniform_random_baseline_close_to_one_over_m(self):
         rng = np.random.default_rng(7)
         m, n_docs = 8, 4000
         key_map = {}
-        preds = {}
+        preds = []
         for i in range(n_docs):
             doc = f"d{i}"
             key_map[(doc, "a")] = (int(rng.integers(0, m)),)
-            preds[doc] = _prediction(doc, np.zeros((1, m), dtype=int),
-                                     key_segments=[int(rng.integers(0, m))])
-        rate = key_segment_recovery(preds, key_map, ["a"])
-        assert rate == pytest.approx(1 / m, abs=0.02)
+            preds.append(_prediction(doc, np.zeros((1, m), dtype=int),
+                                     key_segments=[int(rng.integers(0, m))]))
+        assert _recovery(preds, key_map) == pytest.approx(1 / m, abs=0.02)
 
     def test_docs_missing_from_predictions_ignored(self):
-        preds = {"d0": _prediction("d0", [[0, 1]], key_segments=[1])}
+        preds = [_prediction("d0", [[0, 1]], key_segments=[1])]
         key_map = {("d0", "a"): (1,), ("d9", "a"): (0,)}
-        assert key_segment_recovery(preds, key_map, ["a"]) == 1.0
+        assert _recovery(preds, key_map) == 1.0
+
+    def test_empty_key_list_is_a_miss(self):
+        preds = [_prediction("d0", [[0, 1]], key_segments=[1]),
+                 _prediction("d1", [[0, 1]], key_segments=[1])]
+        key_map = {("d0", "a"): (1,), ("d1", "a"): ()}
+        assert _recovery(preds, key_map) == 0.5
 
 
 def _trained_synthetic(pooling=Pooling.MAX, epochs=6, lr=0.05, n_docs=160):
@@ -197,18 +205,24 @@ def _trained_synthetic(pooling=Pooling.MAX, epochs=6, lr=0.05, n_docs=160):
 class TestClassificationEval:
     def test_report_fields_and_range(self):
         corpus, _, model = _trained_synthetic()
-        preds = {doc.id: model.predict(doc) for doc in corpus.split_docs("test")}
-        report = classification_eval(preds, corpus, model, "test")
+        docs = corpus.split_docs("test")
+        preds = [model.predict(doc) for doc in docs]
+        report = classification_eval(preds, model.vocab.gold(docs), model.vocab)
         assert 0.0 <= report["accuracy"] <= 1.0
         assert 0.0 <= report["micro_f1"] <= 1.0
-        assert report["n_docs"] == len(corpus.split_docs("test"))
+        assert report["n_docs"] == len(docs)
 
     def test_empty_split_rejected(self):
-        corpus, _, model = _trained_synthetic()
-        docs = [d for d in corpus.documents if d.effective_split() != "test"]
-        smaller = Corpus(documents=docs, vocab=corpus.vocab)
-        with pytest.raises(ValidationError):
-            classification_eval({}, smaller, model, "test")
+        vocab = LabelVocab(("a", "b"), TASK_MULTILABEL)
+        with pytest.raises(ValidationError, match="no predictions"):
+            classification_eval([], vocab.gold([]), vocab)
+
+    def test_gold_rows_must_match_predictions(self):
+        vocab = LabelVocab(("a",), TASK_MULTILABEL)
+        preds = [_prediction("d0", [[0, 1]]), _prediction("d1", [[1, 0]])]
+        gold = vocab.gold([Document(id="d0", text="x", labels=("a",))])
+        with pytest.raises(ValidationError, match="shape mismatch"):
+            classification_eval(preds, gold, vocab)
 
 
 class TestSufficiency:
