@@ -331,9 +331,16 @@ def slab_attention(q: Tensor, k: Tensor, v: Tensor, slabs, n_heads: int) -> Tens
 def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:
     """Mean of table rows per bag; bag b spans ids[offsets[b]:offsets[b+1]].
 
-    Every bag must be non-empty. This is the whole hashed-n-gram encoder
-    forward: one output row per segment. The table's gradient is a
-    `RowSparse` over the ids it saw.
+    Every bag must be non-empty and every id a row of the table, in
+    [0, rows). This is the whole hashed-n-gram encoder forward: one output
+    row per segment. The table's gradient is a `RowSparse` over the ids it
+    saw: each touched row sums its occurrences' rows in occurrence order.
+
+    The backward sorts the ids stably in the narrowest unsigned dtype that
+    holds every row index, which numpy sorts by radix up to 65,536 rows, and
+    sums each id's occurrences along the last axis of one contiguous
+    (dim, occurrences) block; `reduceat` adds a segment's elements one by
+    one along either axis, so the sums are those of a row-wise reduction.
     """
     ids = np.asarray(ids, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -345,11 +352,14 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
     out = sums / counts[:, None]
 
     def backward(g):
-        order = np.argsort(ids, kind="stable")
+        sort_type = np.min_scalar_type(max(table.data.shape[0] - 1, 0))
+        order = np.argsort(ids.astype(sort_type), kind="stable")
         sorted_ids = ids[order]
         first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
-        per_id = (g / counts[:, None])[np.repeat(np.arange(len(counts)), counts)[order]]
-        values = np.add.reduceat(per_id, first, axis=0)
+        bags = np.repeat(np.arange(len(counts)), counts)[order]
+        per_id = np.take((g / counts[:, None]).T, bags, axis=1)  # (dim, occurrences)
+        # back to (touched rows, dim) in C order, which Adam's row scatter reads fastest
+        values = np.ascontiguousarray(np.add.reduceat(per_id, first, axis=1).T)
         return ((table, RowSparse(sorted_ids[first], values, table.data.shape)),)
 
     return _make(out, (table,), backward)

@@ -70,7 +70,8 @@ def _json(value, what: str, **kwargs) -> str:
 
 
 def load_config_file(path) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; keys match flag names."""
+    """key=value lines; '#' starts a comment; keys match flag names. The key
+    `config` is rejected: a config file cannot name another config file."""
     entries: dict[str, str] = {}
     path = Path(path)
     if not path.exists():
@@ -82,7 +83,10 @@ def load_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key == "config":
+            raise ConfigError(f"{path}:{lineno}: a config file cannot set 'config'")
+        entries[key] = value.strip()
     return entries
 
 

@@ -103,6 +103,19 @@ class Batch:
             raise ConfigError("a batch cannot mix hashed and precomputed features")
         return cls(inputs, offsets)
 
+    def split(self, doc_ids: Sequence[str]) -> list[Features]:
+        """Each document's features, named by `doc_ids`: the inverse of `of`.
+        Rows and ids are views of this batch's arrays; bag offsets are
+        rebased to each document's first id."""
+        spans = zip(doc_ids, self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        if isinstance(self.inputs, SegmentMatrix):
+            return [SegmentMatrix(doc_id=doc_id, rows=self.inputs.rows[start:stop])
+                    for doc_id, start, stop in spans]
+        ids, bags = self.inputs.ids, self.inputs.offsets
+        return [SegmentFeatures(doc_id=doc_id, ids=ids[bags[start]:bags[stop]],
+                                offsets=bags[start:stop + 1] - bags[start])
+                for doc_id, start, stop in spans]
+
 
 @dataclass
 class ForwardOut:
@@ -255,22 +268,38 @@ class SwipeModel:
     def predict(self, doc: Document) -> Prediction:
         """Predict one document: a chunk of one (see `predict_many`)."""
         hashed = self.config.encoder_mode == ENCODER_HASH
-        segments = truncate(doc, self.config.truncation) if hashed else None
-        return next(self._predict_chunk([(doc, segments)]))[2]
+        chunk = [(doc, truncate(doc, self.config.truncation) if hashed else None)]
+        return self._predictions(self._chunk_batch(chunk), [doc.id])[0]
 
     def predict_many(
         self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
     ) -> Iterator[tuple[Document, list[Segment] | None, Prediction]]:
-        """Predict documents chunk by chunk; yields (doc, segments, prediction)
-        in input order.
+        """Predict documents chunk by chunk (`featurize_chunks`); yields
+        (doc, segments, prediction) in input order.
+
+        Each chunk is scored by one `forward`, with or without interaction
+        layers (attention stays within each document). A document's
+        prediction is bit for bit the same whichever documents share its
+        chunk.
+        """
+        for chunk, batch in self.featurize_chunks(docs, truncation):
+            preds = self._predictions(batch, [doc.id for doc, _ in chunk])
+            for (doc, segments), pred in zip(chunk, preds):
+                yield doc, segments, pred
+            del chunk, batch, preds  # not held while the next chunk is featurized
+
+    def featurize_chunks(
+        self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
+    ) -> Iterator[tuple[list[tuple[Document, list[Segment] | None]], Batch]]:
+        """Group documents into chunks and featurize each chunk as one `Batch`;
+        yields (chunk, batch), a chunk being its (doc, segments) pairs in input
+        order.
 
         Each document is truncated once, by `truncation` (default: the
         model's own); `segments` is None with precomputed vectors. A chunk's
-        segments are hashed in one `featurize_segments` call and scored by
-        one `forward`, with or without interaction layers (attention stays
-        within each document). A chunk closes before it would exceed
-        `CHUNK_BYTES`. A document's prediction is bit for bit the same
-        whichever documents share its chunk.
+        segments are hashed in one `featurize_segments` call. A chunk closes
+        before it would exceed `CHUNK_BYTES`, so a document over budget on
+        its own is featurized alone.
         """
         trunc = self.config.truncation if truncation is None else truncation
         hashed = self.config.encoder_mode == ENCODER_HASH
@@ -281,12 +310,12 @@ class SwipeModel:
             doc_size, doc_tokens, doc_width = self._chunk_size(doc, segments)
             if chunk and (size + doc_size
                           + (tokens + doc_tokens) * max(width, doc_width) > CHUNK_BYTES):
-                yield from self._predict_chunk(chunk)
+                yield chunk, self._chunk_batch(chunk)
                 chunk, size, tokens, width = [], 0, 0, 0
             chunk.append((doc, segments))
             size, tokens, width = size + doc_size, tokens + doc_tokens, max(width, doc_width)
         if chunk:
-            yield from self._predict_chunk(chunk)
+            yield chunk, self._chunk_batch(chunk)
 
     def _chunk_size(self, doc: Document,
                     segments: list[Segment] | None) -> tuple[int, int, int]:
@@ -305,19 +334,14 @@ class SwipeModel:
             tokens, width = sum(lengths), 4 * max(map(len, all_tokens))
         return rows * config.dim * 8 + interaction_bytes(m, self.params, config), tokens, width
 
-    def _predict_chunk(self, chunk: list[tuple[Document, list[Segment] | None]]):
+    def _chunk_batch(self, chunk: list[tuple[Document, list[Segment] | None]]) -> Batch:
         if chunk[0][1] is None:
-            batch = Batch.of([self._vectors(doc) for doc, _ in chunk])
-        else:
-            counts = [len(segments) for _, segments in chunk]
-            batch = Batch(
-                featurize_segments([seg for _, segments in chunk for seg in segments],
-                                   self.config),
-                np.concatenate(([0], np.cumsum(counts))),
-            )
-        preds = self._predictions(batch, [doc.id for doc, _ in chunk])
-        for (doc, segments), pred in zip(chunk, preds):
-            yield doc, segments, pred
+            return Batch.of([self._vectors(doc) for doc, _ in chunk])
+        counts = [len(segments) for _, segments in chunk]
+        return Batch(
+            featurize_segments([seg for _, segments in chunk for seg in segments], self.config),
+            np.concatenate(([0], np.cumsum(counts))),
+        )
 
     # -- checkpoint container ------------------------------------------------
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swipe import autodiff as ad
 from swipe.train import grad_check
@@ -382,6 +384,65 @@ def test_embedding_bag_row_sparse_grad_matches_dense_loop():
     np.testing.assert_array_equal(table.grad.rows, np.unique(ids))
     # summed in another order than the loop: equal up to a few ulps
     np.testing.assert_allclose(ad.dense(table.grad), expected, rtol=1e-14, atol=1e-16)
+
+
+def _bag_grad_oracle(ids, offsets, g):
+    """The table gradient as an int64 argsort and a row-wise `reduceat` over
+    (occurrences, dim) rows: the formulation the backward's radix sort and
+    (dim, occurrences) block must reproduce bit for bit."""
+    counts = np.diff(offsets)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    per_id = (g / counts[:, None])[np.repeat(np.arange(len(counts)), counts)[order]]
+    return sorted_ids[first], np.add.reduceat(per_id, first, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # around each width numpy sorts by radix (uint8, uint16) and past it
+    n_buckets=st.sampled_from([1, 2, 255, 256, 257, 4096, 65536, 65537]),
+    # occurrences of each distinct id: once, around the 8-wide unrolled and
+    # the 128-long blocked reductions, and past both
+    hits=st.lists(st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 300]), min_size=1,
+                  max_size=6),
+    n_bags=st.integers(1, 12),
+    dim=st.integers(1, 5),
+)
+@example(seed=0, n_buckets=1, hits=[1], n_bags=1, dim=3)
+@example(seed=1, n_buckets=65536, hits=[1, 8, 128], n_bags=1, dim=4)
+@example(seed=2, n_buckets=65537, hits=[1, 9, 300], n_bags=5, dim=2)
+def test_embedding_bag_backward_matches_the_argsort_oracle_bit_for_bit(
+        seed, n_buckets, hits, n_bags, dim):
+    rng = np.random.default_rng(seed)
+    distinct = rng.choice(n_buckets, size=min(len(hits), n_buckets), replace=False)
+    ids = rng.permutation(np.repeat(distinct, hits[:len(distinct)]))
+    n_bags = min(n_bags, len(ids))  # 1: a single-segment batch
+    cuts = np.sort(rng.choice(np.arange(1, len(ids)), size=n_bags - 1, replace=False))
+    offsets = np.concatenate(([0], cuts, [len(ids)]))
+    g = rng.normal(size=(n_bags, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n_bags, 1))
+    table = ad.Tensor(np.zeros((n_buckets, dim)), requires_grad=True)
+    ad.embedding_bag_mean(table, ids, offsets).backward(g)
+    rows, values = _bag_grad_oracle(ids, offsets, g)
+    assert table.grad.rows.dtype == np.int64
+    np.testing.assert_array_equal(table.grad.rows, rows)
+    assert table.grad.values.shape == values.shape
+    assert np.ascontiguousarray(table.grad.values).tobytes() == values.tobytes()
+
+
+def test_embedding_bag_mean_grad_check():
+    rng = np.random.default_rng(4)
+    table = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+    ids = np.array([0, 3, 3, 6, 1, 3, 0, 2])  # rows 4 and 5 untouched
+    offsets = np.array([0, 1, 4, 8])
+    weights = rng.normal(size=(3, 3))
+
+    def fn():
+        return _dot(ad.sigmoid(ad.embedding_bag_mean(table, ids, offsets)), weights), None
+
+    report = grad_check(fn, {"table": table}, tolerance=1e-6)
+    assert report.passed and report.n_checked == 21, report.failures[:3]
 
 
 def test_row_sparse_grads_accumulate_densely():

@@ -339,6 +339,13 @@ class TestParsing:
         assert run(["synth", "--config", cfg, "--out", tmp_path]) == 2
         assert "error: unknown config key 'epoch'" in capsys.readouterr().err
 
+    def test_config_key_inside_a_config_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# nested\nepochs = 3\nconfig = nothere.cfg\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: a config file cannot set 'config'\n")
+
     @pytest.mark.parametrize("flags, expected", [
         (["--ngram-orders", "0"], "ngram order must be an integer >= 1, got 0"),
         (["--ngram-orders", ","], "ngram_orders must not be empty"),

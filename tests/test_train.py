@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipe import autodiff as ad
+from swipe import model as model_mod
 from swipe.corpus import (
     Corpus,
     Document,
@@ -26,6 +28,7 @@ from swipe.model import (
     SwipeModel,
 )
 from swipe.train import (
+    ADAM_BLOCK_ROWS,
     GRAD_CHECK_FLOOR,
     ModelState,
     TrainConfig,
@@ -36,6 +39,7 @@ from swipe.train import (
     exact_match,
     grad_check,
     learning_rate,
+    split_features,
     train,
     write_metrics_csv,
 )
@@ -203,6 +207,42 @@ class TestAdam:
                                           dense_state.model.params[name].data)
             np.testing.assert_array_equal(sparse_state.adam_m[name], dense_state.adam_m[name])
             np.testing.assert_array_equal(sparse_state.adam_v[name], dense_state.adam_v[name])
+
+    def test_blocked_update_equals_the_textbook_dense_update_bit_for_bit(self):
+        block = ADAM_BLOCK_ROWS
+        n = 2 * block + 37  # two whole blocks and a partial one
+        model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=3))
+        state = self._state(model, total_steps=10)
+        assert [work.shape for work in state.scratch["encoder.table"]] == [(block, 3)] * 2
+        cfg = state.config
+        params = {name: t.data.copy() for name, t in model.params.items()}
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        rng = np.random.default_rng(0)
+        table_grads = [
+            [0, block - 1, block, 2 * block - 1, 2 * block, n - 1],  # every block edge
+            [1, 2 * block + 5],  # the middle block untouched
+            [block + 3],         # only the middle block touched
+            None,                # a dense table gradient
+        ]
+        for step, rows in enumerate(table_grads, start=1):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            if rows is not None:
+                grads["encoder.table"] = ad.RowSparse(
+                    np.array(rows), rng.normal(size=(len(rows), 3)), (n, 3))
+            lr = adam_step(state, grads, step)
+            assert lr == learning_rate(cfg, step, 10)
+            c1, c2 = 1 - cfg.beta1**step, 1 - cfg.beta2**step
+            for name in params:
+                g = ad.dense(grads[name])
+                m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
+                params[name] = params[name] - lr * (m[name] / c1) / (
+                    np.sqrt(v[name] / c2) + cfg.epsilon)
+        for name, tensor in model.params.items():
+            assert tensor.data.tobytes() == params[name].tobytes(), name
+            assert state.adam_m[name].tobytes() == m[name].tobytes(), name
+            assert state.adam_v[name].tobytes() == v[name].tobytes(), name
 
     def test_schedule(self):
         cfg = TrainConfig(base_lr=1.0, epochs=1)
@@ -385,6 +425,87 @@ def test_batch_rejects_mixed_feature_kinds():
                                        ENCODER_HASH)
     with pytest.raises(ConfigError, match="mix"):
         Batch.of([feats[0], SegmentMatrix(doc_id="v", rows=np.ones((1, 4)))])
+
+
+# -- chunked featurization ----------------------------------------------------
+
+def _sentence_docs(rng, n_docs):
+    """Documents of units holding sentences, which every strategy splits."""
+    def sentence():
+        words = " ".join(f"w{rng.integers(30)}" for _ in range(rng.integers(1, 9)))
+        return words + str(rng.choice([".", "!", ""]))
+
+    return [Document(id=f"c{i}", labels=("a",),
+                     units=tuple(sentence() for _ in range(rng.integers(1, 6))))
+            for i in range(n_docs)]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "punct", "structure"])
+@pytest.mark.parametrize("budget, chunks", [(0, "one per document"), (12_000, "several"),
+                                            (1 << 20, "one")])
+def test_split_features_equal_per_document_featurize(strategy, budget, chunks, monkeypatch):
+    docs = _sentence_docs(np.random.default_rng(7), 40)
+    model = SwipeModel.create(ModelConfig(
+        labels=("a", "b"), n_buckets=97, dim=4, ngram_orders=(1, 2, 3),
+        truncation=TruncationConfig(strategy=strategy, window_len=5, overlap=1,
+                                    max_seg_len=6)))
+    singles = [model.featurize(doc) for doc in docs]
+    calls = []
+    featurize = model_mod.featurize_segments
+
+    def spy(segments, config):
+        calls.append(len(segments))
+        return featurize(segments, config)
+
+    monkeypatch.setattr(model_mod, "featurize_segments", spy)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget)
+    feats = split_features(model, docs)
+    expected_calls = {"one per document": len(docs), "one": 1}
+    if chunks in expected_calls:
+        assert len(calls) == expected_calls[chunks]
+    else:
+        assert 1 < len(calls) < len(docs)  # the split spans several chunks
+    assert len(feats) == len(docs)
+    for doc, got, want in zip(docs, feats, singles):
+        assert got.doc_id == want.doc_id == doc.id
+        assert got.ids.dtype == want.ids.dtype and got.offsets.dtype == want.offsets.dtype
+        np.testing.assert_array_equal(got.ids, want.ids)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+
+
+def test_split_features_of_precomputed_vectors_are_each_documents_rows():
+    rng = np.random.default_rng(2)
+    vectors = {f"v{i}": rng.normal(size=(int(rng.integers(1, 5)), 3)) for i in range(6)}
+    model = _precomputed_model(vectors)
+    docs = [Document(id=doc_id, text="x", labels=("a",)) for doc_id in vectors]
+    for doc, got in zip(docs, split_features(model, docs)):
+        assert got.doc_id == doc.id
+        assert got.rows.tobytes() == vectors[doc.id].tobytes()
+
+
+def test_training_memory_peak_is_that_of_its_widest_document():
+    # hashing builds a (tokens x widest token) byte matrix per call, so one
+    # 20,000-byte token hashed with the whole split would take tens of MiB
+    rng = np.random.default_rng(0)
+    docs = [Document(id=f"s{i}", labels=(("a",), ("b",))[i % 2],
+                     units=tuple(" ".join(f"w{rng.integers(50)}" for _ in range(8))
+                                 for _ in range(2)))
+            for i in range(60)]
+    wide = Document(id="wide", units=("see " + "x" * 20_000 + " here", "ok"), labels=("a",))
+    docs.insert(30, wide)
+    corpus = Corpus(docs, LabelVocab(names=("a", "b"), task_kind=TASK_MULTILABEL))
+    model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=64, dim=4,
+                                          truncation=TruncationConfig(strategy="structure")))
+    tracemalloc.start()
+    try:
+        model.featurize(wide)
+        alone = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        train(corpus, model, TrainConfig(epochs=1, batch_size=16))
+        training = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert training <= alone + (1 << 20), (training, alone)
 
 
 def _toy_corpus():
