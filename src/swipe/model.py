@@ -103,14 +103,11 @@ class Batch:
             raise ConfigError("a batch cannot mix hashed and precomputed features")
         return cls(inputs, offsets)
 
-    def split(self, doc_ids: Sequence[str]) -> list[Features]:
-        """Each document's features, named by `doc_ids`: the inverse of `of`.
-        Rows and ids are views of this batch's arrays; bag offsets are
-        rebased to each document's first id."""
+    def split(self, doc_ids: Sequence[str]) -> list[SegmentFeatures]:
+        """Each document's hashed features, named by `doc_ids`: the inverse of
+        `of`. Ids are views of this batch's array; bag offsets are rebased to
+        each document's first id."""
         spans = zip(doc_ids, self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-        if isinstance(self.inputs, SegmentMatrix):
-            return [SegmentMatrix(doc_id=doc_id, rows=self.inputs.rows[start:stop])
-                    for doc_id, start, stop in spans]
         ids, bags = self.inputs.ids, self.inputs.offsets
         return [SegmentFeatures(doc_id=doc_id, ids=ids[bags[start]:bags[stop]],
                                 offsets=bags[start:stop + 1] - bags[start])

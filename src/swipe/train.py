@@ -5,15 +5,16 @@ multi-label, both threshold-consistent with the strict-zero document bit),
 Adam with bias correction, and a learning rate that decays linearly from
 `base_lr` to zero over the planned number of steps.
 
-Each split is featurized once, before the first step, chunk by chunk through
-the chunker inference uses (`SwipeModel.featurize_chunks`: one hashing call
-per chunk), and each chunk's features are split into per-document views.
+Each split is featurized once, before the first step. Hashed splits go
+chunk by chunk through the chunker inference uses
+(`SwipeModel.featurize_chunks`: one hashing call per chunk), and each chunk's
+features are split into per-document views; precomputed splits use the
+attached vectors as they are.
 A training step is one forward and one backward over the whole ragged batch
 (`model.Batch`). The hash encoder's table gradient arrives row-sparse
-(`autodiff.RowSparse`, one summed row per touched bucket). Adam updates
-moments and parameters in place, block by block of `ADAM_BLOCK_ROWS` rows,
-so its scratch memory is two blocks per parameter. Its semantics stay dense:
-every row's moments decay every step, touched or not.
+(`autodiff.RowSparse`, one summed row per touched bucket), and Adam updates
+moments and parameters in place through preallocated work arrays. Its
+semantics stay dense: every row's moments decay every step, touched or not.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from swipe import autodiff as ad
-from swipe.config import TrainConfig
+from swipe.config import ENCODER_PRECOMPUTED, TrainConfig
 from swipe.corpus import Corpus, Document, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
@@ -71,19 +72,12 @@ def backward_batch(
     return value, grads
 
 
-#: Rows of a parameter that one Adam pass covers: a 2,048-row block of a
-#: dim-32 table is 512 KiB, so a block's moments, parameters and work arrays
-#: stay in cache across the pass's dozen operations.
-ADAM_BLOCK_ROWS = 2048
-
-
 @dataclass
 class ModelState:
     """Model plus optimizer accumulators.
 
-    `scratch` holds two work arrays per parameter, each one row block
-    (`ADAM_BLOCK_ROWS` rows, or the whole parameter when it is smaller), so
-    an Adam step allocates nothing.
+    `scratch` holds two work arrays per parameter, so an Adam step allocates
+    nothing.
     """
 
     model: SwipeModel
@@ -97,8 +91,8 @@ class ModelState:
         for name, tensor in self.model.params.items():
             self.adam_m.setdefault(name, np.zeros_like(tensor.data))
             self.adam_v.setdefault(name, np.zeros_like(tensor.data))
-            block = tensor.data[:ADAM_BLOCK_ROWS]
-            self.scratch.setdefault(name, (np.empty_like(block), np.empty_like(block)))
+            self.scratch.setdefault(
+                name, (np.empty_like(tensor.data), np.empty_like(tensor.data)))
 
 
 def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
@@ -112,13 +106,10 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
 
     `grads` holds a gradient for every parameter, as `backward_batch` gives.
 
-    Each parameter is updated block by block, `ADAM_BLOCK_ROWS` rows at a
-    time. Within a block every parameter, moment and work array is updated
-    through `out=`, in the same operation order as the textbook expressions
-    noted alongside; no operation mixes rows, so the result is bit-identical
-    to the textbook update of the whole parameter. A `RowSparse` gradient is
-    zero outside its rows: there the moments only decay, as they would for a
-    dense zero.
+    Every parameter, moment and work array is updated through `out=`, in the
+    same operation order as the textbook expressions noted alongside, so the
+    result is bit-identical to them. A `RowSparse` gradient is zero outside
+    its rows: there the moments only decay, as they would for a dense zero.
     """
     cfg = state.config
     lr = learning_rate(cfg, step, state.total_steps)
@@ -126,33 +117,24 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     correction2 = 1 - cfg.beta2**step
     for name, tensor in state.model.params.items():
         g = grads[name]
-        sparse = isinstance(g, ad.RowSparse)
-        n_rows = tensor.data.shape[0]
-        for lo in range(0, n_rows, ADAM_BLOCK_ROWS):
-            hi = min(lo + ADAM_BLOCK_ROWS, n_rows)
-            m, v = state.adam_m[name][lo:hi], state.adam_v[name][lo:hi]
-            param = tensor.data[lo:hi]
-            num, den = (work[:hi - lo] for work in state.scratch[name])
-            # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(m, cfg.beta1, out=m)
-            np.multiply(v, cfg.beta2, out=v)
-            if sparse:
-                first, last = np.searchsorted(g.rows, (lo, hi))
-                if first < last:
-                    rows, values = g.rows[first:last] - lo, g.values[first:last]
-                    m[rows] += (1 - cfg.beta1) * values
-                    v[rows] += (1 - cfg.beta2) * values * values
-            else:
-                gb = g[lo:hi]
-                np.add(m, np.multiply(gb, 1 - cfg.beta1, out=num), out=m)
-                np.multiply(gb, 1 - cfg.beta2, out=num)
-                np.add(v, np.multiply(num, gb, out=num), out=v)
-            # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
-            np.multiply(np.divide(m, correction1, out=num), lr, out=num)
-            np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
-            np.subtract(param, np.divide(num, den, out=num), out=param)
-            if not np.isfinite(param).all():
-                raise TrainingError(f"non-finite parameter {name!r} after step {step}")
+        m, v = state.adam_m[name], state.adam_v[name]
+        num, den = state.scratch[name]
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(m, cfg.beta1, out=m)
+        np.multiply(v, cfg.beta2, out=v)
+        if isinstance(g, ad.RowSparse):
+            m[g.rows] += (1 - cfg.beta1) * g.values
+            v[g.rows] += (1 - cfg.beta2) * g.values * g.values
+        else:
+            np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
+            np.multiply(g, 1 - cfg.beta2, out=num)
+            np.add(v, np.multiply(num, g, out=num), out=v)
+        # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
+        np.multiply(np.divide(m, correction1, out=num), lr, out=num)
+        np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
+        np.subtract(tensor.data, np.divide(num, den, out=num), out=tensor.data)
+        if not np.isfinite(tensor.data).all():
+            raise TrainingError(f"non-finite parameter {name!r} after step {step}")
     return lr
 
 
@@ -280,9 +262,15 @@ def evaluate_split(model: SwipeModel, features: Sequence[Features], gold: np.nda
 
 
 def split_features(model: SwipeModel, docs: Sequence[Document]) -> list[Features]:
-    """Every document's features, in order, featurized chunk by chunk through
+    """Every document's features, in order, as `model.featurize` gives them.
+
+    Hashed features are featurized chunk by chunk through
     `SwipeModel.featurize_chunks` (one hashing call per chunk) and split into
-    per-document views; the same ids and offsets as `model.featurize`."""
+    per-document views. Precomputed vectors are the attached arrays
+    themselves, not copies made by chunking.
+    """
+    if model.config.encoder_mode == ENCODER_PRECOMPUTED:
+        return [model.featurize(doc) for doc in docs]
     return [feats for chunk, batch in model.featurize_chunks(docs)
             for feats in batch.split([doc.id for doc, _ in chunk])]
 

@@ -28,7 +28,6 @@ from swipe.model import (
     SwipeModel,
 )
 from swipe.train import (
-    ADAM_BLOCK_ROWS,
     GRAD_CHECK_FLOOR,
     ModelState,
     TrainConfig,
@@ -208,28 +207,26 @@ class TestAdam:
             np.testing.assert_array_equal(sparse_state.adam_m[name], dense_state.adam_m[name])
             np.testing.assert_array_equal(sparse_state.adam_v[name], dense_state.adam_v[name])
 
-    def test_blocked_update_equals_the_textbook_dense_update_bit_for_bit(self):
-        block = ADAM_BLOCK_ROWS
-        n = 2 * block + 37  # two whole blocks and a partial one
+    def test_update_equals_the_textbook_dense_update_bit_for_bit(self):
+        n = 97
         model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=3))
         state = self._state(model, total_steps=10)
-        assert [work.shape for work in state.scratch["encoder.table"]] == [(block, 3)] * 2
         cfg = state.config
         params = {name: t.data.copy() for name, t in model.params.items()}
         m = {name: np.zeros_like(p) for name, p in params.items()}
         v = {name: np.zeros_like(p) for name, p in params.items()}
         rng = np.random.default_rng(0)
         table_grads = [
-            [0, block - 1, block, 2 * block - 1, 2 * block, n - 1],  # every block edge
-            [1, 2 * block + 5],  # the middle block untouched
-            [block + 3],         # only the middle block touched
-            None,                # a dense table gradient
+            [0, 1, n // 2, n - 1],  # the first and last rows
+            [n // 3],               # one touched row
+            [],                     # no touched row: every moment only decays
+            None,                   # a dense table gradient
         ]
         for step, rows in enumerate(table_grads, start=1):
             grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
             if rows is not None:
                 grads["encoder.table"] = ad.RowSparse(
-                    np.array(rows), rng.normal(size=(len(rows), 3)), (n, 3))
+                    np.array(rows, dtype=np.int64), rng.normal(size=(len(rows), 3)), (n, 3))
             lr = adam_step(state, grads, step)
             assert lr == learning_rate(cfg, step, 10)
             c1, c2 = 1 - cfg.beta1**step, 1 - cfg.beta2**step
@@ -473,13 +470,13 @@ def test_split_features_equal_per_document_featurize(strategy, budget, chunks, m
         np.testing.assert_array_equal(got.offsets, want.offsets)
 
 
-def test_split_features_of_precomputed_vectors_are_each_documents_rows():
+def test_split_features_of_precomputed_vectors_are_the_attached_arrays():
     rng = np.random.default_rng(2)
     vectors = {f"v{i}": rng.normal(size=(int(rng.integers(1, 5)), 3)) for i in range(6)}
     model = _precomputed_model(vectors)
     docs = [Document(id=doc_id, text="x", labels=("a",)) for doc_id in vectors]
     for doc, got in zip(docs, split_features(model, docs)):
-        assert got.doc_id == doc.id
+        assert got is model.precomputed[doc.id]  # no copy per chunk
         assert got.rows.tobytes() == vectors[doc.id].tobytes()
 
 
