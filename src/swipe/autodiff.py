@@ -225,8 +225,8 @@ def ragged_max(a: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     starts, counts = _blocks(offsets, n)
     values = np.maximum.reduceat(a.data, starts, axis=0)
     # rows below their block's maximum are pushed past every real row index
-    below = a.data < np.repeat(values, counts, axis=0)
-    argmax = np.minimum.reduceat(below * n + np.arange(n)[:, None], starts, axis=0)
+    rows = np.where(a.data < values.repeat(counts, axis=0), n, np.arange(n)[:, None])
+    argmax = np.minimum.reduceat(rows, starts, axis=0)
 
     def backward(g):
         grad = np.zeros_like(a.data)
@@ -344,8 +344,8 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
     """
     ids = np.asarray(ids, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    counts = np.diff(offsets)
-    if np.any(counts <= 0):
+    counts = offsets[1:] - offsets[:-1]
+    if (counts <= 0).any():
         raise ValueError("embedding_bag_mean: empty bag")
     gathered = table.data[ids]
     sums = np.add.reduceat(gathered, offsets[:-1], axis=0)

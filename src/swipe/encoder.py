@@ -26,7 +26,7 @@ from swipe import autodiff as ad
 from swipe import hashing
 from swipe.config import ModelConfig
 from swipe.corpus import record_key
-from swipe.errors import ConfigError, FormatError
+from swipe.errors import ConfigError, FormatError, ValidationError
 from swipe.truncate import Segment
 
 
@@ -69,20 +69,29 @@ class SegmentFeatures:
 
 def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentFeatures:
     """Hash every segment's n-grams in one kernel call, with `config`'s
-    `n_buckets`, `ngram_orders` and `hash_seed`."""
+    `n_buckets`, `ngram_orders` and `hash_seed`. Each segment's n-gram
+    counts are computed once and give both the id layout and the bags.
+
+    A segment with fewer tokens than the smallest order has no n-gram, hence
+    an empty bag, and raises ValidationError naming its document and index.
+    """
     if not segments:
         raise ConfigError("featurize_segments: no segments")
-    lengths = np.asarray([len(seg.tokens) for seg in segments], dtype=np.int64)
+    orders = sorted(config.ngram_orders)
+    lengths = [len(seg.tokens) for seg in segments]
+    if min(lengths) < orders[0]:
+        seg = next(seg for seg in segments if len(seg.tokens) < orders[0])
+        raise ValidationError(
+            f"document {seg.doc_id!r}: segment {seg.index} has {len(seg.tokens)} token(s), "
+            f"fewer than the smallest n-gram order {orders[0]}, so it has no n-grams")
+    counts = hashing.ngram_counts(lengths, orders)
     ids = hashing.ngram_bucket_ids(
-        [tok for seg in segments for tok in seg.tokens], config.n_buckets,
-        config.ngram_orders, config.hash_seed, lengths=lengths,
+        list(itertools.chain.from_iterable(seg.tokens for seg in segments)),
+        config.n_buckets, orders, config.hash_seed, lengths=lengths, counts=counts,
     )
-    counts = hashing.ngram_counts(lengths, config.ngram_orders).sum(axis=1)
-    return SegmentFeatures(
-        doc_id=segments[0].doc_id,
-        ids=ids,
-        offsets=np.concatenate(([0], np.cumsum(counts))),
-    )
+    offsets = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=1), out=offsets[1:])
+    return SegmentFeatures(doc_id=segments[0].doc_id, ids=ids, offsets=offsets)
 
 
 def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:

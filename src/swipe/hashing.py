@@ -16,6 +16,10 @@ whose multiply wraps mod 2**64 exactly as the definition requires.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+
 import numpy as np
 
 # There is one pure numpy kernel; perfbench/run.py reads this flag.
@@ -26,6 +30,14 @@ _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 _FNV_PRIME_INV = pow(_FNV_PRIME, -1, 2**64)
 _SEP = 0x1F
+
+#: Widest byte matrix the kernel builds: a token of more UTF-8 bytes enters
+#: it with its first WIDTH_CAP bytes and absorbs the rest in a loop of its
+#: own, so one long token costs its own bytes, not (tokens x its bytes).
+WIDTH_CAP = 64
+
+# _UNPAD[j]: the inverse prime to the power j, for every pad length j.
+_UNPAD = np.cumprod(np.array([1] + [_FNV_PRIME_INV] * WIDTH_CAP, dtype=np.uint64))
 
 
 def _absorb(h: int, data) -> int:
@@ -39,20 +51,30 @@ def hash64(data: bytes, seed: int = 0) -> int:
     return _absorb(_absorb(_FNV_OFFSET, (seed & _MASK).to_bytes(8, "little")), data)
 
 
-def _absorb_tokens(h: np.ndarray, columns: np.ndarray, unpad: np.ndarray) -> np.ndarray:
+def _absorb_tokens(h: np.ndarray, columns: np.ndarray, unpad: np.ndarray,
+                   tails: list[tuple[int, bytes]]) -> None:
     """Absorb one token's bytes into each state of `h`, in place.
 
     `columns[j]` holds byte j of every token, 0 past its end. XOR with a 0 pad
     byte is a no-op, so each pad byte only multiplies the state by the prime;
     the prime is odd, hence invertible mod 2**64, and `unpad` (the inverse
     prime to the power of each token's pad length) undoes those multiplies.
+    A token longer than the columns absorbs the rest of its bytes from
+    `tails`, (index into `h`, bytes past the columns) pairs.
     """
     prime = np.uint64(_FNV_PRIME)
     for col in columns:
         h ^= col
         h *= prime
     h *= unpad
-    return h
+    for i, tail in tails:
+        h[i] = _absorb(int(h[i]), tail)
+
+
+@functools.lru_cache(maxsize=256)
+def _start_state(seed: int) -> np.uint64:
+    """State after absorbing the seed: where every n-gram's hash starts."""
+    return np.uint64(hash64(b"", seed))
 
 
 def ngram_counts(lengths, orders) -> np.ndarray:
@@ -67,6 +89,7 @@ def ngram_bucket_ids(
     orders: tuple[int, ...] = (1, 2),
     seed: int = 0,
     lengths: list[int] | np.ndarray | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hash every n-gram of `tokens` into `[0, n_buckets)`.
 
@@ -75,47 +98,64 @@ def ngram_bucket_ids(
     segment, within a segment for each order in ascending order, positions
     left to right, which equals concatenating one call per segment. Orders
     longer than a segment contribute nothing to it; an empty token list
-    yields an empty array.
+    yields an empty array. `counts` is `ngram_counts(lengths,
+    sorted(orders))` for a caller that holds it already.
     """
     if n_buckets < 1:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
     orders = sorted(orders)
-    for order in orders:
-        if order < 1:
-            raise ValueError(f"n-gram order must be >= 1, got {order}")
+    if orders and orders[0] < 1:
+        raise ValueError(f"n-gram order must be >= 1, got {orders[0]}")
     n = len(tokens)
-    lengths = np.asarray([n] if lengths is None else lengths, dtype=np.int64)
-    if lengths.sum() != n or np.any(lengths < 0):
-        raise ValueError(f"segment lengths {lengths.tolist()} do not split {n} tokens")
+    lengths = [n] if lengths is None else list(map(operator.index, lengths))
+    if sum(lengths) != n or min(lengths, default=0) < 0:
+        raise ValueError(f"segment lengths {lengths} do not split {n} tokens")
     if n == 0 or not orders:
         return np.empty(0, dtype=np.int64)
 
-    # Padded byte matrix, one row per byte position: (width, n) uint8.
+    # Byte matrix of the first WIDTH_CAP bytes of every token, one row per
+    # byte position: (width, n) uint8; the bytes past it are absorbed one
+    # long token at a time.
     encoded = list(map(str.encode, tokens))
     n_bytes = np.fromiter(map(len, encoded), dtype=np.int64, count=n)
-    width = max(int(n_bytes.max()), 1)
+    widest = int(n_bytes.max())
+    width = min(max(widest, 1), WIDTH_CAP)
     matrix = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(n, width)
     columns = np.ascontiguousarray(matrix.T)
-    inverse_powers = np.full(width + 1, _FNV_PRIME_INV, dtype=np.uint64)
-    inverse_powers[0] = 1
-    unpad = np.cumprod(inverse_powers)[width - n_bytes]
+    unpad = _UNPAD.take(width - n_bytes, mode="clip")  # a negative pad (long token) is 0
+    tails = ([(i, token[WIDTH_CAP:]) for i, token in enumerate(encoded)
+              if len(token) > WIDTH_CAP] if widest > WIDTH_CAP else [])
 
-    # states[k - 1][i]: hash of the order-k n-gram starting at flat token i.
-    states = [_absorb_tokens(np.full(n, hash64(b"", seed), dtype=np.uint64), columns, unpad)]
+    # flat[bases[k - 1] + i]: hash of the order-k n-gram starting at flat token i.
+    sizes = [max(n - k + 1, 0) for k in range(1, orders[-1] + 1)]
+    bases = [0, *itertools.accumulate(sizes)]
+    flat = np.empty(bases[-1], dtype=np.uint64)
+    h = flat[:n]
+    h[:] = _start_state(seed)
+    _absorb_tokens(h, columns, unpad, tails)
     for k in range(2, orders[-1] + 1):
-        h = states[-1][:-1] ^ np.uint64(_SEP)
+        if not sizes[k - 1]:
+            break
+        prev, h = h, flat[bases[k - 1]:bases[k]]
+        np.bitwise_xor(prev[:-1], np.uint64(_SEP), out=h)
         h *= np.uint64(_FNV_PRIME)
-        states.append(_absorb_tokens(h, columns[:, k - 1:], unpad[k - 1:]))
+        _absorb_tokens(h, columns[:, k - 1:], unpad[k - 1:],
+                       [(i - k + 1, tail) for i, tail in tails if i >= k - 1])
 
     # Gather segment-major, then order, then position: the block for
-    # (segment s, order k) is states[k - 1][start_s : start_s + len_s - k + 1].
-    flat = np.concatenate([states[k - 1] for k in orders])
-    bases = np.cumsum([0] + [len(states[k - 1]) for k in orders[:-1]])
-    starts = (np.cumsum(lengths) - lengths)[:, None] + bases[None, :]
-    counts = ngram_counts(lengths, orders).ravel()
-    shift = np.repeat(starts.ravel() - (np.cumsum(counts) - counts), counts)
-    index = shift + np.arange(len(shift))
-    return (flat[index] % np.uint64(n_buckets)).astype(np.int64)
+    # (segment s, order k) is flat[bases[k - 1] + start_s:][:count], and the
+    # blocks are laid out back to back.
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if counts is None:
+        counts = ngram_counts(lengths, orders)
+    ends = counts.cumsum()
+    shift = (lengths.cumsum() - lengths)[:, None] + counts
+    shift += np.asarray([bases[k - 1] for k in orders])
+    index = np.repeat(shift.ravel() - ends, counts.ravel())
+    index += np.arange(len(index))
+    ids = flat.take(index)
+    np.remainder(ids, np.uint64(n_buckets), out=ids)
+    return ids.view(np.int64)  # the bits astype(np.int64) would copy
 
 
 def derive_seed(name: str, seed: int) -> int:

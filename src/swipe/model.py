@@ -44,7 +44,7 @@ from swipe.encoder import (
     interaction_bytes,
 )
 from swipe.errors import ConfigError, FormatError, SwipeError
-from swipe.hashing import derive_seed, ngram_counts
+from swipe.hashing import WIDTH_CAP, derive_seed, ngram_counts
 from swipe.head import (
     Prediction,
     build_prediction,
@@ -64,10 +64,10 @@ Features = SegmentFeatures | SegmentMatrix
 #: gather (n-grams x dim x 8 bytes; with precomputed vectors, the stacked
 #: segment rows), the hashing byte matrix (tokens x bytes of the chunk's
 #: widest token, counted as 4 bytes per character, UTF-8's most, so no token
-#: is encoded twice) and, with interaction layers, the activations the
-#: layers keep (`encoder.interaction_bytes`). A chunk closes
-#: before a document would take it past the budget; a document over budget
-#: on its own runs in a chunk of its own.
+#: is encoded twice, and at most `hashing.WIDTH_CAP`) and, with interaction
+#: layers, the activations the layers keep (`encoder.interaction_bytes`). A
+#: chunk closes before a document would take it past the budget; a document
+#: over budget on its own runs in a chunk of its own.
 CHUNK_BYTES = 1 << 20
 
 #: Per-layer interaction parameters, in checkpoint order.
@@ -328,7 +328,7 @@ class SwipeModel:
             lengths = [len(seg.tokens) for seg in segments]
             all_tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
             rows = int(ngram_counts(lengths, config.ngram_orders).sum())
-            tokens, width = sum(lengths), 4 * max(map(len, all_tokens))
+            tokens, width = sum(lengths), min(4 * max(map(len, all_tokens)), WIDTH_CAP)
         return rows * config.dim * 8 + interaction_bytes(m, self.params, config), tokens, width
 
     def _chunk_batch(self, chunk: list[tuple[Document, list[Segment] | None]]) -> Batch:
@@ -337,7 +337,7 @@ class SwipeModel:
         counts = [len(segments) for _, segments in chunk]
         return Batch(
             featurize_segments([seg for _, segments in chunk for seg in segments], self.config),
-            np.concatenate(([0], np.cumsum(counts))),
+            np.array([0, *itertools.accumulate(counts)]),
         )
 
     # -- checkpoint container ------------------------------------------------

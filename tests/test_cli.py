@@ -565,3 +565,47 @@ class TestNonFinite:
         assert err.startswith("error: document 'd0' holds a NaN or an infinity")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists() or out.read_text() == ""
+
+
+def _units_corpus(path, short_doc=None):
+    """Five structure documents of three units; the last unit of document
+    `short_doc` is the one token "solo"."""
+    path.write_text("".join(
+        json.dumps({"id": f"d{i}", "labels": ["a" if i % 2 else "b"],
+                    "split": "train" if i < 4 else "test",
+                    "units": ["alpha beta gamma", "delta epsilon",
+                              "solo" if i == short_doc else "zeta eta theta"]}) + "\n"
+        for i in range(5)))
+    return path
+
+
+_SHORT_SEGMENT_ERROR = ("error: document 'd2': segment 2 has 1 token(s), fewer than the "
+                        "smallest n-gram order 2, so it has no n-grams\n")
+
+
+class TestShortSegment:
+    """A segment with fewer tokens than the smallest n-gram order has no n-gram
+    to embed; it ends the command in one `error:` line naming it."""
+
+    def _train(self, corpus, ckpt):
+        return run(["train", "--corpus", corpus, "--task", "multi-class",
+                    "--truncate", "structure", "--ngram-orders", 2, "--epochs", 1,
+                    "--dim", 4, "--buckets", 16, "--out", ckpt])
+
+    def test_train_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        assert self._train(_units_corpus(tmp_path / "c.jsonl", short_doc=2), ckpt) == 2
+        assert capsys.readouterr().err == _SHORT_SEGMENT_ERROR
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_predict_exits_2(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "m.ckpt"
+        assert self._train(_units_corpus(tmp_path / "ok.jsonl"), ckpt) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.jsonl"
+        assert run([command, "--checkpoint", ckpt,
+                    "--corpus", _units_corpus(tmp_path / "c.jsonl", short_doc=2),
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == _SHORT_SEGMENT_ERROR
+        assert not out.exists() or out.read_text() == ""

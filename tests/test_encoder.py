@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipe import autodiff as ad
 from swipe import encoder, hashing
@@ -14,7 +16,7 @@ from swipe.encoder import (
     load_precomputed,
     write_precomputed,
 )
-from swipe.errors import ConfigError, FormatError
+from swipe.errors import ConfigError, FormatError, ValidationError
 from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, parameter_shapes
 from swipe.truncate import Segment
 
@@ -143,6 +145,36 @@ class TestHashEncoder:
         config, _ = _hash_encoder(n_buckets=16, dim=3)
         with pytest.raises(ConfigError):
             featurize_segments([], config)
+
+    def test_segment_shorter_than_every_order_rejected(self):
+        # its bag would be empty: no n-gram of order 2 or 3 fits in one token
+        config, _ = _hash_encoder(n_buckets=16, dim=3, ngram_orders=(3, 2))
+        segments = _segments([["a", "b", "c"], ["a", "b"], ["solo"]], doc_id="d7")
+        with pytest.raises(ValidationError, match=(
+                r"^document 'd7': segment 2 has 1 token\(s\), fewer than the smallest "
+                r"n-gram order 2, so it has no n-grams$")):
+            featurize_segments(segments, config)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), orders=st.sampled_from([(1,), (2,), (1, 2), (2, 3), (1, 2, 3)]),
+       seed=st.integers(0, 2**63 - 1), buckets=st.integers(1, 10**6))
+def test_featurize_equals_one_kernel_call_per_segment(data, orders, seed, buckets):
+    # a chunk's one kernel call lays its ids out as concatenated per-segment
+    # calls, and its bags are the per-segment n-gram counts, accumulated
+    token = st.text(alphabet="ab\u00e9\u4e2d_ ", min_size=1, max_size=4)
+    n_segments = data.draw(st.integers(1, 300))
+    token_lists = data.draw(st.lists(st.lists(token, min_size=orders[0], max_size=orders[0] + 3),
+                                     min_size=n_segments, max_size=n_segments))
+    config = ModelConfig(labels=("a", "b"), n_buckets=buckets, dim=4, ngram_orders=orders,
+                         hash_seed=seed)
+    feats = featurize_segments(_segments(token_lists), config)
+    per_segment = [hashing.ngram_bucket_ids(toks, buckets, orders, seed) for toks in token_lists]
+    counts = [sum(max(len(toks) - k + 1, 0) for k in orders) for toks in token_lists]
+    assert feats.ids.dtype == np.int64 and feats.offsets.dtype == np.int64
+    np.testing.assert_array_equal(feats.ids, np.concatenate(per_segment))
+    np.testing.assert_array_equal(feats.offsets, np.cumsum([0, *counts]))
+    assert [len(ids) for ids in per_segment] == counts
 
 
 class TestPrecomputed:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 
 from swipe import hashing
 
-TOKENS = st.lists(st.text(min_size=1, max_size=8), min_size=0, max_size=12)
+# mostly short tokens, now and then one past the kernel's byte-matrix width cap
+TOKENS = st.lists(
+    st.text(min_size=1, max_size=8)
+    | st.text(min_size=hashing.WIDTH_CAP - 2, max_size=2 * hashing.WIDTH_CAP + 8),
+    min_size=0, max_size=12)
 ORDERS = st.sampled_from([(1,), (2,), (1, 2), (1, 2, 3), (3, 1)])
 
 
@@ -75,6 +81,25 @@ def test_kernel_matches_brute_force_oracle(segments, orders, seed, buckets):
     fast = hashing.ngram_bucket_ids(tokens, buckets, orders=orders, seed=seed,
                                     lengths=[len(seg) for seg in segments])
     assert list(fast) == _brute_force_ids(segments, buckets, orders, seed)
+
+
+def test_one_wide_token_costs_its_own_bytes_only():
+    # an uncapped (tokens x widest token) byte matrix and its transpose
+    # would take 76.8 MiB here; the cap keeps them WIDTH_CAP bytes wide
+    tokens = [f"w{i % 97}" for i in range(2000)]
+    tokens.insert(1000, "x" * 20_000)
+    tracemalloc.start()
+    try:
+        ids = hashing.ngram_bucket_ids(tokens, 4096, orders=(1, 2), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert len(ids) == 2001 + 2000
+    before, wide, after = (tok.encode() for tok in tokens[999:1002])
+    assert ids[1000] == hashing.hash64(wide, 3) % 4096
+    assert ids[2001 + 999] == hashing.hash64(before + b"\x1f" + wide, 3) % 4096
+    assert ids[2001 + 1000] == hashing.hash64(wide + b"\x1f" + after, 3) % 4096
 
 
 def test_document_ids_equal_per_segment_concatenation():
