@@ -9,7 +9,9 @@ randomness flows from --seed, fanned out internally into named sub-seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,11 +43,9 @@ def _numbers(text: str, kind, flag: str, skip_blank: bool = False) -> list:
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = _numbers(text, int, flag)
-    if len(parts) == 1:
-        return parts[0], parts[0]
-    if len(parts) == 2:
-        return parts[0], parts[1]
-    raise ConfigError(f"{flag}: expected 'n' or 'lo,hi', got {text!r}")
+    if len(parts) not in (1, 2):
+        raise ConfigError(f"{flag}: expected 'n' or 'lo,hi', got {text!r}")
+    return parts[0], parts[-1]
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -67,6 +67,23 @@ def _json(value, what: str, **kwargs) -> str:
     except ValueError as exc:
         raise ValidationError(f"{what} holds a NaN or an infinity, which JSON cannot hold") \
             from exc
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield `<path>.tmp` to write the whole file to; it replaces `path` (a link's
+    target) on success and is removed on failure. A `path` that exists but is no
+    regular file (/dev/stdout, a pipe) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path
+        return
+    path = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -162,8 +179,10 @@ def cmd_synth(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus_mod.write_jsonl(generated, out / "corpus.jsonl")
-    corpus_mod.write_key_map(key_map, out / "keymap.jsonl")
+    with _replacing(out / "corpus.jsonl") as tmp:
+        corpus_mod.write_jsonl(generated, tmp)
+    with _replacing(out / "keymap.jsonl") as tmp:
+        corpus_mod.write_key_map(key_map, tmp)
     print(f"wrote {out / 'corpus.jsonl'} ({len(generated)} docs) and {out / 'keymap.jsonl'}")
     return 0
 
@@ -174,6 +193,8 @@ def _load_model_inputs(args):
         if not args.vectors:
             raise ConfigError("checkpoint expects precomputed vectors; pass --vectors")
         model.attach_vectors(load_precomputed(args.vectors))
+    elif args.vectors:
+        raise ConfigError("checkpoint uses the hash encoder, which takes no --vectors")
     return model
 
 
@@ -185,22 +206,20 @@ def cmd_train(args) -> int:
         loaded = corpus_mod.split_corpus(
             loaded, _parse_fractions(args.split, "--split"), seed=args.seed
         )
-    dim_override = None
-    vectors = None
-    if args.vectors:
-        vectors = load_precomputed(args.vectors)
-        if not vectors:
-            raise ConfigError(f"no vectors in {args.vectors}")
-        dim_override = next(iter(vectors.values())).h
-    config = _model_config(args, loaded.vocab.names, args.task, dim_override)
-    model = SwipeModel.create(config)
-    if vectors is not None:
+    vectors = load_precomputed(args.vectors) if args.vectors else None
+    if vectors == {}:
+        raise ConfigError(f"no vectors in {args.vectors}")
+    dim = next(iter(vectors.values())).h if vectors else None
+    model = SwipeModel.create(_model_config(args, loaded.vocab.names, args.task, dim))
+    if vectors:
         model.attach_vectors(vectors)
     result = train(loaded, model, train_config)
     metrics_path = args.metrics or (str(args.out) + ".metrics.csv")
-    write_metrics_csv(result.metrics, metrics_path)
+    with _replacing(metrics_path) as tmp:
+        write_metrics_csv(result.metrics, tmp)
     result.restore_best()  # checkpoint holds the best-dev parameters
-    model.save(args.out)
+    with _replacing(args.out) as tmp:
+        model.save(tmp)
     final_dev = result.metrics[-1]["dev_metric"]
     print(f"checkpoint={args.out} metrics={metrics_path} "
           f"final_dev_metric={final_dev:.4f} best_epoch={result.best_epoch}")
@@ -210,7 +229,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = _load_model_inputs(args)
     documents = corpus_mod.load_documents(args.corpus)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for _, _, pred in model.predict_many(documents):
             fh.write(_json(pred.to_record(model.vocab.names), f"document {pred.doc_id!r}")
                      + "\n")
@@ -221,12 +240,9 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     model = _load_model_inputs(args)
     documents = corpus_mod.load_documents(args.corpus)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for _, segments, pred in model.predict_many(documents):
-            record = pred.to_record(model.vocab.names)
-            if segments is not None:  # hashed text; precomputed vectors carry none
-                for entry in record["per_label"]:
-                    entry["key_segment_text"] = " ".join(segments[entry["key_segment"]].tokens)
+            record = model.encoder.annotate(pred.to_record(model.vocab.names), segments)
             fh.write(_json(record, f"document {pred.doc_id!r}") + "\n")
     print(f"wrote explanations for {len(documents)} documents to {args.out}")
     return 0
@@ -244,7 +260,7 @@ def cmd_eval(args) -> int:
               **eval_mod.classification_eval(preds, model.vocab.gold(docs), model.vocab)}
     if key_map is not None:
         report.update(eval_mod.segment_labeling_eval(preds, key_map, model.vocab.names))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_json(report, "eval report", indent=2, sort_keys=True) + "\n")
     summary = " ".join(
         f"{k}={report[k]:.4f}" for k in
@@ -264,7 +280,7 @@ def cmd_sufficiency(args) -> int:
         probe=eval_mod.ProbeConfig(epochs=args.probe_epochs, lr=args.probe_lr),
         seed=args.seed,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write(_json({"rows": report.rows}, "sufficiency report", indent=2, sort_keys=True)
                  + "\n")
     for row in report.rows:
@@ -283,7 +299,8 @@ def cmd_scale(args) -> int:
         pooling=Pooling(args.pooling),
         seed=args.seed,
     )
-    eval_mod.write_scaling_csv(rows, args.out)
+    with _replacing(args.out) as tmp:
+        eval_mod.write_scaling_csv(rows, tmp)
     for row in rows:
         print(f"n_segments={row['n_segments']} median_ms={row['median_ms']:.3f}")
     return 0
@@ -305,6 +322,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=func)
         subparsers[name] = p
+        return p
+
+    def checkpoint_command(name, func, help_text):
+        p = command(name, func, help_text)
+        p.add_argument("--checkpoint", type=str, required=True)
+        p.add_argument("--corpus", type=str, required=True)
+        p.add_argument("--vectors", type=str, default=None)
         return p
 
     p = command("synth", cmd_synth, "generate a planted-key synthetic corpus")
@@ -333,24 +357,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", type=str, required=True, help="checkpoint path")
 
     for name, func in (("predict", cmd_predict), ("explain", cmd_explain)):
-        p = command(name, func, f"{name} documents with a trained checkpoint")
-        p.add_argument("--checkpoint", type=str, required=True)
-        p.add_argument("--corpus", type=str, required=True)
-        p.add_argument("--vectors", type=str, default=None)
+        p = checkpoint_command(name, func, f"{name} documents with a trained checkpoint")
         p.add_argument("--out", type=str, required=True)
 
-    p = command("eval", cmd_eval, "classification and segment-labeling metrics")
-    p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--corpus", type=str, required=True)
-    p.add_argument("--vectors", type=str, default=None)
+    p = checkpoint_command("eval", cmd_eval, "classification and segment-labeling metrics")
     p.add_argument("--keymap", type=str, default=None)
     p.add_argument("--split", type=str, default="test")
     p.add_argument("--out", type=str, required=True)
 
-    p = command("sufficiency", cmd_sufficiency, "explanation sufficiency protocol")
-    p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--corpus", type=str, required=True)
-    p.add_argument("--vectors", type=str, default=None)
+    p = checkpoint_command("sufficiency", cmd_sufficiency, "explanation sufficiency protocol")
     p.add_argument("--lengths", type=str, default=None,
                    help="comma-separated auto window lengths, e.g. 64,128,256")
     p.add_argument("--probe-epochs", type=int, default=12)
@@ -389,14 +404,11 @@ def main(argv=None) -> int:
                         action.default = _config_value(action, config[action.dest])
             args = parser.parse_args(argv)
         return args.func(args)
-    except SwipeError as exc:
+    except (SwipeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
         print(f"error: lookup failed: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

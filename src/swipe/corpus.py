@@ -14,12 +14,13 @@ key map used by the explanation metrics. The key map sidecar is JSONL:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from swipe.errors import ConfigError, ParseError, ValidationError
+from swipe.errors import ConfigError, ParseError, SwipeError, ValidationError
 
 TASK_MULTICLASS = "multi-class"
 TASK_MULTILABEL = "multi-label"
@@ -124,11 +125,7 @@ class Corpus:
 
 def build_vocab(documents, task_kind: str) -> LabelVocab:
     """Label vocabulary in first-seen order, frozen at load time."""
-    names = []
-    for doc in documents:
-        for name in doc.labels:
-            if name not in names:
-                names.append(name)
+    names = dict.fromkeys(name for doc in documents for name in doc.labels)
     return LabelVocab(names=tuple(names), task_kind=task_kind)
 
 
@@ -158,48 +155,46 @@ def record_key(raw: dict, key: str) -> str:
     raise TypeError(f"{key!r} must be a string or an integer, got {json.dumps(value)}")
 
 
-def load_documents(path) -> list[Document]:
-    """Parse JSONL documents without building a vocabulary (prediction input)."""
-    path = Path(path)
-    documents = []
-    with path.open("r", encoding="utf-8") as fh:
+def jsonl_records(path, error: type[SwipeError] = ParseError) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file; a line
+    that is not a JSON object raises `error` at its path:line."""
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(raw, dict) or "id" not in raw:
-                raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
-            try:
-                doc_id = record_key(raw, "id")
-            except TypeError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            text, units, labels = raw.get("text", ""), raw.get("units"), raw.get("labels", [])
-            if not (isinstance(text, str) and isinstance(labels, list)
-                    and (units is None or isinstance(units, list))):
-                raise ParseError(
-                    f"{path}:{lineno}: 'text' must be a string, 'units' and 'labels' arrays"
-                )
-            if not all(map(_utf8_string, [text, *(units or ()), *labels])):
-                raise ParseError(
-                    f"{path}:{lineno}: 'text', 'units' and 'labels' must hold strings "
-                    "that UTF-8 can encode (no lone surrogates)"
-                )
-            try:
-                documents.append(
-                    Document(
-                        id=doc_id,
-                        text=text,
-                        units=tuple(units) if units is not None else None,
-                        labels=tuple(labels),
-                        split=raw.get("split"),
-                    )
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(raw, dict):
+                raise error(f"{path}:{lineno}: record must be a JSON object")
+            yield lineno, raw
+
+
+def load_documents(path) -> list[Document]:
+    """Parse JSONL documents without building a vocabulary (prediction input)."""
+    documents = []
+    for lineno, raw in jsonl_records(path):
+        if "id" not in raw:
+            raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
+        try:
+            doc_id = record_key(raw, "id")
+        except TypeError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        text, units, labels = raw.get("text", ""), raw.get("units"), raw.get("labels", [])
+        if not (isinstance(text, str) and isinstance(labels, list)
+                and (units is None or isinstance(units, list))):
+            raise ParseError(
+                f"{path}:{lineno}: 'text' must be a string, 'units' and 'labels' arrays")
+        if not all(map(_utf8_string, [text, *(units or ()), *labels])):
+            raise ParseError(f"{path}:{lineno}: 'text', 'units' and 'labels' must hold strings "
+                             "that UTF-8 can encode (no lone surrogates)")
+        try:
+            documents.append(Document(id=doc_id, text=text, labels=tuple(labels),
+                                      units=tuple(units) if units is not None else None,
+                                      split=raw.get("split")))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return documents
 
 
@@ -243,12 +238,8 @@ def split_corpus(corpus: Corpus, fractions: tuple[float, float, float], seed: in
         base[i] += 1
     rng = np.random.default_rng(seed)
     shuffled = [untagged[i] for i in rng.permutation(n)]
-    assignment = {}
-    cursor = 0
-    for split, count in zip(SPLITS, base):
-        for doc_id in shuffled[cursor:cursor + count]:
-            assignment[doc_id] = split
-        cursor += count
+    assignment = dict(zip(shuffled, (split for split, count in zip(SPLITS, base)
+                                     for _ in range(count))))
     documents = [
         replace(d, split=assignment[d.id]) if d.id in assignment else d
         for d in corpus.documents
@@ -356,25 +347,19 @@ def write_key_map(key_map: KeyMap, path) -> None:
 def load_key_map(path, labels) -> KeyMap:
     """Key map records by (doc_id, label); a record whose label is not in
     `labels` raises ParseError at its line, as a malformed one does."""
-    path = Path(path)
     known = set(labels)
     key_map: KeyMap = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                segments = raw["key_segments"]
-                if not isinstance(segments, list) or any(type(k) is not int or k < 0
-                                                         for k in segments):
-                    raise TypeError("key_segments must be an array of non-negative integers, "
-                                    f"got {segments!r}")
-                doc_id, label = record_key(raw, "doc_id"), record_key(raw, "label")
-                if label not in known:
-                    raise ValueError(f"unknown label {label!r}")
-                key_map[(doc_id, label)] = tuple(segments)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad key map record: {exc}") from exc
+    for lineno, raw in jsonl_records(path):
+        try:
+            segments = raw["key_segments"]
+            if not isinstance(segments, list) or any(type(k) is not int or k < 0
+                                                     for k in segments):
+                raise TypeError("key_segments must be an array of non-negative integers, "
+                                f"got {segments!r}")
+            doc_id, label = record_key(raw, "doc_id"), record_key(raw, "label")
+            if label not in known:
+                raise ValueError(f"unknown label {label!r}")
+            key_map[(doc_id, label)] = tuple(segments)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: bad key map record: {exc}") from exc
     return key_map

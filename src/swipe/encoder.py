@@ -25,7 +25,7 @@ import numpy as np
 from swipe import autodiff as ad
 from swipe import hashing
 from swipe.config import ModelConfig
-from swipe.corpus import record_key
+from swipe.corpus import jsonl_records, record_key
 from swipe.errors import ConfigError, FormatError, ValidationError
 from swipe.truncate import Segment
 
@@ -53,6 +53,12 @@ class SegmentMatrix:
     def h(self) -> int:
         return self.rows.shape[1]
 
+    @classmethod
+    def concat(cls, mats: "list[SegmentMatrix]") -> "SegmentMatrix":
+        """Every matrix's rows stacked in order, named by their ids."""
+        return cls(doc_id=" ".join(mat.doc_id for mat in mats),
+                   rows=np.concatenate([mat.rows for mat in mats]))
+
 
 @dataclass(frozen=True)
 class SegmentFeatures:
@@ -65,6 +71,15 @@ class SegmentFeatures:
     @property
     def m(self) -> int:
         return len(self.offsets) - 1
+
+    @classmethod
+    def concat(cls, feats: "list[SegmentFeatures]") -> "SegmentFeatures":
+        """Every document's bags in order, named by their ids, offsets shifted."""
+        shifts = np.cumsum([0] + [len(f.ids) for f in feats[:-1]])
+        bags = [f.offsets[1:] + shift for f, shift in zip(feats, shifts)]
+        return cls(doc_id=" ".join(f.doc_id for f in feats),
+                   ids=np.concatenate([f.ids for f in feats]),
+                   offsets=np.concatenate(([0], *bags)))
 
 
 def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentFeatures:
@@ -106,50 +121,35 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
     {"doc_id": str, "vectors": [[h floats], ...]} with rows in segment order.
     The returned matrices are constants; training never updates them.
     """
-    path = Path(path)
     matrices: dict[str, SegmentMatrix] = {}
-    declared_h: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(raw, dict):
-                raise FormatError(f"{path}:{lineno}: record must be a JSON object")
-            if declared_h is None:
-                if "h" not in raw:
-                    raise FormatError(f"{path}:{lineno}: first record must declare h")
-                declared_h = raw["h"]
-                if type(declared_h) is not int or declared_h < 1:
-                    raise FormatError(
-                        f"{path}:{lineno}: h must be an integer >= 1, got {declared_h!r}"
-                    )
-                continue
-            if "doc_id" not in raw:
-                raise FormatError(f"{path}:{lineno}: record without doc_id")
-            try:
-                doc_id = record_key(raw, "doc_id")
-            except TypeError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            vectors = raw.get("vectors")
-            if not vectors:
-                raise FormatError(f"{path}:{lineno}: record without vectors")
-            try:
-                rows = [[float(v) for v in row] for row in vectors]
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
-            for row in rows:
-                if len(row) != declared_h:
-                    raise FormatError(
-                        f"{path}:{lineno}: row of dimension {len(row)}, declared h={declared_h}"
-                    )
-            if doc_id in matrices:
-                raise FormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            matrices[doc_id] = SegmentMatrix(doc_id=doc_id, rows=np.asarray(rows))
+    h: int | None = None
+    for lineno, raw in jsonl_records(path, FormatError):
+        if h is None:
+            if "h" not in raw:
+                raise FormatError(f"{path}:{lineno}: first record must declare h")
+            h = raw["h"]
+            if type(h) is not int or h < 1:
+                raise FormatError(f"{path}:{lineno}: h must be an integer >= 1, got {h!r}")
+            continue
+        if "doc_id" not in raw:
+            raise FormatError(f"{path}:{lineno}: record without doc_id")
+        try:
+            doc_id = record_key(raw, "doc_id")
+        except TypeError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        vectors = raw.get("vectors")
+        if not vectors:
+            raise FormatError(f"{path}:{lineno}: record without vectors")
+        try:
+            rows = [[float(v) for v in row] for row in vectors]
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
+        for row in rows:
+            if len(row) != h:
+                raise FormatError(f"{path}:{lineno}: row of dimension {len(row)}, declared h={h}")
+        if doc_id in matrices:
+            raise FormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        matrices[doc_id] = SegmentMatrix(doc_id=doc_id, rows=np.asarray(rows))
     return matrices
 
 

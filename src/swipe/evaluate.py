@@ -240,24 +240,18 @@ def sufficiency_test(
         rng = np.random.default_rng(
             derive_seed(f"sufficiency-random-{length}", seed)
         )
-        samples = {
-            "swipe": {"train": [], "test": []},
-            "random": {"train": [], "test": []},
-            "full_text": {"train": [], "test": []},
-        }
+        methods = ("swipe", "random", "full_text")
+        samples = {method: {"train": [], "test": []} for method in methods}
         for split in ("train", "test"):
             for doc, segments, pred in model.predict_many(corpus.split_docs(split), trunc):
                 explained = explanation_segment_indices(pred, model.config.task_kind)
                 random_k = int(rng.integers(0, len(segments)))
-                samples["swipe"][split].append(
-                    (_segments_text(segments, explained), doc.labels)
-                )
-                samples["random"][split].append(
-                    (_segments_text(segments, [random_k]), doc.labels)
-                )
-                samples["full_text"][split].append((doc.full_text(), doc.labels))
+                texts = (_segments_text(segments, explained),
+                         _segments_text(segments, [random_k]), doc.full_text())
+                for method, text in zip(methods, texts):
+                    samples[method][split].append((text, doc.labels))
         row: dict = {"segment_len": length}
-        for method in ("swipe", "random", "full_text"):
+        for method in methods:
             row[method] = _probe_score(
                 samples[method], model.vocab, probe,
                 seed=derive_seed(f"sufficiency-{method}-{length}", seed),

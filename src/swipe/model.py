@@ -56,8 +56,7 @@ from swipe.truncate import Segment, truncate
 
 HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
 
-#: Cacheable forward input of one document: hashed n-gram ids (hash encoder)
-#: or its frozen segment vectors (precomputed encoder).
+#: One document's forward input: hashed n-gram ids, or frozen segment vectors.
 Features = SegmentFeatures | SegmentMatrix
 
 #: Byte budget of one inference chunk's largest temporaries: the embedding
@@ -90,28 +89,83 @@ class Batch:
 
     @classmethod
     def of(cls, feats: Sequence[Features]) -> "Batch":
-        offsets = np.concatenate(([0], np.cumsum([f.m for f in feats])))
-        name = " ".join(f.doc_id for f in feats)
-        if all(isinstance(f, SegmentMatrix) for f in feats):
-            inputs = SegmentMatrix(doc_id=name, rows=np.concatenate([f.rows for f in feats]))
-        elif all(isinstance(f, SegmentFeatures) for f in feats):
-            shifts = np.cumsum([0] + [len(f.ids) for f in feats[:-1]])
-            bags = [f.offsets[1:] + shift for f, shift in zip(feats, shifts)]
-            inputs = SegmentFeatures(doc_id=name, ids=np.concatenate([f.ids for f in feats]),
-                                     offsets=np.concatenate(([0], *bags)))
-        else:
+        kind = type(feats[0])
+        if any(type(f) is not kind for f in feats):
             raise ConfigError("a batch cannot mix hashed and precomputed features")
-        return cls(inputs, offsets)
+        return cls(kind.concat(feats), np.concatenate(([0], np.cumsum([f.m for f in feats]))))
 
-    def split(self, doc_ids: Sequence[str]) -> list[SegmentFeatures]:
-        """Each document's hashed features, named by `doc_ids`: the inverse of
-        `of`. Ids are views of this batch's array; bag offsets are rebased to
-        each document's first id."""
-        spans = zip(doc_ids, self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-        ids, bags = self.inputs.ids, self.inputs.offsets
+
+#: Documents featurized together, each with its truncation (None for vectors).
+Chunk = list[tuple[Document, list[Segment] | None]]
+
+
+class HashEncoder:
+    """Trainable encoder: each truncated segment's hashed n-grams, averaged
+    over the rows of "encoder.table" they hit."""
+
+    def __init__(self, config: ModelConfig):
+        self.config = config
+
+    def segments(self, doc: Document, truncation: TruncationConfig) -> list[Segment]:
+        return truncate(doc, truncation)
+
+    def chunk_size(self, doc: Document, segments: list[Segment]) -> tuple[int, int, int, int]:
+        """(segments, rows gathered, tokens hashed, most bytes a token can take)."""
+        lengths = [len(seg.tokens) for seg in segments]
+        all_tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
+        rows = int(ngram_counts(lengths, self.config.ngram_orders).sum())
+        return len(segments), rows, sum(lengths), min(4 * max(map(len, all_tokens)), WIDTH_CAP)
+
+    def featurize(self, chunk: Chunk) -> Batch:
+        """The chunk's segments, hashed in one `featurize_segments` call."""
+        offsets = np.array([0, *itertools.accumulate(len(segments) for _, segments in chunk)])
+        segments = [seg for _, doc_segments in chunk for seg in doc_segments]
+        return Batch(featurize_segments(segments, self.config), offsets)
+
+    def split(self, batch: Batch, doc_ids: Sequence[str]) -> list[SegmentFeatures]:
+        """Each document's features, named by `doc_ids`: views of the batch's
+        ids, bag offsets rebased to each document's first id."""
+        spans = zip(doc_ids, batch.offsets[:-1].tolist(), batch.offsets[1:].tolist())
+        ids, bags = batch.inputs.ids, batch.inputs.offsets
         return [SegmentFeatures(doc_id=doc_id, ids=ids[bags[start]:bags[stop]],
                                 offsets=bags[start:stop + 1] - bags[start])
                 for doc_id, start, stop in spans]
+
+    def encode(self, inputs: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:
+        return encode_features(inputs, params)
+
+    def annotate(self, record: dict, segments: list[Segment]) -> dict:
+        """A prediction record with each label's key segment text."""
+        for entry in record["per_label"]:
+            entry["key_segment_text"] = " ".join(segments[entry["key_segment"]].tokens)
+        return record
+
+
+class VectorEncoder(dict[str, SegmentMatrix]):
+    """Frozen encoder: the precomputed segment vectors, by document id."""
+
+    def __missing__(self, doc_id: str) -> SegmentMatrix:
+        raise KeyError(f"no precomputed vectors for document {doc_id!r}")
+
+    def segments(self, doc: Document, truncation: TruncationConfig) -> None:
+        return None
+
+    def chunk_size(self, doc: Document, segments: None) -> tuple[int, int, int, int]:
+        m = self[doc.id].m  # nothing is hashed
+        return m, m, 0, 0
+
+    def featurize(self, chunk: Chunk) -> Batch:
+        return Batch.of([self[doc.id] for doc, _ in chunk])
+
+    def split(self, batch: Batch, doc_ids: Sequence[str]) -> list[SegmentMatrix]:
+        """The attached matrices themselves, not views of the batch's copy."""
+        return [self[doc_id] for doc_id in doc_ids]
+
+    def encode(self, inputs: SegmentMatrix, params: dict[str, ad.Tensor]) -> ad.Tensor:
+        return ad.Tensor(inputs.rows)  # frozen: no gradient
+
+    def annotate(self, record: dict, segments: None) -> dict:
+        return record  # vectors carry no text
 
 
 @dataclass
@@ -160,14 +214,15 @@ class SwipeModel:
     """Trainable classifier over truncated segments.
 
     `params` maps each name of `parameter_shapes(config)` to its tensor, in
-    that order.
+    that order. `encoder`, picked once, does every featurize, chunk and encode.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, ad.Tensor]):
         self.config = config
         self.vocab = LabelVocab(names=config.labels, task_kind=config.task_kind)
         self.params = params
-        self.precomputed: dict[str, SegmentMatrix] | None = None
+        self.encoder: HashEncoder | VectorEncoder = (
+            HashEncoder(config) if config.encoder_mode == ENCODER_HASH else VectorEncoder())
         self.train_config: TrainConfig | None = None
 
     @classmethod
@@ -194,7 +249,7 @@ class SwipeModel:
         return cls(config, params)
 
     def attach_vectors(self, matrices: dict[str, SegmentMatrix]) -> None:
-        """Provide frozen precomputed segment vectors (precomputed mode)."""
+        """Encode with `matrices`, frozen segment vectors by document id (precomputed mode)."""
         if self.config.encoder_mode != ENCODER_PRECOMPUTED:
             raise ConfigError("attach_vectors requires precomputed encoder mode")
         for mat in matrices.values():
@@ -202,21 +257,20 @@ class SwipeModel:
                 raise ConfigError(
                     f"precomputed vectors have h={mat.h}, model expects {self.config.dim}"
                 )
-        self.precomputed = matrices
+        self.encoder = VectorEncoder(matrices)
+
+    @property
+    def precomputed(self) -> VectorEncoder | None:
+        return self.encoder if isinstance(self.encoder, VectorEncoder) else None
 
     def zero_grad(self) -> None:
         for tensor in self.params.values():
             tensor.zero_grad()
 
     def featurize(self, doc: Document) -> Features:
-        if self.config.encoder_mode == ENCODER_PRECOMPUTED:
-            return self._vectors(doc)
-        return featurize_segments(truncate(doc, self.config.truncation), self.config)
-
-    def _vectors(self, doc: Document) -> SegmentMatrix:
-        if self.precomputed is None or doc.id not in self.precomputed:
-            raise KeyError(f"no precomputed vectors for document {doc.id!r}")
-        return self.precomputed[doc.id]
+        """One document's features: a chunk of one, split."""
+        chunk = [(doc, self.encoder.segments(doc, self.config.truncation))]
+        return self.encoder.split(self.encoder.featurize(chunk), [doc.id])[0]
 
     def frozen_params(self) -> dict[str, ad.Tensor]:
         """Grad-free views of the parameters, sharing their arrays: a forward
@@ -230,10 +284,7 @@ class SwipeModel:
         own, which record a tape for `backward`; inference passes
         `frozen_params()`, whose outputs hold no tape."""
         params = self.params if params is None else params
-        if isinstance(batch.inputs, SegmentFeatures):
-            x = encode_features(batch.inputs, params)
-        else:
-            x = ad.Tensor(batch.inputs.rows)  # frozen: no gradient
+        x = self.encoder.encode(batch.inputs, params)
         if self.config.interaction_layers:
             x = interact_tensor(x, params, self.config, batch.offsets)
         seg_scores = scores_tensor(x, params)
@@ -264,9 +315,8 @@ class SwipeModel:
 
     def predict(self, doc: Document) -> Prediction:
         """Predict one document: a chunk of one (see `predict_many`)."""
-        hashed = self.config.encoder_mode == ENCODER_HASH
-        chunk = [(doc, truncate(doc, self.config.truncation) if hashed else None)]
-        return self._predictions(self._chunk_batch(chunk), [doc.id])[0]
+        chunk = [(doc, self.encoder.segments(doc, self.config.truncation))]
+        return self._predictions(self.encoder.featurize(chunk), [doc.id])[0]
 
     def predict_many(
         self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
@@ -287,58 +337,25 @@ class SwipeModel:
 
     def featurize_chunks(
         self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
-    ) -> Iterator[tuple[list[tuple[Document, list[Segment] | None]], Batch]]:
-        """Group documents into chunks and featurize each chunk as one `Batch`;
-        yields (chunk, batch), a chunk being its (doc, segments) pairs in input
-        order.
-
-        Each document is truncated once, by `truncation` (default: the
-        model's own); `segments` is None with precomputed vectors. A chunk's
-        segments are hashed in one `featurize_segments` call. A chunk closes
-        before it would exceed `CHUNK_BYTES`, so a document over budget on
-        its own is featurized alone.
-        """
+    ) -> Iterator[tuple[Chunk, Batch]]:
+        """Chunks of documents within `CHUNK_BYTES` (a document over it alone), each
+        truncated once by `truncation` (default: the model's own), with their `Batch`."""
         trunc = self.config.truncation if truncation is None else truncation
-        hashed = self.config.encoder_mode == ENCODER_HASH
-        chunk: list[tuple[Document, list[Segment] | None]] = []
+        encoder = self.encoder
+        chunk: Chunk = []
         size = tokens = width = 0  # the chunk's per-document bytes, tokens, widest token
         for doc in docs:
-            segments = truncate(doc, trunc) if hashed else None
-            doc_size, doc_tokens, doc_width = self._chunk_size(doc, segments)
+            segments = encoder.segments(doc, trunc)
+            m, rows, doc_tokens, doc_width = encoder.chunk_size(doc, segments)
+            doc_size = rows * self.config.dim * 8 + interaction_bytes(m, self.params, self.config)
             if chunk and (size + doc_size
                           + (tokens + doc_tokens) * max(width, doc_width) > CHUNK_BYTES):
-                yield chunk, self._chunk_batch(chunk)
+                yield chunk, encoder.featurize(chunk)
                 chunk, size, tokens, width = [], 0, 0, 0
             chunk.append((doc, segments))
             size, tokens, width = size + doc_size, tokens + doc_tokens, max(width, doc_width)
         if chunk:
-            yield chunk, self._chunk_batch(chunk)
-
-    def _chunk_size(self, doc: Document,
-                    segments: list[Segment] | None) -> tuple[int, int, int]:
-        """(bytes of the document's embedding gather and interaction
-        activations, tokens hashed, most bytes a token can take); see
-        `CHUNK_BYTES`."""
-        config = self.config
-        if segments is None:
-            m = rows = self._vectors(doc).m
-            tokens = width = 0
-        else:
-            m = len(segments)
-            lengths = [len(seg.tokens) for seg in segments]
-            all_tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
-            rows = int(ngram_counts(lengths, config.ngram_orders).sum())
-            tokens, width = sum(lengths), min(4 * max(map(len, all_tokens)), WIDTH_CAP)
-        return rows * config.dim * 8 + interaction_bytes(m, self.params, config), tokens, width
-
-    def _chunk_batch(self, chunk: list[tuple[Document, list[Segment] | None]]) -> Batch:
-        if chunk[0][1] is None:
-            return Batch.of([self._vectors(doc) for doc, _ in chunk])
-        counts = [len(segments) for _, segments in chunk]
-        return Batch(
-            featurize_segments([seg for _, segments in chunk for seg in segments], self.config),
-            np.array([0, *itertools.accumulate(counts)]),
-        )
+            yield chunk, encoder.featurize(chunk)
 
     # -- checkpoint container ------------------------------------------------
 

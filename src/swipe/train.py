@@ -5,11 +5,10 @@ multi-label, both threshold-consistent with the strict-zero document bit),
 Adam with bias correction, and a learning rate that decays linearly from
 `base_lr` to zero over the planned number of steps.
 
-Each split is featurized once, before the first step. Hashed splits go
-chunk by chunk through the chunker inference uses
-(`SwipeModel.featurize_chunks`: one hashing call per chunk), and each chunk's
-features are split into per-document views; precomputed splits use the
-attached vectors as they are.
+Each split is featurized once, before the first step, chunk by chunk through
+the chunker inference uses (`SwipeModel.featurize_chunks`: one hashing call
+per chunk). The model's encoder splits the train split's chunks into
+per-document features; the dev split is scored chunk by chunk.
 A training step is one forward and one backward over the whole ragged batch
 (`model.Batch`). The hash encoder's table gradient arrives row-sparse
 (`autodiff.RowSparse`, one summed row per touched bucket), and Adam updates
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from swipe import autodiff as ad
-from swipe.config import ENCODER_PRECOMPUTED, TrainConfig
+from swipe.config import TrainConfig
 from swipe.corpus import Corpus, Document, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
@@ -245,34 +244,25 @@ def exact_match(task_kind: str, scores: np.ndarray, gold: np.ndarray) -> np.ndar
     return np.all((scores > 0) == (gold > 0), axis=1)
 
 
-def evaluate_split(model: SwipeModel, features: Sequence[Features], gold: np.ndarray,
-                   batch_size: int) -> float:
-    """Exact-match share of the documents whose `features` and gold rows are
-    given (see `exact_match`), scored through the batched forward, tape-free,
-    in chunks of `batch_size` documents."""
-    if not features:
+def evaluate_split(model: SwipeModel, batches: Sequence[Batch], gold: np.ndarray) -> float:
+    """Exact-match share (see `exact_match`) of the documents of `batches`,
+    whose gold rows `gold` holds in the same order; each batch is scored by
+    one tape-free forward."""
+    if not batches:
         return float("nan")
     params = model.frozen_params()
-    hits = 0
-    for start in range(0, len(features), batch_size):
-        stop = start + batch_size
-        scores = model.forward(Batch.of(features[start:stop]), params).doc_scores.data
-        hits += int(exact_match(model.config.task_kind, scores, gold[start:stop]).sum())
-    return hits / len(features)
+    scores = np.concatenate([model.forward(batch, params).doc_scores.data for batch in batches])
+    return int(exact_match(model.config.task_kind, scores, gold).sum()) / len(scores)
 
 
 def split_features(model: SwipeModel, docs: Sequence[Document]) -> list[Features]:
-    """Every document's features, in order, as `model.featurize` gives them.
-
-    Hashed features are featurized chunk by chunk through
-    `SwipeModel.featurize_chunks` (one hashing call per chunk) and split into
-    per-document views. Precomputed vectors are the attached arrays
-    themselves, not copies made by chunking.
+    """Every document's features, in order, as `model.featurize` gives them:
+    featurized chunk by chunk (`SwipeModel.featurize_chunks`, one hashing
+    call per chunk) and split per document by the model's encoder, into
+    views of each chunk's hashed arrays or the attached vectors themselves.
     """
-    if model.config.encoder_mode == ENCODER_PRECOMPUTED:
-        return [model.featurize(doc) for doc in docs]
     return [feats for chunk, batch in model.featurize_chunks(docs)
-            for feats in batch.split([doc.id for doc, _ in chunk])]
+            for feats in model.encoder.split(batch, [doc.id for doc, _ in chunk])]
 
 
 def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult:
@@ -286,7 +276,8 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     if not train_docs:
         raise ValidationError("train split is empty")
     dev_docs = corpus.split_docs("dev")
-    train_feats, dev_feats = split_features(model, train_docs), split_features(model, dev_docs)
+    train_feats = split_features(model, train_docs)
+    dev_batches = [batch for _, batch in model.featurize_chunks(dev_docs)]
     train_gold, dev_gold = model.vocab.gold(train_docs), model.vocab.gold(dev_docs)
 
     n_batches = math.ceil(len(train_docs) / config.batch_size)
@@ -310,7 +301,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
             lr = adam_step(state, grads, step)
             epoch_loss += loss_value * len(chosen)
         epoch_loss /= len(train_docs)
-        dev_metric = evaluate_split(model, dev_feats, dev_gold, config.batch_size)
+        dev_metric = evaluate_split(model, dev_batches, dev_gold)
         best.metrics.append(
             {"epoch": epoch, "step": step, "lr": lr,
              "train_loss": epoch_loss, "dev_metric": dev_metric}

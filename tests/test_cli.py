@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import struct
+import threading
 import time
 
 import pytest
@@ -114,6 +117,31 @@ class TestPredictExplainEval:
         entry = rec["per_label"][0]
         assert set(entry) == {"label", "y", "bit", "key_segment",
                               "positive_segments", "segment_scores"}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_predict_writes_into_a_pipe_in_place(self, synth_dir, tmp_path):
+        # an --out that is no regular file (/dev/stdout, a pipe) is not
+        # replaced by a renamed temporary file
+        ckpt = _train(synth_dir, tmp_path)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        assert run(["predict", "--checkpoint", ckpt, "--corpus", synth_dir / "corpus.jsonl",
+                    "--out", pipe]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive() and len(got[0].splitlines()) == 80
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+    def test_predict_through_a_link_writes_its_target(self, synth_dir, tmp_path):
+        ckpt = _train(synth_dir, tmp_path)
+        target, link = tmp_path / "preds.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run(["predict", "--checkpoint", ckpt, "--corpus", synth_dir / "corpus.jsonl",
+                    "--out", link]) == 0
+        assert link.is_symlink() and len(target.read_text().splitlines()) == 80
 
     def test_explain_includes_key_text_and_soundness(self, synth_dir, tmp_path):
         ckpt = _train(synth_dir, tmp_path)
@@ -252,6 +280,20 @@ class TestPrecomputedVectors:
                     "--out", tmp_path / "p.jsonl"])
         assert code != 0
         assert "--vectors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "explain", "eval", "sufficiency"])
+    def test_hash_checkpoint_rejects_vectors(self, vectors_setup, tmp_path, capsys, command):
+        corpus_path, vectors_path = vectors_setup
+        ckpt = tmp_path / "hash.ckpt"
+        assert run(["train", "--corpus", corpus_path, "--task", "multi-class",
+                    "--epochs", 1, "--out", ckpt]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus_path,
+                    "--vectors", vectors_path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint uses the hash encoder, which takes no --vectors\n")
+        assert not out.exists()
 
     def test_dimension_mismatch_diagnostic(self, vectors_setup, tmp_path, capsys):
         import numpy as np
@@ -609,3 +651,26 @@ class TestShortSegment:
                     "--out", out]) == 2
         assert capsys.readouterr().err == _SHORT_SEGMENT_ERROR
         assert not out.exists() or out.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    def test_failed_run_keeps_the_old_out(self, tmp_path, capsys, command):
+        # the first document's 12,000 tokens put it over CHUNK_BYTES on its own,
+        # so its record is made before the second document's one-token unit fails
+        ckpt = tmp_path / "m.ckpt"
+        assert run(["train", "--corpus", _units_corpus(tmp_path / "ok.jsonl"),
+                    "--task", "multi-class", "--truncate", "structure", "--ngram-orders", 2,
+                    "--epochs", 1, "--dim", 32, "--buckets", 16, "--out", ckpt]) == 0
+        corpus = tmp_path / "c.jsonl"
+        long_unit = " ".join(f"w{k % 97}" for k in range(12_000))
+        corpus.write_text(json.dumps({"id": "long", "units": [long_unit]}) + "\n"
+                          + json.dumps({"id": "d2", "units": ["two tokens", "solo"]}) + "\n")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"old": "contents"}\n')
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus, "--out", out]) == 2
+        assert capsys.readouterr().err == ("error: document 'd2': segment 1 has 1 token(s), "
+                                           "fewer than the smallest n-gram order 2, so it has "
+                                           "no n-grams\n")
+        assert out.read_bytes() == b'{"old": "contents"}\n'
+        assert sorted(tmp_path.iterdir()) == before  # no temporary file is left

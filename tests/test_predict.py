@@ -106,6 +106,40 @@ def test_chunked_predictions_equal_per_document_predictions_bit_for_bit(
         assert calls == [n_docs]
 
 
+def _same_arrays(a, b) -> bool:
+    """Two features of one kind hold arrays of the same dtypes and bits."""
+    arrays = [(x, y) for x, y in zip(vars(a).values(), vars(b).values())
+              if isinstance(x, np.ndarray)]
+    return type(a) is type(b) and bool(arrays) and all(
+        x.dtype == y.dtype and _same_bits(x, y) for x, y in arrays)
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+@pytest.mark.parametrize("encoder_mode", [ENCODER_HASH, ENCODER_PRECOMPUTED])
+def test_featurize_chunks_batches_equal_batches_of_per_document_features(
+        encoder_mode, layers, monkeypatch):
+    rng = np.random.default_rng(4)
+    docs = _docs(rng, 30, max_segments=4)
+    big = Document(id="big", labels=("a",), units=tuple(f"w{k} ok" for k in range(400)))
+    docs.insert(12, big)
+    model = _model(4, Pooling.GATED_MAX, layers, TASK_MULTILABEL, encoder_mode, docs)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", 8_000)  # "big" needs more on its own
+    chunks = list(model.featurize_chunks(docs))
+    assert [doc for chunk, _ in chunks for doc, _ in chunk] == docs
+    assert [[doc.id for doc, _ in chunk] for chunk, _ in chunks if big in dict(chunk)] \
+        == [["big"]]
+    assert max(len(chunk) for chunk, _ in chunks) > 1  # the budget does group documents
+    for chunk, batch in chunks:
+        want = model_mod.Batch.of([model.featurize(doc) for doc, _ in chunk])
+        assert _same_arrays(batch.inputs, want.inputs)
+        assert _same_bits(batch.offsets, want.offsets)
+    for doc, segments, got in model.predict_many(docs):
+        assert (segments is None) == (encoder_mode == ENCODER_PRECOMPUTED)
+        want = model.predict(doc)
+        for field in ("scores", "seg_scores", "gates", "key_segments"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), (doc.id, field)
+
+
 @pytest.mark.parametrize("layers", [0, 1])
 def test_a_document_whose_scores_are_not_finite_is_named(layers):
     docs = _docs(np.random.default_rng(3), 4)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -380,13 +381,16 @@ def test_grad_check_on_a_ragged_batch(pooling):
 
 
 @pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
-def test_evaluate_split_matches_per_document_exact_match(task):
-    for seed in range(4):
-        model, _, feats, gold = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1,
-                                              False, task, ENCODER_HASH)
+def test_evaluate_split_matches_per_document_exact_match(task, monkeypatch):
+    for seed, budget in itertools.product(range(4), [0, 1 << 20]):
+        monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget)  # a chunk per document, or one
+        model, docs, feats, gold = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1,
+                                                 False, task, ENCODER_HASH)
         scores = np.stack([model.predict_features(f).scores for f in feats])
         share = np.mean(exact_match(task, scores, gold))
-        assert evaluate_split(model, feats, gold, batch_size=2) == share
+        batches = [batch for _, batch in model.featurize_chunks(docs)]
+        assert len(batches) == (len(docs) if budget == 0 else 1)
+        assert evaluate_split(model, batches, gold) == share
 
 
 @pytest.mark.parametrize("pooling", list(Pooling))
@@ -404,7 +408,7 @@ def test_inference_and_dev_scoring_record_no_tape(pooling):
 
     model.forward = recorded
     list(model.predict_many(docs))
-    evaluate_split(model, feats, gold, batch_size=2)
+    evaluate_split(model, [Batch.of(feats[:2]), Batch.of(feats[2:])], gold)
     assert len(outs) == 3  # one predict chunk and two dev chunks
     assert all(t.grad is None for t in model.params.values())
     for out in outs:
