@@ -410,6 +410,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: lookup failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'the input does not fit'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -106,7 +106,8 @@ def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentF
     )
     offsets = np.zeros(len(segments) + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=1), out=offsets[1:])
-    return SegmentFeatures(doc_id=segments[0].doc_id, ids=ids, offsets=offsets)
+    doc_id = " ".join(dict.fromkeys(seg.doc_id for seg in segments))
+    return SegmentFeatures(doc_id=doc_id, ids=ids, offsets=offsets)
 
 
 def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:

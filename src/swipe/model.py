@@ -44,7 +44,7 @@ from swipe.encoder import (
     interaction_bytes,
 )
 from swipe.errors import ConfigError, FormatError, SwipeError
-from swipe.hashing import WIDTH_CAP, derive_seed, ngram_counts
+from swipe.hashing import WIDTH_CAP, derive_seed
 from swipe.head import (
     Prediction,
     build_prediction,
@@ -59,14 +59,13 @@ HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
 #: One document's forward input: hashed n-gram ids, or frozen segment vectors.
 Features = SegmentFeatures | SegmentMatrix
 
-#: Byte budget of one inference chunk's largest temporaries: the embedding
-#: gather (n-grams x dim x 8 bytes; with precomputed vectors, the stacked
-#: segment rows), the hashing byte matrix (tokens x bytes of the chunk's
-#: widest token, counted as 4 bytes per character, UTF-8's most, so no token
-#: is encoded twice, and at most `hashing.WIDTH_CAP`) and, with interaction
-#: layers, the activations the layers keep (`encoder.interaction_bytes`). A
-#: chunk closes before a document would take it past the budget; a document
-#: over budget on its own runs in a chunk of its own.
+#: Byte budget of one chunk, the sum of its documents' `chunk_size`: with the
+#: hash encoder a bound from the token count (a token starts at most one n-gram
+#: per order, each gathered as dim x 8 bytes, and fills at most
+#: `hashing.WIDTH_CAP` bytes of the hashing byte matrix), with precomputed
+#: vectors the rows; plus the activations interaction layers keep
+#: (`encoder.interaction_bytes`). A chunk closes before a document would take
+#: it past the budget; a document over it runs alone.
 CHUNK_BYTES = 1 << 20
 
 #: Per-layer interaction parameters, in checkpoint order.
@@ -109,12 +108,11 @@ class HashEncoder:
     def segments(self, doc: Document, truncation: TruncationConfig) -> list[Segment]:
         return truncate(doc, truncation)
 
-    def chunk_size(self, doc: Document, segments: list[Segment]) -> tuple[int, int, int, int]:
-        """(segments, rows gathered, tokens hashed, most bytes a token can take)."""
-        lengths = [len(seg.tokens) for seg in segments]
-        all_tokens = itertools.chain.from_iterable(seg.tokens for seg in segments)
-        rows = int(ngram_counts(lengths, self.config.ngram_orders).sum())
-        return len(segments), rows, sum(lengths), min(4 * max(map(len, all_tokens)), WIDTH_CAP)
+    def chunk_size(self, doc: Document, segments: list[Segment]) -> tuple[int, int]:
+        """(segments, a bound on the bytes of their embedding gather and byte matrix)."""
+        tokens = sum(len(seg.tokens) for seg in segments)
+        return len(segments), tokens * (len(self.config.ngram_orders) * self.config.dim * 8
+                                        + WIDTH_CAP)
 
     def featurize(self, chunk: Chunk) -> Batch:
         """The chunk's segments, hashed in one `featurize_segments` call."""
@@ -122,14 +120,15 @@ class HashEncoder:
         segments = [seg for _, doc_segments in chunk for seg in doc_segments]
         return Batch(featurize_segments(segments, self.config), offsets)
 
-    def split(self, batch: Batch, doc_ids: Sequence[str]) -> list[SegmentFeatures]:
-        """Each document's features, named by `doc_ids`: views of the batch's
-        ids, bag offsets rebased to each document's first id."""
-        spans = zip(doc_ids, batch.offsets[:-1].tolist(), batch.offsets[1:].tolist())
+    def split(self, chunk: Chunk) -> list[SegmentFeatures]:
+        """Each document's features: views of the chunk's hashed ids, bag
+        offsets rebased to each document's first id."""
+        batch = self.featurize(chunk)
+        spans = zip(chunk, batch.offsets[:-1].tolist(), batch.offsets[1:].tolist())
         ids, bags = batch.inputs.ids, batch.inputs.offsets
-        return [SegmentFeatures(doc_id=doc_id, ids=ids[bags[start]:bags[stop]],
+        return [SegmentFeatures(doc_id=doc.id, ids=ids[bags[start]:bags[stop]],
                                 offsets=bags[start:stop + 1] - bags[start])
-                for doc_id, start, stop in spans]
+                for (doc, _), start, stop in spans]
 
     def encode(self, inputs: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:
         return encode_features(inputs, params)
@@ -150,16 +149,16 @@ class VectorEncoder(dict[str, SegmentMatrix]):
     def segments(self, doc: Document, truncation: TruncationConfig) -> None:
         return None
 
-    def chunk_size(self, doc: Document, segments: None) -> tuple[int, int, int, int]:
-        m = self[doc.id].m  # nothing is hashed
-        return m, m, 0, 0
+    def chunk_size(self, doc: Document, segments: None) -> tuple[int, int]:
+        rows = self[doc.id].rows  # nothing is hashed
+        return len(rows), rows.nbytes
 
     def featurize(self, chunk: Chunk) -> Batch:
         return Batch.of([self[doc.id] for doc, _ in chunk])
 
-    def split(self, batch: Batch, doc_ids: Sequence[str]) -> list[SegmentMatrix]:
-        """The attached matrices themselves, not views of the batch's copy."""
-        return [self[doc_id] for doc_id in doc_ids]
+    def split(self, chunk: Chunk) -> list[SegmentMatrix]:
+        """The attached matrices themselves, never stacked."""
+        return [self[doc.id] for doc, _ in chunk]
 
     def encode(self, inputs: SegmentMatrix, params: dict[str, ad.Tensor]) -> ad.Tensor:
         return ad.Tensor(inputs.rows)  # frozen: no gradient
@@ -269,8 +268,7 @@ class SwipeModel:
 
     def featurize(self, doc: Document) -> Features:
         """One document's features: a chunk of one, split."""
-        chunk = [(doc, self.encoder.segments(doc, self.config.truncation))]
-        return self.encoder.split(self.encoder.featurize(chunk), [doc.id])[0]
+        return self.encoder.split([(doc, self.encoder.segments(doc, self.config.truncation))])[0]
 
     def frozen_params(self) -> dict[str, ad.Tensor]:
         """Grad-free views of the parameters, sharing their arrays: a forward
@@ -321,7 +319,7 @@ class SwipeModel:
     def predict_many(
         self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
     ) -> Iterator[tuple[Document, list[Segment] | None, Prediction]]:
-        """Predict documents chunk by chunk (`featurize_chunks`); yields
+        """Predict documents chunk by chunk (`chunks`); yields
         (doc, segments, prediction) in input order.
 
         Each chunk is scored by one `forward`, with or without interaction
@@ -329,33 +327,30 @@ class SwipeModel:
         prediction is bit for bit the same whichever documents share its
         chunk.
         """
-        for chunk, batch in self.featurize_chunks(docs, truncation):
-            preds = self._predictions(batch, [doc.id for doc, _ in chunk])
+        for chunk in self.chunks(docs, truncation):
+            preds = self._predictions(self.encoder.featurize(chunk), [doc.id for doc, _ in chunk])
             for (doc, segments), pred in zip(chunk, preds):
                 yield doc, segments, pred
-            del chunk, batch, preds  # not held while the next chunk is featurized
+            del chunk, preds  # not held while the next chunk is featurized and scored
 
-    def featurize_chunks(
-        self, docs: Iterable[Document], truncation: TruncationConfig | None = None,
-    ) -> Iterator[tuple[Chunk, Batch]]:
-        """Chunks of documents within `CHUNK_BYTES` (a document over it alone), each
-        truncated once by `truncation` (default: the model's own), with their `Batch`."""
+    def chunks(self, docs: Iterable[Document],
+               truncation: TruncationConfig | None = None) -> Iterator[Chunk]:
+        """Documents in chunks within `CHUNK_BYTES` (a document over it alone),
+        each truncated once by `truncation` (default: the model's own); the
+        caller featurizes a chunk where it uses it."""
         trunc = self.config.truncation if truncation is None else truncation
-        encoder = self.encoder
-        chunk: Chunk = []
-        size = tokens = width = 0  # the chunk's per-document bytes, tokens, widest token
+        chunk, size = [], 0
         for doc in docs:
-            segments = encoder.segments(doc, trunc)
-            m, rows, doc_tokens, doc_width = encoder.chunk_size(doc, segments)
-            doc_size = rows * self.config.dim * 8 + interaction_bytes(m, self.params, self.config)
-            if chunk and (size + doc_size
-                          + (tokens + doc_tokens) * max(width, doc_width) > CHUNK_BYTES):
-                yield chunk, encoder.featurize(chunk)
-                chunk, size, tokens, width = [], 0, 0, 0
+            segments = self.encoder.segments(doc, trunc)
+            m, doc_size = self.encoder.chunk_size(doc, segments)
+            doc_size += interaction_bytes(m, self.params, self.config)
+            if chunk and size + doc_size > CHUNK_BYTES:
+                yield chunk
+                chunk, size = [], 0
             chunk.append((doc, segments))
-            size, tokens, width = size + doc_size, tokens + doc_tokens, max(width, doc_width)
+            size += doc_size
         if chunk:
-            yield chunk, encoder.featurize(chunk)
+            yield chunk
 
     # -- checkpoint container ------------------------------------------------
 

@@ -5,10 +5,10 @@ multi-label, both threshold-consistent with the strict-zero document bit),
 Adam with bias correction, and a learning rate that decays linearly from
 `base_lr` to zero over the planned number of steps.
 
-Each split is featurized once, before the first step, chunk by chunk through
-the chunker inference uses (`SwipeModel.featurize_chunks`: one hashing call
-per chunk). The model's encoder splits the train split's chunks into
-per-document features; the dev split is scored chunk by chunk.
+Each split is featurized once, before the first step, in the chunks inference
+uses (`SwipeModel.chunks`, one hashing call per chunk): the model's encoder
+splits each train chunk into per-document features (`split_features`), and
+featurizes each dev chunk into the batch one forward scores per epoch.
 A training step is one forward and one backward over the whole ragged batch
 (`model.Batch`). The hash encoder's table gradient arrives row-sparse
 (`autodiff.RowSparse`, one summed row per touched bucket), and Adam updates
@@ -257,12 +257,11 @@ def evaluate_split(model: SwipeModel, batches: Sequence[Batch], gold: np.ndarray
 
 def split_features(model: SwipeModel, docs: Sequence[Document]) -> list[Features]:
     """Every document's features, in order, as `model.featurize` gives them:
-    featurized chunk by chunk (`SwipeModel.featurize_chunks`, one hashing
-    call per chunk) and split per document by the model's encoder, into
-    views of each chunk's hashed arrays or the attached vectors themselves.
+    each chunk (`SwipeModel.chunks`) split by the model's encoder, into views
+    of the chunk's hashed arrays (one hashing call per chunk) or the attached
+    vectors themselves.
     """
-    return [feats for chunk, batch in model.featurize_chunks(docs)
-            for feats in model.encoder.split(batch, [doc.id for doc, _ in chunk])]
+    return [feats for chunk in model.chunks(docs) for feats in model.encoder.split(chunk)]
 
 
 def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult:
@@ -277,7 +276,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
         raise ValidationError("train split is empty")
     dev_docs = corpus.split_docs("dev")
     train_feats = split_features(model, train_docs)
-    dev_batches = [batch for _, batch in model.featurize_chunks(dev_docs)]
+    dev_batches = [model.encoder.featurize(chunk) for chunk in model.chunks(dev_docs)]
     train_gold, dev_gold = model.vocab.gold(train_docs), model.vocab.gold(dev_docs)
 
     n_batches = math.ceil(len(train_docs) / config.batch_size)

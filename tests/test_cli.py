@@ -609,6 +609,21 @@ class TestNonFinite:
         assert not out.exists() or out.read_text() == ""
 
 
+def test_input_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def too_large(path):
+        raise MemoryError
+
+    monkeypatch.setattr("swipe.corpus.load_documents", too_large)
+    out = tmp_path / "p.jsonl"
+    out.write_bytes(b'{"old": "contents"}\n')
+    code = run(["predict", "--checkpoint", _saved_model(tmp_path),
+                "--corpus", _labelled_corpus(tmp_path, ["a"]), "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert out.read_bytes() == b'{"old": "contents"}\n'
+
+
 def _units_corpus(path, short_doc=None):
     """Five structure documents of three units; the last unit of document
     `short_doc` is the one token "solo"."""

@@ -17,7 +17,7 @@ from swipe.encoder import SegmentMatrix
 from swipe.errors import FormatError, ValidationError
 from swipe.head import Pooling
 from swipe.model import ENCODER_HASH, ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
-from swipe.truncate import TruncationConfig
+from swipe.truncate import Segment, TruncationConfig
 
 WORDS = ["the", "a", "café", "東京", "🙂", "straße", "word", "x1", "über", "ok"]
 
@@ -124,7 +124,7 @@ def test_featurize_chunks_batches_equal_batches_of_per_document_features(
     docs.insert(12, big)
     model = _model(4, Pooling.GATED_MAX, layers, TASK_MULTILABEL, encoder_mode, docs)
     monkeypatch.setattr(model_mod, "CHUNK_BYTES", 8_000)  # "big" needs more on its own
-    chunks = list(model.featurize_chunks(docs))
+    chunks = [(chunk, model.encoder.featurize(chunk)) for chunk in model.chunks(docs)]
     assert [doc for chunk, _ in chunks for doc, _ in chunk] == docs
     assert [[doc.id for doc, _ in chunk] for chunk, _ in chunks if big in dict(chunk)] \
         == [["big"]]
@@ -133,6 +133,7 @@ def test_featurize_chunks_batches_equal_batches_of_per_document_features(
         want = model_mod.Batch.of([model.featurize(doc) for doc, _ in chunk])
         assert _same_arrays(batch.inputs, want.inputs)
         assert _same_bits(batch.offsets, want.offsets)
+        assert batch.inputs.doc_id == want.inputs.doc_id
     for doc, segments, got in model.predict_many(docs):
         assert (segments is None) == (encoder_mode == ENCODER_PRECOMPUTED)
         want = model.predict(doc)
@@ -170,6 +171,27 @@ def _exact_chunk_bytes(segments, dim, orders=(1, 2), layers=0, heads=2, ff_dim=8
                                 + sum(3 * heads * m * m for m in per_doc))
     width = min(max(len(tok.encode()) for tok in tokens), hashing.WIDTH_CAP)
     return ngrams * dim * 8 + len(tokens) * width + activations
+
+
+_TOKENS = st.sampled_from([*WORDS, "é" * 20, "東" * 30, "x" * (hashing.WIDTH_CAP + 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders=st.sampled_from([(1,), (1, 2), (2, 3), (1, 3)]), dim=st.integers(1, 16),
+       docs=st.lists(st.lists(st.lists(_TOKENS, min_size=1, max_size=5), min_size=1,
+                              max_size=4), min_size=1, max_size=4))
+def test_hash_chunk_size_bounds_the_exact_chunk_bytes(orders, dim, docs):
+    # segments of 1 token are shorter than orders 2 and 3, and tokens run from
+    # one byte to past WIDTH_CAP, in up to four bytes per character
+    model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=16, dim=dim,
+                                          ngram_orders=orders))
+    chunk = [(Document(id=f"d{i}", text="x", labels=("a",)),
+              [Segment(f"d{i}", k, tuple(tokens)) for k, tokens in enumerate(doc)])
+             for i, doc in enumerate(docs)]
+    sizes = [model.encoder.chunk_size(doc, segments) for doc, segments in chunk]
+    assert [m for m, _ in sizes] == [len(doc) for doc in docs]
+    segments = [seg for _, doc_segments in chunk for seg in doc_segments]
+    assert sum(size for _, size in sizes) >= _exact_chunk_bytes(segments, dim, orders)
 
 
 def _chunks(model, docs, monkeypatch):

@@ -27,6 +27,7 @@ from swipe.model import (
     Batch,
     ModelConfig,
     SwipeModel,
+    VectorEncoder,
 )
 from swipe.train import (
     GRAD_CHECK_FLOOR,
@@ -388,7 +389,7 @@ def test_evaluate_split_matches_per_document_exact_match(task, monkeypatch):
                                                  False, task, ENCODER_HASH)
         scores = np.stack([model.predict_features(f).scores for f in feats])
         share = np.mean(exact_match(task, scores, gold))
-        batches = [batch for _, batch in model.featurize_chunks(docs)]
+        batches = [model.encoder.featurize(chunk) for chunk in model.chunks(docs)]
         assert len(batches) == (len(docs) if budget == 0 else 1)
         assert evaluate_split(model, batches, gold) == share
 
@@ -482,6 +483,19 @@ def test_split_features_of_precomputed_vectors_are_the_attached_arrays():
     for doc, got in zip(docs, split_features(model, docs)):
         assert got is model.precomputed[doc.id]  # no copy per chunk
         assert got.rows.tobytes() == vectors[doc.id].tobytes()
+
+
+def test_split_features_of_precomputed_vectors_stack_nothing(monkeypatch):
+    rng = np.random.default_rng(3)
+    vectors = {f"v{i}": rng.normal(size=(int(rng.integers(1, 5)), 3)) for i in range(6)}
+    model = _precomputed_model(vectors)
+    docs = [Document(id=doc_id, text="x", labels=("a",)) for doc_id in vectors]
+
+    def no_stack(self, chunk):
+        raise AssertionError("split_features must not stack the attached vectors")
+
+    monkeypatch.setattr(VectorEncoder, "featurize", no_stack)
+    assert [got.doc_id for got in split_features(model, docs)] == list(vectors)
 
 
 def test_training_memory_peak_is_that_of_its_widest_document():
