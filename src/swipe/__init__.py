@@ -19,9 +19,9 @@ from swipe.corpus import (
     split_corpus,
     write_jsonl,
 )
-from swipe.encoder import SegmentMatrix, load_precomputed
+from swipe.encoder import SegmentMatrix
 from swipe.head import Pooling, Prediction
-from swipe.model import SwipeModel
+from swipe.model import SwipeModel, load_precomputed
 from swipe.train import grad_check, train
 from swipe.truncate import Segment, tokenize, truncate
 

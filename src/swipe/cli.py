@@ -25,10 +25,9 @@ from swipe.config import (
     TrainConfig,
     TruncationConfig,
 )
-from swipe.encoder import load_precomputed
 from swipe.errors import ConfigError, SwipeError, ValidationError
 from swipe.head import Pooling
-from swipe.model import SwipeModel
+from swipe.model import SwipeModel, load_precomputed
 from swipe.train import train, write_metrics_csv
 from swipe.truncate import truncate  # noqa: F401  (perfbench/layers.py traces swipe.cli.truncate)
 
@@ -93,8 +92,11 @@ def load_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}:{lineno}: not valid UTF-8") from None
         if not line:
             continue
         if "=" not in line:
@@ -207,8 +209,6 @@ def cmd_train(args) -> int:
             loaded, _parse_fractions(args.split, "--split"), seed=args.seed
         )
     vectors = load_precomputed(args.vectors) if args.vectors else None
-    if vectors == {}:
-        raise ConfigError(f"no vectors in {args.vectors}")
     dim = next(iter(vectors.values())).h if vectors else None
     model = SwipeModel.create(_model_config(args, loaded.vocab.names, args.task, dim))
     if vectors:

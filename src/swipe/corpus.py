@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swipe.errors import ConfigError, ParseError, SwipeError, ValidationError
+from swipe.errors import ConfigError, ParseError, ValidationError
 
 TASK_MULTICLASS = "multi-class"
 TASK_MULTILABEL = "multi-label"
@@ -155,19 +155,22 @@ def record_key(raw: dict, key: str) -> str:
     raise TypeError(f"{key!r} must be a string or an integer, got {json.dumps(value)}")
 
 
-def jsonl_records(path, error: type[SwipeError] = ParseError) -> Iterator[tuple[int, dict]]:
+def jsonl_records(path) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file; a line
-    that is not a JSON object raises `error` at its path:line."""
-    with open(path, encoding="utf-8") as fh:
+    that is not UTF-8 or not a JSON object raises ParseError at its path:line."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
                 raw = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8") from exc
             except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(raw, dict):
-                raise error(f"{path}:{lineno}: record must be a JSON object")
+                raise ParseError(f"{path}:{lineno}: record must be a JSON object")
             yield lineno, raw
 
 

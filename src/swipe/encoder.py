@@ -4,7 +4,8 @@ Two sources of segment vectors:
 
 * a trainable hashed n-gram mean-embedding encoder (the built-in default),
   whose table is the model parameter "encoder.table",
-* a loader for externally precomputed vectors (frozen, no gradient).
+* externally precomputed vectors (frozen, no gradient), one `SegmentMatrix`
+  per document, read from a sidecar by `model.load_precomputed`.
 
 Plus optional pre-norm transformer layers that let the per-segment rows
 interact before scoring, over the "interaction.*" parameters. Positional
@@ -16,16 +17,13 @@ equivariant. The functions here take the model's parameter dict, named as
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from swipe import autodiff as ad
 from swipe import hashing
 from swipe.config import ModelConfig
-from swipe.corpus import jsonl_records, record_key
 from swipe.errors import ConfigError, FormatError, ValidationError
 from swipe.truncate import Segment
 
@@ -113,57 +111,6 @@ def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentF
 def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:
     """Differentiable encode: row k = mean of the "encoder.table" rows hit by segment k."""
     return ad.embedding_bag_mean(params["encoder.table"], feats.ids, feats.offsets)
-
-
-def load_precomputed(path) -> dict[str, SegmentMatrix]:
-    """Read the precomputed-vector sidecar.
-
-    First record declares the dimension: {"h": int}; each following record is
-    {"doc_id": str, "vectors": [[h floats], ...]} with rows in segment order.
-    The returned matrices are constants; training never updates them.
-    """
-    matrices: dict[str, SegmentMatrix] = {}
-    h: int | None = None
-    for lineno, raw in jsonl_records(path, FormatError):
-        if h is None:
-            if "h" not in raw:
-                raise FormatError(f"{path}:{lineno}: first record must declare h")
-            h = raw["h"]
-            if type(h) is not int or h < 1:
-                raise FormatError(f"{path}:{lineno}: h must be an integer >= 1, got {h!r}")
-            continue
-        if "doc_id" not in raw:
-            raise FormatError(f"{path}:{lineno}: record without doc_id")
-        try:
-            doc_id = record_key(raw, "doc_id")
-        except TypeError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        vectors = raw.get("vectors")
-        if not vectors:
-            raise FormatError(f"{path}:{lineno}: record without vectors")
-        try:
-            rows = [[float(v) for v in row] for row in vectors]
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: non-numeric vector entry: {exc}") from exc
-        for row in rows:
-            if len(row) != h:
-                raise FormatError(f"{path}:{lineno}: row of dimension {len(row)}, declared h={h}")
-        if doc_id in matrices:
-            raise FormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-        matrices[doc_id] = SegmentMatrix(doc_id=doc_id, rows=np.asarray(rows))
-    return matrices
-
-
-def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
-    """Write `matrices` in the format `load_precomputed` reads."""
-    path = Path(path)
-    items = list(matrices.values())
-    if not items:
-        raise FormatError("write_precomputed: nothing to write")
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"h": items[0].h}) + "\n")
-        for mat in items:
-            fh.write(json.dumps({"doc_id": mat.doc_id, "vectors": mat.rows.tolist()}) + "\n")
 
 
 def _slabs(offsets: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]]:

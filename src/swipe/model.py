@@ -2,16 +2,15 @@
 
 `parameter_shapes(config)` is the one place that names, orders and shapes
 the model's parameters; a `SwipeModel` holds them as one dict of tensors in
-that order, which `create` fills and `from_arrays` wraps. Also owns the
-checkpoint container. Format (version 1, stable):
-
-* line 1: UTF-8 JSON header ending in a newline, holding exactly
-  ``{"format": "swipe-checkpoint", "version": 1, "config": {...},
-  "train_config": {... or null}, "tensors": [{"name": str, "shape": [int]}]}``,
-  where "config" is `ModelConfig.to_meta()` and "train_config"
-  `TrainConfig.to_meta()`; the configs' JSON form lives in `swipe/config.py`
-* followed by each tensor's raw bytes in manifest order, little-endian
-  float64, C order, no padding, and nothing after the last tensor.
+that order, which `create` fills and `from_arrays` wraps. Also owns the one
+binary container, for checkpoints and vector sidecars (version 1, stable):
+line 1 is a UTF-8 JSON header with sorted keys, then each array's raw bytes
+in header order, little-endian float64, C order, no padding, and nothing
+after the last array. A checkpoint header holds exactly "config"
+(`ModelConfig.to_meta()`), "format": "swipe-checkpoint", "tensors" (each
+{"name": str, "shape": [int]}), "train_config" (`TrainConfig.to_meta()` or
+null) and "version": 1; a sidecar's holds "documents" ([[doc_id, rows], ...],
+each a (rows, h) array), "format": "swipe-vectors", "h" and "version": 1.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -54,7 +52,9 @@ from swipe.head import (
 )
 from swipe.truncate import Segment, truncate
 
-HEADER_KEYS = {"format", "version", "config", "train_config", "tensors"}
+CHECKPOINT_KEYS = {"format", "version", "config", "train_config", "tensors"}
+VECTORS_KEYS = {"format", "version", "h", "documents"}
+Manifest = list[tuple[str, tuple[int, ...]]]
 
 #: One document's forward input: hashed n-gram ids, or frozen segment vectors.
 Features = SegmentFeatures | SegmentMatrix
@@ -364,11 +364,7 @@ class SwipeModel:
             "train_config": None if self.train_config is None else self.train_config.to_meta(),
             "tensors": manifest,
         }
-        path = Path(path)
-        with path.open("wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for tensor in self.params.values():
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
+        write_container(path, header, (t.data for t in self.params.values()))
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SwipeModel":
@@ -379,25 +375,71 @@ class SwipeModel:
 
     @classmethod
     def load(cls, path) -> "SwipeModel":
-        """Read a checkpoint; the header and the payload size are checked in
-        full before any parameter is allocated, and each tensor is read
-        straight into its array."""
-        path = Path(path)
-        with path.open("rb") as fh:
-            try:
-                config, train_config, manifest = _read_header(fh.readline())
-                _check_manifest(config, manifest, os.fstat(fh.fileno()).st_size - fh.tell())
-                arrays = {name: _read_tensor(fh, name, shape) for name, shape in manifest}
-            except FormatError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
+        """Read a checkpoint with `read_container`."""
+        (config, train_config), arrays = read_container(path, "checkpoint", _checkpoint_manifest)
         model = cls.from_arrays(config, arrays)
         model.train_config = train_config
         return model
 
 
+def write_container(path, header: dict, arrays: Iterable[np.ndarray]) -> None:
+    """Write `header` as line 1, then `arrays` as little-endian float64, C order."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+
+
+def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manifest]]
+                   ) -> tuple[object, dict[str, np.ndarray]]:
+    """(metadata, arrays by name) of a container file. `parse(header)` checks
+    the header and returns the metadata and the (name, shape) of each array;
+    the payload size is checked before any array is allocated, and each is
+    read straight into its own. Any FormatError names `path`."""
+    with open(path, "rb") as fh:
+        try:
+            try:
+                header = json.loads(fh.readline().decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+                raise FormatError(f"bad {kind} header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise FormatError(f"{kind} header is not a JSON object")
+            meta, manifest = parse(header)
+            payload_bytes, end = os.fstat(fh.fileno()).st_size - fh.tell(), 0
+            for name, shape in manifest:
+                end += math.prod(shape) * 8
+                if end > payload_bytes:
+                    raise FormatError(f"truncated tensor {name}")
+            if end < payload_bytes:
+                raise FormatError("trailing bytes after the last tensor")
+            arrays = {name: _read_tensor(fh, name, shape) for name, shape in manifest}
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+    return meta, arrays
+
+
+def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
+    """Write `matrices`, which share one h, as a vectors sidecar."""
+    items = list(matrices.values())
+    if not items:
+        raise FormatError("write_precomputed: nothing to write")
+    for mat in items:
+        if not isinstance(mat.doc_id, str) or mat.h != items[0].h:
+            raise FormatError(f"write_precomputed: document {mat.doc_id!r} (h={mat.h}) needs a "
+                              f"string id and the first document's h={items[0].h}")
+    header = {"format": "swipe-vectors", "version": 1, "h": items[0].h,
+              "documents": [[mat.doc_id, mat.m] for mat in items]}
+    write_container(path, header, (mat.rows for mat in items))
+
+
+def load_precomputed(path) -> dict[str, SegmentMatrix]:
+    """Read a vectors sidecar: frozen segment matrices by document id, in file order."""
+    _, arrays = read_container(path, "vectors sidecar", _vectors_manifest)
+    return {doc_id: SegmentMatrix(doc_id=doc_id, rows=rows) for doc_id, rows in arrays.items()}
+
+
 def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The next little-endian float64 tensor of `fh`, read into a new array;
-    every entry must be finite."""
+    """The next float64 tensor of `fh`, read into a new array; every entry must be finite."""
     out = np.empty(shape, dtype="<f8")
     if fh.readinto(out) != out.nbytes:
         raise FormatError(f"truncated tensor {name}")
@@ -407,49 +449,30 @@ def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return out.astype(np.float64, copy=False)
 
 
-def _check_manifest(config: ModelConfig, manifest: list[tuple[str, tuple[int, ...]]],
-                    payload_bytes: int) -> None:
-    """The manifest must list `config`'s tensors, and the payload hold exactly them."""
-    expected = list(itertools.islice(parameter_shapes(config), len(manifest) + 1))
-    if [name for name, _ in expected] != [name for name, _ in manifest]:
-        raise FormatError("tensor manifest does not match architecture")
-    end = 0
-    for (name, shape), (_, want) in zip(manifest, expected):
-        if shape != want:
-            raise FormatError(f"tensor {name} has shape {shape}, expected {want}")
-        end += math.prod(shape) * 8
-        if end > payload_bytes:
-            raise FormatError(f"truncated tensor {name}")
-    if end < payload_bytes:
-        raise FormatError("trailing bytes after the last tensor")
+def _check_kind(header: dict, kind: str, fmt: str, keys: set[str]) -> None:
+    """`header` must mark format `fmt` version 1 and hold exactly `keys`."""
+    version = header.get("version")
+    if header.get("format") != fmt or type(version) is not int or version != 1:
+        raise FormatError(f"not a version-1 {kind}: format {header.get('format')!r}")
+    if set(header) != keys:
+        raise FormatError(f"{kind} header must hold the keys {sorted(keys)}, got {sorted(header)}")
 
 
-def _read_header(line: bytes) -> tuple[ModelConfig, TrainConfig | None,
-                                       list[tuple[str, tuple[int, ...]]]]:
-    """Check a checkpoint header line; returns its configs and tensor manifest."""
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise FormatError(f"bad checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError("checkpoint header is not a JSON object")
-    if set(header) != HEADER_KEYS:
-        raise FormatError(
-            f"checkpoint header must hold the keys {sorted(HEADER_KEYS)}, got {sorted(header)}"
-        )
-    version = header["version"]
-    if header["format"] != "swipe-checkpoint" or type(version) is not int or version != 1:
-        raise FormatError("not a version-1 checkpoint")
+def _checkpoint_manifest(header: dict) -> tuple[tuple[ModelConfig, TrainConfig | None],
+                                                Manifest]:
+    """Check a checkpoint header, its tensor manifest against the architecture
+    its config describes; returns the configs and the manifest."""
+    _check_kind(header, "checkpoint", "swipe-checkpoint", CHECKPOINT_KEYS)
     try:
         config = ModelConfig.from_meta(header["config"])
         train_meta = header["train_config"]
         train_config = None if train_meta is None else TrainConfig.from_meta(train_meta)
     except SwipeError as exc:
         raise FormatError(f"bad checkpoint config: {exc}") from exc
-    manifest = header["tensors"]
-    if not isinstance(manifest, list):
-        raise FormatError(f"tensor manifest must be a JSON array, got {manifest!r}")
-    for entry in manifest:
+    entries = header["tensors"]
+    if not isinstance(entries, list):
+        raise FormatError(f"tensor manifest must be a JSON array, got {entries!r}")
+    for entry in entries:
         if not (isinstance(entry, dict) and set(entry) == {"name", "shape"}
                 and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
                 and all(type(n) is int and n >= 0 for n in entry["shape"])):
@@ -457,4 +480,30 @@ def _read_header(line: bytes) -> tuple[ModelConfig, TrainConfig | None,
                 'tensor manifest entries must be {"name": str, "shape": [int >= 0, ...]}, '
                 f"got {entry!r}"
             )
-    return config, train_config, [(e["name"], tuple(e["shape"])) for e in manifest]
+    manifest = [(e["name"], tuple(e["shape"])) for e in entries]
+    expected = list(itertools.islice(parameter_shapes(config), len(manifest) + 1))
+    if [name for name, _ in expected] != [name for name, _ in manifest]:
+        raise FormatError("tensor manifest does not match architecture")
+    for (name, shape), (_, want) in zip(manifest, expected):
+        if shape != want:
+            raise FormatError(f"tensor {name} has shape {shape}, expected {want}")
+    return (config, train_config), manifest
+
+
+def _vectors_manifest(header: dict) -> tuple[None, Manifest]:
+    """Check a vectors sidecar header; returns its (doc_id, (rows, h)) manifest."""
+    _check_kind(header, "vectors sidecar", "swipe-vectors", VECTORS_KEYS)
+    h, documents = header["h"], header["documents"]
+    if type(h) is not int or h < 1:
+        raise FormatError(f"h must be an integer >= 1, got {h!r}")
+    if not (isinstance(documents, list) and documents):
+        raise FormatError(f"documents must be a non-empty JSON array, got {documents!r}")
+    seen = set()
+    for entry in documents:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and type(entry[1]) is int and entry[1] >= 1):
+            raise FormatError(f"documents entries must be [str, int >= 1], got {entry!r}")
+        if entry[0] in seen:
+            raise FormatError(f"duplicate doc_id {entry[0]!r}")
+        seen.add(entry[0])
+    return None, [(doc_id, (rows, h)) for doc_id, rows in documents]

@@ -237,7 +237,8 @@ class TestPrecomputedVectors:
     def vectors_setup(self, tmp_path):
         import numpy as np
         from swipe.corpus import Corpus, Document, LabelVocab, write_jsonl
-        from swipe.encoder import SegmentMatrix, write_precomputed
+        from swipe.encoder import SegmentMatrix
+        from swipe.model import write_precomputed
 
         rng = np.random.default_rng(0)
         docs, mats = [], {}
@@ -251,7 +252,7 @@ class TestPrecomputedVectors:
             mats[doc_id] = SegmentMatrix(doc_id=doc_id, rows=rows)
         corpus = Corpus(documents=docs, vocab=LabelVocab(("a", "b"), "multi-class"))
         corpus_path = tmp_path / "corpus.jsonl"
-        vectors_path = tmp_path / "vectors.jsonl"
+        vectors_path = tmp_path / "vectors.bin"
         write_jsonl(corpus, corpus_path)
         write_precomputed(mats, vectors_path)
         return corpus_path, vectors_path
@@ -297,13 +298,14 @@ class TestPrecomputedVectors:
 
     def test_dimension_mismatch_diagnostic(self, vectors_setup, tmp_path, capsys):
         import numpy as np
-        from swipe.encoder import SegmentMatrix, write_precomputed
+        from swipe.encoder import SegmentMatrix
+        from swipe.model import write_precomputed
 
         corpus_path, vectors_path = vectors_setup
         ckpt = tmp_path / "vec.ckpt"
         run(["train", "--corpus", corpus_path, "--task", "multi-class",
              "--vectors", vectors_path, "--epochs", 2, "--lr", 0.1, "--out", ckpt])
-        wrong = tmp_path / "wrong.jsonl"
+        wrong = tmp_path / "wrong.bin"
         write_precomputed(
             {"v0": SegmentMatrix(doc_id="v0", rows=np.ones((2, 9)))}, wrong
         )
@@ -312,23 +314,84 @@ class TestPrecomputedVectors:
         assert code != 0
         assert "h=9" in capsys.readouterr().err
 
-    def test_non_numeric_vector_entry_exits_2(self, vectors_setup, tmp_path, capsys):
-        corpus_path, _ = vectors_setup
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"h": 2}\n{"doc_id": "a", "vectors": [["x", 1]]}\n')
-        code = run(["train", "--corpus", corpus_path, "--task", "multi-class",
-                    "--vectors", bad, "--out", tmp_path / "vec.ckpt"])
-        assert code == 2
-        assert "bad.jsonl:2: non-numeric" in capsys.readouterr().err
+    @staticmethod
+    def _edited(vectors_path, tmp_path, header_edit=None, payload_edit=None):
+        """A copy of the sidecar with its header and payload edited."""
+        import numpy as np
 
-    def test_record_not_an_object_exits_2(self, vectors_setup, tmp_path, capsys):
-        corpus_path, _ = vectors_setup
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"h": 2}\n[1, 2]\n')
+        line, payload = vectors_path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        if header_edit:
+            header_edit(header)
+        if payload_edit:
+            payload = payload_edit(payload, np.frombuffer(payload, dtype="<f8").copy())
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        return bad
+
+    @staticmethod
+    def _poison(value):
+        """A payload edit that writes `value` into row 0 of document v3 (after
+        v0-v2, three rows of six each)."""
+        def edit(payload, floats):
+            floats[3 * 3 * 6 + 2] = value
+            return floats.tobytes()
+        return edit
+
+    @pytest.mark.parametrize("header_edit, payload_edit, expected", [
+        (None, lambda payload, _: payload[:-8], "truncated tensor v39"),
+        (None, lambda payload, _: payload + bytes(8), "trailing bytes after the last tensor"),
+        (None, _poison(float("nan")), "tensor v3 holds nan at flat index 2"),
+        (None, _poison(float("-inf")), "tensor v3 holds -inf at flat index 2"),
+        (lambda h: h["documents"][1].__setitem__(0, "v0"), None, "duplicate doc_id 'v0'"),
+        (lambda h: h.__setitem__("h", 0), None, "h must be an integer >= 1, got 0"),
+        (lambda h: h["documents"][0].__setitem__(1, 0), None,
+         "documents entries must be [str, int >= 1], got ['v0', 0]"),
+        (lambda h: h["documents"][0].__setitem__(0, 3), None,
+         "documents entries must be [str, int >= 1], got [3, 3]"),
+        (lambda h: h.__setitem__("documents", []), None, "documents must be a non-empty"),
+        (lambda h: h.__setitem__("format", "swipe-checkpoint"), None,
+         "not a version-1 vectors sidecar: format 'swipe-checkpoint'"),
+        (lambda h: h.__setitem__("version", 2), None, "not a version-1 vectors sidecar"),
+        (lambda h: h.__setitem__("extra", 1), None, "vectors sidecar header must hold the keys"),
+    ], ids=["truncated", "trailing", "nan", "inf", "duplicate-id", "h-0", "rows-0",
+            "int-id", "no-documents", "format", "version", "extra-key"])
+    def test_malformed_sidecar_exits_2(self, vectors_setup, tmp_path, capsys,
+                                       header_edit, payload_edit, expected):
+        corpus_path, vectors_path = vectors_setup
+        bad = self._edited(vectors_path, tmp_path, header_edit, payload_edit)
+        out = tmp_path / "vec.ckpt"
+        code = run(["train", "--corpus", corpus_path, "--task", "multi-class",
+                    "--vectors", bad, "--out", out])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and expected in err and err.count("\n") == 1
+
+    def test_old_jsonl_sidecar_exits_2(self, vectors_setup, tmp_path, capsys):
+        corpus_path, vectors_path = vectors_setup
+        ckpt = tmp_path / "vec.ckpt"
+        assert run(["train", "--corpus", corpus_path, "--task", "multi-class",
+                    "--vectors", vectors_path, "--epochs", 1, "--out", ckpt]) == 0
+        capsys.readouterr()
+        old = tmp_path / "vectors.jsonl"
+        old.write_text('{"h": 6}\n{"doc_id": "v0", "vectors": [[1, 2, 3, 4, 5, 6]]}\n')
+        out = tmp_path / "p.jsonl"
+        assert run(["predict", "--checkpoint", ckpt, "--corpus", corpus_path,
+                    "--vectors", old, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {old}: not a version-1 vectors sidecar: format None\n")
+        assert not out.exists()
+
+    def test_sidecar_claiming_huge_rows_exits_2_before_allocating(
+            self, vectors_setup, tmp_path, capsys):
+        corpus_path, vectors_path = vectors_setup
+        bad = self._edited(vectors_path, tmp_path,
+                           lambda h: h["documents"][0].__setitem__(1, 10**30))
+        start = time.perf_counter()
         code = run(["train", "--corpus", corpus_path, "--task", "multi-class",
                     "--vectors", bad, "--out", tmp_path / "vec.ckpt"])
-        assert code == 2
-        assert "bad.jsonl:2: record must be a JSON object" in capsys.readouterr().err
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(f"error: {bad}: truncated tensor v0\n")
 
 
 def test_gated_sum_with_two_interaction_layers_trains(synth_dir, tmp_path):
@@ -491,6 +554,28 @@ class TestParsing:
                     "--out", tmp_path / "p.jsonl"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {corpus}:1: ")
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval-keymap", "config"])
+    def test_input_that_is_no_utf8_exits_2_and_keeps_out(self, tmp_path, capsys, command):
+        """Byte 0xff on line 2 of a corpus, key map or config file."""
+        ckpt, corpus = _saved_model(tmp_path), _labelled_corpus(tmp_path, ["a"])
+        corpus_lines = b'{"id": "x0", "text": "word", "labels": ["a"]}\n{"id": "caf\xff"}\n'
+        bad = tmp_path / "bad"
+        bad.write_bytes({
+            "eval-keymap": b'{"doc_id": "d0", "label": "a", "key_segments": [0]}\n'
+                           b'{"doc_id": "d1", "label": "a", "key_segments": [\xff]}\n',
+            "config": b"epochs = 2\n# caf\xff\n",
+        }.get(command, corpus_lines))
+        out = tmp_path / "out"
+        out.write_bytes(b"old")
+        args = {"train": ["train", "--corpus", bad, "--task", "multi-class"],
+                "predict": ["predict", "--checkpoint", ckpt, "--corpus", bad],
+                "eval-keymap": ["eval", "--checkpoint", ckpt, "--corpus", corpus,
+                                "--keymap", bad],
+                "config": ["train", "--corpus", corpus, "--config", bad]}[command]
+        assert run([*args, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
+        assert out.read_bytes() == b"old"
 
     @pytest.mark.parametrize("doc_id", [None, {"a": 2}])
     def test_corpus_id_neither_string_nor_integer_exits_2(self, tmp_path, capsys, doc_id):

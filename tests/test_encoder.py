@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from swipe import autodiff as ad
 from swipe import encoder, hashing
@@ -13,11 +14,15 @@ from swipe.encoder import (
     encode_features,
     featurize_segments,
     interact_tensor,
-    load_precomputed,
-    write_precomputed,
 )
 from swipe.errors import ConfigError, FormatError, ValidationError
-from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, parameter_shapes
+from swipe.model import (
+    ENCODER_PRECOMPUTED,
+    ModelConfig,
+    load_precomputed,
+    parameter_shapes,
+    write_precomputed,
+)
 from swipe.truncate import Segment
 
 
@@ -177,63 +182,49 @@ def test_featurize_equals_one_kernel_call_per_segment(data, orders, seed, bucket
     assert [len(ids) for ids in per_segment] == counts
 
 
+@st.composite
+def _sidecars(draw) -> dict[str, SegmentMatrix]:
+    """1-4 documents with any ids (non-ASCII included), 1-5 rows each, one
+    h in 1-8, and finite entries (-0.0 and subnormals included)."""
+    h = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    return {doc_id: SegmentMatrix(doc_id=doc_id, rows=draw(
+                hnp.arrays(np.float64, (draw(st.integers(1, 5)), h), elements=cell)))
+            for doc_id in ids}
+
+
 class TestPrecomputed:
-    def test_round_trip(self, tmp_path):
-        mats = {
-            "a": SegmentMatrix(doc_id="a", rows=np.arange(6, dtype=float).reshape(3, 2)),
-            "b": SegmentMatrix(doc_id="b", rows=np.ones((1, 2))),
-        }
-        path = tmp_path / "vectors.jsonl"
+    @settings(max_examples=60, deadline=None)
+    @given(mats=_sidecars(), extra=st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308]))
+    def test_round_trip(self, tmp_path_factory, mats, extra):
+        """Every id, row and bit comes back, in the order written."""
+        first = next(iter(mats.values()))
+        first.rows[0, 0] = extra
+        path = tmp_path_factory.mktemp("sidecar") / "vectors.bin"
         write_precomputed(mats, path)
         loaded = load_precomputed(path)
-        assert set(loaded) == {"a", "b"}
-        np.testing.assert_array_equal(loaded["a"].rows, mats["a"].rows)
-        assert loaded["a"].m == 3 and loaded["a"].h == 2
+        assert list(loaded) == list(mats)
+        for doc_id, mat in mats.items():
+            assert loaded[doc_id].doc_id == doc_id
+            assert loaded[doc_id].rows.shape == mat.rows.shape
+            assert loaded[doc_id].rows.tobytes() == mat.rows.tobytes()
 
     def test_dimension_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "vectors.jsonl"
-        path.write_text('{"h": 2}\n{"doc_id": "a", "vectors": [[1.0, 2.0], [1.0, 2.0, 3.0]]}\n')
-        with pytest.raises(FormatError, match="dimension"):
-            load_precomputed(path)
+        """Mixed h is refused at write time: as h=4 with rows 1, 2, 1 the
+        payload size would match and b's second row would hold c's bytes."""
+        mats = {doc_id: SegmentMatrix(doc_id=doc_id, rows=np.ones(shape))
+                for doc_id, shape in (("a", (1, 4)), ("b", (2, 2)), ("c", (1, 8)))}
+        path = tmp_path / "vectors.bin"
+        with pytest.raises(FormatError, match=r"document 'b' \(h=2\).*h=4"):
+            write_precomputed(mats, path)
+        assert not path.exists()
 
-    def test_empty_file_empty_map(self, tmp_path):
-        path = tmp_path / "vectors.jsonl"
-        path.write_text("")
-        assert load_precomputed(path) == {}
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "vectors.jsonl"
-        path.write_text('{"doc_id": "a", "vectors": [[1.0]]}\n')
-        with pytest.raises(FormatError, match="declare h"):
-            load_precomputed(path)
-
-    def test_non_numeric_entry_names_line(self, tmp_path):
-        path = tmp_path / "vectors.jsonl"
-        path.write_text('{"h": 2}\n{"doc_id": "a", "vectors": [["x", 1]]}\n')
-        with pytest.raises(FormatError, match=r"vectors\.jsonl:2: non-numeric"):
-            load_precomputed(path)
-
-    @pytest.mark.parametrize("text, line", [
-        ('{"h": "x"}\n', 1),
-        ('{"h": 0}\n', 1),
-        ('[2]\n', 1),
-        ('{"h": 2}\n[1, 2]\n', 2),
-        ('{"h": 2}\n{"vectors": [[1, 2]]}\n', 2),
-    ])
-    def test_malformed_header_or_record_names_line(self, tmp_path, text, line):
-        path = tmp_path / "vectors.jsonl"
-        path.write_text(text)
-        with pytest.raises(FormatError, match=rf"vectors\.jsonl:{line}: "):
-            load_precomputed(path)
-
-    @pytest.mark.parametrize("bad", ["null", "true", "1.0", "[1]", '{"a": 2}'])
-    def test_doc_id_neither_string_nor_integer_names_line(self, tmp_path, bad):
-        path = tmp_path / "vectors.jsonl"
-        path.write_text('{"h": 1}\n{"doc_id": 3, "vectors": [[1]]}\n')
-        assert list(load_precomputed(path)) == ["3"]
-        path.write_text(f'{{"h": 1}}\n{{"doc_id": {bad}, "vectors": [[1]]}}\n')
-        with pytest.raises(FormatError, match=r"vectors\.jsonl:2: 'doc_id' must be a string"):
-            load_precomputed(path)
+    def test_doc_id_that_is_no_string_rejected(self, tmp_path):
+        path = tmp_path / "vectors.bin"
+        with pytest.raises(FormatError, match="document 3 .*string id"):
+            write_precomputed({"3": SegmentMatrix(doc_id=3, rows=np.ones((1, 2)))}, path)
+        assert not path.exists()
 
 
 class TestInteraction:

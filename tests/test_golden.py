@@ -24,7 +24,8 @@ import numpy as np
 
 from swipe.cli import main
 from swipe.corpus import Corpus, Document, LabelVocab, write_jsonl
-from swipe.encoder import SegmentMatrix, write_precomputed
+from swipe.encoder import SegmentMatrix
+from swipe.model import write_precomputed
 
 PINNED = Path(__file__).parent / "golden" / "cli_outputs.sha256"
 
@@ -46,7 +47,7 @@ def _write_vector_corpus(out: Path) -> None:
         mats[doc_id] = SegmentMatrix(doc_id=doc_id, rows=rows)
     write_jsonl(Corpus(documents=docs, vocab=LabelVocab(("a", "b"), "multi-class")),
                 out / "vec.corpus.jsonl")
-    write_precomputed(mats, out / "vec.vectors.jsonl")
+    write_precomputed(mats, out / "vec.vectors.bin")
 
 
 def _write_text_corpus(out: Path) -> None:
@@ -103,7 +104,7 @@ def run_commands(out: Path) -> None:
 
     _write_vector_corpus(out)
     vec, vec_args = out / "vec", ["--corpus", out / "vec.corpus.jsonl",
-                                  "--vectors", out / "vec.vectors.jsonl"]
+                                  "--vectors", out / "vec.vectors.bin"]
     swipe("train", *vec_args, "--task", "multi-class", "--pooling", "gated_sum",
           "--interaction-layers", 1, "--epochs", 4, "--lr", 0.1, "--seed", 0,
           "--out", f"{vec}.ckpt")
