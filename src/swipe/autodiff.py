@@ -19,10 +19,10 @@ Conventions:
   `ragged_sum` pool per document, and both losses take (B, L) logits, one
   row per document, and return the batch mean
 * ops skip tape construction when no input requires grad, so a forward
-  over grad-free views of the parameters (`SwipeModel.frozen_params`, used
-  by inference and dev scoring) records no tape, and an activation is freed
-  as soon as nothing refers to it; training's forward runs on the parameters
-  themselves, which require grad
+  over grad-free tensors of the parameters (`SwipeModel.tensors()`, used by
+  inference and dev scoring) records no tape, and an activation is freed as
+  soon as nothing refers to it; a training step's forward runs on tensors
+  that require grad, made for that one pass
 * forward values do not depend on how many rows share a call: `linear`
   reduces with einsum's own loops, not BLAS (whose rounding of a row varies
   with the row count; a one-row product even takes another BLAS routine);

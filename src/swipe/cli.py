@@ -128,8 +128,8 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--interaction-layers", type=int, default=0)
     parser.add_argument("--heads", type=int, default=2)
     parser.add_argument("--ff-dim", type=int, default=None)
-    parser.add_argument("--positions", type=str, default="off", choices=["on", "off"])
-    parser.add_argument("--max-positions", type=int, default=512)
+    parser.add_argument("--max-positions", type=int, default=None,
+                        help="positional embeddings for up to N segments (default: none)")
     parser.add_argument("--buckets", type=int, default=4096)
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--ngram-orders", type=str, default="1,2")
@@ -159,7 +159,7 @@ def _model_config(args, labels, task_kind, dim_override=None) -> ModelConfig:
         interaction_layers=args.interaction_layers,
         n_heads=args.heads,
         ff_dim=args.ff_dim,
-        max_positions=args.max_positions if args.positions == "on" else None,
+        max_positions=args.max_positions,
         init_seed=args.seed,
     )
 
@@ -217,7 +217,6 @@ def cmd_train(args) -> int:
     metrics_path = args.metrics or (str(args.out) + ".metrics.csv")
     with _replacing(metrics_path) as tmp:
         write_metrics_csv(result.metrics, tmp)
-    result.restore_best()  # checkpoint holds the best-dev parameters
     with _replacing(args.out) as tmp:
         model.save(tmp)
     final_dev = result.metrics[-1]["dev_metric"]

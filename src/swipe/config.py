@@ -120,6 +120,8 @@ class ModelConfig:
             raise ConfigError("ngram_orders must not be empty")
         for order in self.ngram_orders:
             _check_int("ngram order", order, 1)
+        if len(set(self.ngram_orders)) != len(self.ngram_orders):
+            raise ConfigError(f"ngram_orders repeat an order: {list(self.ngram_orders)}")
         _check_int("hash_seed", self.hash_seed)
         _check_int("init_seed", self.init_seed)
         _check_int("interaction_layers", self.interaction_layers, 0)

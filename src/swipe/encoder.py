@@ -130,7 +130,7 @@ def _slabs(offsets: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]
     return np.arange(int(offsets[-1])) + np.repeat(shift, sorted_counts), slabs
 
 
-def interaction_bytes(m: int, params: dict[str, ad.Tensor], config: ModelConfig) -> int:
+def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig) -> int:
     """Bytes of the activations `interact_tensor` keeps for one document of
     `m` segments: per layer and segment about 12 x dim + 2 x ff_dim floats
     (layer-norm outputs and normalized inputs, q, k, v, attention output,

@@ -1,8 +1,9 @@
 """End-to-end model: truncation -> encoder -> interaction -> head.
 
 `parameter_shapes(config)` is the one place that names, orders and shapes
-the model's parameters; a `SwipeModel` holds them as one dict of tensors in
-that order, which `create` fills and `from_arrays` wraps. Also owns the one
+the model's parameters; a `SwipeModel` holds them as one dict of float64
+arrays in that order, which `create` fills and `from_arrays` takes, and wraps
+them in tensors only for one pass (`tensors`). Also owns the one
 binary container, for checkpoints and vector sidecars (version 1, stable):
 line 1 is a UTF-8 JSON header with sorted keys, then each array's raw bytes
 in header order, little-endian float64, C order, no padding, and nothing
@@ -67,6 +68,9 @@ Features = SegmentFeatures | SegmentMatrix
 #: (`encoder.interaction_bytes`). A chunk closes before a document would take
 #: it past the budget; a document over it runs alone.
 CHUNK_BYTES = 1 << 20
+
+#: Longest container header line read, newline included; a longer one is refused.
+HEADER_BYTES = 64 << 20
 
 #: Per-layer interaction parameters, in checkpoint order.
 LAYER_PARAMS = ("wq", "wk", "wv", "wo", "ff_in", "ff_out",
@@ -212,11 +216,12 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]
 class SwipeModel:
     """Trainable classifier over truncated segments.
 
-    `params` maps each name of `parameter_shapes(config)` to its tensor, in
-    that order. `encoder`, picked once, does every featurize, chunk and encode.
+    `params` maps each name of `parameter_shapes(config)` to its float64
+    array, in that order. `encoder`, picked once, does every featurize, chunk
+    and encode.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, ad.Tensor]):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.vocab = LabelVocab(names=config.labels, task_kind=config.task_kind)
         self.params = params
@@ -240,11 +245,10 @@ class SwipeModel:
         for name, shape in parameter_shapes(config):
             part, *_, leaf = name.split(".")
             if len(shape) == 1:
-                data = np.ones(shape) if leaf.endswith("gain") else np.zeros(shape)
+                params[name] = np.ones(shape) if leaf.endswith("gain") else np.zeros(shape)
             else:
                 fan_in = shape[0] if leaf in LAYER_PARAMS else config.dim
-                data = streams[part].normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-            params[name] = ad.Tensor(data, requires_grad=True)
+                params[name] = streams[part].normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
         return cls(config, params)
 
     def attach_vectors(self, matrices: dict[str, SegmentMatrix]) -> None:
@@ -262,26 +266,19 @@ class SwipeModel:
     def precomputed(self) -> VectorEncoder | None:
         return self.encoder if isinstance(self.encoder, VectorEncoder) else None
 
-    def zero_grad(self) -> None:
-        for tensor in self.params.values():
-            tensor.zero_grad()
-
     def featurize(self, doc: Document) -> Features:
         """One document's features: a chunk of one, split."""
         return self.encoder.split([(doc, self.encoder.segments(doc, self.config.truncation))])[0]
 
-    def frozen_params(self) -> dict[str, ad.Tensor]:
-        """Grad-free views of the parameters, sharing their arrays: a forward
-        over them records no tape. Built per call, because `restore_best`
-        rebinds each parameter's `.data`."""
-        return {name: ad.Tensor(t.data) for name, t in self.params.items()}
+    def tensors(self, requires_grad: bool = False) -> dict[str, ad.Tensor]:
+        """The parameters wrapped for one pass, sharing their arrays: a forward
+        over them records a tape, whose backward fills each tensor's `grad`,
+        only if they require grad."""
+        return {name: ad.Tensor(array, requires_grad) for name, array in self.params.items()}
 
-    def forward(self, batch: Batch, params: dict[str, ad.Tensor] | None = None) -> ForwardOut:
-        """One pass over a ragged batch: every segment scored by one
-        `ad.linear`, pooled per document. `params` defaults to the model's
-        own, which record a tape for `backward`; inference passes
-        `frozen_params()`, whose outputs hold no tape."""
-        params = self.params if params is None else params
+    def forward(self, batch: Batch, params: dict[str, ad.Tensor]) -> ForwardOut:
+        """One pass over a ragged batch with the tensors `params` (`tensors()`):
+        every segment scored by one `ad.linear`, pooled per document."""
         x = self.encoder.encode(batch.inputs, params)
         if self.config.interaction_layers:
             x = interact_tensor(x, params, self.config, batch.offsets)
@@ -298,7 +295,7 @@ class SwipeModel:
         first maximizers. Overflow warnings are off: `build_prediction` rejects
         non-finite scores."""
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.forward(batch, self.frozen_params())
+            out = self.forward(batch, self.tensors())
             keys = out.pool_argmax
             if keys is None:
                 argmax = ad.ragged_max(out.pooled_rows, batch.offsets)[1]
@@ -355,8 +352,8 @@ class SwipeModel:
     # -- checkpoint container ------------------------------------------------
 
     def save(self, path) -> None:
-        manifest = [{"name": name, "shape": list(t.data.shape)}
-                    for name, t in self.params.items()]
+        manifest = [{"name": name, "shape": list(array.shape)}
+                    for name, array in self.params.items()]
         header = {
             "format": "swipe-checkpoint",
             "version": 1,
@@ -364,14 +361,13 @@ class SwipeModel:
             "train_config": None if self.train_config is None else self.train_config.to_meta(),
             "tensors": manifest,
         }
-        write_container(path, header, (t.data for t in self.params.values()))
+        write_container(path, header, self.params.values())
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SwipeModel":
         """A model whose parameters are `arrays`, not copied, named and shaped
         as `parameter_shapes(config)` lists them."""
-        return cls(config, {name: ad.Tensor(arrays[name], requires_grad=True)
-                            for name, _ in parameter_shapes(config)})
+        return cls(config, {name: arrays[name] for name, _ in parameter_shapes(config)})
 
     @classmethod
     def load(cls, path) -> "SwipeModel":
@@ -398,8 +394,11 @@ def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manife
     read straight into its own. Any FormatError names `path`."""
     with open(path, "rb") as fh:
         try:
+            line = fh.readline(HEADER_BYTES)
+            if not line.endswith(b"\n"):
+                raise FormatError(f"bad {kind} header: no newline in its first {len(line)} bytes")
             try:
-                header = json.loads(fh.readline().decode("utf-8"))
+                header = json.loads(line.decode("utf-8"))
             except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
                 raise FormatError(f"bad {kind} header: {exc}") from exc
             if not isinstance(header, dict):

@@ -6,11 +6,12 @@ Adam with bias correction, and a learning rate that decays linearly from
 `base_lr` to zero over the planned number of steps.
 
 Each split is featurized once, before the first step, in the chunks inference
-uses (`SwipeModel.chunks`, one hashing call per chunk): the model's encoder
-splits each train chunk into per-document features (`split_features`), and
-featurizes each dev chunk into the batch one forward scores per epoch.
-A training step is one forward and one backward over the whole ragged batch
-(`model.Batch`). The hash encoder's table gradient arrives row-sparse
+uses (`SwipeModel.chunks`, one hashing call per chunk), and the model's
+encoder splits each chunk into per-document features (`split_features`).
+Each epoch scores each dev chunk by one forward over its `model.Batch`, built
+just before. A training step is one forward and one backward over the whole
+ragged batch, on tensors that wrap the model's arrays for that pass only
+(`SwipeModel.tensors`). The hash encoder's table gradient arrives row-sparse
 (`autodiff.RowSparse`, one summed row per touched bucket), and Adam updates
 moments and parameters in place through preallocated work arrays. Its
 semantics stay dense: every row's moments decay every step, touched or not.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,14 +35,15 @@ from swipe.hashing import derive_seed
 from swipe.model import Batch, Features, SwipeModel
 
 
-def doc_loss(model: SwipeModel, batch: Batch,
-             gold: np.ndarray) -> tuple[ad.Tensor, tuple | None]:
-    """Mean loss over a batch plus its pooling signature (for kink detection).
+def doc_loss(model: SwipeModel, batch: Batch, gold: np.ndarray,
+             params: dict[str, ad.Tensor]) -> tuple[ad.Tensor, tuple | None]:
+    """Mean loss over a batch, forward with the tensors `params`, plus its
+    pooling signature (for kink detection).
 
     `gold` is the batch's (B, L) 0/1 gold matrix, one row per document of
     `batch`; the one 1 of a multi-class row marks the gold label.
     """
-    out = model.forward(batch)
+    out = model.forward(batch, params)
     if model.config.task_kind == TASK_MULTICLASS:
         return ad.softmax_cross_entropy(out.doc_scores, gold.argmax(axis=1)), out.signature()
     return ad.bce_with_logits_mean(out.doc_scores, gold), out.signature()
@@ -53,20 +55,21 @@ def backward_batch(
     """Mean batch loss and its gradients for every trainable parameter.
 
     One forward and one backward over the whole ragged batch against its
-    (B, L) gold matrix. The encoder table's gradient is an `ad.RowSparse`;
+    (B, L) gold matrix, on tensors made for this pass (`model.tensors`), so
+    no gradient outlives it. The encoder table's gradient is an `ad.RowSparse`;
     parameters that do not participate in the forward pass (e.g. gate
     weights under ungated pooling) get zero gradients, so every parameter
     has one.
     """
-    model.zero_grad()
-    total, _ = doc_loss(model, batch, gold)
+    params = model.tensors(requires_grad=True)
+    total, _ = doc_loss(model, batch, gold, params)
     value = total.item()
     if not math.isfinite(value):
         raise TrainingError(f"non-finite loss {value!r} on documents {batch.inputs.doc_id}")
     total.backward()
     grads = {
         name: (np.zeros_like(t.data) if t.grad is None else t.grad)
-        for name, t in model.params.items()
+        for name, t in params.items()
     }
     return value, grads
 
@@ -87,11 +90,10 @@ class ModelState:
     scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, tensor in self.model.params.items():
-            self.adam_m.setdefault(name, np.zeros_like(tensor.data))
-            self.adam_v.setdefault(name, np.zeros_like(tensor.data))
-            self.scratch.setdefault(
-                name, (np.empty_like(tensor.data), np.empty_like(tensor.data)))
+        for name, param in self.model.params.items():
+            self.adam_m.setdefault(name, np.zeros_like(param))
+            self.adam_v.setdefault(name, np.zeros_like(param))
+            self.scratch.setdefault(name, (np.empty_like(param), np.empty_like(param)))
 
 
 def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
@@ -114,7 +116,7 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     lr = learning_rate(cfg, step, state.total_steps)
     correction1 = 1 - cfg.beta1**step
     correction2 = 1 - cfg.beta2**step
-    for name, tensor in state.model.params.items():
+    for name, param in state.model.params.items():
         g = grads[name]
         m, v = state.adam_m[name], state.adam_v[name]
         num, den = state.scratch[name]
@@ -131,8 +133,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
         # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
         np.multiply(np.divide(m, correction1, out=num), lr, out=num)
         np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
-        np.subtract(tensor.data, np.divide(num, den, out=num), out=tensor.data)
-        if not np.isfinite(tensor.data).all():
+        np.subtract(param, np.divide(num, den, out=num), out=param)
+        if not np.isfinite(param).all():
             raise TrainingError(f"non-finite parameter {name!r} after step {step}")
     return lr
 
@@ -222,17 +224,10 @@ def grad_check(
 
 @dataclass
 class TrainResult:
-    model: SwipeModel                 # final state (mutated in place)
-    best_params: dict[str, np.ndarray]
+    model: SwipeModel                 # holds the best epoch's parameters
     best_epoch: int
-    best_metric: float
+    best_metric: float                # -inf when there is no dev split
     metrics: list[dict]               # rows: epoch, step, lr, train_loss, dev_metric
-
-    def restore_best(self) -> SwipeModel:
-        """Overwrite the model's parameters with the best epoch's snapshot."""
-        for name, tensor in self.model.params.items():
-            tensor.data = self.best_params[name].copy()
-        return self.model
 
 
 def exact_match(task_kind: str, scores: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -244,14 +239,15 @@ def exact_match(task_kind: str, scores: np.ndarray, gold: np.ndarray) -> np.ndar
     return np.all((scores > 0) == (gold > 0), axis=1)
 
 
-def evaluate_split(model: SwipeModel, batches: Sequence[Batch], gold: np.ndarray) -> float:
+def evaluate_split(model: SwipeModel, batches: Iterable[Batch], gold: np.ndarray) -> float:
     """Exact-match share (see `exact_match`) of the documents of `batches`,
     whose gold rows `gold` holds in the same order; each batch is scored by
-    one tape-free forward."""
-    if not batches:
+    one tape-free forward. nan when there are no batches."""
+    params = model.tensors()
+    scores = [model.forward(batch, params).doc_scores.data for batch in batches]
+    if not scores:
         return float("nan")
-    params = model.frozen_params()
-    scores = np.concatenate([model.forward(batch, params).doc_scores.data for batch in batches])
+    scores = np.concatenate(scores)
     return int(exact_match(model.config.task_kind, scores, gold).sum()) / len(scores)
 
 
@@ -265,8 +261,8 @@ def split_features(model: SwipeModel, docs: Sequence[Document]) -> list[Features
 
 
 def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult:
-    """Train on the corpus train split; keep the best dev epoch's parameters,
-    or the last epoch's when there is no dev split.
+    """Train on the corpus train split, and leave in `model.params` the best
+    dev epoch's parameters, or the last epoch's when there is no dev split.
 
     Deterministic under (config.seed, model init): batch order comes from a
     dedicated shuffle stream and every reduction runs in a fixed order.
@@ -276,7 +272,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
         raise ValidationError("train split is empty")
     dev_docs = corpus.split_docs("dev")
     train_feats = split_features(model, train_docs)
-    dev_batches = [model.encoder.featurize(chunk) for chunk in model.chunks(dev_docs)]
+    dev_chunks = [model.encoder.split(chunk) for chunk in model.chunks(dev_docs)]
     train_gold, dev_gold = model.vocab.gold(train_docs), model.vocab.gold(dev_docs)
 
     n_batches = math.ceil(len(train_docs) / config.batch_size)
@@ -285,8 +281,8 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     model.train_config = config
     rng = np.random.default_rng(derive_seed("train-shuffle", config.seed))
 
-    best = TrainResult(model=model, best_params={}, best_epoch=0,
-                       best_metric=-math.inf, metrics=[])
+    best = TrainResult(model=model, best_epoch=0, best_metric=-math.inf, metrics=[])
+    best_params = model.params
     step = 0
     lr = config.base_lr
     for epoch in range(1, config.epochs + 1):
@@ -300,16 +296,17 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
             lr = adam_step(state, grads, step)
             epoch_loss += loss_value * len(chosen)
         epoch_loss /= len(train_docs)
-        dev_metric = evaluate_split(model, dev_batches, dev_gold)
+        dev_metric = evaluate_split(model, (Batch.of(feats) for feats in dev_chunks), dev_gold)
         best.metrics.append(
             {"epoch": epoch, "step": step, "lr": lr,
              "train_loss": epoch_loss, "dev_metric": dev_metric}
         )
         if not dev_docs or dev_metric > best.best_metric:
             best.best_epoch = epoch
-            best.best_params = {name: t.data.copy() for name, t in model.params.items()}
+            best_params = {name: array.copy() for name, array in model.params.items()}
             if dev_docs:
                 best.best_metric = dev_metric
+    model.params = best_params
     return best
 
 

@@ -455,8 +455,10 @@ class TestParsing:
         (["--ngram-orders", "0"], "ngram order must be an integer >= 1, got 0"),
         (["--ngram-orders", ","], "ngram_orders must not be empty"),
         (["--ff-dim", "-1", "--interaction-layers", "1"], "ff_dim must be an integer >= 1"),
-        (["--positions", "on", "--max-positions", "-1", "--interaction-layers", "1"],
+        (["--ngram-orders", "1,1,2"], "ngram_orders repeat an order: [1, 1, 2]"),
+        (["--max-positions", "-1", "--interaction-layers", "1"],
          "max_positions must be an integer >= 1"),
+        (["--max-positions", "-5"], "max_positions must be an integer >= 1, got -5"),
         (["--lr", "nan"], "base_lr must be a finite number > 0, got nan"),
         (["--lr", "0"], "base_lr must be a finite number > 0, got 0.0"),
         (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
@@ -476,6 +478,7 @@ class TestParsing:
         ("pooling", "bogus", "'bogus' is not a valid Pooling"),
         ("dim", "x", "dim must be an integer >= 1, got 'x'"),
         ("ngram_orders", [0], "ngram order must be an integer >= 1, got 0"),
+        ("ngram_orders", [1, 1, 2], "bad checkpoint config: ngram_orders repeat an order"),
         ("labels", [1, 2], "labels must be strings"),
         ("truncation", {"strategy": "auto", "window_len": 3.5, "overlap": 0, "max_seg_len": 64,
                         "sentence_terminators": ["."]}, "window_len must be an integer"),
@@ -610,7 +613,7 @@ def _saved_model(tmp_path, task_kind="multi-class", **fill):
                                           n_buckets=16, dim=4))
     model.train_config = TrainConfig()
     for name, value in fill.items():
-        model.params[name].data[...] = value
+        model.params[name][...] = value
     ckpt = tmp_path / "m.ckpt"
     model.save(ckpt)
     return ckpt

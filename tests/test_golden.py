@@ -93,7 +93,7 @@ def run_commands(out: Path) -> None:
     name = f"{out}/sum-positions"
     swipe("train", "--corpus", corpus, "--task", "multi-label", "--truncate", "structure",
           "--pooling", "sum", "--interaction-layers", 1, "--heads", 4, "--ff-dim", 24,
-          "--positions", "on", "--max-positions", 32, "--buckets", 256, "--dim", 16,
+          "--max-positions", 32, "--buckets", 256, "--dim", 16,
           "--epochs", 2, "--lr", 0.05, "--seed", 9, "--out", f"{name}.ckpt")
     swipe("predict", "--checkpoint", f"{name}.ckpt", "--corpus", corpus,
           "--out", f"{name}.predict.jsonl")

@@ -44,8 +44,8 @@ class TestInit:
         config = ModelConfig(labels=tuple(f"l{i}" for i in range(50)),
                              encoder_mode=ENCODER_PRECOMPUTED, dim=100)
         params = SwipeModel.create(config).params
-        assert abs(params["head.weight"].data.std() - 0.1) < 0.02  # 1/sqrt(dim)
-        assert np.all(params["head.bias"].data == 0)
+        assert abs(params["head.weight"].std() - 0.1) < 0.02  # 1/sqrt(dim)
+        assert np.all(params["head.bias"] == 0)
 
 
 class TestScores:

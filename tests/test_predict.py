@@ -42,8 +42,8 @@ def _model(seed, pooling, layers, task, encoder_mode, docs, dim=4):
         init_seed=seed,
     )
     model = SwipeModel.create(config)
-    model.params["head.bias"].data = rng.normal(size=3)  # scores on both sides of zero
-    model.params["head.gate_bias"].data = rng.normal(size=3)
+    model.params["head.bias"] = rng.normal(size=3)  # scores on both sides of zero
+    model.params["head.gate_bias"] = rng.normal(size=3)
     if encoder_mode == ENCODER_PRECOMPUTED:
         model.attach_vectors({d.id: SegmentMatrix(doc_id=d.id,
                                                   rows=rng.normal(size=(len(d.units), dim)))
@@ -62,7 +62,7 @@ def _forward_calls(model):
     calls = []
     forward = model.forward
 
-    def counted(batch, params=None):
+    def counted(batch, params):
         calls.append(len(batch.offsets) - 1)  # documents in this forward
         return forward(batch, params)
 
@@ -261,9 +261,9 @@ class TestLoad:
         assert loaded.config == model.config
         want, got = model.params, loaded.params
         assert list(got) == list(want)
-        for name, tensor in got.items():
-            assert tensor.requires_grad and tensor.data.dtype == np.float64
-            assert tensor.data.tobytes() == want[name].data.tobytes(), name
+        for name, array in got.items():
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert array.tobytes() == want[name].tobytes(), name
         if model.config.interaction_layers:
             assert loaded.config.n_heads == model.config.n_heads
             assert "interaction.positions" in got
@@ -274,16 +274,33 @@ class TestLoad:
         model, path = self._saved(tmp_path)
         header, payload = path.read_bytes().split(b"\n", 1)
         start = 0
-        for tensor_name, tensor in model.params.items():
+        for tensor_name, array in model.params.items():
             if tensor_name == name:
                 break
-            start += tensor.data.nbytes
+            start += array.nbytes
         payload = bytearray(payload)
         payload[start + 8 * at:start + 8 * (at + 1)] = np.array([value], "<f8").tobytes()
         path.write_bytes(header + b"\n" + bytes(payload))
         with pytest.raises(FormatError, match=re.escape(
                 f"{path}: tensor {name} holds {value} at flat index {at}")):
             SwipeModel.load(path)
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "vectors sidecar"])
+    def test_header_line_is_read_up_to_the_cap(self, tmp_path, monkeypatch, kind):
+        if kind == "checkpoint":
+            _, path = self._saved(tmp_path)
+            load = SwipeModel.load
+        else:
+            path = tmp_path / "v.bin"
+            model_mod.write_precomputed({"d": SegmentMatrix("d", np.ones((2, 3)))}, path)
+            load = model_mod.load_precomputed
+        line = path.read_bytes().split(b"\n", 1)[0] + b"\n"
+        monkeypatch.setattr(model_mod, "HEADER_BYTES", len(line))
+        load(path)  # a header line of exactly the cap is read
+        monkeypatch.setattr(model_mod, "HEADER_BYTES", len(line) - 1)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: bad {kind} header: no newline in its first {len(line) - 1} bytes")):
+            load(path)
 
     def test_short_read_is_a_truncated_tensor(self):
         assert model_mod._read_tensor(io.BytesIO(bytes(16)), "t", (2,)).tolist() == [0.0, 0.0]

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -15,8 +16,11 @@ from swipe.corpus import (
     Corpus,
     Document,
     LabelVocab,
+    SyntheticSpec,
     TASK_MULTICLASS,
     TASK_MULTILABEL,
+    generate_synthetic,
+    split_corpus,
 )
 from swipe.encoder import SegmentMatrix
 from swipe.errors import ConfigError, TrainingError, ValidationError
@@ -46,6 +50,8 @@ from swipe.train import (
 )
 from swipe.truncate import TruncationConfig
 
+train_mod = importlib.import_module("swipe.train")  # `swipe.train` names the function
+
 
 def _precomputed_model(vectors: dict[str, np.ndarray], task=TASK_MULTILABEL,
                        labels=("a",), pooling=Pooling.SUM, seed=0):
@@ -66,10 +72,11 @@ def _loss(scores, gold_row, task=TASK_MULTILABEL) -> float:
     one segment, sum pooling, a zero head weight and `scores` as the bias."""
     labels = tuple("abcdef"[:len(scores)])
     model = _precomputed_model({"d": np.ones((1, 2))}, task=task, labels=labels)
-    model.params["head.weight"].data = np.zeros((len(labels), 2))
-    model.params["head.bias"].data = np.array(scores, dtype=float)
+    model.params["head.weight"] = np.zeros((len(labels), 2))
+    model.params["head.bias"] = np.array(scores, dtype=float)
     feats = model.featurize(Document(id="d", text="x", labels=()))
-    loss, _ = doc_loss(model, Batch.of([feats]), np.array([gold_row], dtype=float))
+    loss, _ = doc_loss(model, Batch.of([feats]), np.array([gold_row], dtype=float),
+                       model.tensors())
     return loss.item()
 
 
@@ -124,7 +131,7 @@ class TestBackward:
         doc = Document(id="d", text="ignored", labels=("a",))
         _, grads = _step(model, doc)
         params = model.params
-        y = float(params["head.weight"].data[0] @ s[0] + params["head.bias"].data[0])
+        y = float(params["head.weight"][0] @ s[0] + params["head.bias"][0])
         residual = 1 / (1 + math.exp(-y)) - 1.0
         np.testing.assert_allclose(grads["head.weight"][0], residual * s[0], atol=1e-12)
         np.testing.assert_allclose(grads["head.bias"], [residual], atol=1e-12)
@@ -132,7 +139,7 @@ class TestBackward:
     def test_saturated_batch_has_vanishing_gradients(self):
         s = np.full((1, 2), 100.0)
         model = _precomputed_model({"d": s}, labels=("a",), pooling=Pooling.SUM)
-        model.params["head.weight"].data = np.array([[1.0, 1.0]])
+        model.params["head.weight"] = np.array([[1.0, 1.0]])
         doc = Document(id="d", text="x", labels=("a",))
         _, grads = _step(model, doc)
         for name, grad in grads.items():
@@ -150,7 +157,7 @@ class TestBackward:
     def test_non_finite_loss_raises_training_error(self):
         s = np.full((1, 2), 1e308)
         model = _precomputed_model({"d": s}, pooling=Pooling.SUM)
-        model.params["head.weight"].data = np.array([[1e308, 1e308]])
+        model.params["head.weight"] = np.array([[1e308, 1e308]])
         doc = Document(id="d", text="x", labels=("a",))
         with pytest.raises(TrainingError, match="d"):
             _step(model, doc)
@@ -164,32 +171,32 @@ class TestAdam:
     def test_zero_gradients_fixed_point(self):
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model)
-        before = {k: t.data.copy() for k, t in model.params.items()}
-        zeros = {k: np.zeros_like(t.data) for k, t in model.params.items()}
+        before = {k: a.copy() for k, a in model.params.items()}
+        zeros = {k: np.zeros_like(a) for k, a in model.params.items()}
         adam_step(state, zeros, step=1)
-        for name, t in model.params.items():
-            np.testing.assert_array_equal(t.data, before[name])
+        for name, a in model.params.items():
+            np.testing.assert_array_equal(a, before[name])
 
     def test_final_step_lr_zero_no_change(self):
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model, total_steps=5)
-        before = {k: t.data.copy() for k, t in model.params.items()}
-        ones = {k: np.ones_like(t.data) for k, t in model.params.items()}
+        before = {k: a.copy() for k, a in model.params.items()}
+        ones = {k: np.ones_like(a) for k, a in model.params.items()}
         lr = adam_step(state, ones, step=5)
         assert lr == 0.0
-        for name, t in model.params.items():
-            np.testing.assert_array_equal(t.data, before[name])
+        for name, a in model.params.items():
+            np.testing.assert_array_equal(a, before[name])
 
     def test_first_step_closed_form(self):
         # fresh moments, g = 1: update = -lr_1 * 1 / (1 + eps) ~ -lr_1
         model = _precomputed_model({"d": np.ones((1, 2))})
         state = self._state(model, total_steps=10, lr=0.01)
-        before = model.params["head.bias"].data.copy()
-        ones = {k: np.ones_like(t.data) for k, t in model.params.items()}
+        before = model.params["head.bias"].copy()
+        ones = {k: np.ones_like(a) for k, a in model.params.items()}
         lr1 = learning_rate(state.config, 1, 10)
         adam_step(state, ones, step=1)
         np.testing.assert_allclose(
-            model.params["head.bias"].data, before - lr1, rtol=1e-7
+            model.params["head.bias"], before - lr1, rtol=1e-7
         )
 
     def test_row_sparse_gradient_steps_like_its_dense_form(self):
@@ -200,12 +207,11 @@ class TestAdam:
         for step, rows in enumerate(([1, 4], [0, 4, 7], [2]), start=1):
             sparse = ad.RowSparse(np.array(rows), rng.normal(size=(len(rows), 3)), (8, 3))
             for state, table_grad in zip(states, (sparse, sparse.to_dense())):
-                grads = {k: np.ones_like(t.data) for k, t in state.model.params.items()}
+                grads = {k: np.ones_like(a) for k, a in state.model.params.items()}
                 adam_step(state, {**grads, "encoder.table": table_grad}, step)
         sparse_state, dense_state = states
-        for name, tensor in sparse_state.model.params.items():
-            np.testing.assert_array_equal(tensor.data,
-                                          dense_state.model.params[name].data)
+        for name, array in sparse_state.model.params.items():
+            np.testing.assert_array_equal(array, dense_state.model.params[name])
             np.testing.assert_array_equal(sparse_state.adam_m[name], dense_state.adam_m[name])
             np.testing.assert_array_equal(sparse_state.adam_v[name], dense_state.adam_v[name])
 
@@ -214,7 +220,7 @@ class TestAdam:
         model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=3))
         state = self._state(model, total_steps=10)
         cfg = state.config
-        params = {name: t.data.copy() for name, t in model.params.items()}
+        params = {name: a.copy() for name, a in model.params.items()}
         m = {name: np.zeros_like(p) for name, p in params.items()}
         v = {name: np.zeros_like(p) for name, p in params.items()}
         rng = np.random.default_rng(0)
@@ -238,8 +244,8 @@ class TestAdam:
                 v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
                 params[name] = params[name] - lr * (m[name] / c1) / (
                     np.sqrt(v[name] / c2) + cfg.epsilon)
-        for name, tensor in model.params.items():
-            assert tensor.data.tobytes() == params[name].tobytes(), name
+        for name, array in model.params.items():
+            assert array.tobytes() == params[name].tobytes(), name
             assert state.adam_m[name].tobytes() == m[name].tobytes(), name
             assert state.adam_v[name].tobytes() == v[name].tobytes(), name
 
@@ -253,19 +259,21 @@ class TestAdam:
 
 class TestGradCheck:
     def _loss_fn(self, model, doc):
+        """(the document's loss function, the grad-requiring tensors it runs on)."""
         batch, gold = Batch.of([model.featurize(doc)]), model.vocab.gold([doc])
+        tensors = model.tensors(requires_grad=True)
 
         def fn():
-            return doc_loss(model, batch, gold)
-        return fn
+            return doc_loss(model, batch, gold, tensors)
+        return fn, tensors
 
     def test_correct_gradients_pass(self):
         rng = np.random.default_rng(2)
         model = _precomputed_model({"d": rng.normal(size=(3, 4))},
                                    labels=("a", "b"), pooling=Pooling.GATED_SUM)
         doc = Document(id="d", text="x", labels=("a",))
-        fn = self._loss_fn(model, doc)
-        report = grad_check(fn, model.params, tolerance=1e-4)
+        fn, tensors = self._loss_fn(model, doc)
+        report = grad_check(fn, tensors, tolerance=1e-4)
         assert report.passed
         assert report.max_rel_error < 1e-4
         assert report.n_checked > 0
@@ -275,10 +283,7 @@ class TestGradCheck:
         model = _precomputed_model({"d": rng.normal(size=(2, 3))},
                                    labels=("a", "b"), pooling=Pooling.SUM)
         doc = Document(id="d", text="x", labels=("a",))
-        fn = self._loss_fn(model, doc)
-        params = model.params
-        for t in params.values():
-            t.zero_grad()
+        fn, params = self._loss_fn(model, doc)
         loss, _ = fn()
         loss.backward()
         analytic = {k: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
@@ -293,11 +298,11 @@ class TestGradCheck:
         # the argmax, so those coordinates cross a kink and must be excluded
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = _precomputed_model({"d": vectors}, labels=("a",), pooling=Pooling.MAX)
-        model.params["head.weight"].data = np.array([[0.7, 0.7]])
-        model.params["head.bias"].data = np.array([0.0])
+        model.params["head.weight"] = np.array([[0.7, 0.7]])
+        model.params["head.bias"] = np.array([0.0])
         doc = Document(id="d", text="x", labels=("a",))
-        fn = self._loss_fn(model, doc)
-        report = grad_check(fn, model.params, tolerance=1e-4)
+        fn, tensors = self._loss_fn(model, doc)
+        report = grad_check(fn, tensors, tolerance=1e-4)
         assert report.n_excluded > 0
         assert report.passed
 
@@ -360,9 +365,9 @@ def test_batched_step_equals_mean_of_single_document_steps(
         error = np.max(np.abs(ad.dense(grad) - expected))
         assert error <= 1e-12 * np.max(np.abs(expected)), (name, error)
     if pooling.is_max:
-        out = model.forward(Batch.of(feats))
+        out = model.forward(Batch.of(feats), model.tensors())
         for b, f in enumerate(feats):
-            single = model.forward(Batch.of([f])).pool_argmax[0]
+            single = model.forward(Batch.of([f]), model.tensors()).pool_argmax[0]
             np.testing.assert_array_equal(out.pool_argmax[b], single)
 
 
@@ -375,10 +380,23 @@ def test_grad_check_on_a_ragged_batch(pooling):
                                           layers=2 if pooling.gated else 0,
                                           positions=pooling.gated, task=task,
                                           encoder_mode=ENCODER_HASH)
-    inputs = Batch.of(feats)
-    report = grad_check(lambda: doc_loss(model, inputs, gold), model.params,
+    inputs, tensors = Batch.of(feats), model.tensors(requires_grad=True)
+    report = grad_check(lambda: doc_loss(model, inputs, gold, tensors), tensors,
                         tolerance=1e-4)
     assert report.passed and report.n_checked > 0, report.failures[:3]
+
+
+def test_backward_batch_leaves_the_model_its_arrays():
+    # gradients live on the tensors of one pass: a second call on the same
+    # batch starts from nothing and returns the same bits
+    model, _, feats, gold = _ragged_model(4, [2, 3, 1], Pooling.GATED_MAX, 1, True,
+                                          TASK_MULTILABEL, ENCODER_HASH)
+    batch = Batch.of(feats)
+    (loss, grads), (again, regrads) = (backward_batch(model, batch, gold) for _ in range(2))
+    assert loss == again
+    for name, grad in grads.items():
+        assert ad.dense(regrads[name]).tobytes() == ad.dense(grad).tobytes(), name
+    assert all(type(a) is np.ndarray for a in model.params.values())
 
 
 @pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
@@ -399,11 +417,10 @@ def test_inference_and_dev_scoring_record_no_tape(pooling):
     model, docs, feats, gold = _ragged_model(5, [2, 1, 4, 3], pooling, 1, True,
                                              TASK_MULTILABEL, ENCODER_HASH)
     _, before = backward_batch(model, Batch.of(feats), gold)
-    model.zero_grad()
     outs = []
     forward = model.forward
 
-    def recorded(inputs, params=None):
+    def recorded(inputs, params):
         outs.append(forward(inputs, params))
         return outs[-1]
 
@@ -411,7 +428,7 @@ def test_inference_and_dev_scoring_record_no_tape(pooling):
     list(model.predict_many(docs))
     evaluate_split(model, [Batch.of(feats[:2]), Batch.of(feats[2:])], gold)
     assert len(outs) == 3  # one predict chunk and two dev chunks
-    assert all(t.grad is None for t in model.params.values())
+    assert all(type(a) is np.ndarray for a in model.params.values())
     for out in outs:
         tensors = [out.doc_scores, out.seg_scores, out.gates, out.pooled_rows]
         for t in (t for t in tensors if t is not None):
@@ -523,8 +540,8 @@ def test_training_memory_peak_is_that_of_its_widest_document():
     assert training <= alone + (1 << 20), (training, alone)
 
 
-def _toy_corpus():
-    # four linearly separable one-segment documents
+def _toy_corpus(dev=False):
+    # four linearly separable one-segment documents, and one dev document
     vectors = {
         "p1": np.array([[1.0, 1.0]]),
         "p2": np.array([[1.0, -1.0]]),
@@ -537,8 +554,23 @@ def _toy_corpus():
         Document(id="n1", text="x", labels=()),
         Document(id="n2", text="x", labels=()),
     ]
+    if dev:
+        docs.append(Document(id="p3", text="x", labels=("pos",), split="dev"))
+        vectors["p3"] = np.array([[1.0, 1.0]])
     corpus = Corpus(documents=docs, vocab=LabelVocab(("pos",), TASK_MULTILABEL))
     return corpus, vectors
+
+
+def _epoch_params(monkeypatch):
+    """Copies of the model's parameters as each epoch's dev scoring sees them."""
+    seen = []
+
+    def spy(model, batches, gold):
+        seen.append({name: a.copy() for name, a in model.params.items()})
+        return evaluate_split(model, batches, gold)
+
+    monkeypatch.setattr(train_mod, "evaluate_split", spy)
+    return seen
 
 
 class TestTrainLoop:
@@ -570,33 +602,59 @@ class TestTrainLoop:
         assert repr(runs[0]) == repr(runs[1])  # nan-tolerant exact comparison
         assert abs(runs[0][-1]["train_loss"] - runs[1][-1]["train_loss"]) < 1e-9
 
-    def test_best_dev_snapshot_restored(self):
-        corpus, vectors = _toy_corpus()
-        docs = list(corpus.documents)
-        docs.append(Document(id="p3", text="x", labels=("pos",), split="dev"))
-        vectors = dict(vectors, p3=np.array([[1.0, 1.0]]))
-        corpus = Corpus(documents=docs, vocab=corpus.vocab)
+    def test_best_dev_snapshot_restored(self, monkeypatch):
+        corpus, vectors = _toy_corpus(dev=True)
         model = _precomputed_model(vectors, labels=("pos",), pooling=Pooling.SUM)
+        seen = _epoch_params(monkeypatch)
         result = train(corpus, model, TrainConfig(epochs=30, base_lr=0.2,
                                                   batch_size=4, seed=0))
         assert result.best_metric == max(r["dev_metric"] for r in result.metrics)
         assert result.best_metric == 1.0
-        restored = result.restore_best()
-        for name, tensor in restored.params.items():
-            np.testing.assert_array_equal(tensor.data, result.best_params[name])
+        assert result.model is model
+        for name, array in model.params.items():
+            np.testing.assert_array_equal(array, seen[result.best_epoch - 1][name])
 
-    def test_no_dev_split_keeps_last_epoch(self):
+    def test_no_dev_split_keeps_last_epoch(self, monkeypatch):
         corpus, vectors = _toy_corpus()
         model = _precomputed_model(vectors, labels=("pos",), pooling=Pooling.SUM)
-        initial = {name: t.data.copy() for name, t in model.params.items()}
+        initial = {name: a.copy() for name, a in model.params.items()}
+        seen = _epoch_params(monkeypatch)
         result = train(corpus, model, TrainConfig(epochs=3, base_lr=0.2,
                                                   batch_size=2, seed=0))
         assert result.best_epoch == 3
         assert result.best_metric == -math.inf
         assert all(math.isnan(row["dev_metric"]) for row in result.metrics)
-        assert not np.array_equal(result.best_params["head.bias"], initial["head.bias"])
-        for name, tensor in model.params.items():
-            np.testing.assert_array_equal(result.best_params[name], tensor.data)
+        assert not np.array_equal(model.params["head.bias"], initial["head.bias"])
+        for name, array in model.params.items():
+            np.testing.assert_array_equal(array, seen[-1][name])
+
+    def test_trained_model_scores_the_best_metric_on_its_dev_split(self):
+        # on this seed the third of six epochs is best and the last scores less
+        corpus, _ = generate_synthetic(SyntheticSpec(num_docs=40, segments_per_doc=(2, 4),
+                                                     seed=4))
+        corpus = split_corpus(corpus, (0.6, 0.4, 0.0), seed=4)
+        model = SwipeModel.create(ModelConfig(
+            labels=corpus.vocab.names, task_kind=corpus.vocab.task_kind,
+            truncation=TruncationConfig(strategy="structure"), n_buckets=64, dim=4,
+            init_seed=4))
+        result = train(corpus, model, TrainConfig(epochs=6, base_lr=0.3, batch_size=4,
+                                                  seed=4))
+        assert result.best_epoch < 6 and result.metrics[-1]["dev_metric"] < result.best_metric
+        dev = corpus.split_docs("dev")
+        batches = [model.encoder.featurize(chunk) for chunk in model.chunks(dev)]
+        assert evaluate_split(model, batches, model.vocab.gold(dev)) == result.best_metric
+
+    def test_precomputed_training_stacks_no_split(self, monkeypatch):
+        # each dev chunk is batched where an epoch scores it, never held stacked
+        corpus, vectors = _toy_corpus(dev=True)
+        model = _precomputed_model(vectors, labels=("pos",), pooling=Pooling.SUM)
+
+        def no_stack(self, chunk):
+            raise AssertionError("train must not featurize a split into held batches")
+
+        monkeypatch.setattr(VectorEncoder, "featurize", no_stack)
+        result = train(corpus, model, TrainConfig(epochs=2, base_lr=0.2, batch_size=2))
+        assert all(row["dev_metric"] in (0.0, 1.0) for row in result.metrics)
 
     def test_metrics_csv_layout(self, tmp_path):
         rows = [{"epoch": 1, "step": 2, "lr": 0.5, "train_loss": 0.25, "dev_metric": 1.0}]
@@ -669,9 +727,9 @@ class TestCheckpoint:
         # SHA-256 over each parameter's name, shape and little-endian float64
         # bytes, in order; a change means `create` draws other initial values
         sha = hashlib.sha256()
-        for name, tensor in SwipeModel.create(config).params.items():
-            sha.update(f"{name} {tensor.shape}\n".encode())
-            sha.update(np.ascontiguousarray(tensor.data, "<f8").tobytes())
+        for name, array in SwipeModel.create(config).params.items():
+            sha.update(f"{name} {array.shape}\n".encode())
+            sha.update(np.ascontiguousarray(array, "<f8").tobytes())
         assert sha.hexdigest() == digest
 
     def test_hash_mode_round_trip(self, tmp_path):
