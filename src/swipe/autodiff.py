@@ -38,6 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Most bytes of table rows `embedding_bag_mean` gathers at once (a bag
+#: larger than this is gathered whole).
+GATHER_BYTES = 256 << 10
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -333,23 +338,27 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
 
     Every bag must be non-empty and every id a row of the table, in
     [0, rows). This is the whole hashed-n-gram encoder forward: one output
-    row per segment. The table's gradient is a `RowSparse` over the ids it
-    saw: each touched row sums its occurrences' rows in occurrence order.
+    row per segment, summed from at most `GATHER_BYTES` of gathered rows at
+    a time (`_bag_sums`); the backward never reads the gathered rows. The
+    table's gradient is a `RowSparse` over the ids it saw: each touched row
+    sums its occurrences' rows in occurrence order.
 
     The backward sorts the ids stably in the narrowest unsigned dtype that
     holds every row index, which numpy sorts by radix up to 65,536 rows, and
     sums each id's occurrences along the last axis of one contiguous
-    (dim, occurrences) block; `reduceat` adds a segment's elements one by
-    one along either axis, so the sums are those of a row-wise reduction.
+    (dim, occurrences) block. `reduceat` does not add a segment one element
+    at a time: on numpy 2.4 it takes the first element plus the sequential
+    sum of the rest for up to 8 elements and a pairwise sum beyond that. It
+    associates the same way along either axis, so the sums equal those of a
+    row-wise reduction bit for bit, which is all this relies on.
     """
     ids = np.asarray(ids, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     counts = offsets[1:] - offsets[:-1]
     if (counts <= 0).any():
         raise ValueError("embedding_bag_mean: empty bag")
-    gathered = table.data[ids]
-    sums = np.add.reduceat(gathered, offsets[:-1], axis=0)
-    out = sums / counts[:, None]
+    out = _bag_sums(table.data, ids, offsets)
+    out /= counts[:, None]
 
     def backward(g):
         sort_type = np.min_scalar_type(max(table.data.shape[0] - 1, 0))
@@ -363,6 +372,27 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
         return ((table, RowSparse(sorted_ids[first], values, table.data.shape)),)
 
     return _make(out, (table,), backward)
+
+
+def _bag_sums(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each bag's sum of table rows, gathered a run of whole bags at a time
+    so that no more than `GATHER_BYTES` of rows (or one bag's) exist at once.
+    `reduceat` sums a bag from its own rows only, so the bits do not depend
+    on where the runs split."""
+    step = max(GATHER_BYTES // (8 * table.shape[1]), 1)  # rows per run
+    if len(ids) <= step:
+        return np.add.reduceat(table[ids], offsets[:-1], axis=0)
+    sums = np.empty((len(offsets) - 1, table.shape[1]))
+    start = 0
+    while start < len(sums):
+        # the bags that fit in `step` rows from this one, at least this one
+        stop = max(int(np.searchsorted(offsets, offsets[start] + step, "right")) - 1,
+                   start + 1)
+        first = offsets[start]
+        np.add.reduceat(table[ids[first:offsets[stop]]], offsets[start:stop] - first, axis=0,
+                        out=sums[start:stop])
+        start = stop
+    return sums
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

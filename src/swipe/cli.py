@@ -225,26 +225,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _write_records(args, what: str, record) -> int:
+    """Stream --corpus through the model to --out, one JSON line per document
+    (`record(model, segments, pred)`), holding no document already written."""
     model = _load_model_inputs(args)
-    documents = corpus_mod.load_documents(args.corpus)
+    count = 0
     with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for _, _, pred in model.predict_many(documents):
-            fh.write(_json(pred.to_record(model.vocab.names), f"document {pred.doc_id!r}")
-                     + "\n")
-    print(f"wrote predictions for {len(documents)} documents to {args.out}")
+        for _, segments, pred in model.predict_many(corpus_mod.iter_documents(args.corpus)):
+            fh.write(_json(record(model, segments, pred), f"document {pred.doc_id!r}") + "\n")
+            count += 1
+    print(f"wrote {what} for {count} documents to {args.out}")
     return 0
+
+
+def cmd_predict(args) -> int:
+    return _write_records(args, "predictions",
+                          lambda model, _, pred: pred.to_record(model.vocab.names))
 
 
 def cmd_explain(args) -> int:
-    model = _load_model_inputs(args)
-    documents = corpus_mod.load_documents(args.corpus)
-    with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for _, segments, pred in model.predict_many(documents):
-            record = model.encoder.annotate(pred.to_record(model.vocab.names), segments)
-            fh.write(_json(record, f"document {pred.doc_id!r}") + "\n")
-    print(f"wrote explanations for {len(documents)} documents to {args.out}")
-    return 0
+    return _write_records(args, "explanations", lambda model, segments, pred:
+                          model.encoder.annotate(pred.to_record(model.vocab.names), segments))
 
 
 def cmd_eval(args) -> int:

@@ -132,6 +132,9 @@ class ModelConfig:
         for name in ("ff_dim", "max_positions"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name), 1)
+        if self.max_positions is not None and not self.interaction_layers:
+            raise ConfigError(f"max_positions {self.max_positions} needs interaction layers: "
+                              "positional embeddings are added only before them")
 
     def to_meta(self) -> dict:
         return {**asdict(self), "truncation": self.truncation.to_meta()}

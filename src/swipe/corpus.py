@@ -174,9 +174,9 @@ def jsonl_records(path) -> Iterator[tuple[int, dict]]:
             yield lineno, raw
 
 
-def load_documents(path) -> list[Document]:
-    """Parse JSONL documents without building a vocabulary (prediction input)."""
-    documents = []
+def iter_documents(path) -> Iterator[Document]:
+    """Each JSONL document of `path`, checked, as it is read; a bad line
+    raises at its path:line when the reader reaches it."""
     for lineno, raw in jsonl_records(path):
         if "id" not in raw:
             raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
@@ -193,12 +193,16 @@ def load_documents(path) -> list[Document]:
             raise ParseError(f"{path}:{lineno}: 'text', 'units' and 'labels' must hold strings "
                              "that UTF-8 can encode (no lone surrogates)")
         try:
-            documents.append(Document(id=doc_id, text=text, labels=tuple(labels),
-                                      units=tuple(units) if units is not None else None,
-                                      split=raw.get("split")))
+            yield Document(id=doc_id, text=text, labels=tuple(labels),
+                           units=tuple(units) if units is not None else None,
+                           split=raw.get("split"))
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return documents
+
+
+def load_documents(path) -> list[Document]:
+    """Every document of `path`, without building a vocabulary."""
+    return list(iter_documents(path))
 
 
 def load_jsonl(path, task_kind: str) -> Corpus:

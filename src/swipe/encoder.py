@@ -131,16 +131,26 @@ def _slabs(offsets: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]
 
 
 def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig) -> int:
-    """Bytes of the activations `interact_tensor` keeps for one document of
-    `m` segments: per layer and segment about 12 x dim + 2 x ff_dim floats
-    (layer-norm outputs and normalized inputs, q, k, v, attention output,
-    projections, residuals, the feed-forward hidden rows), and per layer
-    3 x heads x m^2 floats of attention scores. Zero with no layers."""
+    """A bound on the bytes a tape-free `interact_tensor` holds at once for
+    one document of `m` segments, its input rows included. Without a tape
+    each op's result is freed once the next op has read it, so the busiest
+    moment of one layer bounds the whole stack. In floats per segment:
+    - attention: 9 x dim (input, residual, normed rows, q, k, v, the output
+      and the two copies that merge a slab's heads) plus 4 x heads x m (the
+      probabilities `slab_attention` keeps within one call and, while a
+      slab's are made, its scores, exponentials and the buffer numpy takes
+      to broadcast the row maxima and sums, at most the op's output);
+    - relu: 2 x dim + 3 x ff_dim (input, residual, the hidden rows, the
+      buffer that casts the mask, at most the output, and the output), and
+      then 3 x dim + ff_dim while its output is projected back;
+    - layer norm: at most 7 x dim (its temporaries and numpy's buffer).
+    Plus a byte of relu mask per ff entry and one int64 per segment of the
+    slab gather. Zero with no layers."""
     if not config.interaction_layers:
         return 0
-    ff_dim = params["interaction.0.ff_in"].shape[1]
-    return config.interaction_layers * 8 * (
-        m * (12 * config.dim + 2 * ff_dim) + 3 * config.n_heads * m * m)
+    dim, ff_dim = config.dim, params["interaction.0.ff_in"].shape[1]
+    per_row = max(9 * dim + 4 * config.n_heads * m, 2 * dim + 3 * ff_dim, 3 * dim + ff_dim)
+    return 8 * m * (per_row + 1) + m * ff_dim
 
 
 def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,
@@ -181,12 +191,17 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
         def project(t: ad.Tensor, name: str) -> ad.Tensor:
             return ad.slab_matmul(t, params[layer + name], slabs)
 
-        attn_in = ad.layer_norm(x, params[layer + "ln1_gain"], params[layer + "ln1_bias"])
-        attn = ad.slab_attention(project(attn_in, "wq"), project(attn_in, "wk"),
-                                 project(attn_in, "wv"), slabs, config.n_heads)
-        x = ad.add(x, project(attn, "wo"))
-        ff_in = ad.layer_norm(x, params[layer + "ln2_gain"], params[layer + "ln2_bias"])
-        x = ad.add(x, project(ad.relu(project(ff_in, "ff_in")), "ff_out"))
+        def attend(normed: ad.Tensor) -> ad.Tensor:
+            return ad.slab_attention(project(normed, "wq"), project(normed, "wk"),
+                                     project(normed, "wv"), slabs, config.n_heads)
+
+        # a layer's intermediate rows are call arguments, never names, so a
+        # tape-free pass frees each as soon as its consumer returns
+        x = ad.add(x, project(attend(
+            ad.layer_norm(x, params[layer + "ln1_gain"], params[layer + "ln1_bias"])), "wo"))
+        x = ad.add(x, project(ad.relu(project(
+            ad.layer_norm(x, params[layer + "ln2_gain"], params[layer + "ln2_bias"]),
+            "ff_in")), "ff_out"))
     if config.interaction_layers:
         x = ad.layer_norm(x, params["interaction.final_gain"], params["interaction.final_bias"])
     if gather is not None:

@@ -60,14 +60,24 @@ Manifest = list[tuple[str, tuple[int, ...]]]
 #: One document's forward input: hashed n-gram ids, or frozen segment vectors.
 Features = SegmentFeatures | SegmentMatrix
 
-#: Byte budget of one chunk, the sum of its documents' `chunk_size`: with the
-#: hash encoder a bound from the token count (a token starts at most one n-gram
-#: per order, each gathered as dim x 8 bytes, and fills at most
-#: `hashing.WIDTH_CAP` bytes of the hashing byte matrix), with precomputed
-#: vectors the rows; plus the activations interaction layers keep
-#: (`encoder.interaction_bytes`). A chunk closes before a document would take
-#: it past the budget; a document over it runs alone.
+#: Byte budget of one chunk: a bound on what one tape-free pass over it
+#: (featurize, forward, predictions) holds at once. A document is charged its
+#: encoder's `chunk_size` (with the hash encoder a bound from the token count:
+#: a token starts at most one n-gram per order, each gathered as dim x 8
+#: bytes, and fills at most `hashing.WIDTH_CAP` bytes of the hashing byte
+#: matrix; with precomputed vectors the rows), what interaction layers hold
+#: at once (`encoder.interaction_bytes`) and `DOC_BYTES`; a chunk is charged
+#: `PASS_BYTES` besides. A chunk closes before a document would take it past
+#: the budget; a document over it runs alone.
 CHUNK_BYTES = 1 << 20
+
+#: Python objects a pass makes besides its arrays: `PASS_BYTES` however many
+#: documents share it (parameter tensors, op results, the hashing call's
+#: lists; 4-12 KiB measured with tracemalloc, now and then about 10 KiB more
+#: as the interpreter's free lists run empty) and `DOC_BYTES` per document
+#: (its `Prediction` and the array views it holds; 1.1 KiB measured).
+PASS_BYTES = 32 << 10
+DOC_BYTES = 2 << 10
 
 #: Longest container header line read, newline included; a longer one is refused.
 HEADER_BYTES = 64 << 20
@@ -336,18 +346,22 @@ class SwipeModel:
         each truncated once by `truncation` (default: the model's own); the
         caller featurizes a chunk where it uses it."""
         trunc = self.config.truncation if truncation is None else truncation
-        chunk, size = [], 0
+        chunk, size = [], PASS_BYTES
         for doc in docs:
             segments = self.encoder.segments(doc, trunc)
-            m, doc_size = self.encoder.chunk_size(doc, segments)
-            doc_size += interaction_bytes(m, self.params, self.config)
+            doc_size = self.doc_bytes(doc, segments)
             if chunk and size + doc_size > CHUNK_BYTES:
                 yield chunk
-                chunk, size = [], 0
+                chunk, size = [], PASS_BYTES
             chunk.append((doc, segments))
             size += doc_size
         if chunk:
             yield chunk
+
+    def doc_bytes(self, doc: Document, segments: list[Segment] | None) -> int:
+        """What a chunk's pass holds for `doc` (see `CHUNK_BYTES`)."""
+        m, size = self.encoder.chunk_size(doc, segments)
+        return size + interaction_bytes(m, self.params, self.config) + DOC_BYTES
 
     # -- checkpoint container ------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Finite-difference checks for every primitive in the tape engine."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -429,6 +431,47 @@ def test_embedding_bag_backward_matches_the_argsort_oracle_bit_for_bit(
     np.testing.assert_array_equal(table.grad.rows, rows)
     assert table.grad.values.shape == values.shape
     assert np.ascontiguousarray(table.grad.values).tobytes() == values.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 9),
+       bags=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+       gather_bytes=st.sampled_from([1, 8, 100, 1000, 1 << 30]))
+def test_embedding_bag_gathers_runs_of_whole_bags_bit_for_bit(seed, dim, bags, gather_bytes):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(50, dim)) * 10.0 ** rng.integers(-6, 6, size=(50, 1))
+    ids = rng.integers(0, 50, size=sum(bags))
+    offsets = np.concatenate(([0], np.cumsum(bags)))
+    want = np.add.reduceat(table[ids], offsets[:-1], axis=0) / np.array(bags)[:, None]
+    with mock.patch.object(ad, "GATHER_BYTES", gather_bytes):
+        got = ad.embedding_bag_mean(ad.Tensor(table), ids, offsets).data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_embedding_bag_forward_never_holds_the_whole_gather():
+    rng = np.random.default_rng(5)
+    table = ad.Tensor(rng.normal(size=(4096, 32)))
+    ids = rng.integers(0, 4096, size=20_000)  # a 5 MB gather, in bags of 20
+    offsets = np.arange(0, 20_001, 20)
+    tracemalloc.start()
+    try:
+        ad.embedding_bag_mean(table, ids, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ad.GATHER_BYTES + 2 * 1000 * 32 * 8 + (64 << 10)
+
+
+def test_reduceat_sums_a_segment_the_same_way_along_either_axis():
+    # the bag backward sums along axis 1 what a row-wise reduction sums along
+    # axis 0; reduceat is not sequential past 8 elements, only consistent
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        rows = rng.normal(size=(n + 2, 5)) * 10.0 ** rng.integers(-6, 6, size=(n + 2, 1))
+        starts = [0, 1, n + 1]  # a segment of n rows between two of one
+        by_rows = np.add.reduceat(rows, starts, axis=0)
+        by_columns = np.add.reduceat(np.ascontiguousarray(rows.T), starts, axis=1)
+        assert by_rows.tobytes() == np.ascontiguousarray(by_columns.T).tobytes(), n
 
 
 def test_embedding_bag_mean_grad_check():

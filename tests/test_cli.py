@@ -1,15 +1,17 @@
 import json
 import os
+import random
 import stat
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from swipe.cli import main
 from swipe.config import TrainConfig
-from swipe.model import ModelConfig, SwipeModel
+from swipe.model import PASS_BYTES, ModelConfig, SwipeModel
 
 
 def run(args):
@@ -459,6 +461,7 @@ class TestParsing:
         (["--max-positions", "-1", "--interaction-layers", "1"],
          "max_positions must be an integer >= 1"),
         (["--max-positions", "-5"], "max_positions must be an integer >= 1, got -5"),
+        (["--max-positions", "8"], "max_positions 8 needs interaction layers"),
         (["--lr", "nan"], "base_lr must be a finite number > 0, got nan"),
         (["--lr", "0"], "base_lr must be a finite number > 0, got 0.0"),
         (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
@@ -697,11 +700,59 @@ class TestNonFinite:
         assert not out.exists() or out.read_text() == ""
 
 
+def _text_corpus(path, n_docs, words=120):
+    """`n_docs` plain-text documents of `words` random words each."""
+    rng = random.Random(n_docs)
+    path.write_text("".join(
+        json.dumps({"id": f"d{i}", "text": " ".join(f"w{rng.randrange(500)}"
+                                                     for _ in range(words))}) + "\n"
+        for i in range(n_docs)))
+    return path
+
+
+def _traced_peak(args) -> int:
+    """tracemalloc peak of one command, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["predict", "explain"])
+class TestStreaming:
+    """`predict` and `explain` score documents as they read them."""
+
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path, command, monkeypatch):
+        # a small budget keeps a chunk's arrays from hiding the documents held
+        monkeypatch.setattr("swipe.model.CHUNK_BYTES", PASS_BYTES + (64 << 10))
+        ckpt = _saved_model(tmp_path)
+        peaks = [_traced_peak([command, "--checkpoint", ckpt, "--out", tmp_path / "out",
+                               "--corpus", _text_corpus(tmp_path / f"{n}.jsonl", n)])
+                 for n in (60, 600)]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_a_malformed_line_after_good_ones_exits_2_and_keeps_out(self, tmp_path, capsys,
+                                                                    command):
+        ckpt, corpus = _saved_model(tmp_path), _text_corpus(tmp_path / "c.jsonl", 50)
+        with corpus.open("a") as fh:
+            fh.write('{"id": "d50", "text": \n')
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"old": "contents"}\n')
+        before = sorted(tmp_path.iterdir())
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:51: invalid JSON") and err.count("\n") == 1
+        assert out.read_bytes() == b'{"old": "contents"}\n'
+        assert sorted(tmp_path.iterdir()) == before  # no out.jsonl.tmp is left
+
+
 def test_input_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
     def too_large(path):
         raise MemoryError
 
-    monkeypatch.setattr("swipe.corpus.load_documents", too_large)
+    monkeypatch.setattr("swipe.corpus.iter_documents", too_large)
     out = tmp_path / "p.jsonl"
     out.write_bytes(b'{"old": "contents"}\n')
     code = run(["predict", "--checkpoint", _saved_model(tmp_path),

@@ -1,8 +1,8 @@
 """Chunked inference: `SwipeModel.predict_many` against one document at a time."""
 
-import collections
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -123,7 +123,8 @@ def test_featurize_chunks_batches_equal_batches_of_per_document_features(
     big = Document(id="big", labels=("a",), units=tuple(f"w{k} ok" for k in range(400)))
     docs.insert(12, big)
     model = _model(4, Pooling.GATED_MAX, layers, TASK_MULTILABEL, encoder_mode, docs)
-    monkeypatch.setattr(model_mod, "CHUNK_BYTES", 8_000)  # "big" needs more on its own
+    # documents' bytes past a chunk's fixed charge; "big" needs more on its own
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", model_mod.PASS_BYTES + 8_000)
     chunks = [(chunk, model.encoder.featurize(chunk)) for chunk in model.chunks(docs)]
     assert [doc for chunk, _ in chunks for doc, _ in chunk] == docs
     assert [[doc.id for doc, _ in chunk] for chunk, _ in chunks if big in dict(chunk)] \
@@ -160,17 +161,12 @@ def test_predict_many_uses_the_truncation_it_is_given():
     assert pred.m == 3
 
 
-def _exact_chunk_bytes(segments, dim, orders=(1, 2), layers=0, heads=2, ff_dim=8):
-    """Bytes of the embedding gather, of the hashing byte matrix and of the
-    interaction layers' activations: per segment 12 x dim + 2 x ff_dim floats,
-    per document of m segments 3 x heads x m^2 floats, per layer."""
+def _exact_chunk_bytes(segments, dim, orders=(1, 2)):
+    """Bytes of the embedding gather and of the hashing byte matrix."""
     tokens = [tok for seg in segments for tok in seg.tokens]
     ngrams = sum(max(len(seg.tokens) - k + 1, 0) for seg in segments for k in orders)
-    per_doc = collections.Counter(seg.doc_id for seg in segments).values()
-    activations = layers * 8 * (len(segments) * (12 * dim + 2 * ff_dim)
-                                + sum(3 * heads * m * m for m in per_doc))
     width = min(max(len(tok.encode()) for tok in tokens), hashing.WIDTH_CAP)
-    return ngrams * dim * 8 + len(tokens) * width + activations
+    return ngrams * dim * 8 + len(tokens) * width
 
 
 _TOKENS = st.sampled_from([*WORDS, "é" * 20, "東" * 30, "x" * (hashing.WIDTH_CAP + 1)])
@@ -226,15 +222,54 @@ def test_chunks_stay_within_the_budget_and_a_very_long_token_shares_a_chunk(monk
         assert _exact_chunk_bytes(chunk, dim=32) <= model_mod.CHUNK_BYTES
 
 
-def test_interaction_chunks_stay_within_the_budget(monkeypatch):
+def _pass_peaks(model, docs):
+    """(documents, bytes charged, tracemalloc peak of a tape-free featurize
+    plus `_predictions`) of each chunk `predict_many` scores."""
+    peaks = []
+    for chunk in model.chunks(docs):
+        charged = model_mod.PASS_BYTES + sum(model.doc_bytes(doc, segments)
+                                             for doc, segments in chunk)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model._predictions(model.encoder.featurize(chunk), [doc.id for doc, _ in chunk])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        peaks.append((len(chunk), charged, peak))
+    return peaks
+
+
+def test_interaction_chunks_stay_within_the_budget():
     docs = _docs(np.random.default_rng(2), 200, max_segments=24, single=range(0, 200, 5))
     model = _model(2, Pooling.GATED_SUM, 2, TASK_MULTILABEL, ENCODER_HASH, docs, dim=32)
-    chunks = _chunks(model, docs, monkeypatch)
-    sizes = [len({seg.doc_id for seg in chunk}) for chunk in chunks]
-    assert sum(sizes) == len(docs) and max(sizes) >= 4  # the budget does group documents
-    for chunk, size in zip(chunks, sizes):
-        if size > 1:
-            assert _exact_chunk_bytes(chunk, dim=32, layers=2) <= model_mod.CHUNK_BYTES
+    peaks = _pass_peaks(model, docs)
+    assert sum(n for n, _, _ in peaks) == len(docs)
+    assert max(n for n, _, _ in peaks) >= 4  # the budget does group documents
+    for n, charged, peak in peaks:
+        if n > 1:
+            assert peak <= charged <= model_mod.CHUNK_BYTES
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), layers=st.integers(1, 3), heads=st.integers(1, 4),
+       head_dim=st.sampled_from([1, 2, 8]), ff_dim=st.integers(4, 64),
+       pooling=st.sampled_from(list(Pooling)),
+       segments=st.lists(st.integers(1, 40), min_size=2, max_size=8))
+def test_a_chunk_pass_holds_at_most_its_charge(seed, layers, heads, head_dim, ff_dim,
+                                               pooling, segments):
+    rng = np.random.default_rng(seed)
+    docs = [Document(id=f"d{i}", labels=("a",), units=tuple(
+                " ".join(rng.choice(WORDS, size=rng.integers(1, 9))) for _ in range(m)))
+            for i, m in enumerate(segments)]
+    model = SwipeModel.create(ModelConfig(
+        labels=("a", "b", "c"), task_kind=TASK_MULTILABEL, pooling=pooling,
+        truncation=TruncationConfig(strategy="structure"), n_buckets=64,
+        dim=heads * head_dim, interaction_layers=layers, n_heads=heads, ff_dim=ff_dim,
+        init_seed=seed))
+    for n, charged, peak in _pass_peaks(model, docs):
+        if n > 1:
+            assert peak <= charged <= model_mod.CHUNK_BYTES
 
 
 class TestLoad:

@@ -322,7 +322,7 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
         labels=labels, task_kind=task, pooling=pooling,
         truncation=TruncationConfig(strategy="structure"), encoder_mode=encoder_mode,
         n_buckets=32, dim=4, interaction_layers=layers, n_heads=2, ff_dim=8,
-        max_positions=6 if positions else None, init_seed=seed,
+        max_positions=6 if positions and layers else None, init_seed=seed,
     )
     model = SwipeModel.create(config)
     docs = []
@@ -477,7 +477,8 @@ def test_split_features_equal_per_document_featurize(strategy, budget, chunks, m
         return featurize(segments, config)
 
     monkeypatch.setattr(model_mod, "featurize_segments", spy)
-    monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget)
+    # a chunk's fixed charge comes on top of a budget that holds documents
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget and model_mod.PASS_BYTES + budget)
     feats = split_features(model, docs)
     expected_calls = {"one per document": len(docs), "one": 1}
     if chunks in expected_calls:
