@@ -380,8 +380,6 @@ def _bag_sums(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.nda
     `reduceat` sums a bag from its own rows only, so the bits do not depend
     on where the runs split."""
     step = max(GATHER_BYTES // (8 * table.shape[1]), 1)  # rows per run
-    if len(ids) <= step:
-        return np.add.reduceat(table[ids], offsets[:-1], axis=0)
     sums = np.empty((len(offsets) - 1, table.shape[1]))
     start = 0
     while start < len(sums):

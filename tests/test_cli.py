@@ -482,6 +482,7 @@ class TestParsing:
         ("dim", "x", "dim must be an integer >= 1, got 'x'"),
         ("ngram_orders", [0], "ngram order must be an integer >= 1, got 0"),
         ("ngram_orders", [1, 1, 2], "bad checkpoint config: ngram_orders repeat an order"),
+        ("max_positions", 8, "bad checkpoint config: max_positions 8 needs interaction layers"),
         ("labels", [1, 2], "labels must be strings"),
         ("truncation", {"strategy": "auto", "window_len": 3.5, "overlap": 0, "max_seg_len": 64,
                         "sentence_terminators": ["."]}, "window_len must be an integer"),
@@ -746,6 +747,32 @@ class TestStreaming:
         assert err.startswith(f"error: {corpus}:51: invalid JSON") and err.count("\n") == 1
         assert out.read_bytes() == b'{"old": "contents"}\n'
         assert sorted(tmp_path.iterdir()) == before  # no out.jsonl.tmp is left
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_malformed_line_into_a_pipe_follows_the_records_written(
+            self, tmp_path, capsys, command, monkeypatch):
+        # a pipe is written in place: its reader gets the chunks scored before
+        # line 51 is reached, then the command fails
+        monkeypatch.setattr("swipe.model.CHUNK_BYTES", PASS_BYTES + (64 << 10))
+        ckpt, corpus = _saved_model(tmp_path), _text_corpus(tmp_path / "c.jsonl", 50)
+        full = tmp_path / "full.jsonl"
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus, "--out", full]) == 0
+        with corpus.open("a") as fh:
+            fh.write('{"id": "d50", "text": \n')
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        capsys.readouterr()
+        assert run([command, "--checkpoint", ckpt, "--corpus", corpus, "--out", pipe]) == 2
+        reader.join(timeout=60)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:51: invalid JSON") and err.count("\n") == 1
+        records = got[0].splitlines(keepends=True)
+        assert 0 < len(records) <= 50
+        assert records == full.read_bytes().splitlines(keepends=True)[:len(records)]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 def test_input_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
