@@ -367,7 +367,7 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
         first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
         bags = np.repeat(np.arange(len(counts)), counts)[order]
         per_id = np.take((g / counts[:, None]).T, bags, axis=1)  # (dim, occurrences)
-        # back to (touched rows, dim) in C order, which Adam's row scatter reads fastest
+        # back to (touched rows, dim) in C order, which Adam's row update reads fastest
         values = np.ascontiguousarray(np.add.reduceat(per_id, first, axis=1).T)
         return ((table, RowSparse(sorted_ids[first], values, table.data.shape)),)
 

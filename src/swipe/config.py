@@ -135,6 +135,9 @@ class ModelConfig:
         if self.max_positions is not None and not self.interaction_layers:
             raise ConfigError(f"max_positions {self.max_positions} needs interaction layers: "
                               "positional embeddings are added only before them")
+        if self.ff_dim is not None and not self.interaction_layers:
+            raise ConfigError(f"ff_dim {self.ff_dim} needs interaction layers: "
+                              "the feed-forward block is part of each layer")
 
     def to_meta(self) -> dict:
         return {**asdict(self), "truncation": self.truncation.to_meta()}

@@ -12,9 +12,11 @@ Each epoch scores each dev chunk by one forward over its `model.Batch`, built
 just before. A training step is one forward and one backward over the whole
 ragged batch, on tensors that wrap the model's arrays for that pass only
 (`SwipeModel.tensors`). The hash encoder's table gradient arrives row-sparse
-(`autodiff.RowSparse`, one summed row per touched bucket), and Adam updates
-moments and parameters in place through preallocated work arrays. Its
-semantics stay dense: every row's moments decay every step, touched or not.
+(`autodiff.RowSparse`, one summed row per touched bucket), and Adam is lazy
+for it: a step updates the moments and parameters of the touched rows only,
+so its cost follows the batch, not `n_buckets`. Dense gradients (every other
+parameter) update moments and parameters in place through work arrays kept
+per parameter.
 """
 
 from __future__ import annotations
@@ -78,8 +80,11 @@ def backward_batch(
 class ModelState:
     """Model plus optimizer accumulators.
 
-    `scratch` holds two work arrays per parameter, so an Adam step allocates
-    nothing.
+    `scratch` holds one work buffer per parameter, made at its first Adam
+    step and kept (see `work`), so a step allocates nothing once the buffers
+    have reached their size: a dense gradient's buffer holds two arrays of
+    its parameter's shape, a row-sparse gradient's five rows for each row it
+    touches.
     """
 
     model: SwipeModel
@@ -87,13 +92,22 @@ class ModelState:
     total_steps: int
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    scratch: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         for name, param in self.model.params.items():
             self.adam_m.setdefault(name, np.zeros_like(param))
             self.adam_v.setdefault(name, np.zeros_like(param))
-            self.scratch.setdefault(name, (np.empty_like(param), np.empty_like(param)))
+
+    def work(self, name: str, count: int, n_rows: int) -> list[np.ndarray]:
+        """`count` contiguous work arrays of `n_rows` rows shaped like the
+        rows of parameter `name`: views of its kept buffer, remade when it
+        has fewer arrays or rows."""
+        buf = self.scratch.get(name)
+        if buf is None or buf.shape[0] < count or buf.shape[1] < n_rows:
+            param = self.model.params[name]
+            buf = self.scratch[name] = np.empty((count, n_rows, *param.shape[1:]), param.dtype)
+        return list(buf[:count, :n_rows])
 
 
 def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
@@ -103,14 +117,22 @@ def learning_rate(config: TrainConfig, step: int, total_steps: int) -> float:
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
               step: int) -> float:
-    """Standard bias-corrected Adam update, in place; returns the learning rate used.
+    """Bias-corrected Adam update, in place; returns the learning rate used.
 
     `grads` holds a gradient for every parameter, as `backward_batch` gives.
 
-    Every parameter, moment and work array is updated through `out=`, in the
-    same operation order as the textbook expressions noted alongside, so the
-    result is bit-identical to them. A `RowSparse` gradient is zero outside
-    its rows: there the moments only decay, as they would for a dense zero.
+    A dense gradient updates its whole parameter. A `RowSparse` gradient
+    updates only its rows (lazy Adam, as TF-Addons `LazyAdam` and PyTorch
+    `SparseAdam`): their parameter and moment rows are taken into work
+    arrays, updated there, and scattered back. Rows it does not touch, and
+    their moments, keep their bits, so a row's moments decay only on the
+    steps that touch it; bias correction uses the global `step` all the
+    same. The step's cost follows the rows touched, not the table's size.
+
+    Either way the arithmetic is `_adam_update`'s, whose operation order
+    follows the textbook expressions noted there, so every updated value is
+    bit-identical to them. Only the updated values are checked for
+    finiteness: nothing else changed, and all was finite after the last step.
     """
     cfg = state.config
     lr = learning_rate(cfg, step, state.total_steps)
@@ -119,24 +141,42 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     for name, param in state.model.params.items():
         g = grads[name]
         m, v = state.adam_m[name], state.adam_v[name]
-        num, den = state.scratch[name]
-        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-        np.multiply(m, cfg.beta1, out=m)
-        np.multiply(v, cfg.beta2, out=v)
         if isinstance(g, ad.RowSparse):
-            m[g.rows] += (1 - cfg.beta1) * g.values
-            v[g.rows] += (1 - cfg.beta2) * g.values * g.values
+            rows = g.rows
+            param_rows, m_rows, v_rows, num, den = state.work(name, 5, len(rows))
+            for array, out in ((param, param_rows), (m, m_rows), (v, v_rows)):
+                # 'wrap' reads each row the scatter below writes (a negative
+                # row counts from the end), without the copy 'raise' buffers
+                # `out` through; a row out of range still raises at the scatter
+                np.take(array, rows, axis=0, out=out, mode="wrap")
+            _adam_update(cfg, lr, correction1, correction2, param_rows, m_rows, v_rows,
+                         g.values, num, den)
+            m[rows], v[rows], param[rows] = m_rows, v_rows, param_rows
+            updated = param_rows
         else:
-            np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
-            np.multiply(g, 1 - cfg.beta2, out=num)
-            np.add(v, np.multiply(num, g, out=num), out=v)
-        # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
-        np.multiply(np.divide(m, correction1, out=num), lr, out=num)
-        np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
-        np.subtract(param, np.divide(num, den, out=num), out=param)
-        if not np.isfinite(param).all():
+            _adam_update(cfg, lr, correction1, correction2, param, m, v, g,
+                         *state.work(name, 2, len(param)))
+            updated = param
+        if not np.isfinite(updated).all():
             raise TrainingError(f"non-finite parameter {name!r} after step {step}")
     return lr
+
+
+def _adam_update(cfg: TrainConfig, lr: float, correction1: float, correction2: float,
+                 param: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                 num: np.ndarray, den: np.ndarray) -> None:
+    """One Adam update of `param`, `m` and `v` by the gradient `g`, all of
+    one shape, in place; `num` and `den` are work arrays of that shape."""
+    # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+    np.multiply(m, cfg.beta1, out=m)
+    np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
+    np.multiply(v, cfg.beta2, out=v)
+    np.multiply(g, 1 - cfg.beta2, out=num)
+    np.add(v, np.multiply(num, g, out=num), out=v)
+    # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
+    np.multiply(np.divide(m, correction1, out=num), lr, out=num)
+    np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
+    np.subtract(param, np.divide(num, den, out=num), out=param)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -462,6 +462,7 @@ class TestParsing:
          "max_positions must be an integer >= 1"),
         (["--max-positions", "-5"], "max_positions must be an integer >= 1, got -5"),
         (["--max-positions", "8"], "max_positions 8 needs interaction layers"),
+        (["--ff-dim", "8", "--interaction-layers", "0"], "ff_dim 8 needs interaction layers"),
         (["--lr", "nan"], "base_lr must be a finite number > 0, got nan"),
         (["--lr", "0"], "base_lr must be a finite number > 0, got 0.0"),
         (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
@@ -483,6 +484,7 @@ class TestParsing:
         ("ngram_orders", [0], "ngram order must be an integer >= 1, got 0"),
         ("ngram_orders", [1, 1, 2], "bad checkpoint config: ngram_orders repeat an order"),
         ("max_positions", 8, "bad checkpoint config: max_positions 8 needs interaction layers"),
+        ("ff_dim", 8, "bad checkpoint config: ff_dim 8 needs interaction layers"),
         ("labels", [1, 2], "labels must be strings"),
         ("truncation", {"strategy": "auto", "window_len": 3.5, "overlap": 0, "max_seg_len": 64,
                         "sentence_terminators": ["."]}, "window_len must be an integer"),

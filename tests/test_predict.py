@@ -38,8 +38,8 @@ def _model(seed, pooling, layers, task, encoder_mode, docs, dim=4):
     config = ModelConfig(
         labels=("a", "b", "c"), task_kind=task, pooling=pooling,
         truncation=TruncationConfig(strategy="structure"), encoder_mode=encoder_mode,
-        n_buckets=64, dim=dim, interaction_layers=layers, n_heads=2, ff_dim=8,
-        init_seed=seed,
+        n_buckets=64, dim=dim, interaction_layers=layers, n_heads=2,
+        ff_dim=8 if layers else None, init_seed=seed,
     )
     model = SwipeModel.create(config)
     model.params["head.bias"] = rng.normal(size=3)  # scores on both sides of zero

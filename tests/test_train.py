@@ -163,6 +163,66 @@ class TestBackward:
             _step(model, doc)
 
 
+class _TextbookAdam:
+    """Reference Adam over copies of a model's parameters: the textbook
+    expressions on whole arrays for a dense gradient, and one row at a time
+    over a `RowSparse`'s rows, leaving every other row and its moments as
+    they were (lazy Adam). `history` holds the table, its `m` and its `v`
+    after each step."""
+
+    def __init__(self, model, cfg):
+        self.cfg = cfg
+        self.params = {name: a.copy() for name, a in model.params.items()}
+        self.m = {name: np.zeros_like(a) for name, a in self.params.items()}
+        self.v = {name: np.zeros_like(a) for name, a in self.params.items()}
+        self.history = []
+
+    def step(self, grads, step, lr):
+        cfg = self.cfg
+        c1, c2 = 1 - cfg.beta1**step, 1 - cfg.beta2**step
+        for name, g in grads.items():
+            p, m, v = self.params[name], self.m[name], self.v[name]
+            pieces = zip(g.rows, g.values) if isinstance(g, ad.RowSparse) else [(..., g)]
+            for at, grad in pieces:
+                m[at] = cfg.beta1 * m[at] + (1 - cfg.beta1) * grad
+                v[at] = cfg.beta2 * v[at] + (1 - cfg.beta2) * grad * grad
+                p[at] = p[at] - lr * (m[at] / c1) / (np.sqrt(v[at] / c2) + cfg.epsilon)
+        self.history.append({"param": self.params["encoder.table"].copy(),
+                             "m": self.m["encoder.table"].copy(),
+                             "v": self.v["encoder.table"].copy()})
+
+
+def _lazy_adam_run(table_rows, n, seed=0, zero_dense_rows=()):
+    """Run `adam_step` and `_TextbookAdam` side by side, one step per entry of
+    `table_rows`: the table's gradient is a `RowSparse` over those rows, or
+    dense when the entry is None (with `zero_dense_rows` zero); every other
+    parameter's is dense. Returns (the `ModelState`, the reference)."""
+    dim = 3
+    model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=dim))
+    state = ModelState(model=model, config=TrainConfig(base_lr=0.01, epochs=1),
+                       total_steps=len(table_rows) + 1)
+    reference = _TextbookAdam(model, state.config)
+    rng = np.random.default_rng(seed)
+    for step, rows in enumerate(table_rows, start=1):
+        grads = {name: rng.normal(size=p.shape) for name, p in model.params.items()}
+        if rows is None:
+            grads["encoder.table"][list(zero_dense_rows)] = 0.0
+        else:
+            grads["encoder.table"] = ad.RowSparse(np.array(rows, dtype=np.int64),
+                                                  rng.normal(size=(len(rows), dim)), (n, dim))
+        lr = adam_step(state, grads, step)
+        assert lr == learning_rate(state.config, step, state.total_steps)
+        reference.step(grads, step, lr)
+    return state, reference
+
+
+def _assert_state_equals(state, reference):
+    for name, array in state.model.params.items():
+        assert array.tobytes() == reference.params[name].tobytes(), name
+        assert state.adam_m[name].tobytes() == reference.m[name].tobytes(), name
+        assert state.adam_v[name].tobytes() == reference.v[name].tobytes(), name
+
+
 class TestAdam:
     def _state(self, model, total_steps=10, lr=0.01):
         return ModelState(model=model, config=TrainConfig(base_lr=lr, epochs=1),
@@ -199,55 +259,63 @@ class TestAdam:
             model.params["head.bias"], before - lr1, rtol=1e-7
         )
 
-    def test_row_sparse_gradient_steps_like_its_dense_form(self):
-        # untouched rows keep decaying their moments, exactly as under a dense zero
-        config = ModelConfig(labels=("a", "b"), n_buckets=8, dim=3)
-        states = [self._state(SwipeModel.create(config), total_steps=10) for _ in range(2)]
-        rng = np.random.default_rng(0)
-        for step, rows in enumerate(([1, 4], [0, 4, 7], [2]), start=1):
-            sparse = ad.RowSparse(np.array(rows), rng.normal(size=(len(rows), 3)), (8, 3))
-            for state, table_grad in zip(states, (sparse, sparse.to_dense())):
-                grads = {k: np.ones_like(a) for k, a in state.model.params.items()}
-                adam_step(state, {**grads, "encoder.table": table_grad}, step)
-        sparse_state, dense_state = states
-        for name, array in sparse_state.model.params.items():
-            np.testing.assert_array_equal(array, dense_state.model.params[name])
-            np.testing.assert_array_equal(sparse_state.adam_m[name], dense_state.adam_m[name])
-            np.testing.assert_array_equal(sparse_state.adam_v[name], dense_state.adam_v[name])
+    def test_a_row_skipped_by_a_step_carries_its_moments_undecayed(self):
+        # row 1 is touched at steps 1 and 3 only: step 2 leaves its row and
+        # moments as they were, and step 3 starts from its step-1 moments
+        state, reference = _lazy_adam_run([[1, 4], [4], [1, 4]], n=8)
+        after_step1 = reference.history[0]
+        after_step2 = reference.history[1]
+        for array in ("param", "m", "v"):
+            assert after_step2[array][1].tobytes() == after_step1[array][1].tobytes()
+            assert after_step2[array][4].tobytes() != after_step1[array][4].tobytes()
+        _assert_state_equals(state, reference)
 
-    def test_update_equals_the_textbook_dense_update_bit_for_bit(self):
-        n = 97
-        model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=3))
-        state = self._state(model, total_steps=10)
-        cfg = state.config
-        params = {name: a.copy() for name, a in model.params.items()}
-        m = {name: np.zeros_like(p) for name, p in params.items()}
-        v = {name: np.zeros_like(p) for name, p in params.items()}
+    def test_an_empty_row_sparse_leaves_table_and_moments_byte_identical(self):
+        state, reference = _lazy_adam_run([[0, 3, 5], []], n=6)
+        before, after = reference.history
+        for array in ("param", "m", "v"):
+            assert after[array].tobytes() == before[array].tobytes()
+        _assert_state_equals(state, reference)
+
+    def test_a_dense_table_gradient_takes_the_dense_update(self):
+        # after a step that touched every row, every row moves and its
+        # moments decay, rows 3 and 5 with a zero gradient too
+        state, reference = _lazy_adam_run([list(range(7)), None, [0, 6]], n=7,
+                                          zero_dense_rows=[3, 5])
+        before, after = reference.history[:2]
+        for array in ("param", "m", "v"):
+            assert all(after[array][r].tobytes() != before[array][r].tobytes()
+                       for r in range(7))
+        _assert_state_equals(state, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_update_equals_the_textbook_lazy_update_bit_for_bit(self, data, n):
+        row_sets = st.one_of(st.none(), st.sets(st.integers(0, n - 1)).map(sorted))
+        steps = data.draw(st.lists(row_sets, min_size=1, max_size=6))
+        state, reference = _lazy_adam_run(steps, n=n, seed=data.draw(st.integers(0, 2**16)))
+        _assert_state_equals(state, reference)
+
+    def test_optimizer_memory_follows_the_touched_rows_not_the_table(self):
+        n, dim, touched = 2**16, 32, 900
+        model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=dim))
+        table_bytes = model.params["encoder.table"].nbytes
         rng = np.random.default_rng(0)
-        table_grads = [
-            [0, 1, n // 2, n - 1],  # the first and last rows
-            [n // 3],               # one touched row
-            [],                     # no touched row: every moment only decays
-            None,                   # a dense table gradient
-        ]
-        for step, rows in enumerate(table_grads, start=1):
-            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-            if rows is not None:
-                grads["encoder.table"] = ad.RowSparse(
-                    np.array(rows, dtype=np.int64), rng.normal(size=(len(rows), 3)), (n, 3))
-            lr = adam_step(state, grads, step)
-            assert lr == learning_rate(cfg, step, 10)
-            c1, c2 = 1 - cfg.beta1**step, 1 - cfg.beta2**step
-            for name in params:
-                g = ad.dense(grads[name])
-                m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
-                v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
-                params[name] = params[name] - lr * (m[name] / c1) / (
-                    np.sqrt(v[name] / c2) + cfg.epsilon)
-        for name, array in model.params.items():
-            assert array.tobytes() == params[name].tobytes(), name
-            assert state.adam_m[name].tobytes() == m[name].tobytes(), name
-            assert state.adam_v[name].tobytes() == v[name].tobytes(), name
+        grads = {name: rng.normal(size=p.shape) for name, p in model.params.items()}
+        grads["encoder.table"] = ad.RowSparse(np.sort(rng.choice(n, touched, replace=False)),
+                                              rng.normal(size=(touched, dim)), (n, dim))
+        tracemalloc.start()
+        try:
+            state = self._state(model)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            adam_step(state, grads, 1)
+            step_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # m and v for the table; the head's own arrays are a few hundred bytes
+        assert 2 * table_bytes <= held < 2 * table_bytes + table_bytes // 64
+        assert step_peak < table_bytes // 8
 
     def test_schedule(self):
         cfg = TrainConfig(base_lr=1.0, epochs=1)
@@ -321,8 +389,9 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
     config = ModelConfig(
         labels=labels, task_kind=task, pooling=pooling,
         truncation=TruncationConfig(strategy="structure"), encoder_mode=encoder_mode,
-        n_buckets=32, dim=4, interaction_layers=layers, n_heads=2, ff_dim=8,
-        max_positions=6 if positions and layers else None, init_seed=seed,
+        n_buckets=32, dim=4, interaction_layers=layers, n_heads=2,
+        ff_dim=8 if layers else None, max_positions=6 if positions and layers else None,
+        init_seed=seed,
     )
     model = SwipeModel.create(config)
     docs = []
