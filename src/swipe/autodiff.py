@@ -28,9 +28,14 @@ Conventions:
   with the row count; a one-row product even takes another BLAS routine);
   `slab_matmul` and `slab_attention` take documents of equal length as one
   stacked product per slab, so each document gets the BLAS calls, shapes
-  and last-axis reductions it gets alone; `ragged_sum` and `ragged_max`
-  reduce with `reduceat` for one block or many. A document scores the same
-  bits alone (a batch of one) or inside any batch
+  and last-axis reductions it gets alone; `bag_means`, `ragged_sum` and
+  `ragged_max` reduce with `reduceat` for one block or many. A document
+  scores the same bits alone (a batch of one) or inside any batch. A flat
+  hashed model scores a tape-free pass by `bag_means` over its label table
+  (`SwipeModel.label_table`, built over the whole embedding table at once)
+  and a taped one by `embedding_bag_mean` then `linear`: the two differ
+  only by rounding, as their sums associate differently, so every
+  tape-free pass takes the label table and no prediction depends on its path
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from __future__ import annotations
 import numpy as np
 
 
-#: Most bytes of table rows `embedding_bag_mean` gathers at once (a bag
-#: larger than this is gathered whole).
+#: Most bytes of table rows `bag_means` gathers at once (a bag larger than
+#: this is gathered whole).
 GATHER_BYTES = 256 << 10
 
 
@@ -338,10 +343,9 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
 
     Every bag must be non-empty and every id a row of the table, in
     [0, rows). This is the whole hashed-n-gram encoder forward: one output
-    row per segment, summed from at most `GATHER_BYTES` of gathered rows at
-    a time (`_bag_sums`); the backward never reads the gathered rows. The
-    table's gradient is a `RowSparse` over the ids it saw: each touched row
-    sums its occurrences' rows in occurrence order.
+    row per segment (`bag_means`); the backward never reads the gathered
+    rows. The table's gradient is a `RowSparse` over the ids it saw: each
+    touched row sums its occurrences' rows in occurrence order.
 
     The backward sorts the ids stably in the narrowest unsigned dtype that
     holds every row index, which numpy sorts by radix up to 65,536 rows, and
@@ -355,10 +359,7 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
     ids = np.asarray(ids, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     counts = offsets[1:] - offsets[:-1]
-    if (counts <= 0).any():
-        raise ValueError("embedding_bag_mean: empty bag")
-    out = _bag_sums(table.data, ids, offsets)
-    out /= counts[:, None]
+    out = bag_means(table.data, ids, offsets)
 
     def backward(g):
         sort_type = np.min_scalar_type(max(table.data.shape[0] - 1, 0))
@@ -374,13 +375,22 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
     return _make(out, (table,), backward)
 
 
-def _bag_sums(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each bag's sum of table rows, gathered a run of whole bags at a time
-    so that no more than `GATHER_BYTES` of rows (or one bag's) exist at once.
-    `reduceat` sums a bag from its own rows only, so the bits do not depend
-    on where the runs split."""
+def bag_means(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each bag's mean of `table` rows; bag b spans ids[offsets[b]:offsets[b+1]]
+    and must be non-empty. The package's one gather-and-`reduceat`:
+    `embedding_bag_mean` takes it over the embedding table, and a flat
+    hashed model's tape-free pass over its label table
+    (`SwipeModel.label_table`).
+
+    Bags are gathered a run of whole bags at a time, so that no more than
+    `GATHER_BYTES` of rows (or one bag's) exist at once. `reduceat` sums a
+    bag from its own rows only, so the bits do not depend on where the runs
+    split."""
+    counts = offsets[1:] - offsets[:-1]
+    if (counts <= 0).any():
+        raise ValueError("bag_means: empty bag")
     step = max(GATHER_BYTES // (8 * table.shape[1]), 1)  # rows per run
-    sums = np.empty((len(offsets) - 1, table.shape[1]))
+    sums = np.empty((len(counts), table.shape[1]))
     start = 0
     while start < len(sums):
         # the bags that fit in `step` rows from this one, at least this one
@@ -390,6 +400,7 @@ def _bag_sums(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.nda
         np.add.reduceat(table[ids[first:offsets[stop]]], offsets[start:stop] - first, axis=0,
                         out=sums[start:stop])
         start = stop
+    sums /= counts[:, None]
     return sums
 
 

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import weakref
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -63,10 +64,11 @@ Features = SegmentFeatures | SegmentMatrix
 #: Byte budget of one chunk: a bound on what one tape-free pass over it
 #: (featurize, forward, predictions) holds at once. A document is charged its
 #: encoder's `chunk_size` (with the hash encoder a bound from the token count:
-#: a token starts at most one n-gram per order, each gathered as dim x 8
-#: bytes, and fills at most `hashing.WIDTH_CAP` bytes of the hashing byte
-#: matrix; with precomputed vectors the rows), what interaction layers hold
-#: at once (`encoder.interaction_bytes`) and `DOC_BYTES`; a chunk is charged
+#: a token starts at most one n-gram per order, each gathered as at most
+#: max(dim, label table width) x 8 bytes, and fills at most
+#: `hashing.WIDTH_CAP` bytes of the hashing byte matrix; with precomputed
+#: vectors the rows), what interaction layers hold at once
+#: (`encoder.interaction_bytes`) and `DOC_BYTES`; a chunk is charged
 #: `PASS_BYTES` besides. A chunk closes before a document would take it past
 #: the budget; a document over it runs alone.
 CHUNK_BYTES = 1 << 20
@@ -79,8 +81,11 @@ CHUNK_BYTES = 1 << 20
 PASS_BYTES = 32 << 10
 DOC_BYTES = 2 << 10
 
-#: Longest container header line read, newline included; a longer one is refused.
+#: Longest container header line read, newline included; a longer one is
+#: refused. It is read `HEADER_PIECE` bytes at a time, so that reading it
+#: holds little more than the line itself.
 HEADER_BYTES = 64 << 20
+HEADER_PIECE = 64 << 10
 
 #: Per-layer interaction parameters, in checkpoint order.
 LAYER_PARAMS = ("wq", "wk", "wv", "wo", "ff_in", "ff_out",
@@ -123,9 +128,18 @@ class HashEncoder:
         return truncate(doc, truncation)
 
     def chunk_size(self, doc: Document, segments: list[Segment]) -> tuple[int, int]:
-        """(segments, a bound on the bytes of their embedding gather and byte matrix)."""
+        """(segments, a bound on the bytes of their gather and byte matrix).
+
+        Each n-gram's gathered row is charged `max(dim, table width) x 8`
+        bytes, the table width being L, or 2L under gated pooling: a pass
+        gathers rows of the embedding table (dim wide) or, tape-free on a flat
+        model, of `SwipeModel.label_table` (L or 2L wide), so the bound holds
+        whichever is wider. A flat model's label table itself is held once per
+        model, not per chunk, and is not charged here."""
+        config = self.config
+        width = len(config.labels) * (2 if config.pooling.gated else 1)
         tokens = sum(len(seg.tokens) for seg in segments)
-        return len(segments), tokens * (len(self.config.ngram_orders) * self.config.dim * 8
+        return len(segments), tokens * (len(config.ngram_orders) * max(config.dim, width) * 8
                                         + WIDTH_CAP)
 
     def featurize(self, chunk: Chunk) -> Batch:
@@ -228,7 +242,11 @@ class SwipeModel:
 
     `params` maps each name of `parameter_shapes(config)` to its float64
     array, in that order. `encoder`, picked once, does every featurize, chunk
-    and encode.
+    and encode. `version` counts changes to the parameters: whoever edits an
+    array of `params` in place (as `train.adam_step` does) bumps it, so that
+    the cached `label_table` is rebuilt; `train` bumps it too when it
+    restores its best epoch. Arrays put in place of others need no bump: the
+    cache is also keyed by the arrays it was built from.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
@@ -238,6 +256,8 @@ class SwipeModel:
         self.encoder: HashEncoder | VectorEncoder = (
             HashEncoder(config) if config.encoder_mode == ENCODER_HASH else VectorEncoder())
         self.train_config: TrainConfig | None = None
+        self.version = 0
+        self._label_cache: tuple[int, tuple[weakref.ref, ...], np.ndarray] | None = None
 
     @classmethod
     def create(cls, config: ModelConfig) -> "SwipeModel":
@@ -287,17 +307,72 @@ class SwipeModel:
         return {name: ad.Tensor(array, requires_grad) for name, array in self.params.items()}
 
     def forward(self, batch: Batch, params: dict[str, ad.Tensor]) -> ForwardOut:
-        """One pass over a ragged batch with the tensors `params` (`tensors()`):
-        every segment scored by one `ad.linear`, pooled per document."""
-        x = self.encoder.encode(batch.inputs, params)
-        if self.config.interaction_layers:
-            x = interact_tensor(x, params, self.config, batch.offsets)
-        seg_scores = scores_tensor(x, params)
-        gates = gates_tensor(x, params) if self.config.pooling.gated else None
+        """One pass over a ragged batch with the tensors `params` (`tensors()`),
+        each document's segments pooled.
+
+        A flat hashed model (no interaction layers) scores a pass that
+        requires no grad through its `label_table`: a segment's scores and
+        gate logits are the mean of its n-grams' rows of that table plus
+        "head.bias" and "head.gate_bias". Every other pass (training's taped
+        one, which needs the gradient of "head.weight", and every model with
+        interaction layers or precomputed vectors) encodes each segment
+        dim-wide and scores it by one `ad.linear`. For a flat model the two
+        differ only by rounding, because their sums associate differently;
+        every tape-free pass (predict, explain, eval, dev scoring) takes the
+        table, so a prediction never depends on its path.
+        """
+        if (self.config.encoder_mode == ENCODER_HASH and not self.config.interaction_layers
+                and not any(t.requires_grad for t in params.values())):
+            seg_scores, gates = self._table_scores(batch.inputs, params)
+        else:
+            x = self.encoder.encode(batch.inputs, params)
+            if self.config.interaction_layers:
+                x = interact_tensor(x, params, self.config, batch.offsets)
+            seg_scores = scores_tensor(x, params)
+            gates = gates_tensor(x, params) if self.config.pooling.gated else None
         doc_scores, rows, argmax = pool_tensor(seg_scores, gates, self.config.pooling,
                                                batch.offsets)
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores, gates=gates,
                           pooled_rows=rows, pool_argmax=argmax)
+
+    def label_table(self, params: dict[str, ad.Tensor]) -> np.ndarray:
+        """A flat hashed model's per-label table, `encoder.table @ W.T` for W
+        the (L, dim) "head.weight", stacked over "head.gate_weight" under
+        gated pooling: (n_buckets, L) or (n_buckets, 2L), n_buckets x L x 8
+        bytes, doubled when gated.
+
+        Built by one einsum over the whole table, so a row's bits do not
+        depend on which rows a pass reads, and cached on the model until
+        `version` changes or `params` wraps other arrays. Overflow warnings
+        are off: a row past the float64 range gives non-finite scores, which
+        `build_prediction` rejects naming the document."""
+        names = ("encoder.table", "head.weight",
+                 *(("head.gate_weight",) if self.config.pooling.gated else ()))
+        sources = tuple(params[name].data for name in names)
+        cached = self._label_cache
+        if (cached is None or cached[0] != self.version
+                or any(ref() is not a for ref, a in zip(cached[1], sources))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                # einsum's own loops, not BLAS: a first BLAS call would map
+                # its work buffer into a process that needs no other
+                table = np.einsum("nd,ld->nl", sources[0], np.concatenate(sources[1:]))
+            # weak: arrays the model has let go of (a restored epoch's
+            # predecessors) are freed, not kept alive by the cache
+            self._label_cache = cached = (
+                self.version, tuple(weakref.ref(a) for a in sources), table)
+        return cached[2]
+
+    def _table_scores(self, inputs: SegmentFeatures, params: dict[str, ad.Tensor]
+                      ) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """(M, L) segment scores and, under gated pooling, gates of a tape-free
+        flat hashed pass (see `forward`)."""
+        n_labels = len(self.config.labels)
+        means = ad.bag_means(self.label_table(params), inputs.ids, inputs.offsets)
+        seg_scores = ad.Tensor(means[:, :n_labels] + params["head.bias"].data)
+        if not self.config.pooling.gated:
+            return seg_scores, None
+        return seg_scores, ad.sigmoid(ad.Tensor(means[:, n_labels:]
+                                                + params["head.gate_bias"].data))
 
     def _predictions(self, batch: Batch, doc_ids: Sequence[str]) -> list[Prediction]:
         """One tape-free forward over `batch` and one `build_prediction` over its
@@ -408,7 +483,7 @@ def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manife
     read straight into its own. Any FormatError names `path`."""
     with open(path, "rb") as fh:
         try:
-            line = fh.readline(HEADER_BYTES)
+            line = _read_header_line(fh)
             if not line.endswith(b"\n"):
                 raise FormatError(f"bad {kind} header: no newline in its first {len(line)} bytes")
             try:
@@ -429,6 +504,19 @@ def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manife
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
     return meta, arrays
+
+
+def _read_header_line(fh) -> bytearray:
+    """The first line of `fh`, up to `HEADER_BYTES` bytes, newline included if
+    one came within them. Read in pieces into one buffer: a single capped
+    `readline` joins the buffered reader's chunks into a second copy."""
+    line = bytearray()
+    while len(line) < HEADER_BYTES:
+        piece = fh.readline(min(HEADER_PIECE, HEADER_BYTES - len(line)))
+        line += piece
+        if not piece or piece.endswith(b"\n"):
+            break
+    return line
 
 
 def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:

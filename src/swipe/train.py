@@ -8,15 +8,19 @@ Adam with bias correction, and a learning rate that decays linearly from
 Each split is featurized once, before the first step, in the chunks inference
 uses (`SwipeModel.chunks`, one hashing call per chunk), and the model's
 encoder splits each chunk into per-document features (`split_features`).
-Each epoch scores each dev chunk by one forward over its `model.Batch`, built
-just before. A training step is one forward and one backward over the whole
-ragged batch, on tensors that wrap the model's arrays for that pass only
-(`SwipeModel.tensors`). The hash encoder's table gradient arrives row-sparse
-(`autodiff.RowSparse`, one summed row per touched bucket), and Adam is lazy
-for it: a step updates the moments and parameters of the touched rows only,
-so its cost follows the batch, not `n_buckets`. Dense gradients (every other
-parameter) update moments and parameters in place through work arrays kept
-per parameter.
+Each epoch scores each dev chunk by one tape-free forward over its
+`model.Batch`, built just before; a flat hashed model scores it, as
+inference does, through its cached label table (`SwipeModel.label_table`),
+which `adam_step` invalidates by bumping `SwipeModel.version`, as `train`
+does when it restores the best epoch. A training step is one forward and
+one backward over the whole ragged batch, on tensors that wrap the model's
+arrays for that pass only (`SwipeModel.tensors`); it takes the dim-wide path,
+whose tape gives "head.weight" its gradient. The hash encoder's table
+gradient arrives row-sparse (`autodiff.RowSparse`, one summed row per touched
+bucket), and Adam is lazy for it: a step updates the moments and parameters
+of the touched rows only, so its cost follows the batch, not `n_buckets`.
+Dense gradients (every other parameter) update moments and parameters in
+place through work arrays kept per parameter.
 """
 
 from __future__ import annotations
@@ -135,6 +139,7 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     finiteness: nothing else changed, and all was finite after the last step.
     """
     cfg = state.config
+    state.model.version += 1  # the arrays change in place below
     lr = learning_rate(cfg, step, state.total_steps)
     correction1 = 1 - cfg.beta1**step
     correction2 = 1 - cfg.beta2**step
@@ -282,7 +287,8 @@ def exact_match(task_kind: str, scores: np.ndarray, gold: np.ndarray) -> np.ndar
 def evaluate_split(model: SwipeModel, batches: Iterable[Batch], gold: np.ndarray) -> float:
     """Exact-match share (see `exact_match`) of the documents of `batches`,
     whose gold rows `gold` holds in the same order; each batch is scored by
-    one tape-free forward. nan when there are no batches."""
+    one tape-free forward, through the label table on a flat hashed model,
+    as `predict` scores it. nan when there are no batches."""
     params = model.tensors()
     scores = [model.forward(batch, params).doc_scores.data for batch in batches]
     if not scores:
@@ -347,6 +353,7 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
             if dev_docs:
                 best.best_metric = dev_metric
     model.params = best_params
+    model.version += 1
     return best
 
 

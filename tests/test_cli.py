@@ -703,6 +703,20 @@ class TestNonFinite:
         assert not out.exists() or out.read_text() == ""
 
 
+    @pytest.mark.parametrize("command", ["predict", "explain", "eval", "sufficiency"])
+    def test_an_overflowing_label_table_row_exits_2_naming_the_document(self, tmp_path, capsys,
+                                                                        command):
+        # each row of encoder.table @ head.weight.T, 4 x 1e200 x 1e200, is past
+        # the float64 range, and building it must not warn
+        ckpt = _saved_model(tmp_path, **{"encoder.table": 1e200, "head.weight": 1e200})
+        code = run([command, "--checkpoint", ckpt,
+                    "--corpus", _labelled_corpus(tmp_path, ["a"]), "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: document 'd0' holds a NaN or an infinity")
+        assert err.count("\n") == 1
+
+
 def _text_corpus(path, n_docs, words=120):
     """`n_docs` plain-text documents of `words` random words each."""
     rng = random.Random(n_docs)

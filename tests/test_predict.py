@@ -106,6 +106,98 @@ def test_chunked_predictions_equal_per_document_predictions_bit_for_bit(
         assert calls == [n_docs]
 
 
+def _encode_calls(monkeypatch):
+    """Count dim-wide encodes: `encode_features` (hash) and `VectorEncoder.encode`."""
+    calls = []
+    for owner, name in ((model_mod, "encode_features"), (model_mod.VectorEncoder, "encode")):
+        def spy(*args, _name=name, _wrapped=getattr(owner, name)):
+            calls.append(_name)
+            return _wrapped(*args)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _taped(model, docs):
+    """The documents' batch and the training-style taped forward over it."""
+    batch = model_mod.Batch.of([model.featurize(doc) for doc in docs])
+    return batch, model.forward(batch, model.tensors(requires_grad=True))
+
+
+@pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
+@pytest.mark.parametrize("pooling", list(Pooling))
+def test_flat_tape_free_scores_agree_with_the_taped_dim_wide_pass(pooling, task, monkeypatch):
+    encodes = _encode_calls(monkeypatch)
+    for seed in range(6):
+        docs = _docs(np.random.default_rng(seed), 10)
+        # dim 2 < L = 3 < 2L, and dim 8 above both
+        model = _model(seed, pooling, 0, task, ENCODER_HASH, docs, dim=2 + 6 * (seed % 2))
+        encodes.clear()
+        preds = [pred for _, _, pred in model.predict_many(docs)]
+        assert encodes == []  # scored from the label table alone
+        batch, out = _taped(model, docs)
+        assert encodes == ["encode_features"]
+        bounds = batch.offsets.tolist()
+        for b, (pred, lo, hi) in enumerate(zip(preds, bounds, bounds[1:])):
+            want = {"scores": out.doc_scores.data[b], "seg_scores": out.seg_scores.data[lo:hi].T,
+                    "gates": None if out.gates is None else out.gates.data[lo:hi].T}
+            for field, value in want.items():
+                got = getattr(pred, field)
+                if value is None:
+                    assert got is None
+                    continue
+                scale = np.abs(value).max()
+                assert np.all(np.abs(got - value) <= 1e-12 * scale), (seed, b, field)
+            # bits and key segments wherever no value is within 1e-12 of zero or a tie
+            scale = max(np.abs(want["scores"]).max(), np.abs(want["seg_scores"]).max())
+            for bits, value in ((pred.bits, want["scores"]), (pred.seg_bits, want["seg_scores"])):
+                clear = np.abs(value) > 1e-12 * scale
+                assert np.array_equal(bits[clear], value[clear] > 0), (seed, b)
+            rows = out.pooled_rows.data[lo:hi]
+            ordered = np.sort(rows, axis=0)
+            untied = (ordered[-1] - ordered[-2] > 1e-12 * np.abs(rows).max() if hi - lo > 1
+                      else np.ones(rows.shape[1], bool))
+            keys = rows.argmax(axis=0)
+            assert np.array_equal(pred.key_segments[untied], keys[untied]), (seed, b)
+            if task == TASK_MULTICLASS:
+                top = np.sort(want["scores"])
+                if top[-1] - top[-2] > 1e-12 * scale:
+                    assert pred.pred_class == int(want["scores"].argmax())
+
+
+@pytest.mark.parametrize("layers, encoder_mode", [
+    (0, ENCODER_HASH), (1, ENCODER_HASH), (0, ENCODER_PRECOMPUTED), (1, ENCODER_PRECOMPUTED)])
+def test_only_a_flat_hashed_tape_free_pass_skips_the_dim_wide_encode(layers, encoder_mode,
+                                                                      monkeypatch):
+    docs = _docs(np.random.default_rng(5), 6)
+    model = _model(5, Pooling.GATED_SUM, layers, TASK_MULTILABEL, encoder_mode, docs)
+    encodes = _encode_calls(monkeypatch)
+    list(model.predict_many(docs))
+    flat_hashed = encoder_mode == ENCODER_HASH and not layers
+    assert bool(encodes) != flat_hashed
+    encodes.clear()
+    _taped(model, docs)
+    assert encodes == ["encode_features" if encoder_mode == ENCODER_HASH else "encode"]
+
+
+def test_the_label_table_is_built_once_for_every_chunk_and_document(monkeypatch):
+    docs = _docs(np.random.default_rng(6), 12)
+    model = _model(6, Pooling.GATED_MAX, 0, TASK_MULTILABEL, ENCODER_HASH, docs)
+    builds = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod.np, "einsum", counted)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", 0)  # one chunk per document
+    assert len(list(model.predict_many(docs))) == len(docs)
+    for doc in docs:
+        model.predict(doc)
+    assert builds == ["nd,ld->nl"]
+    assert model.label_table(model.tensors()).shape == (64, 6)  # (n_buckets, 2L) when gated
+
+
 def _same_arrays(a, b) -> bool:
     """Two features of one kind hold arrays of the same dtypes and bits."""
     arrays = [(x, y) for x, y in zip(vars(a).values(), vars(b).values())
@@ -272,6 +364,27 @@ def test_a_chunk_pass_holds_at_most_its_charge(seed, layers, heads, head_dim, ff
             assert peak <= charged <= model_mod.CHUNK_BYTES
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), dim=st.integers(1, 8), data=st.data(),
+       pooling=st.sampled_from(list(Pooling)),
+       segments=st.lists(st.integers(1, 40), min_size=2, max_size=8))
+def test_a_flat_chunk_pass_holds_at_most_its_charge(seed, dim, data, pooling, segments):
+    # the label table is L or 2L wide, which can exceed dim
+    n_labels = data.draw(st.integers(2, dim + 4), label="n_labels")
+    rng = np.random.default_rng(seed)
+    docs = [Document(id=f"d{i}", labels=("l0",), units=tuple(
+                " ".join(rng.choice(WORDS, size=rng.integers(1, 9))) for _ in range(m)))
+            for i, m in enumerate(segments)]
+    model = SwipeModel.create(ModelConfig(
+        labels=tuple(f"l{i}" for i in range(n_labels)), task_kind=TASK_MULTILABEL,
+        pooling=pooling, truncation=TruncationConfig(strategy="structure"), n_buckets=64,
+        dim=dim, init_seed=seed))
+    model.label_table(model.tensors())  # held once per model, not per chunk
+    for n, charged, peak in _pass_peaks(model, docs):
+        if n > 1:
+            assert peak <= charged <= model_mod.CHUNK_BYTES
+
+
 class TestLoad:
     def _saved(self, tmp_path, **overrides):
         config = ModelConfig(labels=("a", "b"), n_buckets=16, dim=4, **overrides)
@@ -336,6 +449,29 @@ class TestLoad:
         with pytest.raises(FormatError, match=re.escape(
                 f"{path}: bad {kind} header: no newline in its first {len(line) - 1} bytes")):
             load(path)
+
+    @pytest.mark.parametrize("piece", [1, 7, model_mod.HEADER_PIECE])
+    def test_header_line_is_read_whole_in_pieces(self, tmp_path, monkeypatch, piece):
+        model, path = self._saved(tmp_path)
+        monkeypatch.setattr(model_mod, "HEADER_PIECE", piece)
+        loaded = SwipeModel.load(path)
+        assert loaded.config == model.config
+        assert all(loaded.params[name].tobytes() == array.tobytes()
+                   for name, array in model.params.items())
+
+    def test_a_header_without_newline_is_refused_holding_about_its_size(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"x" * (16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{path}: bad vectors sidecar header: no newline in its first {16 << 20} "
+                    "bytes")):
+                model_mod.load_precomputed(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (16 << 20)
 
     def test_short_read_is_a_truncated_tensor(self):
         assert model_mod._read_tensor(io.BytesIO(bytes(16)), "t", (2,)).tolist() == [0.0, 0.0]

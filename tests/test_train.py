@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -508,6 +509,30 @@ def test_inference_and_dev_scoring_record_no_tape(pooling):
         assert ad.dense(after[name]).tobytes() == ad.dense(grad).tobytes(), name
 
 
+def _assert_predicts_as_a_fresh_copy(model, docs):
+    """`model`'s predictions equal, bit for bit, those of a model built from
+    copies of its arrays, whose label table is made afresh."""
+    fresh = SwipeModel.from_arrays(model.config,
+                                   {name: a.copy() for name, a in model.params.items()})
+    for doc in docs:
+        got, want = model.predict(doc), fresh.predict(doc)
+        for field in ("scores", "seg_scores", "gates", "key_segments"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (doc.id, field)
+
+
+@pytest.mark.parametrize("pooling", list(Pooling))
+def test_predictions_after_a_step_use_the_stepped_parameters(pooling):
+    model, docs, feats, gold = _ragged_model(6, [2, 1, 3], pooling, 0, False,
+                                             TASK_MULTILABEL, ENCODER_HASH)
+    before = [model.predict(doc).scores.copy() for doc in docs]  # the label table is cached
+    state = ModelState(model=model, config=TrainConfig(base_lr=0.1, epochs=1), total_steps=4)
+    adam_step(state, backward_batch(model, Batch.of(feats), gold)[1], 1)
+    _assert_predicts_as_a_fresh_copy(model, docs)
+    assert any(model.predict(doc).scores.tobytes() != old.tobytes()
+               for doc, old in zip(docs, before))  # the step moved the scores
+
+
 def test_batch_rejects_mixed_feature_kinds():
     model, _, feats, _ = _ragged_model(0, [2], Pooling.MAX, 0, False, TASK_MULTICLASS,
                                        ENCODER_HASH)
@@ -707,12 +732,15 @@ class TestTrainLoop:
             labels=corpus.vocab.names, task_kind=corpus.vocab.task_kind,
             truncation=TruncationConfig(strategy="structure"), n_buckets=64, dim=4,
             init_seed=4))
+        trained = weakref.ref(model.params["encoder.table"])  # stepped in place, then replaced
         result = train(corpus, model, TrainConfig(epochs=6, base_lr=0.3, batch_size=4,
                                                   seed=4))
         assert result.best_epoch < 6 and result.metrics[-1]["dev_metric"] < result.best_metric
+        assert trained() is None  # the label table cache does not keep it alive
         dev = corpus.split_docs("dev")
         batches = [model.encoder.featurize(chunk) for chunk in model.chunks(dev)]
         assert evaluate_split(model, batches, model.vocab.gold(dev)) == result.best_metric
+        _assert_predicts_as_a_fresh_copy(model, dev)
 
     def test_precomputed_training_stacks_no_split(self, monkeypatch):
         # each dev chunk is batched where an epoch scores it, never held stacked
