@@ -11,9 +11,9 @@ Conventions:
 * gradients accumulate into `Tensor.grad` (None until first touched), and
   only into tensors that require grad; a gradient may share memory with
   another tensor's, so no code updates one in place
-* the embedding bag's table gradient is row-sparse: a `RowSparse` holding
-  the summed gradient of each touched row, so a training step never builds
-  a dense table-sized gradient (`dense` expands one where a caller needs it)
+* the bag ops' table gradient is row-sparse: a `RowSparse` holding the
+  summed gradient of each touched row, so a training step never builds a
+  dense table-sized gradient (`dense` expands one where a caller needs it)
 * ragged batches: documents' rows are stacked and `offsets` (B+1
   boundaries) say which rows belong to which document; `ragged_max` and
   `ragged_sum` pool per document, and both losses take (B, L) logits, one
@@ -32,18 +32,21 @@ Conventions:
   `ragged_max` reduce with `reduceat` for one block or many. A document
   scores the same bits alone (a batch of one) or inside any batch. A flat
   hashed model scores a tape-free pass by `bag_means` over its label table
-  (`SwipeModel.label_table`, built over the whole embedding table at once)
-  and a taped one by `embedding_bag_mean` then `linear`: the two differ
-  only by rounding, as their sums associate differently, so every
-  tape-free pass takes the label table and no prediction depends on its path
+  (`SwipeModel.label_table`, the whole embedding table projected by one
+  einsum) and a taped one by `label_bag_means`, which projects only the
+  touched rows by the same einsum and then takes the same `bag_means`:
+  einsum rounds a row the same way whatever the row count, so the two agree
+  bit for bit
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
-#: Most bytes of table rows `bag_means` gathers at once (a bag larger than
+#: Most bytes of rows `_gather_sums` gathers at once (a group larger than
 #: this is gathered whole).
 GATHER_BYTES = 256 << 10
 
@@ -195,6 +198,31 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """The tensors stacked along axis 0 (one tensor is itself)."""
+    if len(tensors) == 1:
+        return tensors[0]
+    cuts = np.cumsum([t.data.shape[0] for t in tensors[:-1]])
+
+    def backward(g):
+        return tuple(zip(tensors, np.split(g, cuts)))
+
+    return _make(np.concatenate([t.data for t in tensors]), tuple(tensors), backward)
+
+
+def columns(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a 2-D tensor (all of them are the tensor itself)."""
+    if (start, stop) == (0, a.data.shape[1]):
+        return a
+
+    def backward(g):
+        grad = np.zeros_like(a.data)
+        grad[:, start:stop] = g
+        return ((a, grad),)
+
+    return _make(a.data[:, start:stop], (a,), backward)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     out = _stable_sigmoid(a.data)
 
@@ -338,23 +366,63 @@ def slab_attention(q: Tensor, k: Tensor, v: Tensor, slabs, n_heads: int) -> Tens
     return _make(out, (q, k, v), backward)
 
 
+def _sort_ids(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable sort of `ids`, rows of an `n_rows`-row table: (the order that
+    sorts them, the rows they touch, sorted and unique, and the offsets of
+    each touched row's occurrences in that order, one more than the rows).
+
+    Sorted in the narrowest unsigned dtype that holds every row index, which
+    numpy sorts by radix up to 65,536 rows."""
+    order = np.argsort(ids.astype(np.min_scalar_type(max(n_rows - 1, 0))), kind="stable")
+    sorted_ids = ids[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    return order, sorted_ids[first], np.append(first, len(ids))
+
+
+def _gather_sums(rows: np.ndarray, index: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per group k, the sum of `rows[index[offsets[k]:offsets[k+1]]]`, each
+    group non-empty: the package's one gather-and-`reduceat`. `bag_means`
+    sums table rows per bag with it, and the bag ops' backwards sum each
+    touched row's gradient over its occurrences.
+
+    Groups are gathered a run of whole groups at a time, so that no more
+    than `GATHER_BYTES` of rows (or one group's) exist at once. `reduceat`
+    sums a group from its own rows only (sequentially up to 8 rows and
+    pairwise beyond, on numpy 2.4), so the bits do not depend on where the
+    runs split.
+    """
+    step = max(GATHER_BYTES // (8 * rows.shape[1]), 1)  # rows per run
+    sums = np.empty((len(offsets) - 1, rows.shape[1]))
+    start = 0
+    while start < len(sums):
+        # the groups that fit in `step` rows from this one, at least this one
+        stop = max(int(np.searchsorted(offsets, offsets[start] + step, "right")) - 1,
+                   start + 1)
+        first = offsets[start]
+        np.add.reduceat(np.take(rows, index[first:offsets[stop]], axis=0),
+                        offsets[start:stop] - first, axis=0, out=sums[start:stop])
+        start = stop
+    return sums
+
+
+def _touched_grad(g: np.ndarray, counts: np.ndarray, order: np.ndarray,
+                  runs: np.ndarray) -> np.ndarray:
+    """Each touched row's gradient, `g / count` of its bag summed over its
+    occurrences in sorted order (`_sort_ids`): (touched rows, g's width)."""
+    bags = np.repeat(np.arange(len(counts)), counts)[order]
+    return _gather_sums(g / counts[:, None], bags, runs)
+
+
 def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:
     """Mean of table rows per bag; bag b spans ids[offsets[b]:offsets[b+1]].
 
     Every bag must be non-empty and every id a row of the table, in
-    [0, rows). This is the whole hashed-n-gram encoder forward: one output
-    row per segment (`bag_means`); the backward never reads the gathered
-    rows. The table's gradient is a `RowSparse` over the ids it saw: each
-    touched row sums its occurrences' rows in occurrence order.
-
-    The backward sorts the ids stably in the narrowest unsigned dtype that
-    holds every row index, which numpy sorts by radix up to 65,536 rows, and
-    sums each id's occurrences along the last axis of one contiguous
-    (dim, occurrences) block. `reduceat` does not add a segment one element
-    at a time: on numpy 2.4 it takes the first element plus the sequential
-    sum of the rest for up to 8 elements and a pairwise sum beyond that. It
-    associates the same way along either axis, so the sums equal those of a
-    row-wise reduction bit for bit, which is all this relies on.
+    [0, rows). This is the hashed-n-gram encoder forward of a model with
+    interaction layers: one output row per segment (`bag_means`); the
+    backward never reads the gathered rows. The table's gradient is a
+    `RowSparse` over the ids it saw: the ids are sorted stably
+    (`_sort_ids`) and each touched row sums its occurrences' rows in
+    occurrence order (`_gather_sums`).
     """
     ids = np.asarray(ids, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -362,44 +430,56 @@ def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> T
     out = bag_means(table.data, ids, offsets)
 
     def backward(g):
-        sort_type = np.min_scalar_type(max(table.data.shape[0] - 1, 0))
-        order = np.argsort(ids.astype(sort_type), kind="stable")
-        sorted_ids = ids[order]
-        first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
-        bags = np.repeat(np.arange(len(counts)), counts)[order]
-        per_id = np.take((g / counts[:, None]).T, bags, axis=1)  # (dim, occurrences)
-        # back to (touched rows, dim) in C order, which Adam's row update reads fastest
-        values = np.ascontiguousarray(np.add.reduceat(per_id, first, axis=1).T)
-        return ((table, RowSparse(sorted_ids[first], values, table.data.shape)),)
+        order, rows, runs = _sort_ids(ids, table.data.shape[0])
+        values = _touched_grad(g, counts, order, runs)
+        return ((table, RowSparse(rows, values, table.data.shape)),)
 
     return _make(out, (table,), backward)
 
 
+def label_bag_means(table: Tensor, weight: Tensor, ids: np.ndarray,
+                    offsets: np.ndarray) -> Tensor:
+    """Mean per bag of the table rows projected by `weight`: row b is the
+    mean over bag b's ids of `table[id] @ weight.T`, (bags, W) for a (W, dim)
+    weight; bags and ids as `embedding_bag_mean` takes them. This is a flat
+    hashed model's training forward up to the head biases.
+
+    The forward sorts the ids (`_sort_ids`), projects only the touched rows
+    by the einsum `SwipeModel.label_table` projects the whole table by, and
+    takes `bag_means` of them; einsum rounds a row the same way whatever the
+    row count, so the bits are those of `bag_means` over the label table.
+    The backward sums each touched row's `g / count` in label space
+    (`_touched_grad`), R: the table's gradient is the `RowSparse` R @ weight
+    and the weight's R.T @ the touched rows, so nothing dim wide is gathered
+    or reduced per occurrence.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    counts = offsets[1:] - offsets[:-1]
+    order, rows, runs = _sort_ids(ids, table.data.shape[0])
+    local = np.empty_like(ids)  # each id's index among the touched rows
+    local[order] = np.repeat(np.arange(len(rows)), np.diff(runs))
+    touched = np.take(table.data, rows, axis=0)
+    out = bag_means(np.einsum("nd,ld->nl", touched, weight.data), local, offsets)
+
+    def backward(g):
+        per_row = _touched_grad(g, counts, order, runs)
+        return ((table, RowSparse(rows, per_row @ weight.data, table.data.shape)),
+                (weight, per_row.T @ touched))
+
+    return _make(out, (table, weight), backward)
+
+
 def bag_means(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each bag's mean of `table` rows; bag b spans ids[offsets[b]:offsets[b+1]]
-    and must be non-empty. The package's one gather-and-`reduceat`:
-    `embedding_bag_mean` takes it over the embedding table, and a flat
-    hashed model's tape-free pass over its label table
-    (`SwipeModel.label_table`).
-
-    Bags are gathered a run of whole bags at a time, so that no more than
-    `GATHER_BYTES` of rows (or one bag's) exist at once. `reduceat` sums a
-    bag from its own rows only, so the bits do not depend on where the runs
-    split."""
+    and must be non-empty. `embedding_bag_mean` takes it over the embedding
+    table, `label_bag_means` over the touched rows projected to label space,
+    and a flat hashed model's tape-free pass over its label table
+    (`SwipeModel.label_table`); the sums are `_gather_sums`'."""
     counts = offsets[1:] - offsets[:-1]
     if (counts <= 0).any():
         raise ValueError("bag_means: empty bag")
-    step = max(GATHER_BYTES // (8 * table.shape[1]), 1)  # rows per run
-    sums = np.empty((len(counts), table.shape[1]))
-    start = 0
-    while start < len(sums):
-        # the bags that fit in `step` rows from this one, at least this one
-        stop = max(int(np.searchsorted(offsets, offsets[start] + step, "right")) - 1,
-                   start + 1)
-        first = offsets[start]
-        np.add.reduceat(table[ids[first:offsets[stop]]], offsets[start:stop] - first, axis=0,
-                        out=sums[start:stop])
-        start = stop
+    sums = _gather_sums(table, ids, offsets)
     sums /= counts[:, None]
     return sums
 

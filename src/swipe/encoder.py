@@ -17,7 +17,7 @@ equivariant. The functions here take the model's parameter dict, named as
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -30,17 +30,21 @@ from swipe.truncate import Segment
 
 @dataclass(frozen=True)
 class SegmentMatrix:
-    """Encoded document: one row per segment, all rows of dimension h."""
+    """Encoded document: one row per segment, all rows of dimension h, every
+    entry finite. `finite=True` says the rows are known finite (read by
+    `model.load_precomputed`, which checks each array as it reads it, or
+    stacked from matrices), so they are not checked again."""
 
     doc_id: str
     rows: np.ndarray
+    finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, finite: bool):
         rows = np.asarray(self.rows, dtype=np.float64)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise FormatError(f"segment matrix for {self.doc_id!r} must be 2-D, m >= 1")
-        if not np.all(np.isfinite(rows)):
+        if not finite and not np.all(np.isfinite(rows)):
             raise FormatError(f"segment matrix for {self.doc_id!r} has non-finite entries")
 
     @property
@@ -55,7 +59,7 @@ class SegmentMatrix:
     def concat(cls, mats: "list[SegmentMatrix]") -> "SegmentMatrix":
         """Every matrix's rows stacked in order, named by their ids."""
         return cls(doc_id=" ".join(mat.doc_id for mat in mats),
-                   rows=np.concatenate([mat.rows for mat in mats]))
+                   rows=np.concatenate([mat.rows for mat in mats]), finite=True)
 
 
 @dataclass(frozen=True)

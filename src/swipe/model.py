@@ -66,8 +66,9 @@ Features = SegmentFeatures | SegmentMatrix
 #: encoder's `chunk_size` (with the hash encoder a bound from the token count:
 #: a token starts at most one n-gram per order, each gathered as at most
 #: max(dim, label table width) x 8 bytes, and fills at most
-#: `hashing.WIDTH_CAP` bytes of the hashing byte matrix; with precomputed
-#: vectors the rows), what interaction layers hold at once
+#: `hashing.WIDTH_CAP` bytes of the hashing byte matrix, or, when more, what
+#: hashing holds per token, `HASH_TOKEN_BYTES`; with precomputed vectors the
+#: rows), what interaction layers hold at once
 #: (`encoder.interaction_bytes`) and `DOC_BYTES`; a chunk is charged
 #: `PASS_BYTES` besides. A chunk closes before a document would take it past
 #: the budget; a document over it runs alone.
@@ -80,6 +81,17 @@ CHUNK_BYTES = 1 << 20
 #: (its `Prediction` and the array views it holds; 1.1 KiB measured).
 PASS_BYTES = 32 << 10
 DOC_BYTES = 2 << 10
+
+#: What `featurize_segments` holds per token, at most: `HASH_TOKEN_BYTES`
+#: (the byte matrix and its transpose, 2 x `hashing.WIDTH_CAP`, plus 160
+#: bytes for the token's slots in two lists, its encoded bytes and a short
+#: segment's share of the per-segment arrays) and `HASH_ORDER_BYTES` per
+#: n-gram order (each n-gram's hash, gather index, the index's temporary and
+#: id). tracemalloc measured 104-306 bytes a token for orders 1 to 4, the
+#: most with segments as short as the orders allow and a 64-byte token. It
+#: exceeds the gather's charge only at a small dim.
+HASH_TOKEN_BYTES = 2 * WIDTH_CAP + 160
+HASH_ORDER_BYTES = 48
 
 #: Longest container header line read, newline included; a longer one is
 #: refused. It is read `HEADER_PIECE` bytes at a time, so that reading it
@@ -128,19 +140,23 @@ class HashEncoder:
         return truncate(doc, truncation)
 
     def chunk_size(self, doc: Document, segments: list[Segment]) -> tuple[int, int]:
-        """(segments, a bound on the bytes of their gather and byte matrix).
+        """(segments, a bound on the bytes of their hashing and gather).
 
         Each n-gram's gathered row is charged `max(dim, table width) x 8`
         bytes, the table width being L, or 2L under gated pooling: a pass
         gathers rows of the embedding table (dim wide) or, tape-free on a flat
         model, of `SwipeModel.label_table` (L or 2L wide), so the bound holds
-        whichever is wider. A flat model's label table itself is held once per
-        model, not per chunk, and is not charged here."""
+        whichever is wider. A token is charged that plus `WIDTH_CAP`, or what
+        hashing holds for it (`HASH_TOKEN_BYTES`, `HASH_ORDER_BYTES`) when
+        more: hashing is done before the gather starts. A flat model's label
+        table itself is held once per model, not per chunk, and is not
+        charged here."""
         config = self.config
         width = len(config.labels) * (2 if config.pooling.gated else 1)
         tokens = sum(len(seg.tokens) for seg in segments)
-        return len(segments), tokens * (len(config.ngram_orders) * max(config.dim, width) * 8
-                                        + WIDTH_CAP)
+        orders = len(config.ngram_orders)
+        return len(segments), tokens * max(orders * max(config.dim, width) * 8 + WIDTH_CAP,
+                                           HASH_TOKEN_BYTES + orders * HASH_ORDER_BYTES)
 
     def featurize(self, chunk: Chunk) -> Batch:
         """The chunk's segments, hashed in one `featurize_segments` call."""
@@ -310,20 +326,21 @@ class SwipeModel:
         """One pass over a ragged batch with the tensors `params` (`tensors()`),
         each document's segments pooled.
 
-        A flat hashed model (no interaction layers) scores a pass that
-        requires no grad through its `label_table`: a segment's scores and
-        gate logits are the mean of its n-grams' rows of that table plus
-        "head.bias" and "head.gate_bias". Every other pass (training's taped
-        one, which needs the gradient of "head.weight", and every model with
-        interaction layers or precomputed vectors) encodes each segment
-        dim-wide and scores it by one `ad.linear`. For a flat model the two
-        differ only by rounding, because their sums associate differently;
-        every tape-free pass (predict, explain, eval, dev scoring) takes the
-        table, so a prediction never depends on its path.
+        A flat hashed model (no interaction layers) scores every pass in label
+        space (`_label_scores`): a segment's scores and gate logits are the
+        mean of its n-grams' rows of `encoder.table @ W.T`, W "head.weight"
+        stacked over "head.gate_weight" under gated pooling, plus "head.bias"
+        and "head.gate_bias". A tape-free pass (predict, explain, eval, dev
+        scoring) reads those rows from the cached `label_table`; a taped one
+        (a training step, whose parameters change at every step) projects
+        only the rows the batch touches (`ad.label_bag_means`). Both project
+        by the same einsum, which rounds a row the same way whatever the row
+        count, so the two give the same bits. A model with interaction layers
+        or precomputed vectors encodes each segment dim-wide, interacts and
+        scores it by one `ad.linear`.
         """
-        if (self.config.encoder_mode == ENCODER_HASH and not self.config.interaction_layers
-                and not any(t.requires_grad for t in params.values())):
-            seg_scores, gates = self._table_scores(batch.inputs, params)
+        if self.config.encoder_mode == ENCODER_HASH and not self.config.interaction_layers:
+            seg_scores, gates = self._label_scores(batch.inputs, params)
         else:
             x = self.encoder.encode(batch.inputs, params)
             if self.config.interaction_layers:
@@ -334,6 +351,11 @@ class SwipeModel:
                                                batch.offsets)
         return ForwardOut(doc_scores=doc_scores, seg_scores=seg_scores, gates=gates,
                           pooled_rows=rows, pool_argmax=argmax)
+
+    def _head_weights(self) -> tuple[str, ...]:
+        """The head weights a flat hashed model projects its table by, stacked
+        in this order."""
+        return ("head.weight", *(("head.gate_weight",) if self.config.pooling.gated else ()))
 
     def label_table(self, params: dict[str, ad.Tensor]) -> np.ndarray:
         """A flat hashed model's per-label table, `encoder.table @ W.T` for W
@@ -346,9 +368,7 @@ class SwipeModel:
         `version` changes or `params` wraps other arrays. Overflow warnings
         are off: a row past the float64 range gives non-finite scores, which
         `build_prediction` rejects naming the document."""
-        names = ("encoder.table", "head.weight",
-                 *(("head.gate_weight",) if self.config.pooling.gated else ()))
-        sources = tuple(params[name].data for name in names)
+        sources = tuple(params[name].data for name in ("encoder.table", *self._head_weights()))
         cached = self._label_cache
         if (cached is None or cached[0] != self.version
                 or any(ref() is not a for ref, a in zip(cached[1], sources))):
@@ -362,17 +382,23 @@ class SwipeModel:
                 self.version, tuple(weakref.ref(a) for a in sources), table)
         return cached[2]
 
-    def _table_scores(self, inputs: SegmentFeatures, params: dict[str, ad.Tensor]
+    def _label_scores(self, inputs: SegmentFeatures, params: dict[str, ad.Tensor]
                       ) -> tuple[ad.Tensor, ad.Tensor | None]:
-        """(M, L) segment scores and, under gated pooling, gates of a tape-free
-        flat hashed pass (see `forward`)."""
+        """(M, L) segment scores and, under gated pooling, gates of a flat
+        hashed pass (see `forward`): from the label table when no parameter
+        it reads requires grad, else through `ad.label_bag_means`."""
+        weights = [params[name] for name in self._head_weights()]
+        table = params["encoder.table"]
+        if table.requires_grad or any(w.requires_grad for w in weights):
+            means = ad.label_bag_means(table, ad.concat(weights), inputs.ids, inputs.offsets)
+        else:
+            means = ad.Tensor(ad.bag_means(self.label_table(params), inputs.ids, inputs.offsets))
         n_labels = len(self.config.labels)
-        means = ad.bag_means(self.label_table(params), inputs.ids, inputs.offsets)
-        seg_scores = ad.Tensor(means[:, :n_labels] + params["head.bias"].data)
+        seg_scores = ad.add(ad.columns(means, 0, n_labels), params["head.bias"])
         if not self.config.pooling.gated:
             return seg_scores, None
-        return seg_scores, ad.sigmoid(ad.Tensor(means[:, n_labels:]
-                                                + params["head.gate_bias"].data))
+        return seg_scores, ad.sigmoid(ad.add(ad.columns(means, n_labels, 2 * n_labels),
+                                             params["head.gate_bias"]))
 
     def _predictions(self, batch: Batch, doc_ids: Sequence[str]) -> list[Prediction]:
         """One tape-free forward over `batch` and one `build_prediction` over its
@@ -534,9 +560,11 @@ def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
 
 
 def load_precomputed(path) -> dict[str, SegmentMatrix]:
-    """Read a vectors sidecar: frozen segment matrices by document id, in file order."""
+    """Read a vectors sidecar: frozen segment matrices by document id, in file
+    order; `read_container` has checked every entry finite."""
     _, arrays = read_container(path, "vectors sidecar", _vectors_manifest)
-    return {doc_id: SegmentMatrix(doc_id=doc_id, rows=rows) for doc_id, rows in arrays.items()}
+    return {doc_id: SegmentMatrix(doc_id=doc_id, rows=rows, finite=True)
+            for doc_id, rows in arrays.items()}
 
 
 def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,9 +14,12 @@ inference does, through its cached label table (`SwipeModel.label_table`),
 which `adam_step` invalidates by bumping `SwipeModel.version`, as `train`
 does when it restores the best epoch. A training step is one forward and
 one backward over the whole ragged batch, on tensors that wrap the model's
-arrays for that pass only (`SwipeModel.tensors`); it takes the dim-wide path,
-whose tape gives "head.weight" its gradient. The hash encoder's table
-gradient arrives row-sparse (`autodiff.RowSparse`, one summed row per touched
+arrays for that pass only (`SwipeModel.tensors`). A flat hashed model's
+step projects only the table rows its batch touches into label space
+(`autodiff.label_bag_means`), so its scores have the bits of the label-table
+pass, and takes the table's gradient in label space; a model with
+interaction layers encodes dim wide. The hash encoder's table gradient
+arrives row-sparse (`autodiff.RowSparse`, one summed row per touched
 bucket), and Adam is lazy for it: a step updates the moments and parameters
 of the touched rows only, so its cost follows the batch, not `n_buckets`.
 Dense gradients (every other parameter) update moments and parameters in

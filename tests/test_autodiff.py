@@ -389,9 +389,9 @@ def test_embedding_bag_row_sparse_grad_matches_dense_loop():
 
 
 def _bag_grad_oracle(ids, offsets, g):
-    """The table gradient as an int64 argsort and a row-wise `reduceat` over
-    (occurrences, dim) rows: the formulation the backward's radix sort and
-    (dim, occurrences) block must reproduce bit for bit."""
+    """The table gradient as an int64 argsort and one row-wise `reduceat`
+    over all (occurrences, dim) rows: the formulation the backward's radix
+    sort and runs of whole row groups must reproduce bit for bit."""
     counts = np.diff(offsets)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
@@ -411,12 +411,15 @@ def _bag_grad_oracle(ids, offsets, g):
                   max_size=6),
     n_bags=st.integers(1, 12),
     dim=st.integers(1, 5),
+    # the backward gathers runs of whole row groups: one row per run, a few,
+    # or everything at once
+    gather_bytes=st.sampled_from([1, 100, 2000, 1 << 30]),
 )
-@example(seed=0, n_buckets=1, hits=[1], n_bags=1, dim=3)
-@example(seed=1, n_buckets=65536, hits=[1, 8, 128], n_bags=1, dim=4)
-@example(seed=2, n_buckets=65537, hits=[1, 9, 300], n_bags=5, dim=2)
+@example(seed=0, n_buckets=1, hits=[1], n_bags=1, dim=3, gather_bytes=1 << 30)
+@example(seed=1, n_buckets=65536, hits=[1, 8, 128], n_bags=1, dim=4, gather_bytes=100)
+@example(seed=2, n_buckets=65537, hits=[1, 9, 300], n_bags=5, dim=2, gather_bytes=2000)
 def test_embedding_bag_backward_matches_the_argsort_oracle_bit_for_bit(
-        seed, n_buckets, hits, n_bags, dim):
+        seed, n_buckets, hits, n_bags, dim, gather_bytes):
     rng = np.random.default_rng(seed)
     distinct = rng.choice(n_buckets, size=min(len(hits), n_buckets), replace=False)
     ids = rng.permutation(np.repeat(distinct, hits[:len(distinct)]))
@@ -425,7 +428,8 @@ def test_embedding_bag_backward_matches_the_argsort_oracle_bit_for_bit(
     offsets = np.concatenate(([0], cuts, [len(ids)]))
     g = rng.normal(size=(n_bags, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n_bags, 1))
     table = ad.Tensor(np.zeros((n_buckets, dim)), requires_grad=True)
-    ad.embedding_bag_mean(table, ids, offsets).backward(g)
+    with mock.patch.object(ad, "GATHER_BYTES", gather_bytes):
+        ad.embedding_bag_mean(table, ids, offsets).backward(g)
     rows, values = _bag_grad_oracle(ids, offsets, g)
     assert table.grad.rows.dtype == np.int64
     np.testing.assert_array_equal(table.grad.rows, rows)
@@ -462,18 +466,6 @@ def test_embedding_bag_forward_never_holds_the_whole_gather():
     assert peak <= ad.GATHER_BYTES + 2 * 1000 * 32 * 8 + (64 << 10)
 
 
-def test_reduceat_sums_a_segment_the_same_way_along_either_axis():
-    # the bag backward sums along axis 1 what a row-wise reduction sums along
-    # axis 0; reduceat is not sequential past 8 elements, only consistent
-    rng = np.random.default_rng(11)
-    for n in range(1, 301):
-        rows = rng.normal(size=(n + 2, 5)) * 10.0 ** rng.integers(-6, 6, size=(n + 2, 1))
-        starts = [0, 1, n + 1]  # a segment of n rows between two of one
-        by_rows = np.add.reduceat(rows, starts, axis=0)
-        by_columns = np.add.reduceat(np.ascontiguousarray(rows.T), starts, axis=1)
-        assert by_rows.tobytes() == np.ascontiguousarray(by_columns.T).tobytes(), n
-
-
 def test_embedding_bag_mean_grad_check():
     rng = np.random.default_rng(4)
     table = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
@@ -502,6 +494,88 @@ def test_embedding_bag_empty_bag_rejected():
     table = ad.Tensor(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         ad.embedding_bag_mean(table, np.array([0]), np.array([0, 0, 1]))
+    with pytest.raises(ValueError):
+        ad.label_bag_means(table, ad.Tensor(np.ones((1, 2))), np.array([0]), np.array([0, 0, 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_buckets=st.sampled_from([1, 3, 50, 300, 70_000]),
+    # how many distinct buckets the ids are drawn from: few, so that a bag
+    # repeats ids and bags share buckets
+    distinct=st.integers(1, 12),
+    bags=st.lists(st.integers(1, 12), min_size=1, max_size=10),
+    width=st.integers(1, 7),
+    dim=st.integers(1, 6),
+)
+@example(seed=0, n_buckets=3, distinct=1, bags=[5], width=2, dim=3)  # one bag, one id
+@example(seed=1, n_buckets=50, distinct=3, bags=[12], width=6, dim=2)  # one bag, repeats
+def test_label_bag_means_matches_embedding_bag_then_linear(
+        seed, n_buckets, distinct, bags, width, dim):
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(n_buckets, size=min(distinct, n_buckets), replace=False)
+    ids = rng.choice(pool, size=sum(bags))
+    offsets = np.concatenate(([0], np.cumsum(bags)))
+    table = rng.normal(size=(n_buckets, dim)) * 10.0 ** rng.integers(-3, 3, size=(n_buckets, 1))
+    weight = rng.normal(size=(width, dim))
+    g = rng.normal(size=(len(bags), width))
+
+    op_table, op_weight = ad.Tensor(table, True), ad.Tensor(weight, True)
+    got = ad.label_bag_means(op_table, op_weight, ids, offsets)
+    got.backward(g)
+    ref_table, ref_weight = ad.Tensor(table, True), ad.Tensor(weight, True)
+    want = ad.linear(ad.embedding_bag_mean(ref_table, ids, offsets), ref_weight,
+                     ad.Tensor(np.zeros(width)))
+    want.backward(g)
+
+    def close(a, b):
+        scale = max(np.abs(b).max(), 1e-300)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * scale)
+
+    close(got.data, want.data)
+    # the label-table path's bits: the whole table projected, then bag means
+    label_table = np.einsum("nd,ld->nl", table, weight)
+    assert got.data.tobytes() == ad.bag_means(label_table, ids, offsets).tobytes()
+    assert isinstance(op_table.grad, ad.RowSparse)
+    np.testing.assert_array_equal(op_table.grad.rows, ref_table.grad.rows)
+    close(op_table.grad.values, ref_table.grad.values)
+    close(op_weight.grad, ref_weight.grad)
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_label_bag_means_grad_check(gated):
+    # the head's shape: scores in the first L columns, gate logits in the next
+    rng = np.random.default_rng(6)
+    table = ad.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+    weights = [ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+               for _ in range(2 if gated else 1)]
+    ids = np.array([0, 3, 3, 6, 1, 3, 0, 2])  # rows 4 and 5 untouched
+    offsets = np.array([0, 1, 4, 8])
+    probe = rng.normal(size=(3, 2))
+
+    def fn():
+        means = ad.label_bag_means(table, ad.concat(weights), ids, offsets)
+        rows = ad.columns(means, 0, 2)
+        if gated:
+            rows = ad.mul(ad.sigmoid(ad.columns(means, 2, 4)), rows)
+        return _dot(rows, probe), None
+
+    params = {"table": table, **{f"weight{i}": w for i, w in enumerate(weights)}}
+    report = grad_check(fn, params, tolerance=1e-6)
+    assert report.passed and report.n_checked == 21 + 6 * len(weights), report.failures[:3]
+    for tensor in params.values():
+        tensor.zero_grad()
+    fn()[0].backward()  # both halves of a gated output: one row-sparse table gradient
+    assert isinstance(table.grad, ad.RowSparse)
+    assert table.grad.rows.tolist() == [0, 1, 2, 3, 6]
+
+
+def test_concat_and_columns_route_gradients_to_their_parts():
+    check_op(lambda ts: _dot(ad.concat(ts), np.arange(12.0).reshape(4, 3)), [(1, 3), (3, 3)])
+    check_op(lambda ts: _dot(ad.columns(ts[0], 1, 3), np.arange(4.0).reshape(2, 2)), [(2, 4)])
+    a = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    assert ad.concat([a]) is a and ad.columns(a, 0, 3) is a  # no tape node for a no-op
 
 
 def test_layer_norm_grad_all_inputs():

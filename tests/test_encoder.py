@@ -210,6 +210,31 @@ class TestPrecomputed:
             assert loaded[doc_id].rows.shape == mat.rows.shape
             assert loaded[doc_id].rows.tobytes() == mat.rows.tobytes()
 
+    def test_load_checks_each_array_finite_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        mats = {f"d{i}": SegmentMatrix(doc_id=f"d{i}", rows=rng.normal(size=(1 + i, 5)))
+                for i in range(4)}
+        path = tmp_path / "vectors.bin"
+        write_precomputed(mats, path)
+        checked = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            checked.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        loaded = load_precomputed(path)
+        monkeypatch.undo()
+        for doc_id, mat in loaded.items():
+            assert sum(x is mat.rows for x in checked) == 1, doc_id
+            assert mat.rows.tobytes() == mats[doc_id].rows.tobytes()
+        assert len(checked) == len(mats)
+        # stacking checked matrices checks nothing again
+        monkeypatch.setattr(np, "isfinite", counted)
+        SegmentMatrix.concat(list(loaded.values()))
+        assert len(checked) == len(mats)
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         """Mixed h is refused at write time: as h=4 with rows 1, 2, 1 the
         payload size would match and b's second row would hold c's bytes."""

@@ -125,49 +125,34 @@ def _taped(model, docs):
 
 @pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
 @pytest.mark.parametrize("pooling", list(Pooling))
-def test_flat_tape_free_scores_agree_with_the_taped_dim_wide_pass(pooling, task, monkeypatch):
+def test_flat_taped_and_tape_free_passes_agree_bit_for_bit(pooling, task, monkeypatch):
     encodes = _encode_calls(monkeypatch)
     for seed in range(6):
         docs = _docs(np.random.default_rng(seed), 10)
         # dim 2 < L = 3 < 2L, and dim 8 above both
         model = _model(seed, pooling, 0, task, ENCODER_HASH, docs, dim=2 + 6 * (seed % 2))
-        encodes.clear()
-        preds = [pred for _, _, pred in model.predict_many(docs)]
-        assert encodes == []  # scored from the label table alone
-        batch, out = _taped(model, docs)
-        assert encodes == ["encode_features"]
+        batch, taped = _taped(model, docs)
+        assert taped.doc_scores.requires_grad
+        free = model.forward(batch, model.tensors())
+        assert not free.doc_scores.requires_grad
+        for field in ("doc_scores", "seg_scores", "gates", "pooled_rows"):
+            got, want = getattr(free, field), getattr(taped, field)
+            assert _same_bits(None if got is None else got.data,
+                              None if want is None else want.data), (seed, field)
+        assert _same_bits(free.pool_argmax, taped.pool_argmax)
+        # and so every prediction, chunk by chunk, equals the taped pass
         bounds = batch.offsets.tolist()
-        for b, (pred, lo, hi) in enumerate(zip(preds, bounds, bounds[1:])):
-            want = {"scores": out.doc_scores.data[b], "seg_scores": out.seg_scores.data[lo:hi].T,
-                    "gates": None if out.gates is None else out.gates.data[lo:hi].T}
-            for field, value in want.items():
-                got = getattr(pred, field)
-                if value is None:
-                    assert got is None
-                    continue
-                scale = np.abs(value).max()
-                assert np.all(np.abs(got - value) <= 1e-12 * scale), (seed, b, field)
-            # bits and key segments wherever no value is within 1e-12 of zero or a tie
-            scale = max(np.abs(want["scores"]).max(), np.abs(want["seg_scores"]).max())
-            for bits, value in ((pred.bits, want["scores"]), (pred.seg_bits, want["seg_scores"])):
-                clear = np.abs(value) > 1e-12 * scale
-                assert np.array_equal(bits[clear], value[clear] > 0), (seed, b)
-            rows = out.pooled_rows.data[lo:hi]
-            ordered = np.sort(rows, axis=0)
-            untied = (ordered[-1] - ordered[-2] > 1e-12 * np.abs(rows).max() if hi - lo > 1
-                      else np.ones(rows.shape[1], bool))
-            keys = rows.argmax(axis=0)
-            assert np.array_equal(pred.key_segments[untied], keys[untied]), (seed, b)
-            if task == TASK_MULTICLASS:
-                top = np.sort(want["scores"])
-                if top[-1] - top[-2] > 1e-12 * scale:
-                    assert pred.pred_class == int(want["scores"].argmax())
+        for b, ((_, _, pred), lo, hi) in enumerate(zip(model.predict_many(docs), bounds,
+                                                        bounds[1:])):
+            assert _same_bits(pred.scores, taped.doc_scores.data[b]), (seed, b)
+            assert _same_bits(pred.seg_scores, taped.seg_scores.data[lo:hi].T), (seed, b)
+    assert encodes == []  # a flat hashed model never encodes dim-wide
 
 
 @pytest.mark.parametrize("layers, encoder_mode", [
     (0, ENCODER_HASH), (1, ENCODER_HASH), (0, ENCODER_PRECOMPUTED), (1, ENCODER_PRECOMPUTED)])
-def test_only_a_flat_hashed_tape_free_pass_skips_the_dim_wide_encode(layers, encoder_mode,
-                                                                      monkeypatch):
+def test_only_a_flat_hashed_model_skips_the_dim_wide_encode(layers, encoder_mode,
+                                                           monkeypatch):
     docs = _docs(np.random.default_rng(5), 6)
     model = _model(5, Pooling.GATED_SUM, layers, TASK_MULTILABEL, encoder_mode, docs)
     encodes = _encode_calls(monkeypatch)
@@ -176,7 +161,8 @@ def test_only_a_flat_hashed_tape_free_pass_skips_the_dim_wide_encode(layers, enc
     assert bool(encodes) != flat_hashed
     encodes.clear()
     _taped(model, docs)
-    assert encodes == ["encode_features" if encoder_mode == ENCODER_HASH else "encode"]
+    want = "encode_features" if encoder_mode == ENCODER_HASH else "encode"
+    assert encodes == ([] if flat_hashed else [want])
 
 
 def test_the_label_table_is_built_once_for_every_chunk_and_document(monkeypatch):
@@ -215,8 +201,11 @@ def test_featurize_chunks_batches_equal_batches_of_per_document_features(
     big = Document(id="big", labels=("a",), units=tuple(f"w{k} ok" for k in range(400)))
     docs.insert(12, big)
     model = _model(4, Pooling.GATED_MAX, layers, TASK_MULTILABEL, encoder_mode, docs)
-    # documents' bytes past a chunk's fixed charge; "big" needs more on its own
-    monkeypatch.setattr(model_mod, "CHUNK_BYTES", model_mod.PASS_BYTES + 8_000)
+    # room for any two of the other documents past a chunk's fixed charge;
+    # "big" needs more on its own
+    small = max(model.doc_bytes(doc, model.encoder.segments(doc, model.config.truncation))
+                for doc in docs if doc is not big)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", model_mod.PASS_BYTES + 2 * small)
     chunks = [(chunk, model.encoder.featurize(chunk)) for chunk in model.chunks(docs)]
     assert [doc for chunk, _ in chunks for doc, _ in chunk] == docs
     assert [[doc.id for doc, _ in chunk] for chunk, _ in chunks if big in dict(chunk)] \
@@ -280,6 +269,30 @@ def test_hash_chunk_size_bounds_the_exact_chunk_bytes(orders, dim, docs):
     assert [m for m, _ in sizes] == [len(doc) for doc in docs]
     segments = [seg for _, doc_segments in chunk for seg in doc_segments]
     assert sum(size for _, size in sizes) >= _exact_chunk_bytes(segments, dim, orders)
+
+
+@pytest.mark.parametrize("orders", [(1,), (1, 2), (1, 2, 3)])
+def test_a_small_dim_token_is_charged_what_hashing_holds(orders):
+    # at dim 1 and two labels the gather's charge is below what hashing holds
+    # per token; segments as short as the orders allow and one token as wide
+    # as the byte matrix are its worst case
+    model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=64, dim=1,
+                                          ngram_orders=orders))
+    tokens = [WORDS[i % len(WORDS)] for i in range(3000)]
+    tokens[7] = "z" * hashing.WIDTH_CAP
+    k = max(orders)
+    doc = Document(id="d", text="x", labels=("a",))
+    segments = [Segment("d", j, tuple(tokens[i:i + k]))
+                for j, i in enumerate(range(0, len(tokens), k))]
+    model.encoder.featurize([(doc, segments[:2])])  # one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.encoder.featurize([(doc, segments)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= model.encoder.chunk_size(doc, segments)[1]
 
 
 def _chunks(model, docs, monkeypatch):

@@ -456,6 +456,32 @@ def test_grad_check_on_a_ragged_batch(pooling):
     assert report.passed and report.n_checked > 0, report.failures[:3]
 
 
+@pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
+@pytest.mark.parametrize("pooling", [Pooling.MAX, Pooling.GATED_SUM])
+def test_a_flat_hashed_step_trains_through_the_label_bag_op(pooling, task, monkeypatch):
+    model, _, feats, gold = _ragged_model(5, [1, 3, 2], pooling, layers=0, positions=False,
+                                          task=task, encoder_mode=ENCODER_HASH)
+    inputs, tensors = Batch.of(feats), model.tensors(requires_grad=True)
+    report = grad_check(lambda: doc_loss(model, inputs, gold, tensors), tensors,
+                        tolerance=1e-4)
+    assert report.passed and report.n_checked > 0, report.failures[:3]
+
+    def densified(self):
+        raise AssertionError("a row-sparse gradient was densified")
+
+    monkeypatch.setattr(ad.RowSparse, "to_dense", densified)
+    table_grad = backward_batch(model, inputs, gold)[1]["encoder.table"]
+    touched = np.unique(inputs.inputs.ids)
+    assert isinstance(table_grad, ad.RowSparse)  # one, from both halves when gated
+    np.testing.assert_array_equal(table_grad.rows, touched)
+    before = model.params["encoder.table"].copy()
+    state = ModelState(model=model, config=TrainConfig(base_lr=0.1, epochs=1), total_steps=4)
+    adam_step(state, backward_batch(model, inputs, gold)[1], 1)
+    after = model.params["encoder.table"]
+    changed = np.flatnonzero((after != before).any(axis=1))
+    assert changed.size and np.isin(changed, touched).all()  # lazy Adam: the batch's rows
+
+
 def test_backward_batch_leaves_the_model_its_arrays():
     # gradients live on the tensors of one pass: a second call on the same
     # batch starts from nothing and returns the same bits
