@@ -23,20 +23,20 @@ Conventions:
   inference and dev scoring) records no tape, and an activation is freed as
   soon as nothing refers to it; a training step's forward runs on tensors
   that require grad, made for that one pass
-* forward values do not depend on how many rows share a call: `linear`
-  reduces with einsum's own loops, not BLAS (whose rounding of a row varies
-  with the row count; a one-row product even takes another BLAS routine);
+* forward values do not depend on how many rows share a call:
+  `project_rows` reduces with einsum's own loops, not BLAS (whose rounding
+  of a row varies with the row count; a one-row product even takes another
+  BLAS routine);
   `slab_matmul` and `slab_attention` take documents of equal length as one
   stacked product per slab, so each document gets the BLAS calls, shapes
   and last-axis reductions it gets alone; `bag_means`, `ragged_sum` and
   `ragged_max` reduce with `reduceat` for one block or many. A document
   scores the same bits alone (a batch of one) or inside any batch. A flat
   hashed model scores a tape-free pass by `bag_means` over its label table
-  (`SwipeModel.label_table`, the whole embedding table projected by one
-  einsum) and a taped one by `label_bag_means`, which projects only the
-  touched rows by the same einsum and then takes the same `bag_means`:
-  einsum rounds a row the same way whatever the row count, so the two agree
-  bit for bit
+  (`SwipeModel.label_table`, the whole embedding table projected by
+  `project_rows`) and a taped one by `label_bag_means`, which projects only
+  the touched rows by `project_rows` and then takes the same `bag_means`, so
+  the two agree bit for bit
 """
 
 from __future__ import annotations
@@ -178,17 +178,23 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map `x @ w.T + b` of (M, D) rows by an (L, D) weight and (L,) bias.
+def project_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w.T` of (N, D) rows by an (L, D) weight, by einsum's own loops:
+    each output row is computed from its input row alone, with the same
+    rounding whatever N is (see the module docstring). `linear`,
+    `label_bag_means` and `SwipeModel.label_table` all project by it, which
+    is what keeps taped and tape-free flat scores the same bits."""
+    return np.einsum("nd,ld->nl", x, w)
 
-    Each output row is computed from its input row alone, with the same
-    rounding whatever M is (see the module docstring).
-    """
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map `x @ w.T + b` of (M, D) rows by an (L, D) weight and (L,) bias,
+    projected by `project_rows`."""
 
     def backward(g):
         return ((x, g @ w.data), (w, g.T @ x.data), (b, g.sum(axis=0)))
 
-    return _make(np.einsum("md,ld->ml", x.data, w.data) + b.data, (x, w, b), backward)
+    return _make(project_rows(x.data, w.data) + b.data, (x, w, b), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -445,9 +451,9 @@ def label_bag_means(table: Tensor, weight: Tensor, ids: np.ndarray,
     hashed model's training forward up to the head biases.
 
     The forward sorts the ids (`_sort_ids`), projects only the touched rows
-    by the einsum `SwipeModel.label_table` projects the whole table by, and
-    takes `bag_means` of them; einsum rounds a row the same way whatever the
-    row count, so the bits are those of `bag_means` over the label table.
+    by `project_rows`, as `SwipeModel.label_table` projects the whole table,
+    and takes `bag_means` of them, so the bits are those of `bag_means` over
+    the label table.
     The backward sums each touched row's `g / count` in label space
     (`_touched_grad`), R: the table's gradient is the `RowSparse` R @ weight
     and the weight's R.T @ the touched rows, so nothing dim wide is gathered
@@ -460,7 +466,7 @@ def label_bag_means(table: Tensor, weight: Tensor, ids: np.ndarray,
     local = np.empty_like(ids)  # each id's index among the touched rows
     local[order] = np.repeat(np.arange(len(rows)), np.diff(runs))
     touched = np.take(table.data, rows, axis=0)
-    out = bag_means(np.einsum("nd,ld->nl", touched, weight.data), local, offsets)
+    out = bag_means(project_rows(touched, weight.data), local, offsets)
 
     def backward(g):
         per_row = _touched_grad(g, counts, order, runs)

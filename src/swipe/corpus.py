@@ -232,8 +232,8 @@ def split_corpus(corpus: Corpus, fractions: tuple[float, float, float], seed: in
     Counts follow the fractions via largest-remainder rounding; assignment is
     a seeded shuffle. Explicit tags are preserved untouched.
     """
-    if any(f < 0 for f in fractions):
-        raise ValidationError(f"fractions must be non-negative, got {fractions}")
+    if not all(f >= 0 for f in fractions):  # NaN included
+        raise ValidationError(f"fractions must be numbers >= 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValidationError(f"fractions must sum to 1, got {fractions}")
     untagged = [d.id for d in corpus.documents if d.split is None]

@@ -117,21 +117,11 @@ def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.
     return ad.embedding_bag_mean(params["encoder.table"], feats.ids, feats.offsets)
 
 
-def _slabs(offsets: np.ndarray) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
-    """Order a ragged batch's documents by segment count.
-
-    Returns the row gather that stacks the documents in that order (None when
-    they already are: one document, or counts that never fall) and the
-    (documents, segments per document) of each run of equal counts.
-    """
+def _slabs(offsets: np.ndarray) -> list[tuple[int, int]]:
+    """The (documents, segments per document) of each run of consecutive
+    documents with equal segment counts in a ragged batch, in batch order."""
     counts = (offsets[1:] - offsets[:-1]).tolist()
-    order = sorted(range(len(counts)), key=counts.__getitem__)
-    slabs = [(len(list(group)), m) for m, group in itertools.groupby(counts[b] for b in order)]
-    if order == list(range(len(counts))):
-        return None, slabs
-    sorted_counts = np.array([counts[b] for b in order])
-    shift = offsets[order] - np.concatenate(([0], np.cumsum(sorted_counts)[:-1]))
-    return np.arange(int(offsets[-1])) + np.repeat(shift, sorted_counts), slabs
+    return [(len(list(run)), m) for m, run in itertools.groupby(counts)]
 
 
 def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig) -> int:
@@ -148,13 +138,12 @@ def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig
       buffer that casts the mask, at most the output, and the output), and
       then 3 x dim + ff_dim while its output is projected back;
     - layer norm: at most 7 x dim (its temporaries and numpy's buffer).
-    Plus a byte of relu mask per ff entry and one int64 per segment of the
-    slab gather. Zero with no layers."""
+    Plus a byte of relu mask per ff entry. Zero with no layers."""
     if not config.interaction_layers:
         return 0
     dim, ff_dim = config.dim, params["interaction.0.ff_in"].shape[1]
     per_row = max(9 * dim + 4 * config.n_heads * m, 2 * dim + 3 * ff_dim, 3 * dim + ff_dim)
-    return 8 * m * (per_row + 1) + m * ff_dim
+    return 8 * m * per_row + m * ff_dim
 
 
 def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,
@@ -166,11 +155,11 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
 
     Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1]; one
     document is a batch of one, offsets [0, M]) take positional rows by their
-    index within the document. The documents are then stacked by segment
-    count (one `take_rows` in, one out), so documents of equal length form
-    slabs: every projection is one `ad.slab_matmul` and attention one
-    `ad.slab_attention`, which attends only within each document. Every other
-    op is row-wise, so a document's rows come out the same bits in any batch.
+    index within the document. Documents stay in batch order; each run of
+    neighbours with equal segment counts is a slab: every projection is one
+    `ad.slab_matmul` and attention one `ad.slab_attention`, which attends only
+    within each document. Every other op is row-wise, so a document's rows
+    come out the same bits in any batch.
     """
     m, dim = x.shape
     if dim != config.dim:
@@ -186,9 +175,7 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
             )
         within = np.arange(m) - np.repeat(offsets[:-1], counts)
         x = ad.add(x, ad.take_rows(positions, within))
-    gather, slabs = _slabs(offsets)
-    if gather is not None:
-        x = ad.take_rows(x, gather)
+    slabs = _slabs(offsets)
     for i in range(config.interaction_layers):
         layer = f"interaction.{i}."
 
@@ -208,8 +195,4 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
             "ff_in")), "ff_out"))
     if config.interaction_layers:
         x = ad.layer_norm(x, params["interaction.final_gain"], params["interaction.final_bias"])
-    if gather is not None:
-        inverse = np.empty_like(gather)
-        inverse[gather] = np.arange(len(gather))
-        x = ad.take_rows(x, inverse)
     return x

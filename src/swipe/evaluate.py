@@ -19,7 +19,7 @@ import numpy as np
 
 from swipe.config import ENCODER_HASH, ModelConfig, TrainConfig, TruncationConfig
 from swipe.corpus import Corpus, Document, KeyMap, LabelVocab, TASK_MULTICLASS
-from swipe.errors import ValidationError
+from swipe.errors import ConfigError, ValidationError
 from swipe.hashing import derive_seed
 from swipe.head import Pooling, Prediction
 from swipe.model import Batch, SwipeModel
@@ -279,7 +279,15 @@ def scaling_probe(
     medians. Each timed sample runs `reps_per_trial` passes, and trials are
     interleaved round-robin across the segment counts so slow clock drift
     hits every count equally. Runs single-threaded for stable numbers.
+
+    Raises ConfigError for fewer than one trial or token per segment, and
+    for segment counts that are none, below one or repeated.
     """
+    if trials < 1 or tokens_per_segment < 1:
+        raise ConfigError(f"trials ({trials}) and tokens per segment "
+                          f"({tokens_per_segment}) must be >= 1")
+    if min(segment_counts, default=0) < 1 or len(set(segment_counts)) < len(segment_counts):
+        raise ConfigError(f"segment counts must be distinct and >= 1, got {segment_counts}")
     rng = np.random.default_rng(derive_seed("scaling-probe", seed))
     config = ModelConfig(
         labels=("label0", "label1"),

@@ -334,10 +334,10 @@ class SwipeModel:
         scoring) reads those rows from the cached `label_table`; a taped one
         (a training step, whose parameters change at every step) projects
         only the rows the batch touches (`ad.label_bag_means`). Both project
-        by the same einsum, which rounds a row the same way whatever the row
-        count, so the two give the same bits. A model with interaction layers
-        or precomputed vectors encodes each segment dim-wide, interacts and
-        scores it by one `ad.linear`.
+        by `ad.project_rows`, which rounds a row the same way whatever the
+        row count, so the two give the same bits. A model with interaction
+        layers or precomputed vectors encodes each segment dim-wide, interacts
+        and scores it by one `ad.linear`.
         """
         if self.config.encoder_mode == ENCODER_HASH and not self.config.interaction_layers:
             seg_scores, gates = self._label_scores(batch.inputs, params)
@@ -363,9 +363,9 @@ class SwipeModel:
         gated pooling: (n_buckets, L) or (n_buckets, 2L), n_buckets x L x 8
         bytes, doubled when gated.
 
-        Built by one einsum over the whole table, so a row's bits do not
-        depend on which rows a pass reads, and cached on the model until
-        `version` changes or `params` wraps other arrays. Overflow warnings
+        Built by one `ad.project_rows` over the whole table, so a row's bits
+        do not depend on which rows a pass reads, and cached on the model
+        until `version` changes or `params` wraps other arrays. Overflow warnings
         are off: a row past the float64 range gives non-finite scores, which
         `build_prediction` rejects naming the document."""
         sources = tuple(params[name].data for name in ("encoder.table", *self._head_weights()))
@@ -375,7 +375,7 @@ class SwipeModel:
             with np.errstate(over="ignore", invalid="ignore"):
                 # einsum's own loops, not BLAS: a first BLAS call would map
                 # its work buffer into a process that needs no other
-                table = np.einsum("nd,ld->nl", sources[0], np.concatenate(sources[1:]))
+                table = ad.project_rows(sources[0], np.concatenate(sources[1:]))
             # weak: arrays the model has let go of (a restored epoch's
             # predecessors) are freed, not kept alive by the cache
             self._label_cache = cached = (

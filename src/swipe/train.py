@@ -61,14 +61,13 @@ def doc_loss(model: SwipeModel, batch: Batch, gold: np.ndarray,
 def backward_batch(
     model: SwipeModel, batch: Batch, gold: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray | ad.RowSparse]]:
-    """Mean batch loss and its gradients for every trainable parameter.
+    """Mean batch loss and the gradient of each parameter the pass reaches.
 
     One forward and one backward over the whole ragged batch against its
     (B, L) gold matrix, on tensors made for this pass (`model.tensors`), so
     no gradient outlives it. The encoder table's gradient is an `ad.RowSparse`;
-    parameters that do not participate in the forward pass (e.g. gate
-    weights under ungated pooling) get zero gradients, so every parameter
-    has one.
+    a parameter the forward pass never reads (the gate weights under ungated
+    pooling) gets no entry.
     """
     params = model.tensors(requires_grad=True)
     total, _ = doc_loss(model, batch, gold, params)
@@ -76,11 +75,7 @@ def backward_batch(
     if not math.isfinite(value):
         raise TrainingError(f"non-finite loss {value!r} on documents {batch.inputs.doc_id}")
     total.backward()
-    grads = {
-        name: (np.zeros_like(t.data) if t.grad is None else t.grad)
-        for name, t in params.items()
-    }
-    return value, grads
+    return value, {name: t.grad for name, t in params.items() if t.grad is not None}
 
 
 @dataclass
@@ -126,7 +121,10 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
               step: int) -> float:
     """Bias-corrected Adam update, in place; returns the learning rate used.
 
-    `grads` holds a gradient for every parameter, as `backward_batch` gives.
+    Only the parameters `grads` names are updated, as `backward_batch` gives
+    them; every other parameter and its moments keep their bits. A parameter
+    no pass reaches so keeps zero moments, on which a zero gradient would
+    leave it unchanged too.
 
     A dense gradient updates its whole parameter. A `RowSparse` gradient
     updates only its rows (lazy Adam, as TF-Addons `LazyAdam` and PyTorch
@@ -146,9 +144,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     lr = learning_rate(cfg, step, state.total_steps)
     correction1 = 1 - cfg.beta1**step
     correction2 = 1 - cfg.beta2**step
-    for name, param in state.model.params.items():
-        g = grads[name]
-        m, v = state.adam_m[name], state.adam_v[name]
+    for name, g in grads.items():
+        param, m, v = state.model.params[name], state.adam_m[name], state.adam_v[name]
         if isinstance(g, ad.RowSparse):
             rows = g.rows
             param_rows, m_rows, v_rows, num, den = state.work(name, 5, len(rows))

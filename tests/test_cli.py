@@ -233,6 +233,17 @@ class TestSufficiencyAndScale:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("args", [
+        ["--trials", 0], ["--trials", -2], ["--tokens-per-segment", 0], ["--segments", ""],
+        ["--segments", "4,4"], ["--segments", "0"], ["--segments", "2,-1"],
+    ])
+    def test_scale_rejects_a_bad_flag_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "scale.csv"
+        assert run(["scale", "--segments", "2", "--trials", 1, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPrecomputedVectors:
     @pytest.fixture()
@@ -596,20 +607,23 @@ class TestParsing:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {corpus}:1: 'id' must be a string")
 
-    @pytest.mark.parametrize("args, flag", [
+    @pytest.mark.parametrize("args, named", [
         (["synth", "--segments-per-doc", "x"], "--segments-per-doc"),
         (["synth", "--split", "a,b,c"], "--split"),
+        (["synth", "--split", "0.5,0.5,nan"], "fractions must be numbers >= 0"),
+        (["train", "--corpus", "CORPUS", "--task", "multi-label", "--split", "nan,0.5,0.5"],
+         "fractions must be numbers >= 0"),
         (["train", "--corpus", "CORPUS", "--task", "multi-label", "--ngram-orders", "1,x"],
          "--ngram-orders"),
         (["sufficiency", "--checkpoint", "m.ckpt", "--corpus", "CORPUS",
           "--lengths", "4,x"], "--lengths"),
     ])
-    def test_malformed_number_list_exit_2(self, synth_dir, tmp_path, capsys, args, flag):
+    def test_malformed_number_list_exit_2(self, synth_dir, tmp_path, capsys, args, named):
         corpus = synth_dir / "corpus.jsonl"
         args = [corpus if a == "CORPUS" else a for a in args]
         assert run([*args, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and flag in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def _saved_model(tmp_path, task_kind="multi-class", **fill):

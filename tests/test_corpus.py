@@ -190,9 +190,10 @@ class TestSplit:
         assert out.get("d3").split == "test"
         assert all(d.split == "train" for d in out.documents if d.id != "d3")
 
-    def test_negative_fraction_rejected(self):
-        with pytest.raises(ValidationError):
-            split_corpus(self._corpus(10), (1.2, -0.1, -0.1), seed=0)
+    @pytest.mark.parametrize("fractions", [(1.2, -0.1, -0.1), (0.5, 0.5, float("nan"))])
+    def test_a_fraction_not_at_least_zero_is_rejected(self, fractions):
+        with pytest.raises(ValidationError, match=">= 0"):
+            split_corpus(self._corpus(10), fractions, seed=0)
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValidationError):

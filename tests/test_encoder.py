@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,18 +295,17 @@ class TestInteraction:
         with pytest.raises(ConfigError):
             ModelConfig(labels=("a", "b"), dim=6, interaction_layers=1, n_heads=4)
 
-    @pytest.mark.parametrize("sizes", [[5], [1, 3, 2], [2, 2, 2, 2], [6, 1, 1, 4], [1] * 9])
-    def test_slabs_stack_documents_by_segment_count(self, sizes):
+    @pytest.mark.parametrize("sizes, runs", [
+        ([5], [(1, 5)]),
+        ([1, 3, 2], [(1, 1), (1, 3), (1, 2)]),
+        ([2, 2, 2, 2], [(4, 2)]),
+        ([6, 1, 1, 4], [(1, 6), (2, 1), (1, 4)]),
+        ([3, 3, 1, 3, 3, 3], [(2, 3), (1, 1), (3, 3)]),
+        ([1] * 9, [(9, 1)]),
+    ])
+    def test_slabs_are_runs_of_equal_length_neighbours_in_batch_order(self, sizes, runs):
         offsets = np.concatenate(([0], np.cumsum(sizes)))
-        gather, slabs = encoder._slabs(offsets)
-        order = sorted(range(len(sizes)), key=lambda b: sizes[b])  # stable
-        rows = [r for b in order for r in range(offsets[b], offsets[b + 1])]
-        if order == list(range(len(sizes))):
-            assert gather is None
-        else:
-            assert gather.tolist() == rows
-        runs = [(len(list(run)), m) for m, run in itertools.groupby(sorted(sizes))]
-        assert slabs == runs
+        assert encoder._slabs(offsets) == runs
 
     @pytest.mark.parametrize("sizes", [[1], [3], [1, 1, 1], [2, 2, 2], [4, 1, 2, 1, 4, 3]])
     @pytest.mark.parametrize("n_heads, positions", [(1, None), (2, None), (4, None), (2, 6)])

@@ -146,13 +146,21 @@ class TestBackward:
         for name, grad in grads.items():
             assert np.max(np.abs(grad)) < 1e-12, name
 
-    def test_unused_gate_parameters_get_zero_gradients(self):
-        s = np.ones((2, 3))
-        model = _precomputed_model({"d": s}, pooling=Pooling.MAX)
+    def test_training_an_ungated_model_leaves_the_gate_tensors_at_their_initial_bits(self):
+        model = _precomputed_model({"d": np.ones((2, 3))}, pooling=Pooling.MAX)
         doc = Document(id="d", text="x", labels=("a",))
-        _, grads = _step(model, doc)
-        assert np.all(grads["head.gate_weight"] == 0)
-        assert np.all(grads["head.gate_bias"] == 0)
+        gates = ("head.gate_weight", "head.gate_bias")
+        before = {name: a.tobytes() for name, a in model.params.items()}
+        state = ModelState(model=model, config=TrainConfig(base_lr=0.1, epochs=1),
+                           total_steps=4)
+        for step in (1, 2, 3):
+            _, grads = _step(model, doc)
+            assert grads.keys() == model.params.keys() - set(gates)
+            adam_step(state, grads, step)
+        for name in gates:
+            assert model.params[name].tobytes() == before[name]
+            assert not state.adam_m[name].any() and not state.adam_v[name].any()
+        assert model.params["head.weight"].tobytes() != before["head.weight"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises_training_error(self):
