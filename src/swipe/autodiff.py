@@ -1,13 +1,19 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough machinery for this package: float64 tensors, a tape built by the
+Just enough machinery for this package: float tensors, a tape built by the
 op functions below, and `Tensor.backward()` running the tape in reverse
 topological order. Ops are free functions; each returns a new `Tensor` whose
 `_backward` closure maps the output gradient to parent gradients.
 
 Conventions:
 
-* everything is float64; integer index arrays ride along as plain numpy
+* dtype-generic: a tensor keeps the float dtype it is given (float32 for a
+  model's parameters and passes, float64 for the gradient check's copy), and
+  every op computes its output, temporaries and gradients in its inputs'
+  dtype; a scalar factor is a Python float, which under NEP 50 does not
+  widen a float32 array as a numpy float64 would. Integer index arrays
+  ride along as plain numpy, and counts are cast to the rows' dtype before
+  they divide them
 * gradients accumulate into `Tensor.grad` (None until first touched), and
   only into tensors that require grad; a gradient may share memory with
   another tensor's, so no code updates one in place
@@ -41,6 +47,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -55,7 +62,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -90,7 +98,7 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(np.array(grad, dtype=np.float64))
+        self._accumulate(np.array(grad, dtype=self.data.dtype))
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
@@ -122,7 +130,7 @@ class RowSparse:
         self.shape = shape
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, self.values.dtype)
         out[self.rows] = self.values
         return out
 
@@ -319,7 +327,7 @@ def slab_matmul(x: Tensor, w: Tensor, slabs) -> Tensor:
     (G, m, D) @ (D, N) product, so each document's rows get the same BLAS
     call as the document alone (see the module docstring).
     """
-    out = np.empty((x.data.shape[0], w.data.shape[1]))
+    out = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
     for rows, n_docs, m in _slab_rows(slabs):
         np.matmul(x.data[rows].reshape(n_docs, m, -1), w.data,
                   out=out[rows].reshape(n_docs, m, -1))
@@ -341,7 +349,7 @@ def slab_attention(q: Tensor, k: Tensor, v: Tensor, slabs, n_heads: int) -> Tens
     """
     dim = q.data.shape[1]
     head_dim = dim // n_heads
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)  # a Python float keeps float32 rows float32
     slab_rows = _slab_rows(slabs)
 
     def split(a: np.ndarray, slab) -> np.ndarray:  # (G, heads, m, head_dim) view
@@ -397,8 +405,8 @@ def _gather_sums(rows: np.ndarray, index: np.ndarray, offsets: np.ndarray) -> np
     pairwise beyond, on numpy 2.4), so the bits do not depend on where the
     runs split.
     """
-    step = max(GATHER_BYTES // (8 * rows.shape[1]), 1)  # rows per run
-    sums = np.empty((len(offsets) - 1, rows.shape[1]))
+    step = max(GATHER_BYTES // (rows.itemsize * rows.shape[1]), 1)  # rows per run
+    sums = np.empty((len(offsets) - 1, rows.shape[1]), rows.dtype)
     start = 0
     while start < len(sums):
         # the groups that fit in `step` rows from this one, at least this one
@@ -416,7 +424,7 @@ def _touched_grad(g: np.ndarray, counts: np.ndarray, order: np.ndarray,
     """Each touched row's gradient, `g / count` of its bag summed over its
     occurrences in sorted order (`_sort_ids`): (touched rows, g's width)."""
     bags = np.repeat(np.arange(len(counts)), counts)[order]
-    return _gather_sums(g / counts[:, None], bags, runs)
+    return _gather_sums(g / counts.astype(g.dtype)[:, None], bags, runs)
 
 
 def embedding_bag_mean(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:
@@ -486,7 +494,7 @@ def bag_means(table: np.ndarray, ids: np.ndarray, offsets: np.ndarray) -> np.nda
     if (counts <= 0).any():
         raise ValueError("bag_means: empty bag")
     sums = _gather_sums(table, ids, offsets)
-    sums /= counts[:, None]
+    sums /= counts.astype(sums.dtype)[:, None]
     return sums
 
 
@@ -546,7 +554,7 @@ def bce_with_logits_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean over documents and labels of binary cross-entropy between
     sigmoid(logit) and target; `targets` has the shape of `logits`."""
     x = logits.data
-    t = np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=x.dtype)
     if t.shape != x.shape:
         raise ValueError(f"targets shape {t.shape} != logits shape {x.shape}")
     per_label = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))

@@ -31,7 +31,9 @@ from swipe.truncate import Segment
 @dataclass(frozen=True)
 class SegmentMatrix:
     """Encoded document: one row per segment, all rows of dimension h, every
-    entry finite. `finite=True` says the rows are known finite (read by
+    entry finite, held as float32 (rows given in another dtype are rounded
+    to it, so a value past float32's range is refused as non-finite).
+    `finite=True` says the rows are known finite float32 (read by
     `model.load_precomputed`, which checks each array as it reads it, or
     stacked from matrices), so they are not checked again."""
 
@@ -40,7 +42,8 @@ class SegmentMatrix:
     finite: InitVar[bool] = False
 
     def __post_init__(self, finite: bool):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            rows = np.asarray(self.rows, dtype=np.float32)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise FormatError(f"segment matrix for {self.doc_id!r} must be 2-D, m >= 1")
@@ -128,7 +131,8 @@ def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig
     """A bound on the bytes a tape-free `interact_tensor` holds at once for
     one document of `m` segments, its input rows included. Without a tape
     each op's result is freed once the next op has read it, so the busiest
-    moment of one layer bounds the whole stack. In floats per segment:
+    moment of one layer bounds the whole stack. In floats per segment, each
+    of the parameters' itemsize (4 bytes in float32):
     - attention: 9 x dim (input, residual, normed rows, q, k, v, the output
       and the two copies that merge a slab's heads) plus 4 x heads x m (the
       probabilities `slab_attention` keeps within one call and, while a
@@ -141,9 +145,10 @@ def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig
     Plus a byte of relu mask per ff entry. Zero with no layers."""
     if not config.interaction_layers:
         return 0
-    dim, ff_dim = config.dim, params["interaction.0.ff_in"].shape[1]
+    ff_in = params["interaction.0.ff_in"]
+    dim, ff_dim = config.dim, ff_in.shape[1]
     per_row = max(9 * dim + 4 * config.n_heads * m, 2 * dim + 3 * ff_dim, 3 * dim + ff_dim)
-    return 8 * m * per_row + m * ff_dim
+    return ff_in.itemsize * m * per_row + m * ff_dim
 
 
 def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,

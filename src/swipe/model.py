@@ -1,21 +1,26 @@
 """End-to-end model: truncation -> encoder -> interaction -> head.
 
 `parameter_shapes(config)` is the one place that names, orders and shapes
-the model's parameters; a `SwipeModel` holds them as one dict of float64
+the model's parameters; a `SwipeModel` holds them as one dict of float32
 arrays in that order, which `create` fills and `from_arrays` takes, and wraps
 them in tensors only for one pass (`tensors`). Also owns the one
-binary container, for checkpoints and vector sidecars (version 1, stable):
+binary container, for checkpoints and vector sidecars (version 2, stable):
 line 1 is a UTF-8 JSON header with sorted keys, then each array's raw bytes
-in header order, little-endian float64, C order, no padding, and nothing
-after the last array. A checkpoint header holds exactly "config"
-(`ModelConfig.to_meta()`), "format": "swipe-checkpoint", "tensors" (each
-{"name": str, "shape": [int]}), "train_config" (`TrainConfig.to_meta()` or
-null) and "version": 1; a sidecar's holds "documents" ([[doc_id, rows], ...],
-each a (rows, h) array), "format": "swipe-vectors", "h" and "version": 1.
+in header order, little-endian float32, C order, no padding, and nothing
+after the last array. Every header holds "dtype": "float32" and "sha256",
+the hex SHA-256 of the payload (every byte after line 1). A checkpoint
+header also holds exactly "config" (`ModelConfig.to_meta()`), "format":
+"swipe-checkpoint", "tensors" (each {"name": str, "shape": [int]}),
+"train_config" (`TrainConfig.to_meta()` or null) and "version": 2; a
+sidecar's holds "documents" ([[doc_id, rows], ...], each a (rows, h) array),
+"format": "swipe-vectors", "h" and "version": 2. A version-1 file (float64,
+no checksum) is refused: a checkpoint must be retrained, a sidecar written
+again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -54,8 +59,14 @@ from swipe.head import (
 )
 from swipe.truncate import Segment, truncate
 
-CHECKPOINT_KEYS = {"format", "version", "config", "train_config", "tensors"}
-VECTORS_KEYS = {"format", "version", "h", "documents"}
+#: The container version `save` and `write_precomputed` write, and the only
+#: one read.
+VERSION = 2
+#: The dtype of every parameter, Adam moment, pass and container payload.
+DTYPE = np.dtype(np.float32)
+CONTAINER_KEYS = {"format", "version", "dtype", "sha256"}
+CHECKPOINT_KEYS = CONTAINER_KEYS | {"config", "train_config", "tensors"}
+VECTORS_KEYS = CONTAINER_KEYS | {"h", "documents"}
 Manifest = list[tuple[str, tuple[int, ...]]]
 
 #: One document's forward input: hashed n-gram ids, or frozen segment vectors.
@@ -65,7 +76,7 @@ Features = SegmentFeatures | SegmentMatrix
 #: (featurize, forward, predictions) holds at once. A document is charged its
 #: encoder's `chunk_size` (with the hash encoder a bound from the token count:
 #: a token starts at most one n-gram per order, each gathered as at most
-#: max(dim, label table width) x 8 bytes, and fills at most
+#: max(dim, label table width) floats of `DTYPE`, and fills at most
 #: `hashing.WIDTH_CAP` bytes of the hashing byte matrix, or, when more, what
 #: hashing holds per token, `HASH_TOKEN_BYTES`; with precomputed vectors the
 #: rows), what interaction layers hold at once
@@ -142,20 +153,21 @@ class HashEncoder:
     def chunk_size(self, doc: Document, segments: list[Segment]) -> tuple[int, int]:
         """(segments, a bound on the bytes of their hashing and gather).
 
-        Each n-gram's gathered row is charged `max(dim, table width) x 8`
-        bytes, the table width being L, or 2L under gated pooling: a pass
-        gathers rows of the embedding table (dim wide) or, tape-free on a flat
-        model, of `SwipeModel.label_table` (L or 2L wide), so the bound holds
-        whichever is wider. A token is charged that plus `WIDTH_CAP`, or what
-        hashing holds for it (`HASH_TOKEN_BYTES`, `HASH_ORDER_BYTES`) when
-        more: hashing is done before the gather starts. A flat model's label
-        table itself is held once per model, not per chunk, and is not
-        charged here."""
+        Each n-gram's gathered row is charged `max(dim, table width)` floats
+        of `DTYPE` (4 bytes each), the table width being L, or 2L under
+        gated pooling: a pass gathers rows of the embedding table (dim wide)
+        or, tape-free on a flat model, of `SwipeModel.label_table` (L or 2L
+        wide), so the bound holds whichever is wider. A token is charged
+        that plus `WIDTH_CAP`, or what hashing holds for it
+        (`HASH_TOKEN_BYTES`, `HASH_ORDER_BYTES`) when more: hashing is done
+        before the gather starts. A flat model's label table itself is held
+        once per model, not per chunk, and is not charged here."""
         config = self.config
         width = len(config.labels) * (2 if config.pooling.gated else 1)
         tokens = sum(len(seg.tokens) for seg in segments)
         orders = len(config.ngram_orders)
-        return len(segments), tokens * max(orders * max(config.dim, width) * 8 + WIDTH_CAP,
+        row_bytes = max(config.dim, width) * DTYPE.itemsize
+        return len(segments), tokens * max(orders * row_bytes + WIDTH_CAP,
                                            HASH_TOKEN_BYTES + orders * HASH_ORDER_BYTES)
 
     def featurize(self, chunk: Chunk) -> Batch:
@@ -231,7 +243,8 @@ class ForwardOut:
 def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter of a model with `config`, in
     checkpoint order, computed from the config alone and lazily, so a config
-    claiming a huge architecture costs nothing until it is consumed."""
+    claiming a huge architecture costs nothing until it is consumed. The
+    gate tensors exist only under gated pooling."""
     dim, n_labels = config.dim, len(config.labels)
     if config.encoder_mode == ENCODER_HASH:
         yield "encoder.table", (config.n_buckets, dim)
@@ -249,16 +262,19 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]
             yield "interaction.positions", (config.max_positions, dim)
     yield "head.weight", (n_labels, dim)
     yield "head.bias", (n_labels,)
-    yield "head.gate_weight", (n_labels, dim)
-    yield "head.gate_bias", (n_labels,)
+    if config.pooling.gated:
+        yield "head.gate_weight", (n_labels, dim)
+        yield "head.gate_bias", (n_labels,)
 
 
 class SwipeModel:
     """Trainable classifier over truncated segments.
 
-    `params` maps each name of `parameter_shapes(config)` to its float64
-    array, in that order. `encoder`, picked once, does every featurize, chunk
-    and encode. `version` counts changes to the parameters: whoever edits an
+    `params` maps each name of `parameter_shapes(config)` to its array, in
+    that order: float32 (`DTYPE`) from `create` and `load`; `from_arrays`
+    keeps the dtype it is given, so a float64 copy runs the same ops in
+    float64. `encoder`, picked once, does every featurize, chunk and
+    encode. `version` counts changes to the parameters: whoever edits an
     array of `params` in place (as `train.adam_step` does) bumps it, so that
     the cached `label_table` is rebuilt; `train` bumps it too when it
     restores its best epoch. Arrays put in place of others need no bump: the
@@ -282,8 +298,8 @@ class SwipeModel:
         Each part (encoder, interaction, head) draws from its own stream, in
         `parameter_shapes` order. Matrices are zero-mean Gaussian: a layer's
         weights ("interaction.<i>.wq" ... "ff_out") with std 1/sqrt(rows),
-        every other table with std 1/sqrt(dim). Gains start at one, biases
-        at zero.
+        every other table with std 1/sqrt(dim), drawn in float64 and
+        rounded to `DTYPE`. Gains start at one, biases at zero.
         """
         streams = {part: np.random.default_rng(derive_seed(f"{part}-init", config.init_seed))
                    for part in ("encoder", "interaction", "head")}
@@ -291,10 +307,11 @@ class SwipeModel:
         for name, shape in parameter_shapes(config):
             part, *_, leaf = name.split(".")
             if len(shape) == 1:
-                params[name] = np.ones(shape) if leaf.endswith("gain") else np.zeros(shape)
+                params[name] = (np.ones if leaf.endswith("gain") else np.zeros)(shape, DTYPE)
             else:
                 fan_in = shape[0] if leaf in LAYER_PARAMS else config.dim
-                params[name] = streams[part].normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+                params[name] = streams[part].normal(0.0, 1.0 / np.sqrt(fan_in),
+                                                    size=shape).astype(DTYPE)
         return cls(config, params)
 
     def attach_vectors(self, matrices: dict[str, SegmentMatrix]) -> None:
@@ -360,13 +377,13 @@ class SwipeModel:
     def label_table(self, params: dict[str, ad.Tensor]) -> np.ndarray:
         """A flat hashed model's per-label table, `encoder.table @ W.T` for W
         the (L, dim) "head.weight", stacked over "head.gate_weight" under
-        gated pooling: (n_buckets, L) or (n_buckets, 2L), n_buckets x L x 8
-        bytes, doubled when gated.
+        gated pooling: (n_buckets, L) or (n_buckets, 2L) in the parameters'
+        dtype, n_buckets x L x 4 bytes in float32, doubled when gated.
 
         Built by one `ad.project_rows` over the whole table, so a row's bits
         do not depend on which rows a pass reads, and cached on the model
         until `version` changes or `params` wraps other arrays. Overflow warnings
-        are off: a row past the float64 range gives non-finite scores, which
+        are off: a row past the float range gives non-finite scores, which
         `build_prediction` rejects naming the document."""
         sources = tuple(params[name].data for name in ("encoder.table", *self._head_weights()))
         cached = self._label_cache
@@ -471,7 +488,7 @@ class SwipeModel:
                     for name, array in self.params.items()]
         header = {
             "format": "swipe-checkpoint",
-            "version": 1,
+            "version": VERSION,
             "config": self.config.to_meta(),
             "train_config": None if self.train_config is None else self.train_config.to_meta(),
             "tensors": manifest,
@@ -494,11 +511,20 @@ class SwipeModel:
 
 
 def write_container(path, header: dict, arrays: Iterable[np.ndarray]) -> None:
-    """Write `header` as line 1, then `arrays` as little-endian float64, C order."""
+    """Write `header`, with "dtype": "float32" and the payload's "sha256"
+    added, as line 1, then `arrays` as little-endian float32, C order. The
+    arrays are hashed before the header is written, as views where they are
+    little-endian float32 already (a `SwipeModel`'s parameters, a sidecar's
+    rows) and as converted copies otherwise."""
+    payload = [np.ascontiguousarray(array, dtype="<f4") for array in arrays]
+    sha = hashlib.sha256()
+    for array in payload:
+        sha.update(array)
+    header = {**header, "dtype": "float32", "sha256": sha.hexdigest()}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for array in arrays:
-            fh.write(np.ascontiguousarray(array, dtype="<f8"))
+        for array in payload:
+            fh.write(array)
 
 
 def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manifest]]
@@ -506,7 +532,9 @@ def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manife
     """(metadata, arrays by name) of a container file. `parse(header)` checks
     the header and returns the metadata and the (name, shape) of each array;
     the payload size is checked before any array is allocated, and each is
-    read straight into its own. Any FormatError names `path`."""
+    read straight into its own and hashed as it arrives, so the file is read
+    once. The payload must match the header's SHA-256 before any array is
+    checked finite. Any FormatError names `path`."""
     with open(path, "rb") as fh:
         try:
             line = _read_header_line(fh)
@@ -521,12 +549,21 @@ def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manife
             meta, manifest = parse(header)
             payload_bytes, end = os.fstat(fh.fileno()).st_size - fh.tell(), 0
             for name, shape in manifest:
-                end += math.prod(shape) * 8
+                end += math.prod(shape) * DTYPE.itemsize
                 if end > payload_bytes:
                     raise FormatError(f"truncated tensor {name}")
             if end < payload_bytes:
                 raise FormatError("trailing bytes after the last tensor")
-            arrays = {name: _read_tensor(fh, name, shape) for name, shape in manifest}
+            sha = hashlib.sha256()
+            arrays = {name: _read_tensor(fh, name, shape, sha) for name, shape in manifest}
+            if sha.hexdigest() != header["sha256"]:
+                raise FormatError("payload does not match the header's sha256: "
+                                  "the file is corrupt")
+            for name, array in arrays.items():
+                bad = np.flatnonzero(~np.isfinite(array))
+                if bad.size:
+                    raise FormatError(f"tensor {name} holds {array.flat[bad[0]]} "
+                                      f"at flat index {bad[0]}")
         except FormatError as exc:
             raise FormatError(f"{path}: {exc}") from exc
     return meta, arrays
@@ -554,7 +591,7 @@ def write_precomputed(matrices: dict[str, SegmentMatrix], path) -> None:
         if not isinstance(mat.doc_id, str) or mat.h != items[0].h:
             raise FormatError(f"write_precomputed: document {mat.doc_id!r} (h={mat.h}) needs a "
                               f"string id and the first document's h={items[0].h}")
-    header = {"format": "swipe-vectors", "version": 1, "h": items[0].h,
+    header = {"format": "swipe-vectors", "version": VERSION, "h": items[0].h,
               "documents": [[mat.doc_id, mat.m] for mat in items]}
     write_container(path, header, (mat.rows for mat in items))
 
@@ -567,31 +604,38 @@ def load_precomputed(path) -> dict[str, SegmentMatrix]:
             for doc_id, rows in arrays.items()}
 
 
-def _read_tensor(fh, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The next float64 tensor of `fh`, read into a new array; every entry must be finite."""
-    out = np.empty(shape, dtype="<f8")
+def _read_tensor(fh, name: str, shape: tuple[int, ...], sha) -> np.ndarray:
+    """The next little-endian float32 tensor of `fh`, read into a new native
+    float32 array (`DTYPE`) and fed to the hash `sha`."""
+    out = np.empty(shape, dtype="<f4")
     if fh.readinto(out) != out.nbytes:
         raise FormatError(f"truncated tensor {name}")
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise FormatError(f"tensor {name} holds {out.flat[bad[0]]} at flat index {bad[0]}")
-    return out.astype(np.float64, copy=False)
+    sha.update(out)
+    return out.astype(DTYPE, copy=False)
 
 
-def _check_kind(header: dict, kind: str, fmt: str, keys: set[str]) -> None:
-    """`header` must mark format `fmt` version 1 and hold exactly `keys`."""
-    version = header.get("version")
-    if header.get("format") != fmt or type(version) is not int or version != 1:
-        raise FormatError(f"not a version-1 {kind}: format {header.get('format')!r}")
+def _check_kind(header: dict, kind: str, fmt: str, keys: set[str], remedy: str) -> None:
+    """`header` must mark format `fmt` version 2, hold exactly `keys` and
+    declare a float32 payload and its SHA-256. A version-1 `fmt` header is
+    refused with `remedy`."""
+    version, dtype, sha = header.get("version"), header.get("dtype"), header.get("sha256")
+    if header.get("format") == fmt and type(version) is int and version == 1:
+        raise FormatError(f"version-1 {kind}; {remedy}")
+    if header.get("format") != fmt or type(version) is not int or version != VERSION:
+        raise FormatError(f"not a version-{VERSION} {kind}: format {header.get('format')!r}")
     if set(header) != keys:
         raise FormatError(f"{kind} header must hold the keys {sorted(keys)}, got {sorted(header)}")
+    if dtype != "float32":
+        raise FormatError(f"{kind} payload dtype must be 'float32', got {dtype!r}")
+    if not (isinstance(sha, str) and len(sha) == 64 and set(sha) <= set("0123456789abcdef")):
+        raise FormatError(f"{kind} sha256 must be 64 lowercase hex digits, got {sha!r}")
 
 
 def _checkpoint_manifest(header: dict) -> tuple[tuple[ModelConfig, TrainConfig | None],
                                                 Manifest]:
     """Check a checkpoint header, its tensor manifest against the architecture
     its config describes; returns the configs and the manifest."""
-    _check_kind(header, "checkpoint", "swipe-checkpoint", CHECKPOINT_KEYS)
+    _check_kind(header, "checkpoint", "swipe-checkpoint", CHECKPOINT_KEYS, "retrain")
     try:
         config = ModelConfig.from_meta(header["config"])
         train_meta = header["train_config"]
@@ -621,7 +665,7 @@ def _checkpoint_manifest(header: dict) -> tuple[tuple[ModelConfig, TrainConfig |
 
 def _vectors_manifest(header: dict) -> tuple[None, Manifest]:
     """Check a vectors sidecar header; returns its (doc_id, (rows, h)) manifest."""
-    _check_kind(header, "vectors sidecar", "swipe-vectors", VECTORS_KEYS)
+    _check_kind(header, "vectors sidecar", "swipe-vectors", VECTORS_KEYS, "write it again")
     h, documents = header["h"], header["documents"]
     if type(h) is not int or h < 1:
         raise FormatError(f"h must be an integer >= 1, got {h!r}")

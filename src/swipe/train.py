@@ -23,7 +23,9 @@ arrives row-sparse (`autodiff.RowSparse`, one summed row per touched
 bucket), and Adam is lazy for it: a step updates the moments and parameters
 of the touched rows only, so its cost follows the batch, not `n_buckets`.
 Dense gradients (every other parameter) update moments and parameters in
-place through work arrays kept per parameter.
+place through work arrays kept per parameter. Parameters, gradients, Adam
+moments and work arrays all keep the parameters' dtype (float32 for a
+created or loaded model); the gradient check alone runs in float64.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ def backward_batch(
     One forward and one backward over the whole ragged batch against its
     (B, L) gold matrix, on tensors made for this pass (`model.tensors`), so
     no gradient outlives it. The encoder table's gradient is an `ad.RowSparse`;
-    a parameter the forward pass never reads (the gate weights under ungated
-    pooling) gets no entry.
+    a parameter no gradient reaches gets no entry.
     """
     params = model.tensors(requires_grad=True)
     total, _ = doc_loss(model, batch, gold, params)
@@ -80,7 +81,9 @@ def backward_batch(
 
 @dataclass
 class ModelState:
-    """Model plus optimizer accumulators.
+    """Model plus optimizer accumulators, each moment of its parameter's
+    shape and dtype (one pair per parameter the model has: an ungated model
+    has no gate tensors, so no moments for them).
 
     `scratch` holds one work buffer per parameter, made at its first Adam
     step and kept (see `work`), so a step allocates nothing once the buffers
@@ -188,7 +191,8 @@ def _adam_update(cfg: TrainConfig, lr: float, correction1: float, correction2: f
 
 #: Relative error denominators are floored here so coordinates whose true
 #: gradient is ~0 are judged on an absolute scale of tol * floor, which sits
-#: safely above central-difference noise for smooth float64 losses.
+#: safely above central-difference noise for smooth float64 losses (the check
+#: always runs in float64; see `grad_check`).
 GRAD_CHECK_FLOOR = 1e-3
 
 
@@ -221,7 +225,14 @@ def grad_check(
     difference is meaningless and it is excluded rather than compared.
 
     Per-coordinate step: base_step * (1 + |value|).
+
+    The check runs in float64 whatever the model's dtype: each tensor of
+    `params` first gets a float64 copy of its data, so `fn`, which reads
+    them, runs the same ops on a float64 copy of the model, and the steps
+    and tolerance above suit it. The model's own arrays are never perturbed.
     """
+    for tensor in params.values():
+        tensor.data = tensor.data.astype(np.float64)
     if analytic is None:
         for tensor in params.values():
             tensor.zero_grad()

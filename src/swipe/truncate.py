@@ -35,17 +35,40 @@ class Segment(NamedTuple):
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace/punctuation tokenization. Deterministic.
 
-    Equal to `_TOKEN_RE.findall(text.lower())`: `str.split` splits at the
-    `str.isspace` characters, which are `re`'s `\\s`, and a word that is all
-    `str.isalnum` (`re`'s `[^\\W_]`) is one alphanumeric run, so only the
-    other words go through the regex.
+    Equal to `[t.lower() for t in _TOKEN_RE.findall(text)]`: tokens are
+    matched on the original text and lowered one by one, so lowering cannot
+    split a word (`İstanbul` lowers to `i`, U+0307 COMBINING DOT ABOVE and
+    `stanbul`, which is not alphanumeric, yet it is one token).
+
+    `str.split` splits at the `str.isspace` characters, which are `re`'s
+    `\\s`, and a word that is all `str.isalnum` (`re`'s `[^\\W_]`) is one
+    alphanumeric run. Lowering maps no character into or out of whitespace
+    and none that is not alphanumeric to an alphanumeric one, so the lowered
+    text's words line up with the original's, and a lowered word that is
+    alphanumeric is its original word's one token, lowered (a capital
+    sigma's lowercase depends on its neighbours, but not across whitespace):
+    those words skip the regex. The regex runs on the other words of the original text, or,
+    when the lowered text is ASCII, on the lowered words: a character whose
+    lowercase is ASCII lowers to one character of its own class.
+    `tests/test_truncate.py` checks each of these facts over every code point.
     """
+    lowered = text.lower()
+    words = lowered.split()
+    if all(map(str.isalnum, words)):
+        return words
     tokens: list[str] = []
-    for word in text.lower().split():
+    if lowered.isascii():
+        for word in words:
+            if word.isalnum():
+                tokens.append(word)
+            else:
+                tokens += _TOKEN_RE.findall(word)
+        return tokens
+    for word, original in zip(words, text.split()):
         if word.isalnum():
             tokens.append(word)
         else:
-            tokens.extend(_TOKEN_RE.findall(word))
+            tokens += map(str.lower, _TOKEN_RE.findall(original))
     return tokens
 
 

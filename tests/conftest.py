@@ -30,8 +30,10 @@ def head_model():
 
     `head_model(params, pooling, task_kind)` returns a precomputed-encoder
     `SwipeModel` with no interaction layers whose parameters are the "head.*"
-    arrays of `params`, so `predict_features(SegmentMatrix)` runs the model's
-    own forward path on hand-made segment vectors.
+    arrays of `params` its pooling has (gate arrays only under gated pooling;
+    an ungated model has no gate tensors and ignores them), so
+    `predict_features(SegmentMatrix)` runs the model's own forward path on
+    hand-made segment vectors.
     """
 
     def build(params, pooling, task_kind=TASK_MULTILABEL):
@@ -46,3 +48,22 @@ def head_model():
         return SwipeModel.from_arrays(config, params)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def float64_copy():
+    """Copy a model into float64.
+
+    `float64_copy(model)` returns a model with the same config and encoder
+    (attached vectors included) whose parameters are float64 copies of the
+    model's, so its passes run the same ops in float64: every op keeps its
+    inputs' dtype. Oracles whose tolerances are float64's run on it.
+    """
+
+    def copy(model):
+        params = {name: array.astype(np.float64) for name, array in model.params.items()}
+        out = SwipeModel.from_arrays(model.config, params)
+        out.encoder = model.encoder
+        return out
+
+    return copy

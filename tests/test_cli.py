@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -329,15 +330,18 @@ class TestPrecomputedVectors:
 
     @staticmethod
     def _edited(vectors_path, tmp_path, header_edit=None, payload_edit=None):
-        """A copy of the sidecar with its header and payload edited."""
+        """A copy of the sidecar with its payload edited, then its header: an
+        edited payload's SHA-256 is recorded, so that what is refused is the
+        edit, not the checksum."""
         import numpy as np
 
         line, payload = vectors_path.read_bytes().split(b"\n", 1)
         header = json.loads(line)
+        if payload_edit:
+            payload = payload_edit(payload, np.frombuffer(payload, dtype="<f4").copy())
+            header["sha256"] = hashlib.sha256(payload).hexdigest()
         if header_edit:
             header_edit(header)
-        if payload_edit:
-            payload = payload_edit(payload, np.frombuffer(payload, dtype="<f8").copy())
         bad = tmp_path / "bad.bin"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         return bad
@@ -352,8 +356,8 @@ class TestPrecomputedVectors:
         return edit
 
     @pytest.mark.parametrize("header_edit, payload_edit, expected", [
-        (None, lambda payload, _: payload[:-8], "truncated tensor v39"),
-        (None, lambda payload, _: payload + bytes(8), "trailing bytes after the last tensor"),
+        (None, lambda payload, _: payload[:-4], "truncated tensor v39"),
+        (None, lambda payload, _: payload + bytes(4), "trailing bytes after the last tensor"),
         (None, _poison(float("nan")), "tensor v3 holds nan at flat index 2"),
         (None, _poison(float("-inf")), "tensor v3 holds -inf at flat index 2"),
         (lambda h: h["documents"][1].__setitem__(0, "v0"), None, "duplicate doc_id 'v0'"),
@@ -364,11 +368,20 @@ class TestPrecomputedVectors:
          "documents entries must be [str, int >= 1], got [3, 3]"),
         (lambda h: h.__setitem__("documents", []), None, "documents must be a non-empty"),
         (lambda h: h.__setitem__("format", "swipe-checkpoint"), None,
-         "not a version-1 vectors sidecar: format 'swipe-checkpoint'"),
-        (lambda h: h.__setitem__("version", 2), None, "not a version-1 vectors sidecar"),
+         "not a version-2 vectors sidecar: format 'swipe-checkpoint'"),
+        (lambda h: h.__setitem__("version", 3), None, "not a version-2 vectors sidecar"),
+        (lambda h: h.__setitem__("version", 1), None,
+         "version-1 vectors sidecar; write it again"),
         (lambda h: h.__setitem__("extra", 1), None, "vectors sidecar header must hold the keys"),
+        (lambda h: h.__setitem__("dtype", "float64"), None,
+         "vectors sidecar payload dtype must be 'float32', got 'float64'"),
+        (lambda h: h.__setitem__("sha256", "0" * 63), None,
+         "vectors sidecar sha256 must be 64 lowercase hex digits"),
+        (lambda h: h.__setitem__("sha256", "0" * 64), None,
+         "payload does not match the header's sha256"),
     ], ids=["truncated", "trailing", "nan", "inf", "duplicate-id", "h-0", "rows-0",
-            "int-id", "no-documents", "format", "version", "extra-key"])
+            "int-id", "no-documents", "format", "version", "version-1", "extra-key",
+            "dtype", "short-sha256", "wrong-sha256"])
     def test_malformed_sidecar_exits_2(self, vectors_setup, tmp_path, capsys,
                                        header_edit, payload_edit, expected):
         corpus_path, vectors_path = vectors_setup
@@ -379,6 +392,20 @@ class TestPrecomputedVectors:
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and expected in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_a_flipped_payload_byte_exits_2(self, vectors_setup, tmp_path, capsys, where):
+        corpus_path, vectors_path = vectors_setup
+        data = bytearray(vectors_path.read_bytes())
+        data[data.index(b"\n") + 1 if where == "first" else -1] ^= 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "vec.ckpt"
+        assert run(["train", "--corpus", corpus_path, "--task", "multi-class",
+                    "--vectors", bad, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: payload does not match the header's sha256: the file is corrupt\n")
+        assert not out.exists()
 
     def test_old_jsonl_sidecar_exits_2(self, vectors_setup, tmp_path, capsys):
         corpus_path, vectors_path = vectors_setup
@@ -392,7 +419,7 @@ class TestPrecomputedVectors:
         assert run(["predict", "--checkpoint", ckpt, "--corpus", corpus_path,
                     "--vectors", old, "--out", out]) == 2
         assert capsys.readouterr().err == (
-            f"error: {old}: not a version-1 vectors sidecar: format None\n")
+            f"error: {old}: not a version-2 vectors sidecar: format None\n")
         assert not out.exists()
 
     def test_sidecar_claiming_huge_rows_exits_2_before_allocating(
@@ -510,7 +537,11 @@ class TestParsing:
         (("tensors", 0), [1], "tensor manifest entries must be"),
         (("tensors", 0, "shape"), [16.0, 4], "got {'name': 'encoder.table', 'shape': [16.0, 4]}"),
         (("tensors", 0, "shape"), [-1], "tensor manifest entries must be"),
-        (("version",), True, "not a version-1 checkpoint"),
+        (("version",), True, "not a version-2 checkpoint"),
+        (("version",), 1, "version-1 checkpoint; retrain"),
+        (("dtype",), "float64", "checkpoint payload dtype must be 'float32', got 'float64'"),
+        (("sha256",), None, "checkpoint header must hold the keys"),
+        (("sha256",), "A" * 64, "checkpoint sha256 must be 64 lowercase hex digits"),
     ])
     def test_malformed_checkpoint_config_exit_2(self, tmp_path, capsys, key, value, expected):
         """`key` is a path into the header, or a key of its "config" object."""
@@ -691,9 +722,13 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_checkpoint_payload_exits_2(self, tmp_path, capsys, value):
+        # the edit is hashed into the header: the checksum holds, the value is refused
         ckpt = _saved_model(tmp_path)
-        header, payload = ckpt.read_bytes().split(b"\n", 1)
-        ckpt.write_bytes(header + b"\n" + struct.pack("<d", value) + payload[8:])
+        line, payload = ckpt.read_bytes().split(b"\n", 1)
+        payload = struct.pack("<f", value) + payload[4:]
+        header = json.loads(line)
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         out = tmp_path / "p.jsonl"
         code = run(["predict", "--checkpoint", ckpt, "--corpus", _labelled_corpus(tmp_path, ["a"]),
                     "--out", out])
@@ -702,11 +737,25 @@ class TestNonFinite:
             f"error: {ckpt}: tensor encoder.table holds {value} at flat index 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_a_flipped_checkpoint_payload_byte_exits_2(self, tmp_path, capsys, where):
+        ckpt = _saved_model(tmp_path)
+        data = bytearray(ckpt.read_bytes())
+        data[data.index(b"\n") + 1 if where == "first" else -1] ^= 1
+        ckpt.write_bytes(bytes(data))
+        out = tmp_path / "p.jsonl"
+        code = run(["predict", "--checkpoint", ckpt, "--corpus", _labelled_corpus(tmp_path, ["a"]),
+                    "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: payload does not match the header's sha256: the file is corrupt\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["predict", "explain", "eval", "sufficiency"])
     def test_overflowing_scores_exit_2_and_are_not_written(self, tmp_path, capsys, command):
-        # every parameter is finite, but each score w.x + b is past the float64 range
-        ckpt = _saved_model(tmp_path, **{"encoder.table": 1.0, "head.weight": 1e307,
-                                         "head.bias": 1.7e308})
+        # every parameter is finite, but each score w.x + b is past the float32 range
+        ckpt = _saved_model(tmp_path, **{"encoder.table": 1.0, "head.weight": 1e37,
+                                         "head.bias": 3.4e38})
         out = tmp_path / "out.json"
         code = run([command, "--checkpoint", ckpt,
                     "--corpus", _labelled_corpus(tmp_path, ["a"]), "--out", out])
@@ -720,9 +769,9 @@ class TestNonFinite:
     @pytest.mark.parametrize("command", ["predict", "explain", "eval", "sufficiency"])
     def test_an_overflowing_label_table_row_exits_2_naming_the_document(self, tmp_path, capsys,
                                                                         command):
-        # each row of encoder.table @ head.weight.T, 4 x 1e200 x 1e200, is past
-        # the float64 range, and building it must not warn
-        ckpt = _saved_model(tmp_path, **{"encoder.table": 1e200, "head.weight": 1e200})
+        # each row of encoder.table @ head.weight.T, 4 x 1e20 x 1e20, is past
+        # the float32 range, and building it must not warn
+        ckpt = _saved_model(tmp_path, **{"encoder.table": 1e20, "head.weight": 1e20})
         code = run([command, "--checkpoint", ckpt,
                     "--corpus", _labelled_corpus(tmp_path, ["a"]), "--out", tmp_path / "o"])
         assert code == 2

@@ -15,16 +15,15 @@ from swipe.model import ENCODER_PRECOMPUTED, ModelConfig, SwipeModel
 
 
 def _params(weight, bias, gate_weight=None, gate_bias=None):
+    """Head arrays: the gate pair only when a gate weight is given, as only a
+    gated model has gate tensors (a missing gate bias is zero)."""
     weight = np.asarray(weight, dtype=float)
-    n_labels, dim = weight.shape
-    return {
-        "head.weight": weight,
-        "head.bias": np.asarray(bias, dtype=float),
-        "head.gate_weight": (np.zeros((n_labels, dim)) if gate_weight is None
-                             else np.asarray(gate_weight, float)),
-        "head.gate_bias": (np.zeros(n_labels) if gate_bias is None
-                           else np.asarray(gate_bias, float)),
-    }
+    params = {"head.weight": weight, "head.bias": np.asarray(bias, dtype=float)}
+    if gate_weight is not None:
+        params["head.gate_weight"] = np.asarray(gate_weight, float)
+        params["head.gate_bias"] = (np.zeros(len(weight)) if gate_bias is None
+                                    else np.asarray(gate_bias, float))
+    return params
 
 
 @pytest.fixture()
@@ -79,7 +78,7 @@ class TestScores:
 
 class TestGates:
     def test_zero_params_give_half(self, head_model):
-        params = _params(np.zeros((2, 3)), np.zeros(2))
+        params = _params(np.zeros((2, 3)), np.zeros(2), gate_weight=np.zeros((2, 3)))
         mat = SegmentMatrix(doc_id="d", rows=np.ones((4, 3)))
         pred = head_model(params, Pooling.GATED_MAX).predict_features(mat)
         np.testing.assert_allclose(pred.gates, 0.5)

@@ -1,6 +1,8 @@
 """Chunked inference: `SwipeModel.predict_many` against one document at a time."""
 
+import hashlib
 import io
+import json
 import re
 import tracemalloc
 from unittest import mock
@@ -42,8 +44,10 @@ def _model(seed, pooling, layers, task, encoder_mode, docs, dim=4):
         ff_dim=8 if layers else None, init_seed=seed,
     )
     model = SwipeModel.create(config)
-    model.params["head.bias"] = rng.normal(size=3)  # scores on both sides of zero
-    model.params["head.gate_bias"] = rng.normal(size=3)
+    # scores on both sides of zero
+    model.params["head.bias"] = rng.normal(size=3).astype(np.float32)
+    if pooling.gated:
+        model.params["head.gate_bias"] = rng.normal(size=3).astype(np.float32)
     if encoder_mode == ENCODER_PRECOMPUTED:
         model.attach_vectors({d.id: SegmentMatrix(doc_id=d.id,
                                                   rows=rng.normal(size=(len(d.units), dim)))
@@ -227,7 +231,7 @@ def test_featurize_chunks_batches_equal_batches_of_per_document_features(
 def test_a_document_whose_scores_are_not_finite_is_named(layers):
     docs = _docs(np.random.default_rng(3), 4)
     model = _model(3, Pooling.GATED_MAX, layers, TASK_MULTILABEL, ENCODER_PRECOMPUTED, docs)
-    model.precomputed["d2"].rows[...] = 1e308  # finite, but its scores overflow
+    model.precomputed["d2"].rows[...] = 3e38  # finite, but its scores overflow
     with pytest.raises(ValidationError, match="^document 'd2' holds a NaN or an infinity"):
         list(model.predict_many(docs))
 
@@ -243,11 +247,11 @@ def test_predict_many_uses_the_truncation_it_is_given():
 
 
 def _exact_chunk_bytes(segments, dim, orders=(1, 2)):
-    """Bytes of the embedding gather and of the hashing byte matrix."""
+    """Bytes of the embedding gather (float32 rows) and of the hashing byte matrix."""
     tokens = [tok for seg in segments for tok in seg.tokens]
     ngrams = sum(max(len(seg.tokens) - k + 1, 0) for seg in segments for k in orders)
     width = min(max(len(tok.encode()) for tok in tokens), hashing.WIDTH_CAP)
-    return ngrams * dim * 8 + len(tokens) * width
+    return ngrams * dim * 4 + len(tokens) * width
 
 
 _TOKENS = st.sampled_from([*WORDS, "é" * 20, "東" * 30, "x" * (hashing.WIDTH_CAP + 1)])
@@ -423,7 +427,7 @@ class TestLoad:
         want, got = model.params, loaded.params
         assert list(got) == list(want)
         for name, array in got.items():
-            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert type(array) is np.ndarray and array.dtype == np.float32
             assert array.tobytes() == want[name].tobytes(), name
         if model.config.interaction_layers:
             assert loaded.config.n_heads == model.config.n_heads
@@ -440,8 +444,11 @@ class TestLoad:
                 break
             start += array.nbytes
         payload = bytearray(payload)
-        payload[start + 8 * at:start + 8 * (at + 1)] = np.array([value], "<f8").tobytes()
-        path.write_bytes(header + b"\n" + bytes(payload))
+        payload[start + 4 * at:start + 4 * (at + 1)] = np.array([value], "<f4").tobytes()
+        # the edit is hashed into the header: the checksum holds, the value is refused
+        header = json.loads(header)
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(payload))
         with pytest.raises(FormatError, match=re.escape(
                 f"{path}: tensor {name} holds {value} at flat index {at}")):
             SwipeModel.load(path)
@@ -487,6 +494,9 @@ class TestLoad:
         assert peak < 1.25 * (16 << 20)
 
     def test_short_read_is_a_truncated_tensor(self):
-        assert model_mod._read_tensor(io.BytesIO(bytes(16)), "t", (2,)).tolist() == [0.0, 0.0]
+        sha = hashlib.sha256()
+        got = model_mod._read_tensor(io.BytesIO(bytes(8)), "t", (2,), sha)
+        assert got.tolist() == [0.0, 0.0] and got.dtype == np.float32
+        assert sha.hexdigest() == hashlib.sha256(bytes(8)).hexdigest()
         with pytest.raises(FormatError, match="truncated tensor t"):
-            model_mod._read_tensor(io.BytesIO(bytes(12)), "t", (2,))
+            model_mod._read_tensor(io.BytesIO(bytes(6)), "t", (2,), hashlib.sha256())

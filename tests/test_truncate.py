@@ -26,24 +26,54 @@ class TestTokenize:
     def test_whitespace_collapse(self):
         assert tokenize("A  b\tc") == ["a", "b", "c"]
 
-    def test_dotted_capital_i_lowercases_to_two_code_points(self):
+    def test_dotted_capital_i_is_one_token(self):
         # "İ".lower() is "i" + U+0307 (combining dot above), which is not
-        # alphanumeric, so the word splits in three
-        assert tokenize("İstanbul") == ["i", "\u0307", "stanbul"]
+        # alphanumeric; the word is matched before it is lowered, so it stays whole
+        assert tokenize("İstanbul") == ["i\u0307stanbul"]
+        assert tokenize("İstanbul, İzmir.") == ["i\u0307stanbul", ",", "i\u0307zmir", "."]
+
+    def test_tokens_are_lowered_one_by_one(self):
+        # a final sigma is one that ends its token, whatever follows the token
+        assert tokenize("ΟΔΟΣ.Α ΟΔΟΣ") == ["οδος", ".", "α", "οδος"]
 
 
 # Characters where `str.split`/`str.isalnum` and the regex could part ways:
 # a capital whose lowercase is two code points, the separators U+001C-U+001F,
 # NEL, NBSP, the line separator and the ideographic space, the underscore,
-# numerals that are not decimal digits, a combining accent, CJK and digits.
+# numerals that are not decimal digits, a combining accent, CJK and digits;
+# and where lowering the text and lowering each token could: capital sigma,
+# whose lowercase depends on its neighbours, a modifier letter and an
+# apostrophe (both skipped when those neighbours are read) and the Kelvin
+# sign, whose lowercase is ASCII.
 _TRICKY = ("İ\u0307\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000_²½\u0301東京ß"
-           "0123456789 \t\n.-aZ")
+           "ΣΑσς\u02b0'\u212a0123456789 \t\n.-aZ")
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters())))
-def test_tokenize_equals_the_regex_on_the_lowercased_text(text):
-    assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+def test_tokenize_equals_the_regex_with_each_token_lowered(text):
+    assert tokenize(text) == [token.lower() for token in _TOKEN_RE.findall(text)]
+
+
+def test_lowering_keeps_what_tokenize_relies_on_for_every_code_point():
+    # the facts `tokenize`'s docstring names, on this interpreter's Unicode
+    # database: lowering maps no character into or out of whitespace, none
+    # that is not alphanumeric to an alphanumeric string, and a character
+    # whose lowercase is ASCII to one character of its own class; and a
+    # capital sigma, lowered by what surrounds it, never looks past whitespace
+    def kind(c):
+        return "alnum" if c.isalnum() else c if c == "_" else "other"
+
+    for c in map(chr, range(0x110000)):
+        if c.isspace():
+            assert ("ΑΣ" + c + "Α").lower().split() == ["ας", "α"], hex(ord(c))
+        low = c.lower()
+        if low == c:
+            continue
+        assert not any(map(str.isspace, (c, *low))), hex(ord(c))
+        assert c.isalnum() or not low.isalnum(), hex(ord(c))
+        if low.isascii():
+            assert len(low) == 1 and kind(low) == kind(c), hex(ord(c))
 
 
 class TestConfig:
