@@ -227,12 +227,23 @@ def grad_check(
     Per-coordinate step: base_step * (1 + |value|).
 
     The check runs in float64 whatever the model's dtype: each tensor of
-    `params` first gets a float64 copy of its data, so `fn`, which reads
-    them, runs the same ops on a float64 copy of the model, and the steps
-    and tolerance above suit it. The model's own arrays are never perturbed.
+    `params` holds a float64 copy of its data while the check runs, so `fn`,
+    which reads them, runs the same ops on a float64 copy of the model, and
+    the steps and tolerance above suit it. The model's own arrays are never
+    perturbed, and each tensor gets its own data and gradient back when the
+    check ends.
     """
-    for tensor in params.values():
-        tensor.data = tensor.data.astype(np.float64)
+    originals = {name: (tensor.data, tensor.grad) for name, tensor in params.items()}
+    try:
+        for tensor in params.values():
+            tensor.data = tensor.data.astype(np.float64)
+        return _grad_check_float64(fn, params, tolerance, base_step, analytic)
+    finally:
+        for name, tensor in params.items():
+            tensor.data, tensor.grad = originals[name]
+
+
+def _grad_check_float64(fn, params, tolerance, base_step, analytic) -> GradCheckReport:
     if analytic is None:
         for tensor in params.values():
             tensor.zero_grad()

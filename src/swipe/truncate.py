@@ -43,33 +43,16 @@ def tokenize(text: str) -> list[str]:
     `str.split` splits at the `str.isspace` characters, which are `re`'s
     `\\s`, and a word that is all `str.isalnum` (`re`'s `[^\\W_]`) is one
     alphanumeric run. Lowering maps no character into or out of whitespace
-    and none that is not alphanumeric to an alphanumeric one, so the lowered
-    text's words line up with the original's, and a lowered word that is
-    alphanumeric is its original word's one token, lowered (a capital
-    sigma's lowercase depends on its neighbours, but not across whitespace):
-    those words skip the regex. The regex runs on the other words of the original text, or,
-    when the lowered text is ASCII, on the lowered words: a character whose
-    lowercase is ASCII lowers to one character of its own class.
-    `tests/test_truncate.py` checks each of these facts over every code point.
+    and none that is not alphanumeric to an alphanumeric one, so when every
+    lowered word is alphanumeric, each is its original word's one token,
+    lowered (a capital sigma's lowercase depends on its neighbours, but not
+    across whitespace), and the regex is skipped. `tests/test_truncate.py`
+    checks these facts over every code point.
     """
-    lowered = text.lower()
-    words = lowered.split()
+    words = text.lower().split()
     if all(map(str.isalnum, words)):
         return words
-    tokens: list[str] = []
-    if lowered.isascii():
-        for word in words:
-            if word.isalnum():
-                tokens.append(word)
-            else:
-                tokens += _TOKEN_RE.findall(word)
-        return tokens
-    for word, original in zip(words, text.split()):
-        if word.isalnum():
-            tokens.append(word)
-        else:
-            tokens += map(str.lower, _TOKEN_RE.findall(original))
-    return tokens
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def truncate(doc: Document, cfg: TruncationConfig) -> list[Segment]:

@@ -356,6 +356,22 @@ class TestGradCheck:
         assert report.max_rel_error < 1e-4
         assert report.n_checked > 0
 
+    def test_the_passed_tensors_keep_their_arrays(self):
+        # the check runs on float64 copies, then hands each tensor its own
+        # float32 data and gradient back, so the tensors can run another pass
+        rng = np.random.default_rng(2)
+        model = _precomputed_model({"d": rng.normal(size=(3, 4))},
+                                   labels=("a", "b"), pooling=Pooling.GATED_SUM)
+        doc = Document(id="d", text="x", labels=("a",))
+        fn, tensors = self._loss_fn(model, doc)
+        before = {name: (t.data, t.grad) for name, t in tensors.items()}
+        assert grad_check(fn, tensors, tolerance=1e-4).passed
+        for name, tensor in tensors.items():
+            assert tensor.data is before[name][0] is model.params[name], name
+            assert tensor.grad is before[name][1], name
+            assert tensor.data.dtype == np.float32, name
+        assert fn()[0].data.dtype == np.float32
+
     def test_corrupted_gradient_reported(self):
         rng = np.random.default_rng(3)
         model = _precomputed_model({"d": rng.normal(size=(2, 3))},
@@ -431,20 +447,27 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
     task=st.sampled_from([TASK_MULTICLASS, TASK_MULTILABEL]),
     encoder_mode=st.sampled_from([ENCODER_HASH, ENCODER_PRECOMPUTED]),
 )
+# float32: a second interaction layer's query and key gradients are small
+# sums of large terms, off by up to 2e-5 of their largest entry in 6,000 draws
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-4), (np.float64, 1e-12)])
 def test_batched_step_equals_mean_of_single_document_steps(
-        float64_copy, seed, sizes, pooling, layers, positions, task, encoder_mode):
-    # a float64 copy: the batch and its single steps agree to float64 rounding
+        float64_copy, dtype, rtol, seed, sizes, pooling, layers, positions, task,
+        encoder_mode):
+    # the float32 model as trained, and a float64 copy, whose batch and single
+    # steps agree to float64 rounding
     model, _, feats, gold = _ragged_model(seed, sizes, pooling, layers, positions, task,
                                           encoder_mode)
-    model = float64_copy(model)
+    if dtype == np.float64:
+        model = float64_copy(model)
     loss, grads = backward_batch(model, Batch.of(feats), gold)
     singles = [backward_batch(model, Batch.of([f]), gold[b:b + 1]) for b, f in enumerate(feats)]
     mean_loss = sum(value for value, _ in singles) / len(feats)
-    assert abs(loss - mean_loss) <= 1e-12 * abs(mean_loss)
+    assert abs(loss - mean_loss) <= rtol * abs(mean_loss)
     for name, grad in grads.items():
-        expected = sum(ad.dense(g[name]) for _, g in singles) / len(feats)
+        assert ad.dense(grad).dtype == dtype, name
+        expected = sum(ad.dense(g[name]).astype(np.float64) for _, g in singles) / len(feats)
         error = np.max(np.abs(ad.dense(grad) - expected))
-        assert error <= 1e-12 * np.max(np.abs(expected)), (name, error)
+        assert error <= rtol * np.max(np.abs(expected)), (name, error)
     if pooling.is_max:
         out = model.forward(Batch.of(feats), model.tensors())
         for b, f in enumerate(feats):

@@ -58,12 +58,8 @@ def test_tokenize_equals_the_regex_with_each_token_lowered(text):
 def test_lowering_keeps_what_tokenize_relies_on_for_every_code_point():
     # the facts `tokenize`'s docstring names, on this interpreter's Unicode
     # database: lowering maps no character into or out of whitespace, none
-    # that is not alphanumeric to an alphanumeric string, and a character
-    # whose lowercase is ASCII to one character of its own class; and a
-    # capital sigma, lowered by what surrounds it, never looks past whitespace
-    def kind(c):
-        return "alnum" if c.isalnum() else c if c == "_" else "other"
-
+    # that is not alphanumeric to an alphanumeric string; and a capital
+    # sigma, lowered by what surrounds it, never looks past whitespace
     for c in map(chr, range(0x110000)):
         if c.isspace():
             assert ("ΑΣ" + c + "Α").lower().split() == ["ας", "α"], hex(ord(c))
@@ -72,8 +68,6 @@ def test_lowering_keeps_what_tokenize_relies_on_for_every_code_point():
             continue
         assert not any(map(str.isspace, (c, *low))), hex(ord(c))
         assert c.isalnum() or not low.isalnum(), hex(ord(c))
-        if low.isascii():
-            assert len(low) == 1 and kind(low) == kind(c), hex(ord(c))
 
 
 class TestConfig:
