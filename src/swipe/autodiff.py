@@ -22,8 +22,10 @@ Conventions:
   dense table-sized gradient (`dense` expands one where a caller needs it)
 * ragged batches: documents' rows are stacked and `offsets` (B+1
   boundaries) say which rows belong to which document; `ragged_max` and
-  `ragged_sum` pool per document, and both losses take (B, L) logits, one
-  row per document, and return the batch mean
+  `ragged_sum` pool per document and `doc_matmul` and `doc_attention` run
+  one document at a time, each checking that the offsets cover its rows
+  (`_doc_rows`); both losses take (B, L) logits, one row per document, and
+  return the batch mean
 * ops skip tape construction when no input requires grad, so a forward
   over grad-free tensors of the parameters (`SwipeModel.tensors()`, used by
   inference and dev scoring) records no tape, and an activation is freed as
@@ -33,9 +35,8 @@ Conventions:
   `project_rows` reduces with einsum's own loops, not BLAS (whose rounding
   of a row varies with the row count; a one-row product even takes another
   BLAS routine);
-  `slab_matmul` and `slab_attention` take documents of equal length as one
-  stacked product per slab, so each document gets the BLAS calls, shapes
-  and last-axis reductions it gets alone; `bag_means`, `ragged_sum` and
+  `doc_matmul` and `doc_attention` give each document the 2-D BLAS calls,
+  shapes and last-axis reductions it gets alone; `bag_means`, `ragged_sum` and
   `ragged_max` reduce with `reduceat` for one block or many. A document
   scores the same bits alone (a batch of one) or inside any batch. A flat
   hashed model scores a tape-free pass by `bag_means` over its label table
@@ -255,14 +256,24 @@ def relu(a: Tensor) -> Tensor:
     return _make(a.data * mask, (a,), backward)
 
 
-def _blocks(offsets: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first row, row count) of each block; every block must be non-empty."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    counts = offsets[1:] - offsets[:-1]
-    if offsets[0] != 0 or offsets[-1] != n_rows or counts.min() <= 0:
-        raise ValueError(f"ragged offsets {offsets.tolist()} do not split {n_rows} rows "
+def _doc_rows(offsets: np.ndarray, n_rows: int) -> list[slice]:
+    """The rows of each block of a ragged batch of `n_rows` rows; there must
+    be a block, and every block must be non-empty. The check runs on Python
+    ints: a document-at-a-time op makes it on every call, and on a batch's
+    few offsets numpy's reductions cost several times as much."""
+    bounds = np.asarray(offsets).tolist()
+    rows = list(map(slice, bounds[:-1], bounds[1:]))
+    if not rows or bounds[0] != 0 or bounds[-1] != n_rows or any(r.start >= r.stop for r in rows):
+        raise ValueError(f"ragged offsets {bounds} do not split {n_rows} rows "
                          "into non-empty blocks")
-    return offsets[:-1], counts
+    return rows
+
+
+def _blocks(offsets: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, row count) of each block, checked by `_doc_rows`."""
+    _doc_rows(offsets, n_rows)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    return offsets[:-1], offsets[1:] - offsets[:-1]
 
 
 def ragged_max(a: Tensor, offsets: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -310,27 +321,14 @@ def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _make(a.data[indices], (a,), backward)
 
 
-def _slab_rows(slabs) -> list[tuple[slice, int, int]]:
-    """(rows, documents, rows per document) of each slab, slabs stacked in order."""
-    out, start = [], 0
-    for n_docs, m in slabs:
-        out.append((slice(start, start + n_docs * m), n_docs, m))
-        start += n_docs * m
-    return out
-
-
-def slab_matmul(x: Tensor, w: Tensor, slabs) -> Tensor:
-    """Row product `x @ w` of (M, D) rows by a (D, N) weight, taken slab by slab.
-
-    `slabs` lists (documents, rows per document) of consecutive row groups
-    that cover `x`; a slab of G documents of m rows is one stacked
-    (G, m, D) @ (D, N) product, so each document's rows get the same BLAS
-    call as the document alone (see the module docstring).
+def doc_matmul(x: Tensor, w: Tensor, offsets: np.ndarray) -> Tensor:
+    """Row product `x @ w` of (M, D) rows by a (D, N) weight, one document at
+    a time: document b's rows offsets[b]:offsets[b+1] are one 2-D product,
+    the BLAS call the document gets alone (see the module docstring).
     """
     out = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
-    for rows, n_docs, m in _slab_rows(slabs):
-        np.matmul(x.data[rows].reshape(n_docs, m, -1), w.data,
-                  out=out[rows].reshape(n_docs, m, -1))
+    for rows in _doc_rows(offsets, x.data.shape[0]):
+        np.matmul(x.data[rows], w.data, out=out[rows])
 
     def backward(g):
         return ((x, g @ w.data.T), (w, x.data.T @ g))
@@ -338,43 +336,42 @@ def slab_matmul(x: Tensor, w: Tensor, slabs) -> Tensor:
     return _make(out, (x, w), backward)
 
 
-def slab_attention(q: Tensor, k: Tensor, v: Tensor, slabs, n_heads: int) -> Tensor:
+def doc_attention(q: Tensor, k: Tensor, v: Tensor, offsets: np.ndarray, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention within each document.
 
-    `q`, `k` and `v` are (M, D) rows laid out as `slab_matmul`'s `slabs`
-    say; each row attends over the rows of its own document only. A slab of
-    G documents of m rows is a stacked (G, heads, m, m) score matrix and
-    softmax, so no score between two documents is ever computed. Returns the
-    (M, D) attention output, heads concatenated per row.
+    `q`, `k` and `v` are (M, D) rows of a ragged batch; each row attends over
+    the rows of its own document only. Document b is one (heads, m, m) score
+    matrix and softmax, the one it gets alone, so no score between two
+    documents is ever computed. Returns the (M, D) attention output, heads
+    concatenated per row.
     """
     dim = q.data.shape[1]
     head_dim = dim // n_heads
     scale = 1.0 / math.sqrt(head_dim)  # a Python float keeps float32 rows float32
-    slab_rows = _slab_rows(slabs)
+    docs = _doc_rows(offsets, q.data.shape[0])
 
-    def split(a: np.ndarray, slab) -> np.ndarray:  # (G, heads, m, head_dim) view
-        rows, n_docs, m = slab
-        return a[rows].reshape(n_docs, m, n_heads, head_dim).transpose(0, 2, 1, 3)
+    def split(a: np.ndarray, rows: slice) -> np.ndarray:  # (heads, m, head_dim) view
+        return a[rows].reshape(-1, n_heads, head_dim).transpose(1, 0, 2)
 
-    def merge(out: np.ndarray, slab, heads: np.ndarray) -> None:
-        out[slab[0]] = heads.transpose(0, 2, 1, 3).reshape(-1, dim)
+    def merge(out: np.ndarray, rows: slice, heads: np.ndarray) -> None:
+        out[rows] = heads.transpose(1, 0, 2).reshape(-1, dim)
 
     out, probs = np.empty_like(q.data), []
-    for slab in slab_rows:
-        scores = (split(q.data, slab) @ split(k.data, slab).swapaxes(-1, -2)) * scale
+    for rows in docs:
+        scores = (split(q.data, rows) @ split(k.data, rows).swapaxes(-1, -2)) * scale
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs.append(e / e.sum(axis=-1, keepdims=True))
-        merge(out, slab, probs[-1] @ split(v.data, slab))
+        merge(out, rows, probs[-1] @ split(v.data, rows))
 
     def backward(g):
         dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
-        for slab, p in zip(slab_rows, probs):
-            qs, ks, vs, gs = (split(a, slab) for a in (q.data, k.data, v.data, g))
+        for rows, p in zip(docs, probs):
+            qs, ks, vs, gs = (split(a, rows) for a in (q.data, k.data, v.data, g))
             dp = gs @ vs.swapaxes(-1, -2)
             ds = (dp - (dp * p).sum(axis=-1, keepdims=True)) * p * scale
-            merge(dq, slab, ds @ ks)
-            merge(dk, slab, ds.swapaxes(-1, -2) @ qs)
-            merge(dv, slab, p.swapaxes(-1, -2) @ gs)
+            merge(dq, rows, ds @ ks)
+            merge(dk, rows, ds.swapaxes(-1, -2) @ qs)
+            merge(dv, rows, p.swapaxes(-1, -2) @ gs)
         return ((q, dq), (k, dk), (v, dv))
 
     return _make(out, (q, k, v), backward)

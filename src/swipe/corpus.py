@@ -81,15 +81,17 @@ class LabelVocab:
             raise ValidationError(f"unknown label {name!r}") from None
 
     def bits(self, labels) -> np.ndarray:
-        """0/1 indicator vector over the vocabulary."""
-        out = np.zeros(len(self.names), dtype=np.float64)
+        """0/1 indicator vector over the vocabulary, int8 (a loss casts it to
+        its logits' dtype)."""
+        out = np.zeros(len(self.names), dtype=np.int8)
         for name in labels:
-            out[self.index(name)] = 1.0
+            out[self.index(name)] = 1
         return out
 
     def gold(self, docs) -> np.ndarray:
-        """(documents, labels) 0/1 gold matrix: row i is `bits` of docs[i]'s labels."""
-        return np.array([self.bits(doc.labels) for doc in docs]).reshape(len(docs), len(self))
+        """(documents, labels) 0/1 int8 gold matrix: row i is `bits` of docs[i]'s labels."""
+        return np.array([self.bits(doc.labels) for doc in docs],
+                        dtype=np.int8).reshape(len(docs), len(self))
 
 
 @dataclass

@@ -120,13 +120,6 @@ def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.
     return ad.embedding_bag_mean(params["encoder.table"], feats.ids, feats.offsets)
 
 
-def _slabs(offsets: np.ndarray) -> list[tuple[int, int]]:
-    """The (documents, segments per document) of each run of consecutive
-    documents with equal segment counts in a ragged batch, in batch order."""
-    counts = (offsets[1:] - offsets[:-1]).tolist()
-    return [(len(list(run)), m) for m, run in itertools.groupby(counts)]
-
-
 def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig) -> int:
     """A bound on the bytes a tape-free `interact_tensor` holds at once for
     one document of `m` segments, its input rows included. Without a tape
@@ -134,10 +127,10 @@ def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig
     moment of one layer bounds the whole stack. In floats per segment, each
     of the parameters' itemsize (4 bytes in float32):
     - attention: 9 x dim (input, residual, normed rows, q, k, v, the output
-      and the two copies that merge a slab's heads) plus 4 x heads x m (the
-      probabilities `slab_attention` keeps within one call and, while a
-      slab's are made, its scores, exponentials and the buffer numpy takes
-      to broadcast the row maxima and sums, at most the op's output);
+      and the two copies that merge a document's heads) plus 4 x heads x m
+      (the probabilities `doc_attention` keeps within one call and, while a
+      document's are made, its scores, exponentials and the buffer numpy
+      takes to broadcast the row maxima and sums, at most the op's output);
     - relu: 2 x dim + 3 x ff_dim (input, residual, the hidden rows, the
       buffer that casts the mask, at most the output, and the output), and
       then 3 x dim + ff_dim while its output is projected back;
@@ -160,11 +153,10 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
 
     Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1]; one
     document is a batch of one, offsets [0, M]) take positional rows by their
-    index within the document. Documents stay in batch order; each run of
-    neighbours with equal segment counts is a slab: every projection is one
-    `ad.slab_matmul` and attention one `ad.slab_attention`, which attends only
-    within each document. Every other op is row-wise, so a document's rows
-    come out the same bits in any batch.
+    index within the document. Every projection is an `ad.doc_matmul` and
+    attention an `ad.doc_attention`, which take `offsets` and run one
+    document at a time, so attention stays within each document. Every other
+    op is row-wise, so a document's rows come out the same bits in any batch.
     """
     m, dim = x.shape
     if dim != config.dim:
@@ -180,16 +172,15 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
             )
         within = np.arange(m) - np.repeat(offsets[:-1], counts)
         x = ad.add(x, ad.take_rows(positions, within))
-    slabs = _slabs(offsets)
     for i in range(config.interaction_layers):
         layer = f"interaction.{i}."
 
         def project(t: ad.Tensor, name: str) -> ad.Tensor:
-            return ad.slab_matmul(t, params[layer + name], slabs)
+            return ad.doc_matmul(t, params[layer + name], offsets)
 
         def attend(normed: ad.Tensor) -> ad.Tensor:
-            return ad.slab_attention(project(normed, "wq"), project(normed, "wk"),
-                                     project(normed, "wv"), slabs, config.n_heads)
+            return ad.doc_attention(project(normed, "wq"), project(normed, "wk"),
+                                    project(normed, "wv"), offsets, config.n_heads)
 
         # a layer's intermediate rows are call arguments, never names, so a
         # tape-free pass frees each as soon as its consumer returns

@@ -498,8 +498,14 @@ class SwipeModel:
     @classmethod
     def from_arrays(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "SwipeModel":
         """A model whose parameters are `arrays`, not copied, named and shaped
-        as `parameter_shapes(config)` lists them."""
-        return cls(config, {name: arrays[name] for name, _ in parameter_shapes(config)})
+        as `parameter_shapes(config)` lists them. Any other set of names is
+        refused with a ConfigError naming the missing and the extra ones."""
+        names = [name for name, _ in parameter_shapes(config)]
+        missing, extra = set(names) - arrays.keys(), arrays.keys() - set(names)
+        if missing or extra:
+            raise ConfigError(f"arrays do not match the config's parameters: missing "
+                              f"{sorted(missing)}, extra {sorted(extra)}")
+        return cls(config, {name: arrays[name] for name in names})
 
     @classmethod
     def load(cls, path) -> "SwipeModel":

@@ -30,8 +30,8 @@ def head_model():
 
     `head_model(params, pooling, task_kind)` returns a precomputed-encoder
     `SwipeModel` with no interaction layers whose parameters are the "head.*"
-    arrays of `params` its pooling has (gate arrays only under gated pooling;
-    an ungated model has no gate tensors and ignores them), so
+    arrays of `params` its pooling has (gate arrays only under gated pooling:
+    an ungated model has no gate tensors, so they are not handed over), so
     `predict_features(SegmentMatrix)` runs the model's own forward path on
     hand-made segment vectors.
     """
@@ -45,7 +45,8 @@ def head_model():
             encoder_mode=ENCODER_PRECOMPUTED,
             dim=dim,
         )
-        return SwipeModel.from_arrays(config, params)
+        return SwipeModel.from_arrays(config, {name: array for name, array in params.items()
+                                               if pooling.gated or "gate" not in name})
 
     return build
 

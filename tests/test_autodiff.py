@@ -1,6 +1,5 @@
 """Finite-difference checks for every primitive in the tape engine."""
 
-import itertools
 import tracemalloc
 from unittest import mock
 
@@ -122,12 +121,9 @@ def test_linear_rows_do_not_depend_on_the_row_count():
         assert part.tobytes() == full[start:stop].tobytes(), (start, stop)
 
 
-def _slab_layout(sizes):
-    """Row bounds of documents of `sizes` rows stacked in order, and their slabs
-    (the sizes must already be grouped into runs of equal length)."""
-    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    slabs = [(len(list(run)), m) for m, run in itertools.groupby(sizes)]
-    return bounds, slabs
+def _offsets(sizes):
+    """Offsets of documents of `sizes` rows stacked in order."""
+    return np.concatenate(([0], np.cumsum(sizes)))
 
 
 def _attention_alone(q, k, v, n_heads):
@@ -142,40 +138,42 @@ def _attention_alone(q, k, v, n_heads):
     return out
 
 
-# 1-row documents, several of one length, mixed lengths
-SLAB_SIZES = [[1], [4], [1, 1, 1], [3, 3, 3, 3], [1, 1, 2, 5, 5, 7]]
+# 1-row documents, runs of equal-length neighbours, mixed lengths, and 60
+# equal-length documents (of 1, 3 and 7 rows)
+DOC_SIZES = [[1], [4], [1, 1, 1], [3, 3, 3, 3], [1, 1, 2, 5, 5, 7], [1] * 60, [3] * 60,
+             [7] * 60]
 
 
-@pytest.mark.parametrize("sizes", SLAB_SIZES)
+@pytest.mark.parametrize("sizes", DOC_SIZES)
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
-def test_slab_ops_match_each_document_alone_bit_for_bit(sizes, n_heads):
+def test_doc_ops_match_each_document_alone_bit_for_bit(sizes, n_heads):
     rng = np.random.default_rng(len(sizes) + n_heads)
-    bounds, slabs = _slab_layout(sizes)
-    x, w = rng.normal(size=(bounds[-1], 8)), rng.normal(size=(8, 12))
-    q, k, v = rng.normal(size=(3, bounds[-1], 8))
-    product = ad.slab_matmul(ad.Tensor(x), ad.Tensor(w), slabs).data
-    attention = ad.slab_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), slabs, n_heads).data
-    for start, stop in zip(bounds, bounds[1:]):
+    offsets = _offsets(sizes)
+    x, w = rng.normal(size=(offsets[-1], 8)), rng.normal(size=(8, 12))
+    q, k, v = rng.normal(size=(3, offsets[-1], 8))
+    product = ad.doc_matmul(ad.Tensor(x), ad.Tensor(w), offsets).data
+    attention = ad.doc_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), offsets,
+                                 n_heads).data
+    for start, stop in zip(offsets, offsets[1:]):
         rows = slice(start, stop)
         assert product[rows].tobytes() == (x[rows] @ w).tobytes(), (start, stop)
         alone = _attention_alone(q[rows], k[rows], v[rows], n_heads)
         assert attention[rows].tobytes() == alone.tobytes(), (start, stop)
 
 
-def test_slab_attention_weights_sum_to_one_and_stay_finite():
+def test_doc_attention_weights_sum_to_one_and_stay_finite():
     # rows of v all equal: any convex combination of them is that row
-    _, slabs = _slab_layout([1, 3, 3])
     q = np.array([[1e4, 0.0]] * 7)
     k = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]] + [[2.0, 1.0]] * 3)
     v = np.tile([[0.25, -2.0]], (7, 1))
-    out = ad.slab_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), slabs, 1).data
+    out = ad.doc_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), _offsets([1, 3, 3]), 1).data
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, v, rtol=1e-15)
 
 
-def test_slab_ops_grad_check_on_three_documents():
-    # documents of 1, 2 and 2 rows: a one-row slab and a two-document slab
-    _, slabs = _slab_layout([1, 2, 2])
+def test_doc_ops_grad_check_on_three_documents():
+    # documents of 1, 2 and 2 rows: a one-row document and two of equal length
+    offsets = _offsets([1, 2, 2])
     rng = np.random.default_rng(9)
     params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
               for name, shape in (("x", (5, 4)), ("wq", (4, 4)), ("wk", (4, 4)),
@@ -183,28 +181,12 @@ def test_slab_ops_grad_check_on_three_documents():
     weights = rng.normal(size=(5, 3))
 
     def fn():
-        q, k, v = (ad.slab_matmul(params["x"], params[name], slabs) for name in ("wq", "wk", "wv"))
-        out = ad.slab_matmul(ad.slab_attention(q, k, v, slabs, 2), params["wo"], slabs)
+        q, k, v = (ad.doc_matmul(params["x"], params[name], offsets) for name in ("wq", "wk", "wv"))
+        out = ad.doc_matmul(ad.doc_attention(q, k, v, offsets, 2), params["wo"], offsets)
         return _dot(ad.sigmoid(out), weights), None
 
     report = grad_check(fn, params, tolerance=1e-6)
     assert report.passed and report.n_checked == 20 + 3 * 16 + 12, report.failures[:3]
-
-
-def test_slab_ops_rows_do_not_depend_on_the_document_count():
-    rng = np.random.default_rng(10)
-    for m, n in ((1, 3), (1, 128), (3, 3), (7, 128)):
-        x, w = rng.normal(size=(60 * m, 32)), rng.normal(size=(32, n))
-        qkv = [ad.Tensor(rng.normal(size=(60 * m, 32))) for _ in range(3)]
-        full = ad.slab_matmul(ad.Tensor(x), ad.Tensor(w), [(60, m)]).data
-        attention = ad.slab_attention(*qkv, [(60, m)], 2).data
-        for first, last in ((0, 1), (7, 8), (5, 42), (0, 60)):
-            rows = slice(first * m, last * m)
-            part = ad.slab_matmul(ad.Tensor(x[rows]), ad.Tensor(w), [(last - first, m)]).data
-            assert part.tobytes() == full[rows].tobytes(), (m, n, first, last)
-            part = ad.slab_attention(*(ad.Tensor(t.data[rows]) for t in qkv),
-                                     [(last - first, m)], 2).data
-            assert part.tobytes() == attention[rows].tobytes(), (m, first, last)
 
 
 def test_reshape():
@@ -333,6 +315,10 @@ def test_ragged_offsets_must_split_every_row_into_non_empty_blocks(offsets):
         ad.ragged_sum(x, np.array(offsets))
     with pytest.raises(ValueError, match="ragged offsets"):
         ad.ragged_max(x, np.array(offsets))
+    with pytest.raises(ValueError, match="ragged offsets"):
+        ad.doc_matmul(x, ad.Tensor(np.zeros((2, 2))), np.array(offsets))
+    with pytest.raises(ValueError, match="ragged offsets"):
+        ad.doc_attention(x, x, x, np.array(offsets), 1)
 
 
 def test_take_rows_accumulates_duplicates():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from swipe import autodiff as ad
-from swipe import encoder, hashing
+from swipe import hashing
 from swipe import model as model_mod
 from swipe.encoder import (
     SegmentMatrix,
@@ -294,18 +294,6 @@ class TestInteraction:
     def test_heads_must_divide_dim(self):
         with pytest.raises(ConfigError):
             ModelConfig(labels=("a", "b"), dim=6, interaction_layers=1, n_heads=4)
-
-    @pytest.mark.parametrize("sizes, runs", [
-        ([5], [(1, 5)]),
-        ([1, 3, 2], [(1, 1), (1, 3), (1, 2)]),
-        ([2, 2, 2, 2], [(4, 2)]),
-        ([6, 1, 1, 4], [(1, 6), (2, 1), (1, 4)]),
-        ([3, 3, 1, 3, 3, 3], [(2, 3), (1, 1), (3, 3)]),
-        ([1] * 9, [(9, 1)]),
-    ])
-    def test_slabs_are_runs_of_equal_length_neighbours_in_batch_order(self, sizes, runs):
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        assert encoder._slabs(offsets) == runs
 
     @pytest.mark.parametrize("sizes", [[1], [3], [1, 1, 1], [2, 2, 2], [4, 1, 2, 1, 4, 3]])
     @pytest.mark.parametrize("n_heads, positions", [(1, None), (2, None), (4, None), (2, 6)])

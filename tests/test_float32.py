@@ -2,11 +2,12 @@
 
 A created or loaded model holds float32 arrays, and every op keeps its
 inputs' dtype, so a pass over a float32 model is float32 throughout: the
-dtype audit records every tensor a pass makes and every gradient it
-accumulates, over a taped training step and a tape-free pass, for a flat max,
-a flat gated, a two-layer interaction and a precomputed-vector model. A
-float64 copy of each model runs the same ops in float64 and gives the same
-scores within float32 rounding.
+dtype audit records every tensor a pass makes, every gradient it accumulates
+and every float array the ops hand to numpy, temporaries included, over a
+taped training step and a tape-free pass, for a flat max, a flat gated, a
+two-layer interaction and a precomputed-vector model. A float64 copy of each
+model runs the same ops in float64 and gives the same scores within float32
+rounding.
 """
 
 import hashlib
@@ -60,8 +61,32 @@ def _case(name, seed=0):
     return model, docs
 
 
+class _RecordingNumpy:
+    """numpy as `swipe.autodiff` sees it during an audit: every function,
+    ufunc and ufunc method records the dtype of each float array handed to
+    it (alone or in a list or tuple) as ("numpy", dtype), then runs as is.
+    Types (`np.float32`, `np.ndarray`) and constants are numpy's own."""
+
+    def __init__(self, target, seen):
+        self._target, self._seen = target, seen
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+        return _RecordingNumpy(attr, self._seen)
+
+    def __call__(self, *args, **kwargs):
+        for arg in (*args, *kwargs.values()):
+            for a in arg if isinstance(arg, (list, tuple)) else (arg,):
+                if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+                    self._seen.append(("numpy", a.dtype))
+        return self._target(*args, **kwargs)
+
+
 def _audit(monkeypatch) -> list[tuple[str, np.dtype]]:
-    """Record the dtype of every tensor made and every gradient accumulated."""
+    """Record the dtype of every tensor made, every gradient accumulated and
+    every float array an op hands to numpy (its temporaries included)."""
     seen = []
     init, accumulate = ad.Tensor.__init__, ad.Tensor._accumulate
 
@@ -75,6 +100,7 @@ def _audit(monkeypatch) -> list[tuple[str, np.dtype]]:
 
     monkeypatch.setattr(ad.Tensor, "__init__", made)
     monkeypatch.setattr(ad.Tensor, "_accumulate", accumulated)
+    monkeypatch.setattr(ad, "np", _RecordingNumpy(np, seen))
     return seen
 
 
@@ -85,7 +111,7 @@ def test_a_taped_step_and_its_adam_update_are_float32(name, monkeypatch):
     state = ModelState(model=model, config=TrainConfig(base_lr=0.01, epochs=1), total_steps=4)
     seen = _audit(monkeypatch)
     _, grads = backward_batch(model, batch, model.vocab.gold(docs))
-    assert {kind for kind, _ in seen} == {"tensor", "grad"}
+    assert {kind for kind, _ in seen} == {"tensor", "grad", "numpy"}
     assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}, seen
     assert grads.keys() == model.params.keys()
     for grad in grads.values():
@@ -100,7 +126,8 @@ def test_a_tape_free_pass_and_its_predictions_are_float32(name, monkeypatch):
     model, docs = _case(name)
     seen = _audit(monkeypatch)
     preds = [pred for _, _, pred in model.predict_many(docs)]
-    assert seen and {dtype for _, dtype in seen} == {np.dtype(np.float32)}, seen
+    assert {kind for kind, _ in seen} == {"tensor", "numpy"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}, seen
     if not model.config.interaction_layers:
         assert model.label_table(model.tensors()).dtype == np.float32
     for pred in preds:

@@ -159,6 +159,19 @@ class TestBackward:
         _, grads = _step(model, doc)
         assert grads.keys() == model.params.keys()  # every tensor is trained
 
+    def test_from_arrays_refuses_arrays_that_are_not_the_configs_parameters(self):
+        def config(pooling):
+            return ModelConfig(labels=("a", "b"), n_buckets=16, dim=4, pooling=pooling)
+
+        gated = SwipeModel.create(config(Pooling.GATED_MAX))
+        with pytest.raises(ConfigError, match=r"missing \[\], extra \['head.gate_bias', "
+                                              r"'head.gate_weight'\]"):
+            SwipeModel.from_arrays(config(Pooling.MAX), gated.params)
+        arrays = {name: gated.params[name] for name in ("encoder.table", "head.weight")}
+        with pytest.raises(ConfigError, match=r"missing \['head.bias', 'head.gate_bias', "
+                                              r"'head.gate_weight'\], extra \[\]"):
+            SwipeModel.from_arrays(gated.config, arrays)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises_training_error(self):
         s = np.full((1, 2), 3e38)
