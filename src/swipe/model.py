@@ -135,6 +135,55 @@ class Batch:
             raise ConfigError("a batch cannot mix hashed and precomputed features")
         return cls(kind.concat(feats), np.concatenate(([0], np.cumsum([f.m for f in feats]))))
 
+    @classmethod
+    def concat(cls, batches: Sequence["Batch"]) -> "Batch":
+        """Every batch's documents in order, in one batch, offsets shifted."""
+        shifts = np.cumsum([0] + [batch.inputs.m for batch in batches[:-1]])
+        docs = [batch.offsets[1:] + shift for batch, shift in zip(batches, shifts)]
+        inputs = type(batches[0].inputs).concat([batch.inputs for batch in batches])
+        return cls(inputs, np.concatenate(([0], *docs)))
+
+    def take(self, docs: np.ndarray) -> "Batch":
+        """Documents `docs` of a hashed batch, in that order, packed into a
+        batch of their own: one `np.take` of their ids (each document's are
+        contiguous) and one cumsum of their bags' lengths. It holds the
+        gathered ids and, while they are gathered, an index as large, plus
+        offsets. Named by no document: `view` cuts it into named batches."""
+        bags = self.inputs.offsets
+        first, last = self.offsets[docs], self.offsets[docs + 1]
+        counts = last - first
+        offsets = np.zeros(len(docs) + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        segments = _spans(first, counts)
+        lengths = bags[segments + 1]
+        lengths -= bags[segments]
+        del segments
+        bag_offsets = np.zeros(len(lengths) + 1, np.int64)
+        np.cumsum(lengths, out=bag_offsets[1:])
+        del lengths
+        start = bags[first]
+        ids = self.inputs.ids.take(_spans(start, bags[last] - start))
+        return Batch(SegmentFeatures(doc_id="", ids=ids, offsets=bag_offsets), offsets)
+
+    def view(self, start: int, stop: int, doc_id: str) -> "Batch":
+        """Documents start:stop of a hashed batch, named `doc_id`: views of
+        its ids, bag and document offsets rebased to the first."""
+        first, last = self.offsets[start], self.offsets[stop]
+        bags = self.inputs.offsets[first:last + 1]
+        return Batch(SegmentFeatures(doc_id=doc_id, ids=self.inputs.ids[bags[0]:bags[-1]],
+                                     offsets=bags - bags[0]),
+                     self.offsets[start:stop + 1] - first)
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions starts[j]:starts[j] + lengths[j] for each j in order,
+    concatenated, every length at least 1: one cumsum, in place, of steps
+    of one that jump to each span's start."""
+    index = np.ones(int(lengths.sum()), np.int64)
+    index[0] = starts[0]
+    index[np.cumsum(lengths[:-1])] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
+    return np.cumsum(index, out=index)
+
 
 #: Documents featurized together, each with its truncation (None for vectors).
 Chunk = list[tuple[Document, list[Segment] | None]]
@@ -176,16 +225,6 @@ class HashEncoder:
         segments = [seg for _, doc_segments in chunk for seg in doc_segments]
         return Batch(featurize_segments(segments, self.config), offsets)
 
-    def split(self, chunk: Chunk) -> list[SegmentFeatures]:
-        """Each document's features: views of the chunk's hashed ids, bag
-        offsets rebased to each document's first id."""
-        batch = self.featurize(chunk)
-        spans = zip(chunk, batch.offsets[:-1].tolist(), batch.offsets[1:].tolist())
-        ids, bags = batch.inputs.ids, batch.inputs.offsets
-        return [SegmentFeatures(doc_id=doc.id, ids=ids[bags[start]:bags[stop]],
-                                offsets=bags[start:stop + 1] - bags[start])
-                for (doc, _), start, stop in spans]
-
     def encode(self, inputs: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.Tensor:
         return encode_features(inputs, params)
 
@@ -211,10 +250,6 @@ class VectorEncoder(dict[str, SegmentMatrix]):
 
     def featurize(self, chunk: Chunk) -> Batch:
         return Batch.of([self[doc.id] for doc, _ in chunk])
-
-    def split(self, chunk: Chunk) -> list[SegmentMatrix]:
-        """The attached matrices themselves, never stacked."""
-        return [self[doc.id] for doc, _ in chunk]
 
     def encode(self, inputs: SegmentMatrix, params: dict[str, ad.Tensor]) -> ad.Tensor:
         return ad.Tensor(inputs.rows)  # frozen: no gradient
@@ -330,8 +365,12 @@ class SwipeModel:
         return self.encoder if isinstance(self.encoder, VectorEncoder) else None
 
     def featurize(self, doc: Document) -> Features:
-        """One document's features: a chunk of one, split."""
-        return self.encoder.split([(doc, self.encoder.segments(doc, self.config.truncation))])[0]
+        """One document's features: its attached vectors themselves, or the
+        inputs of a hashed chunk of one."""
+        if self.precomputed is not None:
+            return self.precomputed[doc.id]
+        chunk = [(doc, self.encoder.segments(doc, self.config.truncation))]
+        return self.encoder.featurize(chunk).inputs
 
     def tensors(self, requires_grad: bool = False) -> dict[str, ad.Tensor]:
         """The parameters wrapped for one pass, sharing their arrays: a forward

@@ -6,13 +6,23 @@ Adam with bias correction, and a learning rate that decays linearly from
 `base_lr` to zero over the planned number of steps.
 
 Each split is featurized once, before the first step, in the chunks inference
-uses (`SwipeModel.chunks`, one hashing call per chunk), and the model's
-encoder splits each chunk into per-document features (`split_features`).
-Each epoch scores each dev chunk by one tape-free forward over its
-`model.Batch`, built just before; a flat hashed model scores it, as
-inference does, through its cached label table (`SwipeModel.label_table`),
-which `adam_step` invalidates by bumping `SwipeModel.version`, as `train`
-does when it restores the best epoch. A training step is one forward and
+uses (`SwipeModel.chunks`, one hashing call per chunk). A hashed train split
+is held packed, one `model.Batch` of all its documents (`Batch.concat`, which
+holds the chunks' arrays and their packed copy at once for a moment), and
+each epoch gathers its permuted documents a block of whole steps at a time
+(`packed_steps`): one `np.take` of the block's ids and one cumsum of its bag
+lengths, each step a view of its block. A block's ids and their gather
+index stay within `model.CHUNK_BYTES` (a step over it is a block alone), so
+an epoch adds at most that plus a few times the block's offsets (8 bytes per
+segment and document, and the temporaries that build them) to the split it
+holds. The hashed dev chunks' batches are built once and scored every epoch.
+Precomputed vectors are used as attached, never stacked: each step's batch
+and each epoch's dev chunks are `Batch.of` of them, built just before they
+run. Each epoch scores each dev chunk by one tape-free forward over its
+`model.Batch`; a flat hashed model scores it, as inference does, through its
+cached label table (`SwipeModel.label_table`), which `adam_step` invalidates
+by bumping `SwipeModel.version`, as `train` does when it restores the best
+epoch. A training step is one forward and
 one backward over the whole ragged batch, on tensors that wrap the model's
 arrays for that pass only (`SwipeModel.tensors`). A flat hashed model's
 step projects only the table rows its batch touches into label space
@@ -32,18 +42,19 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from swipe import autodiff as ad
+from swipe import model as swipe_model
 from swipe.config import TrainConfig
-from swipe.corpus import Corpus, Document, TASK_MULTICLASS
+from swipe.corpus import Corpus, TASK_MULTICLASS
 from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
-from swipe.model import Batch, Features, SwipeModel
+from swipe.model import Batch, SwipeModel
 
 
 def doc_loss(model: SwipeModel, batch: Batch, gold: np.ndarray,
@@ -319,13 +330,43 @@ def evaluate_split(model: SwipeModel, batches: Iterable[Batch], gold: np.ndarray
     return int(exact_match(model.config.task_kind, scores, gold).sum()) / len(scores)
 
 
-def split_features(model: SwipeModel, docs: Sequence[Document]) -> list[Features]:
-    """Every document's features, in order, as `model.featurize` gives them:
-    each chunk (`SwipeModel.chunks`) split by the model's encoder, into views
-    of the chunk's hashed arrays (one hashing call per chunk) or the attached
-    vectors themselves.
+def packed_steps(split: Batch, doc_ids: Sequence[str], order: np.ndarray,
+                 batch_size: int) -> Iterator[tuple[np.ndarray, Batch]]:
+    """(documents, batch) of each step of an epoch over the packed hashed
+    `split`, whose documents `doc_ids` names: documents order[s:s +
+    batch_size] for s = 0, batch_size, ..., each batch named by its
+    documents' ids and equal, array for array, to `Batch.of` of their own
+    features.
+
+    The documents are gathered a block of whole steps at a time
+    (`Batch.take`), each step a view of its block (`Batch.view`). A block
+    closes before a step would take its ids, with the index that gathers
+    them, past `model.CHUNK_BYTES`; a step over it is a block alone. So an
+    epoch holds one block at a time besides the split, when the caller lets
+    go of each step's batch before it asks for the next.
     """
-    return [feats for chunk in model.chunks(docs) for feats in model.encoder.split(chunk)]
+    for chosen in _blocks(split, order, batch_size):
+        block = split.take(chosen)
+        for start in range(0, len(chosen), batch_size):
+            docs = chosen[start:start + batch_size]
+            yield docs, block.view(start, start + len(docs),
+                                   " ".join(doc_ids[i] for i in docs.tolist()))
+        del block  # freed before the next block is gathered
+
+
+def _blocks(split: Batch, order: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """`order` cut into the blocks of whole steps of `packed_steps`."""
+    bags, docs = split.inputs.offsets, split.offsets
+    sizes = bags[docs[1:]] - bags[docs[:-1]]  # n-gram ids per document
+    starts = range(0, len(order), batch_size)
+    budget = swipe_model.CHUNK_BYTES // (2 * split.inputs.ids.itemsize)
+    cuts, held = [], 0
+    for start, size in zip(starts, np.add.reduceat(sizes[order], starts).tolist()):
+        if held and held + size > budget:
+            cuts.append(start)
+            held = 0
+        held += size
+    return np.split(order, cuts)
 
 
 def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult:
@@ -339,8 +380,15 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     if not train_docs:
         raise ValidationError("train split is empty")
     dev_docs = corpus.split_docs("dev")
-    train_feats = split_features(model, train_docs)
-    dev_chunks = [model.encoder.split(chunk) for chunk in model.chunks(dev_docs)]
+    vectors = model.precomputed
+    if vectors is None:
+        split = Batch.concat([model.encoder.featurize(chunk)
+                              for chunk in model.chunks(train_docs)])
+        doc_ids = [doc.id for doc in train_docs]
+        dev = [model.encoder.featurize(chunk) for chunk in model.chunks(dev_docs)]
+    else:  # the attached arrays, batched where each is used, never held stacked
+        feats = [vectors[doc.id] for doc in train_docs]
+        dev = [[vectors[doc.id] for doc, _ in chunk] for chunk in model.chunks(dev_docs)]
     train_gold, dev_gold = model.vocab.gold(train_docs), model.vocab.gold(dev_docs)
 
     n_batches = math.ceil(len(train_docs) / config.batch_size)
@@ -355,16 +403,22 @@ def train(corpus: Corpus, model: SwipeModel, config: TrainConfig) -> TrainResult
     lr = config.base_lr
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_docs))
+        if vectors is None:
+            steps = packed_steps(split, doc_ids, order, config.batch_size)
+        else:
+            cuts = range(config.batch_size, len(order), config.batch_size)
+            steps = ((chosen, Batch.of([feats[i] for i in chosen]))
+                     for chosen in np.split(order, cuts))
         epoch_loss = 0.0
-        for b in range(n_batches):
-            chosen = order[b * config.batch_size:(b + 1) * config.batch_size]
-            batch = Batch.of([train_feats[i] for i in chosen])
+        for chosen, batch in steps:
             loss_value, grads = backward_batch(model, batch, train_gold[chosen])
+            del batch  # a hashed step's block is freed before the next is gathered
             step += 1
             lr = adam_step(state, grads, step)
             epoch_loss += loss_value * len(chosen)
         epoch_loss /= len(train_docs)
-        dev_metric = evaluate_split(model, (Batch.of(feats) for feats in dev_chunks), dev_gold)
+        dev_metric = evaluate_split(model, dev if vectors is None else map(Batch.of, dev),
+                                    dev_gold)
         best.metrics.append(
             {"epoch": epoch, "step": step, "lr": lr,
              "train_loss": epoch_loss, "dev_metric": dev_metric}

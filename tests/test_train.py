@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipe import autodiff as ad
+from swipe import hashing
 from swipe import model as model_mod
 from swipe.corpus import (
     Corpus,
@@ -45,7 +46,7 @@ from swipe.train import (
     exact_match,
     grad_check,
     learning_rate,
-    split_features,
+    packed_steps,
     train,
     write_metrics_csv,
 )
@@ -626,10 +627,25 @@ def _sentence_docs(rng, n_docs):
             for i in range(n_docs)]
 
 
+def _packed(model, docs):
+    """The packed split `train` holds: each chunk featurized, then concatenated."""
+    return Batch.concat([model.encoder.featurize(chunk) for chunk in model.chunks(docs)])
+
+
+def _assert_same_batch(got, want):
+    """`got` and `want` hold equal arrays of equal dtypes, and one name."""
+    assert got.inputs.doc_id == want.inputs.doc_id
+    pairs = [(got.inputs.ids, want.inputs.ids), (got.inputs.offsets, want.inputs.offsets),
+             (got.offsets, want.offsets)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("strategy", ["auto", "punct", "structure"])
 @pytest.mark.parametrize("budget, chunks", [(0, "one per document"), (12_000, "several"),
                                             (1 << 20, "one")])
-def test_split_features_equal_per_document_featurize(strategy, budget, chunks, monkeypatch):
+def test_a_packed_split_holds_per_document_features(strategy, budget, chunks, monkeypatch):
     docs = _sentence_docs(np.random.default_rng(7), 40)
     model = SwipeModel.create(ModelConfig(
         labels=("a", "b"), n_buckets=97, dim=4, ngram_orders=(1, 2, 3),
@@ -646,41 +662,155 @@ def test_split_features_equal_per_document_featurize(strategy, budget, chunks, m
     monkeypatch.setattr(model_mod, "featurize_segments", spy)
     # a chunk's fixed charge comes on top of a budget that holds documents
     monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget and model_mod.PASS_BYTES + budget)
-    feats = split_features(model, docs)
+    split = _packed(model, docs)
     expected_calls = {"one per document": len(docs), "one": 1}
     if chunks in expected_calls:
         assert len(calls) == expected_calls[chunks]
     else:
         assert 1 < len(calls) < len(docs)  # the split spans several chunks
-    assert len(feats) == len(docs)
-    for doc, got, want in zip(docs, feats, singles):
-        assert got.doc_id == want.doc_id == doc.id
-        assert got.ids.dtype == want.ids.dtype and got.offsets.dtype == want.offsets.dtype
-        np.testing.assert_array_equal(got.ids, want.ids)
-        np.testing.assert_array_equal(got.offsets, want.offsets)
+    assert len(split.offsets) == len(docs) + 1
+    for b, (doc, want) in enumerate(zip(docs, singles)):
+        assert want.doc_id == doc.id
+        _assert_same_batch(split.view(b, b + 1, doc.id), Batch.of([want]))
 
 
-def test_split_features_of_precomputed_vectors_are_the_attached_arrays():
+def test_featurize_of_precomputed_vectors_is_the_attached_array():
     rng = np.random.default_rng(2)
     vectors = {f"v{i}": rng.normal(size=(int(rng.integers(1, 5)), 3)) for i in range(6)}
     model = _precomputed_model(vectors)
-    docs = [Document(id=doc_id, text="x", labels=("a",)) for doc_id in vectors]
-    for doc, got in zip(docs, split_features(model, docs)):
-        assert got is model.precomputed[doc.id]  # no copy per chunk
-        assert got.rows.tobytes() == vectors[doc.id].astype(np.float32).tobytes()
+    for doc_id, rows in vectors.items():
+        got = model.featurize(Document(id=doc_id, text="x", labels=("a",)))
+        assert got is model.precomputed[doc_id]  # no copy
+        assert got.rows.tobytes() == rows.astype(np.float32).tobytes()
 
 
-def test_split_features_of_precomputed_vectors_stack_nothing(monkeypatch):
+def test_featurize_of_precomputed_vectors_stacks_nothing(monkeypatch):
     rng = np.random.default_rng(3)
     vectors = {f"v{i}": rng.normal(size=(int(rng.integers(1, 5)), 3)) for i in range(6)}
     model = _precomputed_model(vectors)
     docs = [Document(id=doc_id, text="x", labels=("a",)) for doc_id in vectors]
 
     def no_stack(self, chunk):
-        raise AssertionError("split_features must not stack the attached vectors")
+        raise AssertionError("featurize must not stack the attached vectors")
 
     monkeypatch.setattr(VectorEncoder, "featurize", no_stack)
-    assert [got.doc_id for got in split_features(model, docs)] == list(vectors)
+    assert [model.featurize(doc).doc_id for doc in docs] == list(vectors)
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+@pytest.mark.parametrize("n_docs, batch_size, chunk_bytes, block_bytes", [
+    (23, 4, None, None), (5, 16, None, None), (1, 3, None, None), (23, 4, 3_000, None),
+    (23, 2, None, 4_000),
+], ids=["short-last-batch", "batch-over-split", "one-document", "several-chunks",
+        "blocks-cut-by-bytes"])
+def test_packed_steps_equal_batch_of_per_document_features(
+        n_docs, batch_size, chunk_bytes, block_bytes, layers, monkeypatch):
+    docs = _sentence_docs(np.random.default_rng(11), n_docs)
+    model = SwipeModel.create(ModelConfig(
+        labels=("a", "b"), pooling=Pooling.GATED_MAX, n_buckets=97, dim=4,
+        interaction_layers=layers, n_heads=2, ngram_orders=(1, 2),
+        truncation=TruncationConfig(strategy="punct", max_seg_len=6), init_seed=3))
+    if chunk_bytes:
+        monkeypatch.setattr(model_mod, "CHUNK_BYTES", model_mod.PASS_BYTES + chunk_bytes)
+    assert (len(list(model.chunks(docs))) > 1) == bool(chunk_bytes)
+    split = _packed(model, docs)
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", block_bytes or 1 << 20)
+    blocks = []
+    take = Batch.take
+
+    def spy(self, chosen):
+        blocks.append(take(self, chosen))
+        return blocks[-1]
+
+    monkeypatch.setattr(Batch, "take", spy)
+    order = np.random.default_rng(5).permutation(n_docs)
+    gold = np.random.default_rng(6).integers(0, 2, size=(n_docs, 2)).astype(np.int8)
+    seen = []
+    for chosen, batch in packed_steps(split, [doc.id for doc in docs], order, batch_size):
+        seen.append(chosen)
+        want = Batch.of([model.featurize(docs[i]) for i in chosen])
+        _assert_same_batch(batch, want)
+        (loss, grads), (want_loss, want_grads) = (
+            backward_batch(model, b, gold[chosen]) for b in (batch, want))
+        assert loss == want_loss and grads.keys() == want_grads.keys()
+        for name, grad in grads.items():
+            assert ad.dense(grad).tobytes() == ad.dense(want_grads[name]).tobytes(), name
+    assert [len(chosen) for chosen in seen] == [
+        min(batch_size, n_docs - start) for start in range(0, n_docs, batch_size)]
+    np.testing.assert_array_equal(np.concatenate(seen), order)
+    if block_bytes is None:
+        assert len(blocks) == 1
+    else:  # each block within the bound, or one step alone, and some hold several
+        steps = [math.ceil(len(block.offsets[1:]) / batch_size) for block in blocks]
+        assert 1 < len(blocks) < len(seen) and max(steps) > 1
+        for block, n_steps in zip(blocks, steps):
+            assert n_steps == 1 or 2 * block.inputs.ids.nbytes <= block_bytes
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_train_hashes_each_split_once(layers, monkeypatch):
+    docs = _sentence_docs(np.random.default_rng(4), 30)
+    docs = [Document(id=doc.id, units=doc.units, labels=(("a",), ("b",))[i % 2],
+                     split="dev" if i % 3 == 0 else "train") for i, doc in enumerate(docs)]
+    corpus = Corpus(docs, LabelVocab(names=("a", "b"), task_kind=TASK_MULTILABEL))
+    config = ModelConfig(labels=("a", "b"), n_buckets=97, dim=4, interaction_layers=layers,
+                         n_heads=2, truncation=TruncationConfig(strategy="punct",
+                                                                max_seg_len=6))
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", model_mod.PASS_BYTES + 3_000)
+    model = SwipeModel.create(config)
+    n_chunks = sum(len(list(model.chunks(corpus.split_docs(split))))
+                   for split in ("train", "dev"))
+    assert n_chunks > 2
+    calls = []
+    bucket_ids = hashing.ngram_bucket_ids
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return bucket_ids(*args, **kwargs)
+
+    monkeypatch.setattr(hashing, "ngram_bucket_ids", spy)
+    for epochs in (1, 3):
+        calls.clear()
+        train(corpus, SwipeModel.create(config), TrainConfig(epochs=epochs, batch_size=4))
+        assert len(calls) == n_chunks, epochs
+
+
+def test_an_epoch_block_holds_chunk_bytes_and_its_offsets(monkeypatch):
+    # the split's ids are several times the budget, so a second copy of them
+    # would show; an epoch gathers a block at a time
+    docs = _sentence_docs(np.random.default_rng(7), 600)
+    model = SwipeModel.create(ModelConfig(
+        labels=("a", "b"), n_buckets=97, dim=4, ngram_orders=(1, 2, 3),
+        truncation=TruncationConfig(strategy="punct", max_seg_len=6)))
+    split = _packed(model, docs)
+    budget = 32 << 10
+    monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget)
+    assert split.inputs.ids.nbytes > 4 * budget
+    doc_ids, order = [doc.id for doc in docs], np.random.default_rng(1).permutation(len(docs))
+    offsets = []
+    take = Batch.take
+
+    def spy(self, chosen):
+        block = take(self, chosen)
+        offsets.append(block.inputs.offsets.nbytes + block.offsets.nbytes)
+        return block
+
+    monkeypatch.setattr(Batch, "take", spy)
+    tracemalloc.start()
+    try:
+        for epoch in range(2):  # the first fills numpy's and the interpreter's caches
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _, batch in packed_steps(split, doc_ids, order, 8):
+                del batch
+            extra = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a block's ids and gather index within the budget; its bag and document
+    # offsets with the temporaries that build them within 4 times their
+    # bytes; 4 KiB of Python objects (views, names, the epoch's block list)
+    assert len(offsets) > 8
+    assert extra <= budget + 4 * max(offsets) + (4 << 10), (extra, max(offsets))
 
 
 def test_training_memory_peak_is_that_of_its_widest_document():
