@@ -306,32 +306,7 @@ def cmd_scale(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="swipe",
-        description="Segment-aware long-text classification with "
-                    "self-explaining segment labeling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-
-    def command(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None, nargs="?", const="",
-                       metavar="FILE", help="key=value file providing flag defaults")
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=func)
-        subparsers[name] = p
-        return p
-
-    def checkpoint_command(name, func, help_text):
-        p = command(name, func, help_text)
-        p.add_argument("--checkpoint", type=str, required=True)
-        p.add_argument("--corpus", type=str, required=True)
-        p.add_argument("--vectors", type=str, default=None)
-        return p
-
-    p = command("synth", cmd_synth, "generate a planted-key synthetic corpus")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--docs", type=int, default=500)
     p.add_argument("--labels", type=int, default=2)
     p.add_argument("--segments-per-doc", type=str, default="8")
@@ -343,7 +318,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--split", type=str, default="0.8,0.1,0.1")
     p.add_argument("--out", type=str, default=".")
 
-    p = command("train", cmd_train, "train a model, save the best-dev checkpoint")
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", type=str, required=True)
     p.add_argument("--task", type=str, default=corpus_mod.TASK_MULTICLASS,
                    choices=list(corpus_mod.TASK_KINDS))
@@ -356,23 +332,35 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--metrics", type=str, default=None)
     p.add_argument("--out", type=str, required=True, help="checkpoint path")
 
-    for name, func in (("predict", cmd_predict), ("explain", cmd_explain)):
-        p = checkpoint_command(name, func, f"{name} documents with a trained checkpoint")
-        p.add_argument("--out", type=str, required=True)
 
-    p = checkpoint_command("eval", cmd_eval, "classification and segment-labeling metrics")
+def _checkpoint_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--checkpoint", type=str, required=True)
+    p.add_argument("--corpus", type=str, required=True)
+    p.add_argument("--vectors", type=str, default=None)
+
+
+def _records_flags(p: argparse.ArgumentParser) -> None:
+    _checkpoint_flags(p)
+    p.add_argument("--out", type=str, required=True)
+
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    _checkpoint_flags(p)
     p.add_argument("--keymap", type=str, default=None)
     p.add_argument("--split", type=str, default="test")
     p.add_argument("--out", type=str, required=True)
 
-    p = checkpoint_command("sufficiency", cmd_sufficiency, "explanation sufficiency protocol")
+
+def _sufficiency_flags(p: argparse.ArgumentParser) -> None:
+    _checkpoint_flags(p)
     p.add_argument("--lengths", type=str, default=None,
                    help="comma-separated auto window lengths, e.g. 64,128,256")
     p.add_argument("--probe-epochs", type=int, default=12)
     p.add_argument("--probe-lr", type=float, default=0.05)
     p.add_argument("--out", type=str, required=True)
 
-    p = command("scale", cmd_scale, "forward+backward timing vs segment count")
+
+def _scale_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segments", type=str, default="8,16,32,64")
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--tokens-per-segment", type=int, default=8)
@@ -381,12 +369,46 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    choices=[pool.value for pool in Pooling])
     p.add_argument("--out", type=str, required=True)
 
+
+def build_parser(command: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `swipe` parser and its subcommand parsers. Every subcommand is
+    registered, so usage and `swipe --help` list them all, but only the parser
+    of `command` gets its flags when `command` names a subcommand: a run parses
+    with that parser alone. Any other `command` (None included) gets every
+    subcommand's flags."""
+    parser = argparse.ArgumentParser(
+        prog="swipe",
+        description="Segment-aware long-text classification with "
+                    "self-explaining segment labeling.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = (
+        ("synth", cmd_synth, "generate a planted-key synthetic corpus", _synth_flags),
+        ("train", cmd_train, "train a model, save the best-dev checkpoint", _train_flags),
+        ("predict", cmd_predict, "predict documents with a trained checkpoint", _records_flags),
+        ("explain", cmd_explain, "explain documents with a trained checkpoint", _records_flags),
+        ("eval", cmd_eval, "classification and segment-labeling metrics", _eval_flags),
+        ("sufficiency", cmd_sufficiency, "explanation sufficiency protocol",
+         _sufficiency_flags),
+        ("scale", cmd_scale, "forward+backward timing vs segment count", _scale_flags),
+    )
+    every = command not in {name for name, *_ in commands}
+    subparsers: dict[str, argparse.ArgumentParser] = {}
+    for name, func, help_text, add_flags in commands:
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            p.add_argument("--config", type=str, default=None, nargs="?", const="",
+                           metavar="FILE", help="key=value file providing flag defaults")
+            p.add_argument("--seed", type=int, default=0)
+            p.set_defaults(func=func)
+            add_flags(p)
     return parser, subparsers
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, _ = build_parser(argv[0] if argv else None)
     try:
         # parse once to find --config, again with the file's values as defaults
         args = parser.parse_args(argv)
@@ -394,6 +416,8 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError("--config needs a file path")
             config = load_config_file(args.config)
+            # a config file may set any command's flags: check its keys against all
+            parser, subparsers = build_parser()
             known = {action.dest for sub in subparsers.values() for action in sub._actions}
             for key in config:
                 if key not in known:

@@ -157,6 +157,23 @@ def record_key(raw: dict, key: str) -> str:
     raise TypeError(f"{key!r} must be a string or an integer, got {json.dumps(value)}")
 
 
+_scan_value = json.decoder.JSONDecoder().scan_once
+_skip_whitespace = json.decoder.WHITESPACE.match
+
+
+def _json_value(line: str):
+    """`json.loads(line)` through one call of json's scanner. A line that is
+    not one JSON value between JSON whitespace goes to `json.loads` itself,
+    which raises json's own error for it."""
+    try:
+        value, end = _scan_value(line, _skip_whitespace(line).end())
+        if _skip_whitespace(line, end).end() == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
+
 def jsonl_records(path) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file; a line
     that is not UTF-8 or not a JSON object raises ParseError at its path:line."""
@@ -166,7 +183,7 @@ def jsonl_records(path) -> Iterator[tuple[int, dict]]:
                 line = line.decode("utf-8")
                 if not line.strip():
                     continue
-                raw = json.loads(line)
+                raw = _json_value(line)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: not valid UTF-8") from exc
             except json.JSONDecodeError as exc:
@@ -191,7 +208,12 @@ def iter_documents(path) -> Iterator[Document]:
                 and (units is None or isinstance(units, list))):
             raise ParseError(
                 f"{path}:{lineno}: 'text' must be a string, 'units' and 'labels' arrays")
-        if not all(map(_utf8_string, [text, *(units or ()), *labels])):
+        strings = [text, *(units or ()), *labels]
+        try:
+            ascii_only = "".join(strings).isascii()
+        except TypeError:  # a non-string unit or label
+            ascii_only = False
+        if not ascii_only and not all(map(_utf8_string, strings)):
             raise ParseError(f"{path}:{lineno}: 'text', 'units' and 'labels' must hold strings "
                              "that UTF-8 can encode (no lone surrogates)")
         try:

@@ -85,27 +85,29 @@ def segment_labeling_eval(preds: list[Prediction], key_map: KeyMap, label_names)
     """
     if not preds:
         raise ValidationError("no predictions to evaluate")
-    pred_blocks = []
-    gold_blocks = []
-    hits = total = 0
+    rows: list[int] = []  # the gold matrix's 1 cells, over all documents' segments
+    cols: list[int] = []
+    hits = total = offset = 0
     for pred in preds:
-        gold = np.zeros((pred.m, len(label_names)), dtype=np.int8)
+        m, predicted_keys = pred.m, pred.key_segments.tolist()
         for j, name in enumerate(label_names):
             keys = key_map.get((pred.doc_id, name))
             if keys is None:
                 continue
-            bad = [k for k in keys if not 0 <= k < pred.m]
+            bad = [k for k in keys if not 0 <= k < m]
             if bad:
                 raise ValidationError(
                     f"document {pred.doc_id!r}: gold key segment {max(bad)} out of "
-                    f"range for m={pred.m}; segment indices are misaligned"
+                    f"range for m={m}; segment indices are misaligned"
                 )
-            gold[list(keys), j] = 1
+            rows.extend(offset + k for k in keys)
+            cols.extend([j] * len(keys))
             total += 1
-            hits += int(pred.key_segments[j]) in keys
-        pred_blocks.append(pred.seg_bits.T)
-        gold_blocks.append(gold)
-    report = confusion_report(np.concatenate(pred_blocks), np.concatenate(gold_blocks),
+            hits += predicted_keys[j] in keys
+        offset += m
+    gold = np.zeros((offset, len(label_names)), dtype=np.int8)
+    gold[rows, cols] = 1
+    report = confusion_report(np.concatenate([pred.seg_bits.T for pred in preds]), gold,
                               label_names)
     return {
         "segment_micro_f1": report.micro_f1,

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from swipe.cli import main
+from swipe.cli import build_parser, main
 from swipe.config import TrainConfig
 from swipe.model import PASS_BYTES, ModelConfig, SwipeModel
 
@@ -655,6 +655,95 @@ class TestParsing:
         assert run([*args, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+COMMANDS = ("synth", "train", "predict", "explain", "eval", "sufficiency", "scale")
+_FLAT = ("--truncate", "structure", "--pooling", "max", "--interaction-layers", "0",
+         "--ngram-orders", "1,2", "--dim", "32", "--buckets", "4096")
+_CKPT = ("--checkpoint", "w/model.ckpt")
+# README's quickstart, then the benchmark's commands (perfbench/workloads.py)
+COMMAND_LINES = [
+    ["synth", "--docs", "500", "--labels", "2", "--segments-per-doc", "8",
+     "--filler-vocab", "50", "--seed", "13", "--out", "data/"],
+    ["train", "--corpus", "data/corpus.jsonl", "--task", "multi-label", "--truncate",
+     "structure", "--pooling", "max", "--ngram-orders", "1", "--epochs", "10", "--lr", "0.05",
+     "--seed", "5", "--out", "run/model.ckpt"],
+    ["predict", "--checkpoint", "run/model.ckpt", "--corpus", "data/corpus.jsonl",
+     "--out", "run/preds.jsonl"],
+    ["explain", "--checkpoint", "run/model.ckpt", "--corpus", "data/corpus.jsonl",
+     "--out", "run/explained.jsonl"],
+    ["eval", "--checkpoint", "run/model.ckpt", "--corpus", "data/corpus.jsonl",
+     "--keymap", "data/keymap.jsonl", "--split", "test", "--out", "run/report.json"],
+    ["sufficiency", "--checkpoint", "run/model.ckpt", "--corpus", "data/corpus.jsonl",
+     "--seed", "3", "--out", "run/sufficiency.json"],
+    ["scale", "--segments", "8,16,32,64", "--trials", "30", "--out", "run/scale.csv"],
+    *(["train", "--corpus", "d/corpus.jsonl", "--task", task, *flags, "--epochs", epochs,
+       "--lr", lr, "--batch-size", "16", "--seed", "5", "--metrics", "w/metrics.csv",
+       "--out", "w/model.ckpt"]
+      for task, flags, epochs, lr in [
+          ("multi-label", _FLAT, "10", "0.1"),
+          ("multi-label", ("--truncate", "structure", "--pooling", "gated_max",
+                           "--interaction-layers", "2", "--heads", "2", *_FLAT[6:]), "3", "0.01"),
+          ("multi-class", ("--truncate", "auto", "--window-len", "16", "--overlap", "0",
+                           *_FLAT[2:]), "3", "0.05")]),
+    ["eval", *_CKPT, "--corpus", "d/corpus.jsonl", "--keymap", "d/keymap.jsonl",
+     "--split", "test", "--out", "w/eval.out"],
+    ["predict", *_CKPT, "--corpus", "d/predict.jsonl", "--out", "w/predict.out"],
+    ["explain", *_CKPT, "--corpus", "d/predict.jsonl", "--out", "w/explain.out"],
+]
+
+
+def _parsed(parser, argv, capsys):
+    """What `parser` makes of `argv`: its namespace or exit code, and what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+class TestCommandParser:
+    """`build_parser(command)` adds flags to `command`'s parser only; anything
+    it parses, it parses as the parser with every command's flags does."""
+
+    @pytest.mark.parametrize("argv", [
+        *COMMAND_LINES,
+        *([command, "--help"] for command in COMMANDS),
+        *([command, "--no-such-flag", "1"] for command in COMMANDS),
+        *([command] for command in COMMANDS),  # synth needs no flag; the rest miss one
+        ["--help"], [], ["nosuchcommand"],
+    ], ids=lambda argv: " ".join(argv)[:60])
+    def test_parses_as_the_full_parser(self, argv, capsys):
+        full = _parsed(build_parser()[0], argv, capsys)
+        assert _parsed(build_parser(argv[0] if argv else None)[0], argv, capsys) == full
+        if "--no-such-flag" in argv or argv in ([], ["nosuchcommand"]) or (
+                argv[1:] == [] and argv[0] not in ("synth", "--help")):
+            assert full[0] == 2 and full[2].startswith("usage: swipe")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_of_every_command_and_of_swipe_is_unchanged(self, command, capsys):
+        for argv in ([command, "--help"], ["--help"]):
+            lean = _parsed(build_parser(command)[0], argv, capsys)
+            assert lean == _parsed(build_parser()[0], argv, capsys) and lean[0] == 0
+
+    def test_eval_reads_a_config_that_sets_other_commands_flags(self, synth_dir, tmp_path,
+                                                                capsys):
+        ckpt = _train(synth_dir, tmp_path)
+        required = ["--checkpoint", ckpt, "--corpus", synth_dir / "corpus.jsonl"]
+        given = {"keymap": synth_dir / "keymap.jsonl", "split": "dev"}
+        flags = [a for key, value in given.items() for a in (f"--{key}", value)]
+        assert run(["eval", *required, *flags, "--out", tmp_path / "flags.json"]) == 0
+        cfg = tmp_path / "eval.cfg"
+        # epochs and docs are train's and synth's flags, which eval has not
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in given.items())
+                       + "epochs = 2\ndocs = 3\n")
+        assert run(["eval", *required, "--config", cfg, "--out", tmp_path / "config.json"]) == 0
+        assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "config.json").read_bytes()
+        cfg.write_text("epochs = 2\nbogus = 1\n")
+        capsys.readouterr()
+        assert run(["eval", *required, "--config", cfg, "--out", tmp_path / "bad.json"]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'bogus'\n"
 
 
 def _saved_model(tmp_path, task_kind="multi-class", **fill):

@@ -1,6 +1,9 @@
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipe.corpus import (
     Corpus,
@@ -10,8 +13,11 @@ from swipe.corpus import (
     TASK_MULTICLASS,
     TASK_MULTILABEL,
     generate_synthetic,
+    iter_documents,
+    jsonl_records,
     load_jsonl,
     load_key_map,
+    record_key,
     split_corpus,
     write_jsonl,
     write_key_map,
@@ -252,3 +258,126 @@ class TestSynthetic:
         path = tmp_path / "keymap.jsonl"
         write_key_map(key_map, path)
         assert load_key_map(path, corpus.vocab.names) == key_map
+
+
+# -- the JSONL readers against json.loads ---------------------------------------
+
+def _reference_records(path):
+    """`jsonl_records` as `json.loads` reads each line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
+                raw = json.loads(line)
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8") from None
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            if not isinstance(raw, dict):
+                raise ParseError(f"{path}:{lineno}: record must be a JSON object")
+            yield lineno, raw
+
+
+def _reference_documents(path):
+    """`iter_documents` over `_reference_records`, checking each string alone."""
+    for lineno, raw in _reference_records(path):
+        if "id" not in raw:
+            raise ParseError(f"{path}:{lineno}: record must be an object with an 'id'")
+        try:
+            doc_id = record_key(raw, "id")
+        except TypeError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        text, units, labels = raw.get("text", ""), raw.get("units"), raw.get("labels", [])
+        if not (isinstance(text, str) and isinstance(labels, list)
+                and (units is None or isinstance(units, list))):
+            raise ParseError(
+                f"{path}:{lineno}: 'text' must be a string, 'units' and 'labels' arrays")
+        for value in [text, *(units or ()), *labels]:
+            try:
+                value.encode("utf-8")
+            except (AttributeError, UnicodeEncodeError):
+                raise ParseError(
+                    f"{path}:{lineno}: 'text', 'units' and 'labels' must hold strings "
+                    "that UTF-8 can encode (no lone surrogates)") from None
+        try:
+            yield Document(id=doc_id, text=text, labels=tuple(labels),
+                           units=tuple(units) if units is not None else None,
+                           split=raw.get("split"))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _outcome(read):
+    """The list `read()` gives, or the type and text of what it raises."""
+    try:
+        return list(read())
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_STRINGS = st.text(st.sampled_from(["a", "b", " ", "é", "\u3000", "\U0001f600", '"',
+                                    "\\", "\x00", "\ud800", "\udfff"]), max_size=5)
+_DOCUMENTS = st.fixed_dictionaries(
+    {"id": st.one_of(_STRINGS, st.integers(-3, 3), st.none())},
+    optional={"text": st.one_of(_STRINGS, st.none()),
+              "units": st.one_of(st.lists(st.one_of(_STRINGS, st.integers(0, 2), st.none()),
+                                          max_size=3), _STRINGS),
+              "labels": st.lists(st.one_of(st.sampled_from(["a", "b", "a"]), _STRINGS,
+                                           st.integers(0, 1)), max_size=3),
+              "split": st.sampled_from(["train", "test", "nope"])})
+_KEY_RECORDS = st.fixed_dictionaries(
+    {"doc_id": st.one_of(st.sampled_from(["d0", "d1"]), st.integers(0, 2), st.booleans()),
+     "label": st.one_of(st.sampled_from(["a", "b", "zz"]), _STRINGS),
+     "key_segments": st.one_of(st.lists(st.integers(-1, 9), max_size=3),
+                               st.lists(st.floats(allow_nan=True), max_size=1), st.text())})
+
+
+def _jsonl(records):
+    """Lines (bytes, no line end) around the records drawn: JSON as written,
+    padded, broken or replaced by the edge cases of the JSON reader."""
+    line = st.one_of(records.map(json.dumps),
+                     records.map(lambda r: json.dumps(r, ensure_ascii=False)),
+                     records.map(lambda r: f" \t{json.dumps(r, indent=1)} "))
+    edge = st.sampled_from([
+        "", "   ", "\t", "\u3000", "\x0b",  # blank lines are skipped
+        '\ufeff{"id": "bom", "text": "x"}',  # Unexpected UTF-8 BOM
+        " \ufeff{}", "{} x", '{"id": "x", "text": "y"}{"id": "z"}', "{}{}",
+        "[1]", "1", '"text"', "null", "NaN", "-Infinity",
+        '{"id": "n", "text": "x", "labels": [], "score": NaN}',
+        '{"doc_id": "d0", "label": "a", "key_segments": [Infinity]}',
+        '{"id": "s", "text": "\\ud800"}', '{"id": "s", "units": ["ok", "\\udfff"]}',
+        '{"id": "s", "text": "x", "labels": ["\\ud800\\udc00", "\\udc00"]}',
+        '{"id": "s", "units": [1, null]}', '{"id": "truncated", ', "{not json",
+        '{"a": 1e999}', '{"a": 1, "a": 2}',
+    ])
+    encoded = st.one_of(line, edge).map(lambda text: text.encode("utf-8", "surrogatepass"))
+    broken = st.sampled_from([b"\xff\xfe{}", b'{"id": "\xc3"}', b"\xef\xbb\xbf{}"])
+    return st.tuples(st.lists(st.one_of(encoded, broken), max_size=6),
+                     st.sampled_from([b"\n", b"\r\n", b"\r"]), st.booleans())
+
+
+def _write_lines(path, drawn):
+    lines, ending, last_ended = drawn
+    data = ending.join(lines) + (ending if last_ended and lines else b"")
+    path.write_bytes(data)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_jsonl(_DOCUMENTS))
+def test_readers_of_documents_match_json_loads_line_by_line(tmp_path_factory, drawn):
+    path = _write_lines(tmp_path_factory.mktemp("jsonl") / "corpus.jsonl", drawn)
+    assert _outcome(lambda: jsonl_records(path)) == _outcome(lambda: _reference_records(path))
+    assert _outcome(lambda: iter_documents(path)) == _outcome(lambda: _reference_documents(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_jsonl(_KEY_RECORDS))
+def test_key_map_reader_matches_json_loads_line_by_line(tmp_path_factory, drawn):
+    path = _write_lines(tmp_path_factory.mktemp("jsonl") / "keymap.jsonl", drawn)
+    assert _outcome(lambda: jsonl_records(path)) == _outcome(lambda: _reference_records(path))
+    with mock.patch("swipe.corpus.jsonl_records", _reference_records):
+        expected = _outcome(lambda: load_key_map(path, ("a", "b")).items())
+    assert _outcome(lambda: load_key_map(path, ("a", "b")).items()) == expected

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from swipe.corpus import (
     Corpus,
@@ -185,6 +188,79 @@ class TestRecovery:
                  _prediction("d1", [[0, 1]], key_segments=[1])]
         key_map = {("d0", "a"): (1,), ("d1", "a"): ()}
         assert _recovery(preds, key_map) == 0.5
+
+
+def _reference_segment_labeling(preds, key_map, label_names) -> dict:
+    """`segment_labeling_eval` as a loop that builds one gold block per document."""
+    pred_blocks, gold_blocks = [], []
+    hits = total = 0
+    for pred in preds:
+        gold = np.zeros((pred.m, len(label_names)), dtype=np.int8)
+        for j, name in enumerate(label_names):
+            keys = key_map.get((pred.doc_id, name))
+            if keys is None:
+                continue
+            bad = [k for k in keys if not 0 <= k < pred.m]
+            if bad:
+                raise ValidationError(
+                    f"document {pred.doc_id!r}: gold key segment {max(bad)} out of "
+                    f"range for m={pred.m}; segment indices are misaligned"
+                )
+            gold[list(keys), j] = 1
+            total += 1
+            hits += int(pred.key_segments[j]) in keys
+        pred_blocks.append(pred.seg_bits.T)
+        gold_blocks.append(gold)
+    report = confusion_report(np.concatenate(pred_blocks), np.concatenate(gold_blocks),
+                              label_names)
+    return {"segment_micro_f1": report.micro_f1, "segment_macro_f1": report.macro_f1,
+            "key_segment_recovery": hits / total if total else 0.0}
+
+
+@st.composite
+def _labeling_cases(draw):
+    """Predictions of 1-12 segments over 1-4 labels, and a key map whose
+    (document, label) pairs are missing, empty, drawn with repeats, or every segment."""
+    names = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    preds, key_map = [], {("unpredicted", names[0]): (0, 99)}
+    for d in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(1, 12))
+        seg_bits = draw(hnp.arrays(np.int8, (len(names), m), elements=st.integers(0, 1)))
+        key_segments = draw(st.lists(st.integers(0, m - 1), min_size=len(names),
+                                     max_size=len(names)))
+        preds.append(_prediction(f"d{d}", seg_bits, key_segments))
+        for name in names:
+            kind = draw(st.sampled_from(["missing", "empty", "drawn", "every"]))
+            if kind != "missing":
+                key_map[(f"d{d}", name)] = {
+                    "empty": (), "every": tuple(range(m)),
+                    "drawn": tuple(draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                                 max_size=4)))}[kind]
+    return preds, key_map, names
+
+
+class TestSegmentLabelingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_labeling_cases())
+    def test_report_matches_the_per_document_loop_bit_for_bit(self, case):
+        report = segment_labeling_eval(*case)
+        expected = _reference_segment_labeling(*case)
+        assert report.keys() == expected.keys()
+        assert all(repr(report[k]) == repr(expected[k]) for k in report)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_labeling_cases(), data=st.data())
+    def test_an_out_of_range_key_names_the_first_such_document(self, case, data):
+        preds, key_map, names = case
+        for pred in data.draw(st.lists(st.sampled_from(preds), min_size=1, max_size=2)):
+            name = data.draw(st.sampled_from(names))
+            key = data.draw(st.sampled_from([-1, pred.m, pred.m + 3]))
+            key_map[(pred.doc_id, name)] = (*key_map.get((pred.doc_id, name), ()), key)
+        with pytest.raises(ValidationError) as expected:
+            _reference_segment_labeling(preds, key_map, names)
+        with pytest.raises(ValidationError) as raised:
+            segment_labeling_eval(preds, key_map, names)
+        assert str(raised.value) == str(expected.value)
 
 
 def _trained_synthetic(pooling=Pooling.MAX, epochs=6, lr=0.05, n_docs=160):
