@@ -310,17 +310,6 @@ def ragged_sum(a: Tensor, offsets: np.ndarray) -> Tensor:
     return _make(values, (a,), backward)
 
 
-def take_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    indices = np.asarray(indices, dtype=np.int64)
-
-    def backward(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, indices, g)
-        return ((a, grad),)
-
-    return _make(a.data[indices], (a,), backward)
-
-
 def doc_matmul(x: Tensor, w: Tensor, offsets: np.ndarray) -> Tensor:
     """Row product `x @ w` of (M, D) rows by a (D, N) weight, one document at
     a time: document b's rows offsets[b]:offsets[b+1] are one 2-D product,

@@ -127,9 +127,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         choices=[p.value for p in Pooling])
     parser.add_argument("--interaction-layers", type=int, default=0)
     parser.add_argument("--heads", type=int, default=2)
-    parser.add_argument("--ff-dim", type=int, default=None)
-    parser.add_argument("--max-positions", type=int, default=None,
-                        help="positional embeddings for up to N segments (default: none)")
     parser.add_argument("--buckets", type=int, default=4096)
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument("--ngram-orders", type=str, default="1,2")
@@ -158,8 +155,6 @@ def _model_config(args, labels, task_kind, dim_override=None) -> ModelConfig:
         ngram_orders=tuple(_parse_ints(args.ngram_orders, "--ngram-orders")),
         interaction_layers=args.interaction_layers,
         n_heads=args.heads,
-        ff_dim=args.ff_dim,
-        max_positions=args.max_positions,
         init_seed=args.seed,
     )
 

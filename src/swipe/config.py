@@ -28,12 +28,10 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _check_real(name: str, value, fraction: bool = False) -> None:
-    """A finite real number > 0, or in [0, 1) when `fraction`."""
+def _check_real(name: str, value) -> None:
+    """A finite real number > 0."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if fraction and not (real and 0 <= value < 1):
-        raise ConfigError(f"{name} must be a number in [0, 1), got {value!r}")
-    if not fraction and not (real and 0 < value < math.inf):
+    if not (real and 0 < value < math.inf):
         raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -45,7 +43,7 @@ def _check_keys(schema, meta) -> None:
     if set(meta) != names:
         raise FormatError(
             f"{schema.__name__} keys: missing {sorted(names - set(meta))}, "
-            f"unknown {sorted(set(meta) - names)}"
+            f"unknown {sorted(set(meta) - names)}; retrain"
         )
 
 
@@ -55,15 +53,24 @@ def _json_array(value) -> tuple:
     return tuple(value)
 
 
+class _FlatConfig:
+    """A config whose header form is its fields, as they are."""
+
+    def to_meta(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_meta(cls, meta: dict):
+        _check_keys(cls, meta)
+        return cls(**meta)
+
+
 @dataclass(frozen=True)
-class TruncationConfig:
+class TruncationConfig(_FlatConfig):
     strategy: str = "auto"
     window_len: int = 64
     overlap: int = 0
     max_seg_len: int = 64
-    sentence_terminators: frozenset[str] = field(
-        default_factory=lambda: frozenset({".", "!", "?"})
-    )
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -77,17 +84,6 @@ class TruncationConfig:
                 f"got overlap={self.overlap} window_len={self.window_len}"
             )
 
-    def to_meta(self) -> dict:
-        return {**asdict(self), "sentence_terminators": sorted(self.sentence_terminators)}
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "TruncationConfig":
-        _check_keys(cls, meta)
-        terminators = _json_array(meta["sentence_terminators"])
-        if not all(isinstance(t, str) for t in terminators):
-            raise ConfigError(f"sentence_terminators must be strings, got {list(terminators)!r}")
-        return cls(**{**meta, "sentence_terminators": frozenset(terminators)})
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -99,11 +95,8 @@ class ModelConfig:
     n_buckets: int = 4096
     dim: int = 32
     ngram_orders: tuple[int, ...] = (1, 2)
-    hash_seed: int = 0
     interaction_layers: int = 0
     n_heads: int = 2
-    ff_dim: int | None = None
-    max_positions: int | None = None  # None keeps positional embeddings off
     init_seed: int = 0
 
     def __post_init__(self):
@@ -122,22 +115,12 @@ class ModelConfig:
             _check_int("ngram order", order, 1)
         if len(set(self.ngram_orders)) != len(self.ngram_orders):
             raise ConfigError(f"ngram_orders repeat an order: {list(self.ngram_orders)}")
-        _check_int("hash_seed", self.hash_seed)
         _check_int("init_seed", self.init_seed)
         _check_int("interaction_layers", self.interaction_layers, 0)
         if self.interaction_layers > 0:
             _check_int("n_heads", self.n_heads, 1)
             if self.dim % self.n_heads:
                 raise ConfigError(f"dim {self.dim} must divide evenly over {self.n_heads} heads")
-        for name in ("ff_dim", "max_positions"):
-            if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name), 1)
-        if self.max_positions is not None and not self.interaction_layers:
-            raise ConfigError(f"max_positions {self.max_positions} needs interaction layers: "
-                              "positional embeddings are added only before them")
-        if self.ff_dim is not None and not self.interaction_layers:
-            raise ConfigError(f"ff_dim {self.ff_dim} needs interaction layers: "
-                              "the feed-forward block is part of each layer")
 
     def to_meta(self) -> dict:
         return {**asdict(self), "truncation": self.truncation.to_meta()}
@@ -159,28 +142,14 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_FlatConfig):
     epochs: int = 10
     base_lr: float = 5e-5
     batch_size: int = 16
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         _check_int("epochs", self.epochs, 1)
         _check_real("base_lr", self.base_lr)
         _check_int("batch_size", self.batch_size, 1)
         _check_int("seed", self.seed)
-        _check_real("beta1", self.beta1, fraction=True)
-        _check_real("beta2", self.beta2, fraction=True)
-        _check_real("epsilon", self.epsilon)
-
-    def to_meta(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "TrainConfig":
-        _check_keys(cls, meta)
-        return cls(**meta)

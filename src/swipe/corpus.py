@@ -176,7 +176,8 @@ def _json_value(line: str):
 
 def jsonl_records(path) -> Iterator[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file; a line
-    that is not UTF-8 or not a JSON object raises ParseError at its path:line."""
+    that is not UTF-8 or not a JSON object, or that nests or holds an integer
+    past what Python's json reads, raises ParseError at its path:line."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -188,6 +189,10 @@ def jsonl_records(path) -> Iterator[tuple[int, dict]]:
                 raise ParseError(f"{path}:{lineno}: not valid UTF-8") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # past Python's limit on an integer's digits
+                raise ParseError(f"{path}:{lineno}: invalid JSON: an integer too long") from exc
+            except RecursionError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON: nested too deeply") from exc
             if not isinstance(raw, dict):
                 raise ParseError(f"{path}:{lineno}: record must be a JSON object")
             yield lineno, raw

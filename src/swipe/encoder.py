@@ -8,9 +8,9 @@ Two sources of segment vectors:
   per document, read from a sidecar by `model.load_precomputed`.
 
 Plus optional pre-norm transformer layers that let the per-segment rows
-interact before scoring, over the "interaction.*" parameters. Positional
-embeddings are off by default so the whole pipeline stays permutation
-equivariant. The functions here take the model's parameter dict, named as
+interact before scoring, over the "interaction.*" parameters. They have no
+positional embeddings, so the whole pipeline stays permutation equivariant.
+The functions here take the model's parameter dict, named as
 `model.parameter_shapes` lists them, and the `ModelConfig` it was built from.
 """
 
@@ -26,6 +26,12 @@ from swipe import hashing
 from swipe.config import ModelConfig
 from swipe.errors import ConfigError, FormatError, ValidationError
 from swipe.truncate import Segment
+
+#: The seed every n-gram hash starts from.
+HASH_SEED = 0
+#: An interaction layer's feed-forward width in multiples of dim: the
+#: Transformer's d_ff = 4 x d_model (Vaswani et al., NeurIPS 2017).
+FF_MULT = 4
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class SegmentFeatures:
 
 def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentFeatures:
     """Hash every segment's n-grams in one kernel call, with `config`'s
-    `n_buckets`, `ngram_orders` and `hash_seed`. Each segment's n-gram
+    `n_buckets` and `ngram_orders`, seeded by `HASH_SEED`. Each segment's n-gram
     counts are computed once and give both the id layout and the bags.
 
     A segment with fewer tokens than the smallest order has no n-gram, hence
@@ -107,7 +113,7 @@ def featurize_segments(segments: list[Segment], config: ModelConfig) -> SegmentF
     counts = hashing.ngram_counts(lengths, orders)
     ids = hashing.ngram_bucket_ids(
         list(itertools.chain.from_iterable(seg.tokens for seg in segments)),
-        config.n_buckets, orders, config.hash_seed, lengths=lengths, counts=counts,
+        config.n_buckets, orders, HASH_SEED, lengths=lengths, counts=counts,
     )
     offsets = np.zeros(len(segments) + 1, dtype=np.int64)
     np.cumsum(counts.sum(axis=1), out=offsets[1:])
@@ -120,28 +126,27 @@ def encode_features(feats: SegmentFeatures, params: dict[str, ad.Tensor]) -> ad.
     return ad.embedding_bag_mean(params["encoder.table"], feats.ids, feats.offsets)
 
 
-def interaction_bytes(m: int, params: dict[str, np.ndarray], config: ModelConfig) -> int:
+def interaction_bytes(m: int, config: ModelConfig) -> int:
     """A bound on the bytes a tape-free `interact_tensor` holds at once for
     one document of `m` segments, its input rows included. Without a tape
     each op's result is freed once the next op has read it, so the busiest
-    moment of one layer bounds the whole stack. In floats per segment, each
-    of the parameters' itemsize (4 bytes in float32):
+    moment of one layer bounds the whole stack. In float32s (4 bytes) per
+    segment, with the feed-forward width ff = `FF_MULT` x dim:
     - attention: 9 x dim (input, residual, normed rows, q, k, v, the output
       and the two copies that merge a document's heads) plus 4 x heads x m
       (the probabilities `doc_attention` keeps within one call and, while a
       document's are made, its scores, exponentials and the buffer numpy
       takes to broadcast the row maxima and sums, at most the op's output);
-    - relu: 2 x dim + 3 x ff_dim (input, residual, the hidden rows, the
-      buffer that casts the mask, at most the output, and the output), and
-      then 3 x dim + ff_dim while its output is projected back;
+    - relu: 2 x dim + 3 x ff (input, residual, the hidden rows, the buffer
+      that casts the mask, at most the output, and the output), and then
+      3 x dim + ff while its output is projected back;
     - layer norm: at most 7 x dim (its temporaries and numpy's buffer).
     Plus a byte of relu mask per ff entry. Zero with no layers."""
     if not config.interaction_layers:
         return 0
-    ff_in = params["interaction.0.ff_in"]
-    dim, ff_dim = config.dim, ff_in.shape[1]
-    per_row = max(9 * dim + 4 * config.n_heads * m, 2 * dim + 3 * ff_dim, 3 * dim + ff_dim)
-    return ff_in.itemsize * m * per_row + m * ff_dim
+    dim, ff = config.dim, FF_MULT * config.dim
+    per_row = max(9 * dim + 4 * config.n_heads * m, 2 * dim + 3 * ff, 3 * dim + ff)
+    return 4 * m * per_row + m * ff
 
 
 def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelConfig,
@@ -151,27 +156,15 @@ def interact_tensor(x: ad.Tensor, params: dict[str, ad.Tensor], config: ModelCon
     the residual-stream magnitude (without it the downstream sigmoid gates
     saturate irrecoverably during training); identity with no layers.
 
-    Rows of a ragged batch (document b owns rows offsets[b]:offsets[b+1]; one
-    document is a batch of one, offsets [0, M]) take positional rows by their
-    index within the document. Every projection is an `ad.doc_matmul` and
-    attention an `ad.doc_attention`, which take `offsets` and run one
-    document at a time, so attention stays within each document. Every other
-    op is row-wise, so a document's rows come out the same bits in any batch.
+    Document b of a ragged batch owns rows offsets[b]:offsets[b+1]; one
+    document is a batch of one, offsets [0, M]. Every projection is an
+    `ad.doc_matmul` and attention an `ad.doc_attention`, which take `offsets`
+    and run one document at a time, so attention stays within each document.
+    Every other op is row-wise, so a document's rows come out the same bits
+    in any batch.
     """
-    m, dim = x.shape
-    if dim != config.dim:
-        raise ConfigError(f"interaction dim {config.dim} != input dim {dim}")
-    counts = offsets[1:] - offsets[:-1]
-    positions = params.get("interaction.positions")
-    if positions is not None:
-        longest = int(counts.max())
-        if longest > positions.shape[0]:
-            raise ConfigError(
-                f"document has {longest} segments but positional table holds "
-                f"{positions.shape[0]}"
-            )
-        within = np.arange(m) - np.repeat(offsets[:-1], counts)
-        x = ad.add(x, ad.take_rows(positions, within))
+    if x.shape[1] != config.dim:
+        raise ConfigError(f"interaction dim {config.dim} != input dim {x.shape[1]}")
     for i in range(config.interaction_layers):
         layer = f"interaction.{i}."
 

@@ -41,6 +41,7 @@ from swipe.config import (
 )
 from swipe.corpus import Document, LabelVocab
 from swipe.encoder import (
+    FF_MULT,
     SegmentFeatures,
     SegmentMatrix,
     encode_features,
@@ -284,17 +285,14 @@ def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]
     if config.encoder_mode == ENCODER_HASH:
         yield "encoder.table", (config.n_buckets, dim)
     if config.interaction_layers > 0:
-        ff_dim = 4 * dim if config.ff_dim is None else config.ff_dim
         shapes = dict.fromkeys(("wq", "wk", "wv", "wo"), (dim, dim))
         shapes |= dict.fromkeys(("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias"), (dim,))
-        shapes |= {"ff_in": (dim, ff_dim), "ff_out": (ff_dim, dim)}
+        shapes |= {"ff_in": (dim, FF_MULT * dim), "ff_out": (FF_MULT * dim, dim)}
         for i in range(config.interaction_layers):
             for name in LAYER_PARAMS:
                 yield f"interaction.{i}.{name}", shapes[name]
         yield "interaction.final_gain", (dim,)
         yield "interaction.final_bias", (dim,)
-        if config.max_positions is not None:
-            yield "interaction.positions", (config.max_positions, dim)
     yield "head.weight", (n_labels, dim)
     yield "head.bias", (n_labels,)
     if config.pooling.gated:
@@ -518,7 +516,7 @@ class SwipeModel:
     def doc_bytes(self, doc: Document, segments: list[Segment] | None) -> int:
         """What a chunk's pass holds for `doc` (see `CHUNK_BYTES`)."""
         m, size = self.encoder.chunk_size(doc, segments)
-        return size + interaction_bytes(m, self.params, self.config) + DOC_BYTES
+        return size + interaction_bytes(m, self.config) + DOC_BYTES
 
     # -- checkpoint container ------------------------------------------------
 
@@ -587,7 +585,7 @@ def read_container(path, kind: str, parse: Callable[[dict], tuple[object, Manife
                 raise FormatError(f"bad {kind} header: no newline in its first {len(line)} bytes")
             try:
                 header = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
                 raise FormatError(f"bad {kind} header: {exc}") from exc
             if not isinstance(header, dict):
                 raise FormatError(f"{kind} header is not a JSON object")

@@ -56,6 +56,9 @@ from swipe.errors import TrainingError, ValidationError
 from swipe.hashing import derive_seed
 from swipe.model import Batch, SwipeModel
 
+#: Adam's decay rates and denominator floor: Kingma & Ba's (ICLR 2015) defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 def doc_loss(model: SwipeModel, batch: Batch, gold: np.ndarray,
              params: dict[str, ad.Tensor]) -> tuple[ad.Tensor, tuple | None]:
@@ -156,8 +159,8 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     cfg = state.config
     state.model.version += 1  # the arrays change in place below
     lr = learning_rate(cfg, step, state.total_steps)
-    correction1 = 1 - cfg.beta1**step
-    correction2 = 1 - cfg.beta2**step
+    correction1 = 1 - ADAM_BETA1**step
+    correction2 = 1 - ADAM_BETA2**step
     for name, g in grads.items():
         param, m, v = state.model.params[name], state.adam_m[name], state.adam_v[name]
         if isinstance(g, ad.RowSparse):
@@ -168,12 +171,12 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
                 # row counts from the end), without the copy 'raise' buffers
                 # `out` through; a row out of range still raises at the scatter
                 np.take(array, rows, axis=0, out=out, mode="wrap")
-            _adam_update(cfg, lr, correction1, correction2, param_rows, m_rows, v_rows,
+            _adam_update(lr, correction1, correction2, param_rows, m_rows, v_rows,
                          g.values, num, den)
             m[rows], v[rows], param[rows] = m_rows, v_rows, param_rows
             updated = param_rows
         else:
-            _adam_update(cfg, lr, correction1, correction2, param, m, v, g,
+            _adam_update(lr, correction1, correction2, param, m, v, g,
                          *state.work(name, 2, len(param)))
             updated = param
         if not np.isfinite(updated).all():
@@ -181,20 +184,20 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray | ad.RowSparse],
     return lr
 
 
-def _adam_update(cfg: TrainConfig, lr: float, correction1: float, correction2: float,
+def _adam_update(lr: float, correction1: float, correction2: float,
                  param: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
                  num: np.ndarray, den: np.ndarray) -> None:
     """One Adam update of `param`, `m` and `v` by the gradient `g`, all of
     one shape, in place; `num` and `den` are work arrays of that shape."""
     # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-    np.multiply(m, cfg.beta1, out=m)
-    np.add(m, np.multiply(g, 1 - cfg.beta1, out=num), out=m)
-    np.multiply(v, cfg.beta2, out=v)
-    np.multiply(g, 1 - cfg.beta2, out=num)
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.add(m, np.multiply(g, 1 - ADAM_BETA1, out=num), out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1 - ADAM_BETA2, out=num)
     np.add(v, np.multiply(num, g, out=num), out=v)
     # param -= lr * (m / correction1) / (sqrt(v / correction2) + epsilon)
     np.multiply(np.divide(m, correction1, out=num), lr, out=num)
-    np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), cfg.epsilon, out=den)
+    np.add(np.sqrt(np.divide(v, correction2, out=den), out=den), ADAM_EPSILON, out=den)
     np.subtract(param, np.divide(num, den, out=num), out=param)
 
 

@@ -23,6 +23,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 
 EMPTY_UNIT_TOKEN = "<empty>"
 
+#: The tokens that end a sentence under the punct strategy.
+SENTENCE_TERMINATORS = frozenset(".!?")
+
 
 class Segment(NamedTuple):
     """One truncated piece of a document."""
@@ -88,12 +91,12 @@ def truncate_auto(doc: Document, cfg: TruncationConfig) -> list[Segment]:
     return _make_segments(doc.id, runs, tokens)
 
 
-def _sentence_runs(tokens: list[str], terminators: frozenset[str]) -> list[tuple[int, int]]:
+def _sentence_runs(tokens: list[str]) -> list[tuple[int, int]]:
     """Half-open [start, end) token runs, one per sentence."""
     runs = []
     start = 0
     for i, tok in enumerate(tokens):
-        if tok in terminators:
+        if tok in SENTENCE_TERMINATORS:
             runs.append((start, i + 1))
             start = i + 1
     if start < len(tokens):
@@ -112,7 +115,7 @@ def truncate_punct(doc: Document, cfg: TruncationConfig) -> list[Segment]:
         raise ValidationError(f"document {doc.id!r} produced no tokens")
     pieces: list[tuple[int, int]] = []
     buf: tuple[int, int] | None = None
-    for start, end in _sentence_runs(tokens, cfg.sentence_terminators):
+    for start, end in _sentence_runs(tokens):
         if end - start > cfg.max_seg_len:
             if buf is not None:
                 pieces.append(buf)

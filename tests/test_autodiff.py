@@ -321,15 +321,6 @@ def test_ragged_offsets_must_split_every_row_into_non_empty_blocks(offsets):
         ad.doc_attention(x, x, x, np.array(offsets), 1)
 
 
-def test_take_rows_accumulates_duplicates():
-    table = ad.Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
-    ad.take_rows(table, np.array([1, 1, 3])).backward()
-    expected = np.zeros((4, 3))
-    expected[1] = 2.0
-    expected[3] = 1.0
-    np.testing.assert_array_equal(table.grad, expected)
-
-
 def test_embedding_bag_mean_forward_and_grad():
     rng = np.random.default_rng(0)
     table_data = rng.normal(0, 1, size=(6, 4))

@@ -478,11 +478,12 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
 
-    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["epoch", "ff_dim", "max_positions"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epoch = 3\n")
+        cfg.write_text(f"{key} = 3\n")
         assert run(["synth", "--config", cfg, "--out", tmp_path]) == 2
-        assert "error: unknown config key 'epoch'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
 
     def test_config_key_inside_a_config_file_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -494,13 +495,7 @@ class TestParsing:
     @pytest.mark.parametrize("flags, expected", [
         (["--ngram-orders", "0"], "ngram order must be an integer >= 1, got 0"),
         (["--ngram-orders", ","], "ngram_orders must not be empty"),
-        (["--ff-dim", "-1", "--interaction-layers", "1"], "ff_dim must be an integer >= 1"),
         (["--ngram-orders", "1,1,2"], "ngram_orders repeat an order: [1, 1, 2]"),
-        (["--max-positions", "-1", "--interaction-layers", "1"],
-         "max_positions must be an integer >= 1"),
-        (["--max-positions", "-5"], "max_positions must be an integer >= 1, got -5"),
-        (["--max-positions", "8"], "max_positions 8 needs interaction layers"),
-        (["--ff-dim", "8", "--interaction-layers", "0"], "ff_dim 8 needs interaction layers"),
         (["--lr", "nan"], "base_lr must be a finite number > 0, got nan"),
         (["--lr", "0"], "base_lr must be a finite number > 0, got 0.0"),
         (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
@@ -521,13 +516,20 @@ class TestParsing:
         ("dim", "x", "dim must be an integer >= 1, got 'x'"),
         ("ngram_orders", [0], "ngram order must be an integer >= 1, got 0"),
         ("ngram_orders", [1, 1, 2], "bad checkpoint config: ngram_orders repeat an order"),
-        ("max_positions", 8, "bad checkpoint config: max_positions 8 needs interaction layers"),
-        ("ff_dim", 8, "bad checkpoint config: ff_dim 8 needs interaction layers"),
         ("labels", [1, 2], "labels must be strings"),
-        ("truncation", {"strategy": "auto", "window_len": 3.5, "overlap": 0, "max_seg_len": 64,
-                        "sentence_terminators": ["."]}, "window_len must be an integer"),
-        ("extra", 1, "unknown ['extra']"),
-        ("hash_seed", None, "missing ['hash_seed']"),  # None deletes the key
+        ("truncation", {"strategy": "auto", "window_len": 3.5, "overlap": 0, "max_seg_len": 64},
+         "window_len must be an integer"),
+        ("extra", 1, "unknown ['extra']; retrain"),
+        ("init_seed", None, "missing ['init_seed']"),  # None deletes the key
+        # keys of settings that became constants, as older headers hold them
+        ("hash_seed", 0, "missing [], unknown ['hash_seed']; retrain"),
+        ("ff_dim", 24, "missing [], unknown ['ff_dim']; retrain"),
+        ("max_positions", 16, "missing [], unknown ['max_positions']; retrain"),
+        (("config", "truncation", "sentence_terminators"), ["!", ".", "?"],
+         "missing [], unknown ['sentence_terminators']; retrain"),
+        (("train_config", "beta1"), 0.9, "missing [], unknown ['beta1']; retrain"),
+        (("train_config", "beta2"), 0.999, "missing [], unknown ['beta2']; retrain"),
+        (("train_config", "epsilon"), 1e-8, "missing [], unknown ['epsilon']; retrain"),
         (None, None, "checkpoint header is not a JSON object"),  # header becomes a list
         (("train_config",), "junk", "TrainConfig must be a JSON object, got 'junk'"),
         (("train_config", "epochs"), None, "TrainConfig keys: missing ['epochs']"),
@@ -627,6 +629,36 @@ class TestParsing:
         assert run([*args, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
         assert out.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("command", ["predict", "eval-keymap", "checkpoint"])
+    @pytest.mark.parametrize("line, expected", [
+        ("[" * 200_000, "nested too deeply"),
+        ('{"id": "d9", "n": %s}' % ("7" * 5_000), "an integer too long"),
+    ], ids=["nested", "digits"])
+    def test_json_past_python_limits_exits_2(self, tmp_path, capsys, command, line, expected):
+        """A line nesting 200,000 arrays, or holding a 5,000-digit integer,
+        as the second line of a corpus or key map, or as a checkpoint's header."""
+        ckpt, corpus = _saved_model(tmp_path), _labelled_corpus(tmp_path, ["a"])
+        bad = tmp_path / "bad"
+        if command == "checkpoint":
+            bad.write_bytes(line.encode() + b"\n" + ckpt.read_bytes().split(b"\n", 1)[1])
+        else:
+            first = (corpus.read_text().splitlines()[0] if command == "predict"
+                     else '{"doc_id": "d0", "label": "a", "key_segments": [0]}')
+            bad.write_text(first + "\n" + line + "\n")
+        args = {"predict": ["predict", "--checkpoint", ckpt, "--corpus", bad],
+                "eval-keymap": ["eval", "--checkpoint", ckpt, "--corpus", corpus,
+                                "--keymap", bad],
+                "checkpoint": ["predict", "--checkpoint", bad, "--corpus", corpus]}[command]
+        out = tmp_path / "out"
+        assert run([*args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if command == "checkpoint":
+            assert err.startswith(f"error: {bad}: bad checkpoint header: ")
+        else:
+            assert err == f"error: {bad}:2: invalid JSON: {expected}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc_id", [None, {"a": 2}])
     def test_corpus_id_neither_string_nor_integer_exits_2(self, tmp_path, capsys, doc_id):

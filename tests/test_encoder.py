@@ -8,6 +8,7 @@ from swipe import autodiff as ad
 from swipe import hashing
 from swipe import model as model_mod
 from swipe.encoder import (
+    HASH_SEED,
     SegmentMatrix,
     encode_features,
     featurize_segments,
@@ -31,24 +32,22 @@ def _segments(token_lists, doc_id="d"):
     ]
 
 
-def _hash_encoder(n_buckets, dim, ngram_orders=(1, 2), hash_seed=0, init_seed=0):
+def _hash_encoder(n_buckets, dim, ngram_orders=(1, 2), init_seed=0):
     """A hash-encoder config and its "encoder.table", drawn by
     `default_rng(init_seed)` with std 1/sqrt(dim)."""
     config = ModelConfig(labels=("a", "b"), n_buckets=n_buckets, dim=dim,
-                         ngram_orders=ngram_orders, hash_seed=hash_seed)
+                         ngram_orders=ngram_orders)
     table = np.random.default_rng(init_seed).normal(0.0, 1.0 / np.sqrt(dim),
                                                     size=(n_buckets, dim))
     return config, {"encoder.table": ad.Tensor(table, requires_grad=True)}
 
 
-def _interaction(num_layers, dim, n_heads=2, max_positions=None, init_seed=0):
+def _interaction(num_layers, dim, n_heads=2, init_seed=0):
     """An interaction config and its "interaction.*" tensors, drawn by one
     `default_rng(init_seed)` in `parameter_shapes` order: a layer's weights
-    with std 1/sqrt(rows), positions with std 1/sqrt(dim), gains one and
-    biases zero."""
+    with std 1/sqrt(rows), gains one and biases zero."""
     config = ModelConfig(labels=("a", "b"), encoder_mode=ENCODER_PRECOMPUTED, dim=dim,
-                         interaction_layers=num_layers, n_heads=n_heads,
-                         max_positions=max_positions)
+                         interaction_layers=num_layers, n_heads=n_heads)
     rng = np.random.default_rng(init_seed)
     params = {}
     for name, shape in parameter_shapes(config):
@@ -57,8 +56,7 @@ def _interaction(num_layers, dim, n_heads=2, max_positions=None, init_seed=0):
         if len(shape) == 1:
             data = np.ones(shape) if name.endswith("gain") else np.zeros(shape)
         else:
-            std = 1.0 / np.sqrt(dim if name.endswith("positions") else shape[0])
-            data = rng.normal(0.0, std, size=shape)
+            data = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
         params[name] = ad.Tensor(data, requires_grad=True)
     return config, params
 
@@ -73,8 +71,6 @@ def _interaction_alone(x, params, config):
     """One document's interaction layers in plain numpy, attention head by head."""
     m, dim = x.shape
     head_dim = dim // config.n_heads
-    if "interaction.positions" in params:
-        x = x + params["interaction.positions"].data[:m]
     for i in range(config.interaction_layers):
         p = {name: params[f"interaction.{i}.{name}"] for name in model_mod.LAYER_PARAMS}
         h = _layer_norm(x, p["ln1_gain"], p["ln1_bias"])
@@ -123,8 +119,7 @@ class TestHashEncoder:
 
     def test_rows_match_standalone_hash_and_average_oracle(self):
         # oracle recomputes the same contract with its own loop
-        config, params = _hash_encoder(n_buckets=97, dim=4, ngram_orders=(1, 2),
-                                       hash_seed=5, init_seed=1)
+        config, params = _hash_encoder(n_buckets=97, dim=4, ngram_orders=(1, 2), init_seed=1)
         token_lists = [["the", "cat", "sat"], ["on", "the", "mat", "."]]
         out = encode_features(featurize_segments(_segments(token_lists), config), params).data
         for k, tokens in enumerate(token_lists):
@@ -132,7 +127,7 @@ class TestHashEncoder:
                      for i in range(len(tokens) - n + 1)]
             rows = []
             for gram in grams:
-                h = hashing.hash64(b"\x1f".join(t.encode() for t in gram), 5)
+                h = hashing.hash64(b"\x1f".join(t.encode() for t in gram), HASH_SEED)
                 rows.append(params["encoder.table"].data[h % 97])
             np.testing.assert_allclose(out[k], np.mean(rows, axis=0), atol=1e-12)
 
@@ -161,18 +156,18 @@ class TestHashEncoder:
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), orders=st.sampled_from([(1,), (2,), (1, 2), (2, 3), (1, 2, 3)]),
-       seed=st.integers(0, 2**63 - 1), buckets=st.integers(1, 10**6))
-def test_featurize_equals_one_kernel_call_per_segment(data, orders, seed, buckets):
+       buckets=st.integers(1, 10**6))
+def test_featurize_equals_one_kernel_call_per_segment(data, orders, buckets):
     # a chunk's one kernel call lays its ids out as concatenated per-segment
     # calls, and its bags are the per-segment n-gram counts, accumulated
     token = st.text(alphabet="ab\u00e9\u4e2d_ ", min_size=1, max_size=4)
     n_segments = data.draw(st.integers(1, 300))
     token_lists = data.draw(st.lists(st.lists(token, min_size=orders[0], max_size=orders[0] + 3),
                                      min_size=n_segments, max_size=n_segments))
-    config = ModelConfig(labels=("a", "b"), n_buckets=buckets, dim=4, ngram_orders=orders,
-                         hash_seed=seed)
+    config = ModelConfig(labels=("a", "b"), n_buckets=buckets, dim=4, ngram_orders=orders)
     feats = featurize_segments(_segments(token_lists), config)
-    per_segment = [hashing.ngram_bucket_ids(toks, buckets, orders, seed) for toks in token_lists]
+    per_segment = [hashing.ngram_bucket_ids(toks, buckets, orders, HASH_SEED)
+                   for toks in token_lists]
     counts = [sum(max(len(toks) - k + 1, 0) for k in orders) for toks in token_lists]
     assert feats.ids.dtype == np.int64 and feats.offsets.dtype == np.int64
     np.testing.assert_array_equal(feats.ids, np.concatenate(per_segment))
@@ -273,19 +268,6 @@ class TestInteraction:
         out_perm = interact_tensor(ad.Tensor(rows[perm]), params, config, _whole(rows)).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-6)
 
-    def test_positions_break_equivariance_and_cap_length(self):
-        rng = np.random.default_rng(7)
-        config, params = _interaction(num_layers=1, dim=8, n_heads=2,
-                                      max_positions=4, init_seed=3)
-        rows = rng.normal(size=(3, 8))
-        out = interact_tensor(ad.Tensor(rows), params, config, _whole(rows)).data
-        swapped = rows[[1, 0, 2]]
-        out_swapped = interact_tensor(ad.Tensor(swapped), params, config, _whole(rows)).data
-        assert not np.allclose(out_swapped, out[[1, 0, 2]], atol=1e-6)
-        with pytest.raises(ConfigError, match="positional"):
-            interact_tensor(ad.Tensor(rng.normal(size=(5, 8))), params, config,
-                            np.array([0, 5]))
-
     def test_dim_mismatch_rejected(self):
         config, params = _interaction(num_layers=1, dim=8, n_heads=2)
         with pytest.raises(ConfigError):
@@ -296,11 +278,10 @@ class TestInteraction:
             ModelConfig(labels=("a", "b"), dim=6, interaction_layers=1, n_heads=4)
 
     @pytest.mark.parametrize("sizes", [[1], [3], [1, 1, 1], [2, 2, 2], [4, 1, 2, 1, 4, 3]])
-    @pytest.mark.parametrize("n_heads, positions", [(1, None), (2, None), (4, None), (2, 6)])
-    def test_ragged_batch_matches_each_document_alone_bit_for_bit(self, sizes, n_heads,
-                                                                 positions):
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_ragged_batch_matches_each_document_alone_bit_for_bit(self, sizes, n_heads):
         config, params = _interaction(num_layers=2, dim=8, n_heads=n_heads,
-                                      max_positions=positions, init_seed=len(sizes))
+                                      init_seed=len(sizes))
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         rows = np.random.default_rng(n_heads).normal(size=(offsets[-1], 8))
         out = interact_tensor(ad.Tensor(rows), params, config, offsets).data

@@ -35,7 +35,7 @@ from swipe.truncate import TruncationConfig
 CASES = {
     "flat-max": dict(pooling=Pooling.MAX, interaction_layers=0),
     "flat-gated": dict(pooling=Pooling.GATED_SUM, interaction_layers=0),
-    "interaction-2": dict(pooling=Pooling.GATED_MAX, interaction_layers=2, max_positions=8),
+    "interaction-2": dict(pooling=Pooling.GATED_MAX, interaction_layers=2),
     "vectors": dict(pooling=Pooling.GATED_MAX, interaction_layers=1,
                     encoder_mode=ENCODER_PRECOMPUTED),
 }

@@ -4,10 +4,9 @@ A fixed-seed set of swipe commands runs in-process through `swipe.cli.main`
 and writes checkpoints (with their headers), metrics CSVs, predictions,
 explanations, eval reports and sufficiency rows. The SHA-256 of each file
 must match `golden/cli_outputs.sha256`. The commands cover max / gated_sum +
-2 interaction layers / gated_max + 1 layer / sum + 1 layer with 4 heads,
-ff_dim and positional embeddings, the precomputed --vectors path, and plain
-text with multi-byte tokens under auto and punct truncation with n-gram
-orders 1,2,3.
+2 interaction layers / gated_max + 1 layer / sum + 1 layer with 4 heads, the
+precomputed --vectors path, and plain text with multi-byte tokens under auto
+and punct truncation with n-gram orders 1,2,3.
 
 The rule: a change that alters any output bytes re-pins the digests in the
 same commit (the failure message lists each changed file with its new
@@ -89,12 +88,11 @@ def run_commands(out: Path) -> None:
         swipe("eval", "--checkpoint", f"{name}.ckpt", "--corpus", corpus,
               "--keymap", keymap, "--split", "test", "--out", f"{name}.eval.json")
 
-    # Header fields no other run sets: sum pooling, 4 heads, ff_dim, positions.
-    name = f"{out}/sum-positions"
+    # Header fields no other run sets: sum pooling and 4 heads.
+    name = f"{out}/sum-1"
     swipe("train", "--corpus", corpus, "--task", "multi-label", "--truncate", "structure",
-          "--pooling", "sum", "--interaction-layers", 1, "--heads", 4, "--ff-dim", 24,
-          "--max-positions", 32, "--buckets", 256, "--dim", 16,
-          "--epochs", 2, "--lr", 0.05, "--seed", 9, "--out", f"{name}.ckpt")
+          "--pooling", "sum", "--interaction-layers", 1, "--heads", 4, "--buckets", 256,
+          "--dim", 16, "--epochs", 2, "--lr", 0.05, "--seed", 9, "--out", f"{name}.ckpt")
     swipe("predict", "--checkpoint", f"{name}.ckpt", "--corpus", corpus,
           "--out", f"{name}.predict.jsonl")
 

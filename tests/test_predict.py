@@ -40,8 +40,7 @@ def _model(seed, pooling, layers, task, encoder_mode, docs, dim=4):
     config = ModelConfig(
         labels=("a", "b", "c"), task_kind=task, pooling=pooling,
         truncation=TruncationConfig(strategy="structure"), encoder_mode=encoder_mode,
-        n_buckets=64, dim=dim, interaction_layers=layers, n_heads=2,
-        ff_dim=8 if layers else None, init_seed=seed,
+        n_buckets=64, dim=dim, interaction_layers=layers, n_heads=2, init_seed=seed,
     )
     model = SwipeModel.create(config)
     # scores on both sides of zero
@@ -362,11 +361,11 @@ def test_interaction_chunks_stay_within_the_budget():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**16), layers=st.integers(1, 3), heads=st.integers(1, 4),
-       head_dim=st.sampled_from([1, 2, 8]), ff_dim=st.integers(4, 64),
+       head_dim=st.sampled_from([1, 2, 8]),
        pooling=st.sampled_from(list(Pooling)),
        segments=st.lists(st.integers(1, 40), min_size=2, max_size=8))
-def test_a_chunk_pass_holds_at_most_its_charge(seed, layers, heads, head_dim, ff_dim,
-                                               pooling, segments):
+def test_a_chunk_pass_holds_at_most_its_charge(seed, layers, heads, head_dim, pooling,
+                                               segments):
     rng = np.random.default_rng(seed)
     docs = [Document(id=f"d{i}", labels=("a",), units=tuple(
                 " ".join(rng.choice(WORDS, size=rng.integers(1, 9))) for _ in range(m)))
@@ -374,8 +373,7 @@ def test_a_chunk_pass_holds_at_most_its_charge(seed, layers, heads, head_dim, ff
     model = SwipeModel.create(ModelConfig(
         labels=("a", "b", "c"), task_kind=TASK_MULTILABEL, pooling=pooling,
         truncation=TruncationConfig(strategy="structure"), n_buckets=64,
-        dim=heads * head_dim, interaction_layers=layers, n_heads=heads, ff_dim=ff_dim,
-        init_seed=seed))
+        dim=heads * head_dim, interaction_layers=layers, n_heads=heads, init_seed=seed))
     for n, charged, peak in _pass_peaks(model, docs):
         if n > 1:
             assert peak <= charged <= model_mod.CHUNK_BYTES
@@ -412,7 +410,7 @@ class TestLoad:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"encoder_mode": ENCODER_PRECOMPUTED},
-        {"interaction_layers": 2, "ff_dim": 6, "max_positions": 5},
+        {"interaction_layers": 2},
     ])
     def test_load_reads_parameters_without_drawing_new_ones(self, tmp_path, monkeypatch,
                                                             overrides):
@@ -431,7 +429,6 @@ class TestLoad:
             assert array.tobytes() == want[name].tobytes(), name
         if model.config.interaction_layers:
             assert loaded.config.n_heads == model.config.n_heads
-            assert "interaction.positions" in got
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name, at", [("encoder.table", 0), ("head.bias", 1)])

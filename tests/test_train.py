@@ -36,6 +36,9 @@ from swipe.model import (
     VectorEncoder,
 )
 from swipe.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     GRAD_CHECK_FLOOR,
     ModelState,
     TrainConfig,
@@ -190,23 +193,21 @@ class _TextbookAdam:
     they were (lazy Adam). `history` holds the table, its `m` and its `v`
     after each step."""
 
-    def __init__(self, model, cfg):
-        self.cfg = cfg
+    def __init__(self, model):
         self.params = {name: a.copy() for name, a in model.params.items()}
         self.m = {name: np.zeros_like(a) for name, a in self.params.items()}
         self.v = {name: np.zeros_like(a) for name, a in self.params.items()}
         self.history = []
 
     def step(self, grads, step, lr):
-        cfg = self.cfg
-        c1, c2 = 1 - cfg.beta1**step, 1 - cfg.beta2**step
+        c1, c2 = 1 - ADAM_BETA1**step, 1 - ADAM_BETA2**step
         for name, g in grads.items():
             p, m, v = self.params[name], self.m[name], self.v[name]
             pieces = zip(g.rows, g.values) if isinstance(g, ad.RowSparse) else [(..., g)]
             for at, grad in pieces:
-                m[at] = cfg.beta1 * m[at] + (1 - cfg.beta1) * grad
-                v[at] = cfg.beta2 * v[at] + (1 - cfg.beta2) * grad * grad
-                p[at] = p[at] - lr * (m[at] / c1) / (np.sqrt(v[at] / c2) + cfg.epsilon)
+                m[at] = ADAM_BETA1 * m[at] + (1 - ADAM_BETA1) * grad
+                v[at] = ADAM_BETA2 * v[at] + (1 - ADAM_BETA2) * grad * grad
+                p[at] = p[at] - lr * (m[at] / c1) / (np.sqrt(v[at] / c2) + ADAM_EPSILON)
         self.history.append({"param": self.params["encoder.table"].copy(),
                              "m": self.m["encoder.table"].copy(),
                              "v": self.v["encoder.table"].copy()})
@@ -221,7 +222,7 @@ def _lazy_adam_run(table_rows, n, seed=0, zero_dense_rows=()):
     model = SwipeModel.create(ModelConfig(labels=("a", "b"), n_buckets=n, dim=dim))
     state = ModelState(model=model, config=TrainConfig(base_lr=0.01, epochs=1),
                        total_steps=len(table_rows) + 1)
-    reference = _TextbookAdam(model, state.config)
+    reference = _TextbookAdam(model)
     rng = np.random.default_rng(seed)
 
     def normal(shape):  # float32, as a pass over float32 parameters gives them
@@ -420,7 +421,7 @@ class TestGradCheck:
 
 # -- the batched step ----------------------------------------------------------
 
-def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
+def _ragged_model(seed, sizes, pooling, layers, task, encoder_mode):
     """A small model, its documents with `sizes` segments each, their
     features and their (documents, labels) gold matrix (random bits for
     multi-label)."""
@@ -429,9 +430,7 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
     config = ModelConfig(
         labels=labels, task_kind=task, pooling=pooling,
         truncation=TruncationConfig(strategy="structure"), encoder_mode=encoder_mode,
-        n_buckets=32, dim=4, interaction_layers=layers, n_heads=2,
-        ff_dim=8 if layers else None, max_positions=6 if positions and layers else None,
-        init_seed=seed,
+        n_buckets=32, dim=4, interaction_layers=layers, n_heads=2, init_seed=seed,
     )
     model = SwipeModel.create(config)
     docs = []
@@ -457,7 +456,6 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
     sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
     pooling=st.sampled_from(list(Pooling)),
     layers=st.integers(0, 2),
-    positions=st.booleans(),
     task=st.sampled_from([TASK_MULTICLASS, TASK_MULTILABEL]),
     encoder_mode=st.sampled_from([ENCODER_HASH, ENCODER_PRECOMPUTED]),
 )
@@ -465,12 +463,10 @@ def _ragged_model(seed, sizes, pooling, layers, positions, task, encoder_mode):
 # sums of large terms, off by up to 2e-5 of their largest entry in 6,000 draws
 @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-4), (np.float64, 1e-12)])
 def test_batched_step_equals_mean_of_single_document_steps(
-        float64_copy, dtype, rtol, seed, sizes, pooling, layers, positions, task,
-        encoder_mode):
+        float64_copy, dtype, rtol, seed, sizes, pooling, layers, task, encoder_mode):
     # the float32 model as trained, and a float64 copy, whose batch and single
     # steps agree to float64 rounding
-    model, _, feats, gold = _ragged_model(seed, sizes, pooling, layers, positions, task,
-                                          encoder_mode)
+    model, _, feats, gold = _ragged_model(seed, sizes, pooling, layers, task, encoder_mode)
     if dtype == np.float64:
         model = float64_copy(model)
     loss, grads = backward_batch(model, Batch.of(feats), gold)
@@ -491,12 +487,11 @@ def test_batched_step_equals_mean_of_single_document_steps(
 
 @pytest.mark.parametrize("pooling", list(Pooling))
 def test_grad_check_on_a_ragged_batch(pooling):
-    # one-, three- and two-segment documents; interaction with positions
-    # under the gated poolings, as acceptance criterion 4 checks one document
+    # one-, three- and two-segment documents; interaction under the gated
+    # poolings, as acceptance criterion 4 checks one document
     task = TASK_MULTICLASS if pooling.gated else TASK_MULTILABEL
     model, _, feats, gold = _ragged_model(3, [1, 3, 2], pooling,
-                                          layers=2 if pooling.gated else 0,
-                                          positions=pooling.gated, task=task,
+                                          layers=2 if pooling.gated else 0, task=task,
                                           encoder_mode=ENCODER_HASH)
     inputs, tensors = Batch.of(feats), model.tensors(requires_grad=True)
     report = grad_check(lambda: doc_loss(model, inputs, gold, tensors), tensors,
@@ -507,8 +502,8 @@ def test_grad_check_on_a_ragged_batch(pooling):
 @pytest.mark.parametrize("task", [TASK_MULTICLASS, TASK_MULTILABEL])
 @pytest.mark.parametrize("pooling", [Pooling.MAX, Pooling.GATED_SUM])
 def test_a_flat_hashed_step_trains_through_the_label_bag_op(pooling, task, monkeypatch):
-    model, _, feats, gold = _ragged_model(5, [1, 3, 2], pooling, layers=0, positions=False,
-                                          task=task, encoder_mode=ENCODER_HASH)
+    model, _, feats, gold = _ragged_model(5, [1, 3, 2], pooling, layers=0, task=task,
+                                          encoder_mode=ENCODER_HASH)
     inputs, tensors = Batch.of(feats), model.tensors(requires_grad=True)
     report = grad_check(lambda: doc_loss(model, inputs, gold, tensors), tensors,
                         tolerance=1e-4)
@@ -533,7 +528,7 @@ def test_a_flat_hashed_step_trains_through_the_label_bag_op(pooling, task, monke
 def test_backward_batch_leaves_the_model_its_arrays():
     # gradients live on the tensors of one pass: a second call on the same
     # batch starts from nothing and returns the same bits
-    model, _, feats, gold = _ragged_model(4, [2, 3, 1], Pooling.GATED_MAX, 1, True,
+    model, _, feats, gold = _ragged_model(4, [2, 3, 1], Pooling.GATED_MAX, 1,
                                           TASK_MULTILABEL, ENCODER_HASH)
     batch = Batch.of(feats)
     (loss, grads), (again, regrads) = (backward_batch(model, batch, gold) for _ in range(2))
@@ -548,7 +543,7 @@ def test_evaluate_split_matches_per_document_exact_match(task, monkeypatch):
     for seed, budget in itertools.product(range(4), [0, 1 << 20]):
         monkeypatch.setattr(model_mod, "CHUNK_BYTES", budget)  # a chunk per document, or one
         model, docs, feats, gold = _ragged_model(seed, [2, 1, 4, 3, 1], Pooling.GATED_MAX, 1,
-                                                 False, task, ENCODER_HASH)
+                                                 task, ENCODER_HASH)
         scores = np.stack([model.predict_features(f).scores for f in feats])
         share = np.mean(exact_match(task, scores, gold))
         batches = [model.encoder.featurize(chunk) for chunk in model.chunks(docs)]
@@ -558,7 +553,7 @@ def test_evaluate_split_matches_per_document_exact_match(task, monkeypatch):
 
 @pytest.mark.parametrize("pooling", list(Pooling))
 def test_inference_and_dev_scoring_record_no_tape(pooling):
-    model, docs, feats, gold = _ragged_model(5, [2, 1, 4, 3], pooling, 1, True,
+    model, docs, feats, gold = _ragged_model(5, [2, 1, 4, 3], pooling, 1,
                                              TASK_MULTILABEL, ENCODER_HASH)
     _, before = backward_batch(model, Batch.of(feats), gold)
     outs = []
@@ -597,7 +592,7 @@ def _assert_predicts_as_a_fresh_copy(model, docs):
 
 @pytest.mark.parametrize("pooling", list(Pooling))
 def test_predictions_after_a_step_use_the_stepped_parameters(pooling):
-    model, docs, feats, gold = _ragged_model(6, [2, 1, 3], pooling, 0, False,
+    model, docs, feats, gold = _ragged_model(6, [2, 1, 3], pooling, 0,
                                              TASK_MULTILABEL, ENCODER_HASH)
     before = [model.predict(doc).scores.copy() for doc in docs]  # the label table is cached
     state = ModelState(model=model, config=TrainConfig(base_lr=0.1, epochs=1), total_steps=4)
@@ -608,7 +603,7 @@ def test_predictions_after_a_step_use_the_stepped_parameters(pooling):
 
 
 def test_batch_rejects_mixed_feature_kinds():
-    model, _, feats, _ = _ragged_model(0, [2], Pooling.MAX, 0, False, TASK_MULTICLASS,
+    model, _, feats, _ = _ragged_model(0, [2], Pooling.MAX, 0, TASK_MULTICLASS,
                                        ENCODER_HASH)
     with pytest.raises(ConfigError, match="mix"):
         Batch.of([feats[0], SegmentMatrix(doc_id="v", rows=np.ones((1, 4)))])
@@ -969,10 +964,8 @@ class TestTrainLoop:
 #: A hash-encoder config whose other fields are all off their defaults.
 NON_DEFAULT_CONFIG = ModelConfig(
     labels=("x", "y", "z"), task_kind=TASK_MULTILABEL, pooling=Pooling.GATED_SUM,
-    truncation=TruncationConfig(strategy="punct", window_len=20, overlap=3,
-                                max_seg_len=9, sentence_terminators=frozenset(";.")),
-    n_buckets=128, dim=12, ngram_orders=(1, 3), hash_seed=7, interaction_layers=2,
-    n_heads=3, ff_dim=24, max_positions=16, init_seed=5,
+    truncation=TruncationConfig(strategy="punct", window_len=20, overlap=3, max_seg_len=9),
+    n_buckets=128, dim=12, ngram_orders=(1, 3), interaction_layers=2, n_heads=3, init_seed=5,
 )
 
 
@@ -1004,22 +997,20 @@ class TestCheckpoint:
         config = NON_DEFAULT_CONFIG
         header = json.dumps(config.to_meta(), sort_keys=True)
         assert header == (
-            '{"dim": 12, "encoder_mode": "hash", "ff_dim": 24, "hash_seed": 7, '
-            '"init_seed": 5, "interaction_layers": 2, "labels": ["x", "y", "z"], '
-            '"max_positions": 16, "n_buckets": 128, "n_heads": 3, "ngram_orders": [1, 3], '
-            '"pooling": "gated_sum", "task_kind": "multi-label", "truncation": '
-            '{"max_seg_len": 9, "overlap": 3, "sentence_terminators": [".", ";"], '
-            '"strategy": "punct", "window_len": 20}}'
+            '{"dim": 12, "encoder_mode": "hash", "init_seed": 5, "interaction_layers": 2, '
+            '"labels": ["x", "y", "z"], "n_buckets": 128, "n_heads": 3, '
+            '"ngram_orders": [1, 3], "pooling": "gated_sum", "task_kind": "multi-label", '
+            '"truncation": {"max_seg_len": 9, "overlap": 3, "strategy": "punct", '
+            '"window_len": 20}}'
         )
         assert ModelConfig.from_meta(json.loads(header)) == config
         train_meta = TrainConfig(epochs=3, base_lr=0.25, batch_size=4, seed=9).to_meta()
         assert json.dumps(train_meta, sort_keys=True) == (
-            '{"base_lr": 0.25, "batch_size": 4, "beta1": 0.9, "beta2": 0.999, '
-            '"epochs": 3, "epsilon": 1e-08, "seed": 9}'
+            '{"base_lr": 0.25, "batch_size": 4, "epochs": 3, "seed": 9}'
         )
 
     @pytest.mark.parametrize("config, digest", [
-        (NON_DEFAULT_CONFIG, "fc194464423c0e46e682b30375ec578f9ca6dc8ee7b56d32831bb13771be6dae"),
+        (NON_DEFAULT_CONFIG, "368f7af21a02625521f29f1b657e63eec60d8340cc74c922b28bf838fd2f12e6"),
         (ModelConfig(labels=("a", "b", "c"), encoder_mode=ENCODER_PRECOMPUTED, dim=7,
                      init_seed=2),
          "6385214bf5b68b8d91ec043e7ddc6f1f4f23c9e5a66faeb31e2ca0969e8cda99"),
